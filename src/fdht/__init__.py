@@ -6,16 +6,15 @@ desk-scale training harness."""
 from .complexity import FactorizationSpec, emit_rank_sweep, scheme_params
 from .grad import HTGradients, finite_diff_check, htl_backward
 from .ht import (DimNode, DimTree, HTWeight, OracleSizeError, build_dim_tree,
-                 htl_forward, init_ht_weight, param_count, param_count_config,
-                 reconstruct_dense)
+                 factor_shapes, htl_forward, init_ht_weight, param_count,
+                 param_count_config, reconstruct_dense)
 from .io import (deserialize, deserialize_checkpoint, load_checkpoint,
                  load_weight, save_checkpoint, save_weight, serialize,
                  serialize_checkpoint)
-from .lstm import (DenseLstmCell, FdhtLstmCell, Head, LstmState, bptt,
-                   forward_sequence, lstm_step, make_cell, make_dense_cell,
-                   make_head)
-from .tensor import (ModeIndexMap, contract, contract_vjp, phi_select,
-                     tensorize, vectorize)
+from .lstm import (DenseGateMap, DenseLstmCell, FdhtLstmCell, Head, HtGateMap,
+                   LstmState, bptt, forward_sequence, make_cell,
+                   make_dense_cell, make_head)
+from .tensor import contract, contract_vjp, tensorize, vectorize
 from .train import (AdamState, EpochRecord, SyntheticTask, TrainConfig,
                     TrainingError, adam_step, evaluate, generate_task,
                     history_csv, train)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,16 +64,19 @@ def _parse_value(raw: str, target_type, section: str, key: str):
     try:
         if target_type is int:
             return int(raw)
-        if target_type is float:
-            return float(raw)
         if target_type is str:
             return raw
-        # tuple[int, ...]: comma separated
-        return tuple(int(p) for p in raw.split(",") if p.strip() != "")
+        if target_type is not float:
+            # tuple[int, ...]: comma separated
+            return tuple(int(p) for p in raw.split(",") if p.strip() != "")
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key} = {raw!r}: cannot parse as {target_type}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:

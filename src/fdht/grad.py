@@ -43,9 +43,7 @@ def backward_from_tape(w: HTWeight, values, dL_dy) -> HTGradients:
         g = cot.pop(("t", k), None)
         if g is None:
             continue
-        a = values[s.a] if s.a[0] != "f" else w.factors[s.a[1]]
-        b = values[s.b] if s.b[0] != "f" else w.factors[s.b[1]]
-        ga, gb = contract_vjp(g, a, b, list(s.a_axes), list(s.b_axes))
+        ga, gb = contract_vjp(g, values[s.a], values[s.b], list(s.a_axes), list(s.b_axes))
         for slot, grad in ((s.a, ga), (s.b, gb)):
             if slot in cot:
                 cot[slot] = cot[slot] + grad

@@ -15,6 +15,7 @@ the dense matrix explicitly and serves as the testing oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +63,6 @@ class DimTree:
             if node.is_leaf and node.lo == k:
                 return i
         raise IndexError(f"no leaf for mode {k}")
-
-    def internal_indices(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if not n.is_leaf]
 
     def leaf_indices(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if n.is_leaf]
@@ -135,6 +133,16 @@ class HTWeight:
         return int(np.prod(self.n_shape))
 
 
+def factor_shapes(tree: DimTree, m_shape, n_shape) -> list[tuple[int, int, int]]:
+    """Shape of every node's factor, in preorder: ``(rank, m_k, n_k)`` at
+    the leaf for mode k, ``(rank, left_rank, right_rank)`` at an internal
+    node."""
+    nodes = tree.nodes
+    return [(n.rank, int(m_shape[n.lo]), int(n_shape[n.lo])) if n.is_leaf
+            else (n.rank, nodes[n.left].rank, nodes[n.right].rank)
+            for n in nodes]
+
+
 def validate_weight(w: HTWeight):
     tree = w.tree
     if len(w.m_shape) != tree.d or len(w.n_shape) != tree.d:
@@ -146,17 +154,12 @@ def validate_weight(w: HTWeight):
         raise ValueError(
             f"expected {len(tree.nodes)} factors, got {len(w.factors)}"
         )
-    for i, node in enumerate(tree.nodes):
-        got = w.factors[i].shape
-        if node.is_leaf:
-            k = node.lo
-            want = (node.rank, w.m_shape[k], w.n_shape[k])
-        else:
-            want = (node.rank, tree.nodes[node.left].rank, tree.nodes[node.right].rank)
-        if got != want:
+    shapes = factor_shapes(tree, w.m_shape, w.n_shape)
+    for i, (node, f, want) in enumerate(zip(tree.nodes, w.factors, shapes)):
+        if f.shape != want:
             raise ValueError(
                 f"factor for node {i} (modes {node.lo}..{node.hi - 1}) has "
-                f"shape {got}, expected {want}"
+                f"shape {f.shape}, expected {want}"
             )
 
 
@@ -173,16 +176,9 @@ def init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, root_rank, seed) 
     tree = build_dim_tree(len(m_shape), leaf_rank, internal_rank, root_rank)
     rng = np.random.default_rng(seed)
     factors = []
-    for node in tree.nodes:
-        if node.is_leaf:
-            k = node.lo
-            std = (1.0 / n_shape[k]) ** 0.5
-            factors.append(rng.normal(0.0, std, size=(node.rank, m_shape[k], n_shape[k])))
-        else:
-            rl = tree.nodes[node.left].rank
-            rr = tree.nodes[node.right].rank
-            std = (1.0 / (rl * rr)) ** 0.5
-            factors.append(rng.normal(0.0, std, size=(node.rank, rl, rr)))
+    for node, shape in zip(tree.nodes, factor_shapes(tree, m_shape, n_shape)):
+        fan_in = shape[2] if node.is_leaf else shape[1] * shape[2]
+        factors.append(rng.normal(0.0, (1.0 / fan_in) ** 0.5, size=shape))
     return HTWeight(tree, m_shape, n_shape, factors)
 
 
@@ -196,13 +192,7 @@ def param_count_config(m_shape, n_shape, leaf_rank, internal_rank, root_rank) ->
     """Parameter count from the configuration alone, without materializing
     factor arrays."""
     tree = build_dim_tree(len(m_shape), leaf_rank, internal_rank, root_rank)
-    total = 0
-    for node in tree.nodes:
-        if node.is_leaf:
-            total += node.rank * m_shape[node.lo] * n_shape[node.lo]
-        else:
-            total += node.rank * tree.nodes[node.left].rank * tree.nodes[node.right].rank
-    return total
+    return sum(math.prod(shape) for shape in factor_shapes(tree, m_shape, n_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +242,9 @@ def reconstruct_dense(w: HTWeight, element_cap: int = 10**8) -> np.ndarray:
 #   ("t", k)     output of step k
 # Each step contracts slot a with slot b over the given axis lists. The
 # last step's output carries the modes (m_1..m_d interleaved with the root
-# rank axis); out_perm moves the root rank axis to the front.
+# rank axis); out_perm moves the root rank axis to the front. The tape
+# returned by run_plan maps every slot to its value, so forward and
+# backward both read an operand as values[slot].
 
 
 @dataclass(frozen=True)
@@ -328,14 +320,14 @@ def _get_plan(w: HTWeight):
 
 
 def run_plan(w: HTWeight, x_tensor: np.ndarray) -> dict:
-    """Execute the schedule; returns the slot dict of every intermediate
-    (the tape reused by the backward pass)."""
+    """Execute the schedule; returns the slot dict of the input, every
+    factor and every intermediate (the tape reused by the backward pass)."""
     steps, _ = _get_plan(w)
-    values = {("x",): x_tensor}
+    values = {("f", i): f for i, f in enumerate(w.factors)}
+    values[("x",)] = x_tensor
     for k, s in enumerate(steps):
-        a = values[s.a] if s.a[0] != "f" else w.factors[s.a[1]]
-        b = values[s.b] if s.b[0] != "f" else w.factors[s.b[1]]
-        values[("t", k)] = np.tensordot(a, b, axes=(list(s.a_axes), list(s.b_axes)))
+        values[("t", k)] = np.tensordot(values[s.a], values[s.b],
+                                        axes=(list(s.a_axes), list(s.b_axes)))
     return values
 
 

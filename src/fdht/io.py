@@ -14,11 +14,12 @@ dimension sets 1-based, matching the written-out math.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .ht import HTWeight, build_dim_tree
+from .ht import HTWeight, build_dim_tree, factor_shapes
 from .lstm import GATE_ORDER, FdhtLstmCell, Head
 
 MAGIC = b"FDHT"
@@ -74,9 +75,13 @@ class _Reader:
         return list(struct.unpack(f"<{count}I", self.take(4 * count)))
 
     def f64s(self, shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        raw = self.take(8 * n)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        # Python ints: header sizes up to 2^32 per axis must not wrap.
+        offset = self.pos
+        raw = self.take(8 * math.prod(shape))
+        out = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(out)):
+            raise FormatError(f"non-finite value in float64 payload at offset {offset}")
+        return out
 
     @property
     def exhausted(self) -> bool:
@@ -132,13 +137,7 @@ def _read_weight(r: _Reader) -> HTWeight:
     tree = build_dim_tree(d, 1, 1, 1)
     for node, rank in zip(tree.nodes, ranks):
         node.rank = rank
-    factors = []
-    for i, node in enumerate(tree.nodes):
-        if node.is_leaf:
-            shape = (node.rank, m_shape[node.lo], n_shape[node.lo])
-        else:
-            shape = (node.rank, tree.nodes[node.left].rank, tree.nodes[node.right].rank)
-        factors.append(r.f64s(shape))
+    factors = [r.f64s(shape) for shape in factor_shapes(tree, m_shape, n_shape)]
     return HTWeight(tree, m_shape, n_shape, factors)
 
 

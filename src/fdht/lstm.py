@@ -1,16 +1,19 @@
-"""LSTM cells whose four gates come out of a single mega linear map.
+"""LSTM cells whose four gates come out of a single gate-stacked linear map.
 
-``FdhtLstmCell`` stacks the input-to-hidden and hidden-to-hidden maps of
-all four gates into one matrix and stores that matrix in HT form with
-root rank 4, so the leading output mode selects the gate. The input
-vector, zero padding and previous hidden state are concatenated to the
-factorizable length prod(n_shape), pushed through the HT kernel once per
-time step, and split gate-major in the order f, u, c, o.
+One cell class owns the LSTM: it concatenates the input vector, zero
+padding and previous hidden state to the map's input length, applies a
+*gate map* once per time step, and splits the 4H pre-activations
+gate-major in the order f, u, c, o. The gate map is the only part that
+differs between the paper's cell and its baseline:
 
-``DenseLstmCell`` is the uncompressed counterpart with one explicit
-(4H x (n_in + H)) matrix. Both cells expose the same stepping and
-backward interface so the training harness and the trajectory tests can
-drive either.
+- ``HtGateMap`` (``FdhtLstmCell``) stores the stacked input-to-hidden and
+  hidden-to-hidden matrices of all four gates in HT form with root rank 4,
+  so the leading output mode selects the gate. Forward runs the
+  contraction plan; backward sweeps its tape in reverse.
+- ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix.
+
+In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
+recurrent matrix owned by the cell supplies the hidden-to-hidden terms.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .grad import backward_from_tape
 from .ht import HTWeight, init_ht_weight, output_from_tape, run_plan
-from .tensor import tensorize, vectorize
+from .tensor import vectorize
 
 MODES = ("full", "input-only")
 GATE_ORDER = ("f", "u", "c", "o")
@@ -68,32 +71,85 @@ def softmax_cross_entropy(logits, label: int):
     return float(loss), dlogits
 
 
-class FdhtLstmCell:
-    """LSTM cell with the entire gate-stacked weight matrix in HT form.
+class HtGateMap:
+    """Gate map stored in HT form: the plan forward, its reverse sweep
+    backward. What ``forward`` saves for ``backward`` is the plan's tape."""
 
-    mode "full": the HT map consumes [x | zeros(pad_len) | h].
-    mode "input-only": the HT map consumes only [x | zeros], and a dense
+    in_label = "prod(n_shape)"
+
+    def __init__(self, weight: HTWeight):
+        if weight.root_rank != 4:
+            raise ValueError(f"cell weight needs root rank 4, got {weight.root_rank}")
+        self.weight = weight
+        self.in_size = weight.in_size
+        self.hidden_size = int(np.prod(weight.m_shape))
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {f"ht.{i}": f for i, f in enumerate(self.weight.factors)}
+
+    def forward(self, packed):
+        tape = run_plan(self.weight, packed.reshape(self.weight.n_shape))
+        return vectorize(output_from_tape(self.weight, tape)), tape
+
+    def backward(self, tape, dz, grads):
+        """Accumulate factor gradients; returns dL/dpacked."""
+        ht_grads = backward_from_tape(self.weight, tape, dz)
+        for i, fg in enumerate(ht_grads.factors):
+            grads[f"ht.{i}"] += fg
+        return ht_grads.input
+
+
+class DenseGateMap:
+    """Gate map as one explicit (4H x N) matrix; ``forward`` saves the
+    packed input for ``backward``."""
+
+    in_label = "weight columns"
+
+    def __init__(self, w):
+        self.weight = np.asarray(w, dtype=np.float64)
+        if self.weight.shape[0] % 4:
+            raise ValueError(
+                f"weight rows must be a multiple of 4, got {self.weight.shape[0]}")
+        self.in_size = self.weight.shape[1]
+        self.hidden_size = self.weight.shape[0] // 4
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w": self.weight}
+
+    def forward(self, packed):
+        return self.weight @ packed, packed
+
+    def backward(self, packed, dz, grads):
+        grads["w"] += np.outer(dz, packed)
+        return self.weight.T @ dz
+
+
+class FdhtLstmCell:
+    """LSTM cell over a gate map; by default the HT map with root rank 4.
+
+    mode "full": the gate map consumes [x | zeros(pad_len) | h].
+    mode "input-only": the gate map consumes only [x | zeros], and a dense
     (4H x H) recurrent matrix supplies the hidden-to-hidden terms, one
     H x H block per gate.
     """
 
-    def __init__(self, weight: HTWeight, n_x: int, mode: str = "full",
+    gate_map_type = HtGateMap
+
+    def __init__(self, weight, n_x: int, mode: str = "full",
                  biases=None, recurrent=None):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if weight.root_rank != 4:
-            raise ValueError(f"cell weight needs root rank 4, got {weight.root_rank}")
-        self.weight = weight
+        self.gate_map = self.gate_map_type(weight)
+        self.weight = self.gate_map.weight
         self.n_x = int(n_x)
         self.mode = mode
-        self.hidden_size = int(np.prod(weight.m_shape))
-        self.pad_len = weight.in_size - self.n_x - self.hidden_size
+        self.hidden_size = h = self.gate_map.hidden_size
+        self.pad_len = self.gate_map.in_size - self.n_x - h
         if self.pad_len < 0:
             raise ValueError(
-                f"prod(n_shape)={weight.in_size} too small: needs at least "
-                f"n_x + hidden = {self.n_x + self.hidden_size}"
+                f"{self.gate_map.in_label}={self.gate_map.in_size} too small: "
+                f"needs at least n_x + hidden = {self.n_x + h}"
             )
-        h = self.hidden_size
         if biases is None:
             biases = {g: np.zeros(h) for g in GATE_ORDER}
             biases["f"] = np.ones(h)
@@ -113,40 +169,31 @@ class FdhtLstmCell:
         return LstmState(np.zeros(self.hidden_size), np.zeros(self.hidden_size))
 
     def params(self) -> dict[str, np.ndarray]:
-        p = {f"ht.{i}": f for i, f in enumerate(self.weight.factors)}
+        p = self.gate_map.params()
         for g in GATE_ORDER:
             p[f"b_{g}"] = self.biases[g]
         if self.recurrent is not None:
             p["recurrent"] = self.recurrent
         return p
 
-    def _pack(self, x, h):
-        buf = np.zeros(self.weight.in_size)
-        buf[: self.n_x] = x
-        if self.mode == "full":
-            buf[self.n_x + self.pad_len:] = h
-        return buf
-
-    def _preactivation(self, x, h, with_tape=False):
-        packed = self._pack(x, h)
-        values = run_plan(self.weight, tensorize(packed, self.weight.n_shape))
-        z = vectorize(output_from_tape(self.weight, values))
-        if self.recurrent is not None:
-            z = z + self.recurrent @ h
-        return (z, values) if with_tape else (z, None)
-
     def step(self, x, state: LstmState) -> LstmState:
-        state, _ = self.step_cached(x, state, with_tape=False)
-        return state
+        return self.step_cached(x, state)[0]
 
-    def step_cached(self, x, state: LstmState, with_tape=True):
+    def step_cached(self, x, state: LstmState):
+        """One recurrence step: pack, apply the gate map, gate, update.
+        Returns the new state and the cache ``step_backward`` needs."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n_x:
             raise ValueError(f"input has length {x.size}, expected {self.n_x}")
-        z, tape = self._preactivation(x, state.h, with_tape)
+        packed = np.zeros(self.gate_map.in_size)
+        packed[: self.n_x] = x
+        if self.recurrent is None:
+            packed[self.n_x + self.pad_len:] = state.h
+        z, saved = self.gate_map.forward(packed)
+        if self.recurrent is not None:
+            z = z + self.recurrent @ state.h
         new_state, gates = _gate_forward(z, self.biases, state.c, self.hidden_size)
-        cache = {"tape": tape, "gates": gates, "h_prev": state.h}
-        return new_state, cache
+        return new_state, {"map": saved, "gates": gates, "h_prev": state.h}
 
     def step_backward(self, cache, dh, dc, grads):
         """Accumulate parameter gradients for one step; returns
@@ -154,73 +201,24 @@ class FdhtLstmCell:
         dz, db, dc_prev = _gate_backward(cache["gates"], dh, dc)
         for g, dbg in zip(GATE_ORDER, db):
             grads[f"b_{g}"] += dbg
-        ht_grads = backward_from_tape(self.weight, cache["tape"], dz)
-        for i, fg in enumerate(ht_grads.factors):
-            grads[f"ht.{i}"] += fg
-        dx = ht_grads.input[: self.n_x]
-        if self.mode == "full":
-            dh_prev = ht_grads.input[self.n_x + self.pad_len:]
+        d_packed = self.gate_map.backward(cache["map"], dz, grads)
+        dx = d_packed[: self.n_x]
+        if self.recurrent is None:
+            dh_prev = d_packed[self.n_x + self.pad_len:]
         else:
             grads["recurrent"] += np.outer(dz, cache["h_prev"])
             dh_prev = self.recurrent.T @ dz
         return dh_prev, dc_prev, dx
 
 
-class DenseLstmCell:
-    """Plain LSTM with an explicit stacked weight matrix, used both as the
-    training baseline and as the trajectory oracle vehicle."""
+class DenseLstmCell(FdhtLstmCell):
+    """The same cell over an explicit stacked (4H x N) weight matrix, used
+    both as the training baseline and as the trajectory oracle vehicle."""
+
+    gate_map_type = DenseGateMap
 
     def __init__(self, w: np.ndarray, n_x: int, biases=None):
-        self.w = np.asarray(w, dtype=np.float64)
-        self.n_x = int(n_x)
-        if self.w.shape[0] % 4:
-            raise ValueError(f"weight rows must be a multiple of 4, got {self.w.shape[0]}")
-        self.hidden_size = self.w.shape[0] // 4
-        self.pad_len = self.w.shape[1] - self.n_x - self.hidden_size
-        if self.pad_len < 0:
-            raise ValueError("weight columns must cover n_x + hidden")
-        h = self.hidden_size
-        if biases is None:
-            biases = {g: np.zeros(h) for g in GATE_ORDER}
-            biases["f"] = np.ones(h)
-        self.biases = {g: np.asarray(biases[g], dtype=np.float64) for g in GATE_ORDER}
-
-    def init_state(self) -> LstmState:
-        return LstmState(np.zeros(self.hidden_size), np.zeros(self.hidden_size))
-
-    def params(self) -> dict[str, np.ndarray]:
-        p = {"w": self.w}
-        for g in GATE_ORDER:
-            p[f"b_{g}"] = self.biases[g]
-        return p
-
-    def _pack(self, x, h):
-        buf = np.zeros(self.w.shape[1])
-        buf[: self.n_x] = x
-        buf[self.n_x + self.pad_len:] = h
-        return buf
-
-    def step(self, x, state: LstmState) -> LstmState:
-        state, _ = self.step_cached(x, state)
-        return state
-
-    def step_cached(self, x, state: LstmState, with_tape=True):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        packed = self._pack(x, state.h)
-        z = self.w @ packed
-        new_state, gates = _gate_forward(z, self.biases, state.c, self.hidden_size)
-        cache = {"packed": packed, "gates": gates}
-        return new_state, cache
-
-    def step_backward(self, cache, dh, dc, grads):
-        dz, db, dc_prev = _gate_backward(cache["gates"], dh, dc)
-        for g, dbg in zip(GATE_ORDER, db):
-            grads[f"b_{g}"] += dbg
-        grads["w"] += np.outer(dz, cache["packed"])
-        d_packed = self.w.T @ dz
-        dx = d_packed[: self.n_x]
-        dh_prev = d_packed[self.n_x + self.pad_len:]
-        return dh_prev, dc_prev, dx
+        super().__init__(w, n_x, biases=biases)
 
 
 def make_dense_cell(n_x: int, hidden_size: int, seed) -> DenseLstmCell:
@@ -261,23 +259,12 @@ def make_cell(n_x, n_shape, m_shape, leaf_rank, internal_rank,
     forget-gate bias of 1, and zero-padding from n_x + hidden up to
     prod(n_shape)."""
     hidden = int(np.prod(m_shape))
-    total = int(np.prod(n_shape))
-    if total < n_x + hidden:
-        raise ValueError(
-            f"prod(n_shape)={total} too small: needs at least "
-            f"n_x + hidden = {n_x + hidden}"
-        )
     weight = init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, 4, seed)
     recurrent = None
     if mode == "input-only":
         rng = np.random.default_rng((seed, 1))
         recurrent = rng.normal(0.0, hidden ** -0.5, size=(4 * hidden, hidden))
     return FdhtLstmCell(weight, n_x, mode, recurrent=recurrent)
-
-
-def lstm_step(cell, x, state: LstmState) -> LstmState:
-    """One recurrence step: pack, apply the mega layer, gate, update."""
-    return cell.step(x, state)
 
 
 def forward_sequence(cell, head: Head, xs) -> np.ndarray:

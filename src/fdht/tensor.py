@@ -9,8 +9,6 @@ formulas elsewhere use the conventional 1-based numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -111,37 +109,3 @@ def contract_vjp(g, a, b, a_modes, b_modes):
         src[ax] = len(a_modes) + i
     gb = gb_raw.transpose(src)
     return ga, gb
-
-
-@dataclass(frozen=True)
-class ModeIndexMap:
-    """A contiguous dimension set ``{start..stop}`` (0-based, inclusive)
-    inside a d-mode tensorization, for selecting sub-multi-indices."""
-
-    start: int
-    stop: int
-    d: int
-
-    def __post_init__(self):
-        if not (0 <= self.start <= self.stop < self.d):
-            raise IndexError(
-                f"dimension set [{self.start}..{self.stop}] out of range "
-                f"for d={self.d}"
-            )
-
-
-def phi_select(m: ModeIndexMap, i, j):
-    """Select the output/input index pair restricted to the dimension set.
-
-    Returns ``(i_start..i_stop, j_start..j_stop)`` as one tuple, e.g. for
-    d=6 and the set {2,3} (modes 3,4 in 1-based counting) the result is
-    ``(i2, i3, j2, j3)``.
-    """
-    i = tuple(i)
-    j = tuple(j)
-    if len(i) != m.d or len(j) != m.d:
-        raise IndexError(
-            f"multi-indices must have length d={m.d}, got {len(i)} and {len(j)}"
-        )
-    sel = slice(m.start, m.stop + 1)
-    return i[sel] + j[sel]

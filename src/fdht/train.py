@@ -57,6 +57,18 @@ class Dataset:
         return len(self.labels)
 
 
+def _clean_sequences(task: SyntheticTask, rng) -> np.ndarray:
+    """The noiseless (classes, frames, frame_dim) sequences: class c moves
+    linearly from a unit-norm base template to a unit-norm drifted one.
+    Takes the first draws of ``rng``, ahead of any sample noise."""
+    base = rng.normal(size=(task.classes, task.frame_dim))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    drift = rng.normal(size=(task.classes, task.frame_dim))
+    drift /= np.linalg.norm(drift, axis=1, keepdims=True)
+    t_frac = np.linspace(0.0, 1.0, task.frames)[:, None]
+    return (1.0 - t_frac) * base[:, None, :] + t_frac * drift[:, None, :]
+
+
 def generate_task(task: SyntheticTask):
     """Deterministic class-balanced train/test datasets.
 
@@ -65,11 +77,7 @@ def generate_task(task: SyntheticTask):
     scaled by ``task.noise``.
     """
     rng = np.random.default_rng(task.seed)
-    base = rng.normal(size=(task.classes, task.frame_dim))
-    base /= np.linalg.norm(base, axis=1, keepdims=True)
-    drift = rng.normal(size=(task.classes, task.frame_dim))
-    drift /= np.linalg.norm(drift, axis=1, keepdims=True)
-    t_frac = np.linspace(0.0, 1.0, task.frames)[:, None]
+    clean = _clean_sequences(task, rng)
 
     # noise is scaled so that `noise` is the expected per-frame noise NORM
     # relative to the unit-norm templates, independent of frame_dim
@@ -81,9 +89,8 @@ def generate_task(task: SyntheticTask):
         labels = np.empty(count, dtype=np.int64)
         i = 0
         for c in range(task.classes):
-            clean = (1.0 - t_frac) * base[c] + t_frac * drift[c]
             for _ in range(per_class):
-                xs[i] = clean + sigma * rng.normal(size=clean.shape)
+                xs[i] = clean[c] + sigma * rng.normal(size=clean[c].shape)
                 labels[i] = c
                 i += 1
         return Dataset(xs, labels)
@@ -94,14 +101,7 @@ def generate_task(task: SyntheticTask):
 def nearest_template_accuracy(task: SyntheticTask, data: Dataset) -> float:
     """Classify by distance to the clean per-class sequence; the sanity
     ceiling for the task."""
-    rng = np.random.default_rng(task.seed)
-    base = rng.normal(size=(task.classes, task.frame_dim))
-    base /= np.linalg.norm(base, axis=1, keepdims=True)
-    drift = rng.normal(size=(task.classes, task.frame_dim))
-    drift /= np.linalg.norm(drift, axis=1, keepdims=True)
-    t_frac = np.linspace(0.0, 1.0, task.frames)[:, None]
-    clean = np.stack([(1.0 - t_frac) * base[c] + t_frac * drift[c]
-                      for c in range(task.classes)])
+    clean = _clean_sequences(task, np.random.default_rng(task.seed))
     hits = 0
     for x, label in zip(data.xs, data.labels):
         dists = [np.sum((x - clean[c]) ** 2) for c in range(task.classes)]
@@ -148,14 +148,6 @@ def evaluate(cell, head: Head, data: Dataset) -> float:
         logits = forward_sequence(cell, head, x)
         hits += int(np.argmax(logits) == label)
     return hits / len(data)
-
-
-def mean_loss(cell, head: Head, data: Dataset) -> float:
-    from .lstm import softmax_cross_entropy
-    total = 0.0
-    for x, label in zip(data.xs, data.labels):
-        total += softmax_cross_entropy(forward_sequence(cell, head, x), int(label))[0]
-    return total / len(data)
 
 
 @dataclass

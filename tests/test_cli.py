@@ -70,6 +70,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[train\] epochs"):
             parse_config("[train]\nepochs = soon\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, raw):
+        with pytest.raises(ConfigError, match=r"\[task\] noise = .*must be finite"):
+            parse_config(f"[task]\nnoise = {raw}\n")
+
     def test_precondition_checked_up_front(self):
         with pytest.raises(ConfigError, match="too small"):
             parse_config("[model]\nn_x = 100\nn_shape = 4,3\nm_shape = 2,2\n"
@@ -188,6 +193,18 @@ class TestTrainEval:
         chance = 1.0 / 3.0
         n_test = 3 * 40
         assert abs(acc - chance) <= 5 * np.sqrt(chance * (1 - chance) / n_test)
+
+    def test_non_finite_learning_rate_rejected(self, capsys, tmp_path):
+        cfg_text = SMALL_MODEL.replace("[train]\n", "[train]\nlearning_rate = nan\n") + (
+            f"\n[paths]\ncheckpoint = {tmp_path}/n.fdht\n"
+            f"metrics = {tmp_path}/n.csv\n")
+        path = tmp_path / "n.ini"
+        path.write_text(cfg_text)
+        code, _, err = run_cli(capsys, "train", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: validation: [train] learning_rate = 'nan'")
+        assert "\n" not in err.strip()
+        assert not (tmp_path / "n.fdht").exists()
 
     def test_eval_missing_checkpoint(self, capsys, small_config):
         code, _, err = run_cli(capsys, "eval", "--config", small_config)

@@ -10,6 +10,7 @@ from fdht.io import (BadMagicError, FormatError, ShapeInconsistencyError,
                      deserialize_checkpoint, load_checkpoint, load_weight,
                      save_checkpoint, save_weight, serialize,
                      serialize_checkpoint)
+from fdht.ht import init_ht_weight
 from fdht.lstm import make_cell, make_head
 from oracles import random_small_weight
 
@@ -62,6 +63,23 @@ def test_root_rank_contradicts_gate_count():
     data[g_off:g_off + 4] = bad_g.to_bytes(4, "little")
     with pytest.raises(ShapeInconsistencyError, match="contradicts"):
         deserialize(bytes(data))
+
+
+def test_oversized_ranks_are_truncation():
+    # d=2: the ranks of the two leaves sit after the root rank at offset 34.
+    # (2^32-1)^2 entries per factor overflow a fixed-width integer size.
+    data = bytearray(serialize(init_ht_weight((2, 2), (3, 3), 2, 2, 4, seed=0)))
+    data[38:46] = (2**32 - 1).to_bytes(4, "little") * 2
+    with pytest.raises(TruncatedError):
+        deserialize(bytes(data))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_payload_rejected(value):
+    w = init_ht_weight((2, 2), (3, 3), 2, 2, 4, seed=0)
+    w.factors[-1][0, 0, 0] = value
+    with pytest.raises(FormatError, match="non-finite"):
+        deserialize(serialize(w))
 
 
 def test_trailing_garbage():

@@ -6,8 +6,8 @@ import pytest
 
 from fdht.ht import htl_forward, init_ht_weight, reconstruct_dense
 from fdht.lstm import (DenseLstmCell, FdhtLstmCell, Head, LstmState, bptt,
-                       forward_sequence, lstm_step, make_cell, make_dense_cell,
-                       make_head, softmax_cross_entropy, zero_grads)
+                       forward_sequence, make_cell, make_dense_cell, make_head,
+                       softmax_cross_entropy, zero_grads)
 from oracles import fd_param_dict, max_rel_error
 
 
@@ -61,15 +61,15 @@ class TestStep:
         for g in cell.biases:
             cell.biases[g][:] = 0.0
         c0 = np.array([0.3, -1.2, 0.0, 2.0])
-        out = lstm_step(cell, np.zeros(4), LstmState(np.zeros(4), c0))
+        out = cell.step(np.zeros(4), LstmState(np.zeros(4), c0))
         np.testing.assert_allclose(out.c, 0.5 * c0, atol=1e-15)
         np.testing.assert_allclose(out.h, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
     def test_recurrent_path_is_live(self):
         cell = small_cell(seed=4)
         x = np.zeros(4)
-        s_a = lstm_step(cell, x, LstmState(np.zeros(4), np.zeros(4)))
-        s_b = lstm_step(cell, x, LstmState(np.ones(4), np.zeros(4)))
+        s_a = cell.step(x, LstmState(np.zeros(4), np.zeros(4)))
+        s_b = cell.step(x, LstmState(np.ones(4), np.zeros(4)))
         assert np.max(np.abs(s_a.h - s_b.h)) > 1e-8
 
     def test_matches_dense_lstm_step(self):
@@ -80,7 +80,7 @@ class TestStep:
         state_f = LstmState(rng.normal(size=4), rng.normal(size=4))
         state_d = LstmState(state_f.h.copy(), state_f.c.copy())
         x = rng.normal(size=4)
-        out_f = lstm_step(cell, x, state_f)
+        out_f = cell.step(x, state_f)
         out_d = dense.step(x, state_d)
         assert np.max(np.abs(out_f.h - out_d.h)) <= 1e-10
         assert np.max(np.abs(out_f.c - out_d.c)) <= 1e-10
@@ -111,9 +111,38 @@ class TestStep:
             assert np.all(np.abs(c_in) < 1.0) and np.all(np.abs(tanh_c) < 1.0)
 
     def test_input_size_checked(self):
-        cell = small_cell()
-        with pytest.raises(ValueError, match="expected 4"):
-            cell.step(np.ones(5), cell.init_state())
+        for cell in (small_cell(), make_dense_cell(4, 4, seed=0)):
+            with pytest.raises(ValueError, match="expected 4"):
+                cell.step(np.ones(5), cell.init_state())
+
+    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
+    def test_packing_layout(self, mode):
+        # [x | zeros(pad) | h] and the gate formulas, written out by hand
+        rng = np.random.default_rng(20)
+        if mode == "dense":
+            w = rng.normal(size=(16, 9))
+            cell = DenseLstmCell(w, n_x=4)
+        else:
+            cell = small_cell(mode=mode, seed=1)
+            w = reconstruct_dense(cell.weight)
+        assert cell.pad_len == 1
+        for g in cell.biases:
+            cell.biases[g][:] = rng.normal(size=4)
+        x, h, c = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
+        if mode == "input-only":
+            z = w @ np.concatenate([x, np.zeros(5)]) + cell.recurrent @ h
+        else:
+            z = w @ np.concatenate([x, np.zeros(1), h])
+        f, u, c_in, o = (z[4 * k:4 * k + 4] + cell.biases[g]
+                         for k, g in enumerate("fuco"))
+
+        def sig(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        c_new = sig(f) * c + sig(u) * np.tanh(c_in)
+        out = cell.step(x, LstmState(h, c))
+        assert np.max(np.abs(out.c - c_new)) <= 1e-12
+        assert np.max(np.abs(out.h - sig(o) * np.tanh(c_new))) <= 1e-12
 
 
 class TestPaddingNeutrality:

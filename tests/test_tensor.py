@@ -1,12 +1,11 @@
-"""Tensor core: contraction, reshaping, index selection."""
+"""Tensor core: contraction and reshaping."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdht.tensor import (ModeIndexMap, contract, contract_vjp, phi_select,
-                         tensorize, vectorize)
+from fdht.tensor import contract, contract_vjp, tensorize, vectorize
 from oracles import loop_contract
 
 
@@ -178,26 +177,3 @@ def test_round_trip_ucf11_shape():
     out = vectorize(tensorize(v, (16, 16, 16, 15)))
     assert out.tobytes() == v.tobytes()
 
-
-def test_phi_select_worked_example():
-    # d=6, set {3,4} in 1-based math = modes 2..3 here: picks (i3,i4,j3,j4)
-    m = ModeIndexMap(2, 3, 6)
-    i = (10, 11, 12, 13, 14, 15)
-    j = (20, 21, 22, 23, 24, 25)
-    assert phi_select(m, i, j) == (12, 13, 22, 23)
-
-
-def test_phi_select_full_and_singleton():
-    i = (1, 2, 3, 4)
-    j = (5, 6, 7, 8)
-    assert phi_select(ModeIndexMap(0, 3, 4), i, j) == i + j
-    assert phi_select(ModeIndexMap(1, 1, 4), i, j) == (2, 6)
-
-
-def test_phi_select_range_errors():
-    with pytest.raises(IndexError):
-        ModeIndexMap(2, 4, 4)
-    with pytest.raises(IndexError):
-        ModeIndexMap(-1, 1, 4)
-    with pytest.raises(IndexError):
-        phi_select(ModeIndexMap(0, 1, 3), (1, 2), (1, 2, 3))

@@ -4,7 +4,7 @@ reference model configurations."""
 
 import numpy as np
 
-from fdht.complexity import compression_ratio
+from fdht.complexity import compression_ratio, dense_lstm_params
 from fdht.ht import param_count_config
 
 CONFIGS = [
@@ -22,9 +22,7 @@ def main():
     print("-" * len(header))
     for name, m, n, leaf, internal, n_x in CONFIGS:
         ht = param_count_config(m, n, leaf, internal, 4)
-        hidden = int(np.prod(m))
-        dense_w = 4 * hidden * (n_x + hidden)
-        dense_total = dense_w + 4 * hidden
+        dense_w, dense_total = dense_lstm_params(n_x, int(np.prod(m)))
         ratio = compression_ratio(dense_w, ht)
         print(f"{name:<22} {ht:>10,} {dense_w:>14,} {dense_total:>13,} {ratio:>7,}x")
 

@@ -6,11 +6,10 @@ desk-scale training harness."""
 from .complexity import FactorizationSpec, emit_rank_sweep, scheme_params
 from .grad import HTGradients, finite_diff_check, htl_backward
 from .ht import (DimNode, DimTree, HTWeight, OracleSizeError, build_dim_tree,
-                 factor_shapes, htl_forward, init_ht_weight, param_count,
-                 param_count_config, reconstruct_dense)
-from .io import (deserialize, deserialize_checkpoint, load_checkpoint,
-                 load_weight, save_checkpoint, save_weight, serialize,
-                 serialize_checkpoint)
+                 factor_shapes, htl_forward, init_ht_weight, param_count_config,
+                 reconstruct_dense)
+from .io import (deserialize_checkpoint, load_checkpoint, save_checkpoint,
+                 serialize, serialize_checkpoint)
 from .lstm import (DenseGateMap, DenseLstmCell, FdhtLstmCell, Head, HtGateMap,
                    LstmState, bptt, forward_sequence, make_cell,
                    make_dense_cell, make_head)

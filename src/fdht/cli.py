@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from .complexity import compression_ratio, emit_rank_sweep
+from .complexity import compression_ratio, dense_lstm_params, emit_rank_sweep
 from .config import (ConfigError, RunConfig, apply_seed_override, emit_config,
                      load_config)
 from .grad import finite_diff_check
-from .ht import (OracleSizeError, htl_forward, init_ht_weight, param_count,
+from .ht import (OracleSizeError, htl_forward, init_ht_weight, param_count_config,
                  reconstruct_dense)
 from .io import FormatError, load_checkpoint, save_checkpoint
 from .lstm import make_cell, make_head
@@ -30,19 +30,15 @@ GRADCHECK_TOL = 1e-4
 VERIFY_TOL = 1e-10
 
 
-def _model_weight(cfg: RunConfig, seed=None):
+def _model_weight(cfg: RunConfig):
     m = cfg.model
-    return init_ht_weight(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4,
-                          m.seed if seed is None else seed)
+    return init_ht_weight(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4, m.seed)
 
 
 def cmd_params(cfg: RunConfig) -> int:
     m = cfg.model
-    w = _model_weight(cfg)
-    ht = param_count(w)
-    hidden = int(np.prod(m.m_shape))
-    dense_weights = 4 * hidden * (m.n_x + hidden)
-    dense_total = 4 * (hidden * (m.n_x + hidden) + hidden)
+    ht = param_count_config(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4)
+    dense_weights, dense_total = dense_lstm_params(m.n_x, int(np.prod(m.m_shape)))
     ratio = compression_ratio(dense_weights, ht)
     print(f"model: n_x={m.n_x} n_shape={','.join(map(str, m.n_shape))} "
           f"m_shape={','.join(map(str, m.m_shape))} "

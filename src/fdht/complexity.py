@@ -20,7 +20,6 @@ class FactorizationSpec:
     n_shape: tuple[int, ...]
     rank: int
     scheme: str
-    cp_rank: int = 1  # BT only: number of block terms
 
     def __post_init__(self):
         if len(self.m_shape) != len(self.n_shape) or len(self.m_shape) == 0:
@@ -40,7 +39,7 @@ def scheme_params(spec: FactorizationSpec) -> int:
 
     tt: cores r_{k-1} x m_k x n_k x r_k with border ranks fixed at 1.
     tr: cores r x m_k x n_k x r all the way around the ring.
-    bt: cp_rank block terms, each d factor matrices plus an r^d core.
+    bt: one block term, d factor matrices r x m_k x n_k plus an r^d core.
     ht: 3-way leaf frames r x m_k x n_k, internal transfer tensors r^3,
         root rank 1 (the scheme-fair setting for comparisons).
     """
@@ -52,9 +51,16 @@ def scheme_params(spec: FactorizationSpec) -> int:
     if spec.scheme == "tr":
         return sum(r * mnk * r for mnk in mn)
     if spec.scheme == "bt":
-        return spec.cp_rank * (sum(r * mnk for mnk in mn) + r ** d)
+        return sum(r * mnk for mnk in mn) + r ** d
     # ht: d leaves, d-2 internal non-root nodes at rank r, root at rank 1
     return sum(r * mnk for mnk in mn) + (d - 2) * r ** 3 + r ** 2
+
+
+def dense_lstm_params(n_x: int, hidden: int) -> tuple[int, int]:
+    """Parameters of the dense LSTM with input size n_x and hidden size H:
+    the four gate matrices, 4H(n_x + H), and that plus the 4H gate biases."""
+    weights = 4 * hidden * (n_x + hidden)
+    return weights, weights + 4 * hidden
 
 
 def compression_ratio(dense_params: int, compressed_params: int) -> int:
@@ -63,7 +69,7 @@ def compression_ratio(dense_params: int, compressed_params: int) -> int:
     return (2 * dense_params + compressed_params) // (2 * compressed_params)
 
 
-def emit_rank_sweep(m_shape, n_shape, r_range, cp_rank: int = 1) -> str:
+def emit_rank_sweep(m_shape, n_shape, r_range) -> str:
     """CSV with one row per rank and one integer column per scheme, in the
     fixed order tt, tr, bt, ht."""
     r_range = list(r_range)
@@ -73,7 +79,7 @@ def emit_rank_sweep(m_shape, n_shape, r_range, cp_rank: int = 1) -> str:
     out.write("rank,tt,tr,bt,ht\n")
     for r in r_range:
         counts = [
-            scheme_params(FactorizationSpec(tuple(m_shape), tuple(n_shape), r, s, cp_rank))
+            scheme_params(FactorizationSpec(tuple(m_shape), tuple(n_shape), r, s))
             for s in SCHEMES
         ]
         out.write(f"{r}," + ",".join(str(c) for c in counts) + "\n")

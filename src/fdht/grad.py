@@ -12,8 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ht import HTWeight, _get_plan, run_plan
+from .ht import HTWeight, _get_plan, htl_forward, run_plan
 from .tensor import contract_vjp, tensorize, vectorize
+
+# Finite-difference entries whose analytic/numeric difference is at most
+# this count as exact (the absolute floor of acceptance criterion 4).
+ABS_FLOOR = 1e-8
 
 
 @dataclass(eq=False)
@@ -35,28 +39,15 @@ def backward_from_tape(w: HTWeight, values, dL_dy) -> HTGradients:
     last = ("t", len(steps) - 1)
     out_shape = tuple(values[last].shape[ax] for ax in out_perm)
     g_out = np.asarray(dL_dy, dtype=np.float64).reshape(out_shape)
-    inv_perm = np.argsort(out_perm)
-    cot = {last: g_out.transpose(inv_perm)}
-
+    cot = {last: g_out.transpose(np.argsort(out_perm))}
+    # The plan is a tree: the input, every factor and every intermediate
+    # feed exactly one step, so each cotangent is assigned exactly once.
     for k in range(len(steps) - 1, -1, -1):
         s = steps[k]
-        g = cot.pop(("t", k), None)
-        if g is None:
-            continue
-        ga, gb = contract_vjp(g, values[s.a], values[s.b], list(s.a_axes), list(s.b_axes))
-        for slot, grad in ((s.a, ga), (s.b, gb)):
-            if slot in cot:
-                cot[slot] = cot[slot] + grad
-            else:
-                cot[slot] = grad
-
-    factor_grads = []
-    for i, f in enumerate(w.factors):
-        factor_grads.append(cot.get(("f", i), np.zeros_like(f)))
-    x_grad = cot.get(("x",))
-    if x_grad is None:
-        x_grad = np.zeros(w.in_size)
-    return HTGradients(factor_grads, vectorize(x_grad))
+        cot[s.a], cot[s.b] = contract_vjp(cot.pop(("t", k)), values[s.a], values[s.b],
+                                          list(s.a_axes), list(s.b_axes))
+    return HTGradients([cot[("f", i)] for i in range(len(w.factors))],
+                       vectorize(cot[("x",)]))
 
 
 def htl_backward(w: HTWeight, x, dL_dy) -> HTGradients:
@@ -74,47 +65,26 @@ def htl_backward(w: HTWeight, x, dL_dy) -> HTGradients:
     return backward_from_tape(w, values, dL_dy)
 
 
-def _rel_error(analytic: float, numeric: float, abs_floor: float) -> float:
+def _rel_error(analytic: float, numeric: float) -> float:
     diff = abs(analytic - numeric)
-    if diff <= abs_floor:
+    if diff <= ABS_FLOOR:
         return 0.0
     return diff / max(abs(analytic), abs(numeric))
 
 
-def finite_diff_check(
-    w: HTWeight,
-    x,
-    loss,
-    step: float = 1e-5,
-    loss_grad=None,
-    analytic: HTGradients | None = None,
-    abs_floor: float = 1e-8,
-) -> float:
+def finite_diff_check(w: HTWeight, x, loss, step: float = 1e-5, *, loss_grad) -> float:
     """Worst relative discrepancy between htl_backward and central finite
     differences, over every factor coordinate and every input coordinate.
 
-    ``loss`` maps the layer output y to a scalar. ``loss_grad`` maps y to
-    dL/dy; if omitted it is approximated coordinate-wise by the same
-    central difference. Entries whose analytic/numeric difference is below
-    ``abs_floor`` count as exact (zero error). Passing ``analytic``
-    overrides the computed gradients, which lets tests inject faults.
+    ``loss`` maps the layer output y to a scalar and ``loss_grad`` maps y
+    to dL/dy. Entries whose analytic/numeric difference is at most
+    ``ABS_FLOOR`` count as exact (zero error).
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    from .ht import htl_forward
-
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y0 = htl_forward(w, x)
-    if loss_grad is not None:
-        dL_dy = np.asarray(loss_grad(y0), dtype=np.float64).reshape(-1)
-    else:
-        dL_dy = np.zeros(y0.size)
-        for i in range(y0.size):
-            yp = y0.copy(); yp[i] += step
-            ym = y0.copy(); ym[i] -= step
-            dL_dy[i] = (loss(yp) - loss(ym)) / (2 * step)
-    if analytic is None:
-        analytic = htl_backward(w, x, dL_dy)
+    dL_dy = np.asarray(loss_grad(htl_forward(w, x)), dtype=np.float64).reshape(-1)
+    analytic = htl_backward(w, x, dL_dy)
 
     worst = 0.0
     for fi, f in enumerate(w.factors):
@@ -127,7 +97,7 @@ def finite_diff_check(
             flat[ci] = orig - step
             lm = loss(htl_forward(w, x))
             flat[ci] = orig
-            worst = max(worst, _rel_error(a_flat[ci], (lp - lm) / (2 * step), abs_floor))
+            worst = max(worst, _rel_error(a_flat[ci], (lp - lm) / (2 * step)))
     for ci in range(x.size):
         orig = x[ci]
         x[ci] = orig + step
@@ -135,5 +105,5 @@ def finite_diff_check(
         x[ci] = orig - step
         lm = loss(htl_forward(w, x))
         x[ci] = orig
-        worst = max(worst, _rel_error(analytic.input[ci], (lp - lm) / (2 * step), abs_floor))
+        worst = max(worst, _rel_error(analytic.input[ci], (lp - lm) / (2 * step)))
     return worst

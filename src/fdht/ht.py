@@ -23,8 +23,12 @@ import numpy as np
 from .tensor import contract, tensorize, vectorize
 
 
+# Largest dense matrix, in entries, that reconstruct_dense will build.
+ORACLE_ELEMENT_CAP = 10**8
+
+
 class OracleSizeError(RuntimeError):
-    """Dense reconstruction would exceed the element cap."""
+    """Dense reconstruction would exceed ORACLE_ELEMENT_CAP."""
 
 
 @dataclass
@@ -41,10 +45,6 @@ class DimNode:
     def is_leaf(self) -> bool:
         return self.hi - self.lo == 1
 
-    @property
-    def modes(self) -> range:
-        return range(self.lo, self.hi)
-
 
 @dataclass
 class DimTree:
@@ -57,15 +57,6 @@ class DimTree:
     @property
     def root(self) -> DimNode:
         return self.nodes[0]
-
-    def leaf_index(self, k: int) -> int:
-        for i, node in enumerate(self.nodes):
-            if node.is_leaf and node.lo == k:
-                return i
-        raise IndexError(f"no leaf for mode {k}")
-
-    def leaf_indices(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.is_leaf]
 
 
 def build_dim_tree(d: int, leaf_rank: int, internal_rank: int, root_rank: int) -> DimTree:
@@ -182,15 +173,10 @@ def init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, root_rank, seed) 
     return HTWeight(tree, m_shape, n_shape, factors)
 
 
-def param_count(w: HTWeight) -> int:
-    """Total factor entries: leaves r_k*m_k*n_k plus internal r*r_l*r_r.
-    Biases live in the cell and are not counted."""
-    return sum(f.size for f in w.factors)
-
-
 def param_count_config(m_shape, n_shape, leaf_rank, internal_rank, root_rank) -> int:
-    """Parameter count from the configuration alone, without materializing
-    factor arrays."""
+    """Total factor entries, leaves r_k*m_k*n_k plus internal r*r_l*r_r,
+    from the configuration alone, without materializing factor arrays.
+    Biases live in the cell and are not counted."""
     tree = build_dim_tree(len(m_shape), leaf_rank, internal_rank, root_rank)
     return sum(math.prod(shape) for shape in factor_shapes(tree, m_shape, n_shape))
 
@@ -220,14 +206,15 @@ def _node_frame(w: HTWeight, idx: int) -> np.ndarray:
     return t.transpose(perm)
 
 
-def reconstruct_dense(w: HTWeight, element_cap: int = 10**8) -> np.ndarray:
+def reconstruct_dense(w: HTWeight) -> np.ndarray:
     """Assemble the full dense matrix, rows (g, i_1..i_d) lexicographic,
-    columns (j_1..j_d). Intended for small shapes; guarded by element_cap."""
+    columns (j_1..j_d). Intended for small shapes; guarded by
+    ORACLE_ELEMENT_CAP."""
     entries = w.out_size * w.in_size
-    if entries > element_cap:
+    if entries > ORACLE_ELEMENT_CAP:
         raise OracleSizeError(
             f"oracle too large: dense matrix has {entries} entries "
-            f"(cap {element_cap})"
+            f"(cap {ORACLE_ELEMENT_CAP})"
         )
     full = _node_frame(w, 0)  # (g, m_1..m_d, n_1..n_d)
     return full.reshape(w.out_size, w.in_size)

@@ -1,14 +1,13 @@
-"""Versioned binary container for HT weights and cell checkpoints.
+"""Versioned binary container for FDHT cell checkpoints.
 
-Weight layout: magic ``FDHT``, format version (u16 LE), then d, g,
-m_shape, n_shape, node count and per-node ranks in preorder (all u32 LE),
-then one factor payload per node in the same preorder as little-endian
-float64 with the last index varying fastest. A cell checkpoint appends a
-``CELL`` section (mode, input size, gate biases, dense recurrent matrix
-for input-only cells) and a ``HEAD`` section (classifier weights) under
-the same container. Saving to a file also writes a ``.json`` sidecar
-duplicating shapes and ranks for inspection; the sidecar reports
-dimension sets 1-based, matching the written-out math.
+Layout: magic ``FDHT``, format version (u16 LE), then d, g, m_shape,
+n_shape, node count and per-node ranks in preorder (all u32 LE), then
+one factor payload per node in the same preorder as little-endian float64
+with the last index varying fastest. A ``CELL`` section (mode, input
+size, gate biases, dense recurrent matrix for input-only cells) and a
+``HEAD`` section (classifier weights) follow. Saving to a file also
+writes a ``.json`` sidecar duplicating shapes and ranks for inspection;
+the sidecar reports dimension sets 1-based, matching the written-out math.
 """
 
 from __future__ import annotations
@@ -141,45 +140,6 @@ def _read_weight(r: _Reader) -> HTWeight:
     return HTWeight(tree, m_shape, n_shape, factors)
 
 
-def deserialize(data: bytes) -> HTWeight:
-    r = _Reader(data)
-    w = _read_weight(r)
-    if not r.exhausted:
-        raise FormatError(
-            f"{len(r.data) - r.pos} unexpected trailing bytes after weight payload"
-        )
-    return w
-
-
-def _sidecar_dict(w: HTWeight) -> dict:
-    return {
-        "format": "FDHT",
-        "version": VERSION,
-        "d": w.tree.d,
-        "gates": w.root_rank,
-        "m_shape": list(w.m_shape),
-        "n_shape": list(w.n_shape),
-        "nodes": [
-            {"dims": [node.lo + 1, node.hi], "rank": node.rank}  # 1-based inclusive
-            for node in w.tree.nodes
-        ],
-    }
-
-
-def save_weight(w: HTWeight, path):
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(serialize(w))
-    with open(path + ".json", "w") as fh:
-        json.dump(_sidecar_dict(w), fh, indent=2)
-        fh.write("\n")
-
-
-def load_weight(path) -> HTWeight:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
-
-
 def serialize_checkpoint(cell: FdhtLstmCell, head: Head) -> bytes:
     parts = [serialize(cell.weight), _CELL_TAG,
              struct.pack("<B", _MODE_CODES[cell.mode]), _u32(cell.n_x)]
@@ -197,6 +157,10 @@ def serialize_checkpoint(cell: FdhtLstmCell, head: Head) -> bytes:
 def deserialize_checkpoint(data: bytes):
     r = _Reader(data)
     weight = _read_weight(r)
+    if weight.root_rank != len(GATE_ORDER):
+        raise ShapeInconsistencyError(
+            f"cell weight needs root rank {len(GATE_ORDER)}, got {weight.root_rank}"
+        )
     if r.take(4) != _CELL_TAG:
         raise FormatError("missing CELL section in checkpoint")
     mode_code = struct.unpack("<B", r.take(1))[0]
@@ -231,10 +195,22 @@ def save_checkpoint(cell: FdhtLstmCell, head: Head, path):
     path = str(path)
     with open(path, "wb") as fh:
         fh.write(serialize_checkpoint(cell, head))
-    meta = _sidecar_dict(cell.weight)
-    meta["cell"] = {"mode": cell.mode, "n_x": cell.n_x,
-                    "hidden_size": cell.hidden_size, "pad_len": cell.pad_len}
-    meta["head_classes"] = int(head.w.shape[0])
+    w = cell.weight
+    meta = {
+        "format": "FDHT",
+        "version": VERSION,
+        "d": w.tree.d,
+        "gates": w.root_rank,
+        "m_shape": list(w.m_shape),
+        "n_shape": list(w.n_shape),
+        "nodes": [
+            {"dims": [node.lo + 1, node.hi], "rank": node.rank}  # 1-based inclusive
+            for node in w.tree.nodes
+        ],
+        "cell": {"mode": cell.mode, "n_x": cell.n_x,
+                 "hidden_size": cell.hidden_size, "pad_len": cell.pad_len},
+        "head_classes": int(head.w.shape[0]),
+    }
     with open(path + ".json", "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

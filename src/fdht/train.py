@@ -98,17 +98,6 @@ def generate_task(task: SyntheticTask):
     return sample_split(task.train_per_class), sample_split(task.test_per_class)
 
 
-def nearest_template_accuracy(task: SyntheticTask, data: Dataset) -> float:
-    """Classify by distance to the clean per-class sequence; the sanity
-    ceiling for the task."""
-    clean = _clean_sequences(task, np.random.default_rng(task.seed))
-    hits = 0
-    for x, label in zip(data.xs, data.labels):
-        dists = [np.sum((x - clean[c]) ** 2) for c in range(task.classes)]
-        hits += int(np.argmin(dists) == label)
-    return hits / len(data)
-
-
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)

@@ -116,3 +116,16 @@ def random_small_weight(rng, d_choices=(2, 3, 4), max_len=4, max_rank=3):
     internal = int(rng.integers(1, max_rank + 1))
     root = int(rng.integers(1, max_rank + 1))
     return init_ht_weight(m, n, leaf, internal, root, seed=int(rng.integers(2**31)))
+
+
+def nearest_template_accuracy(task, data):
+    """Classify by distance to the clean per-class sequence; the sanity
+    ceiling for the synthetic task."""
+    from fdht.train import _clean_sequences
+
+    clean = _clean_sequences(task, np.random.default_rng(task.seed))
+    hits = 0
+    for x, label in zip(data.xs, data.labels):
+        dists = [np.sum((x - clean[c]) ** 2) for c in range(task.classes)]
+        hits += int(np.argmin(dists) == label)
+    return hits / len(data)

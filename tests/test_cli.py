@@ -1,5 +1,6 @@
 """CLI commands end to end: outputs, exit codes, config round-trips."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from fdht.config import (ConfigError, RunConfig, emit_config, load_config,
                          parse_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SCRIPTS = CONFIGS.parent / "scripts"
 
 SMALL_MODEL = """\
 [model]
@@ -117,6 +119,39 @@ class TestParams:
         assert code == 0
         assert "ht_params = 8,416" in out
         assert "compression_ratio = 3,987" in out
+
+    def test_script_table_matches_params(self, capsys, tmp_path):
+        # scripts/reproduce_param_tables.py and `fdht params` share one
+        # accounting; every column of the script's four rows must agree
+        spec = importlib.util.spec_from_file_location(
+            "reproduce_param_tables", SCRIPTS / "reproduce_param_tables.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.main()
+        rows = capsys.readouterr().out.splitlines()[2:]
+        expected = [
+            ("8,808", "59,245,568", "6,726x"),
+            ("8,324", "59,245,568", "7,117x"),
+            ("3,132", "33,562,624", "10,713x"),
+            ("8,416", "33,562,624", "3,987x"),
+        ]
+        assert len(rows) == len(script.CONFIGS) == len(expected)
+        for row, (name, m, n, leaf, internal, n_x), want in zip(
+                rows, script.CONFIGS, expected):
+            path = tmp_path / "ref.ini"
+            path.write_text(
+                f"[model]\nn_x = {n_x}\nn_shape = {','.join(map(str, n))}\n"
+                f"m_shape = {','.join(map(str, m))}\nleaf_rank = {leaf}\n"
+                f"internal_rank = {internal}\n\n[task]\nframe_dim = {n_x}\n")
+            code, out, _ = run_cli(capsys, "params", "--config", str(path))
+            assert code == 0
+            report = dict(line.split(" = ") for line in out.splitlines()[1:])
+            assert row[:22].strip() == name
+            cols = row[22:].split()
+            assert cols == [report["ht_params"], report["dense_weight_params"],
+                            report["dense_total_params"],
+                            report["compression_ratio"] + "x"]
+            assert (cols[0], cols[2], cols[3]) == want
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "params", "--config", "/nonexistent.ini")

@@ -51,12 +51,6 @@ def test_bt_core_overtakes_tt_tr_from_rank_five():
         assert (c["bt"] > max(c["tt"], c["tr"])) == (r >= 5)
 
 
-def test_bt_cp_rank_scales_linearly():
-    one = scheme_params(FactorizationSpec(FIG5_M, FIG5_N, 3, "bt", cp_rank=1))
-    three = scheme_params(FactorizationSpec(FIG5_M, FIG5_N, 3, "bt", cp_rank=3))
-    assert three == 3 * one
-
-
 def test_ht_uniform_rank_matches_weight_param_count():
     rng = np.random.default_rng(0)
     for _ in range(25):

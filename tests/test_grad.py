@@ -1,15 +1,33 @@
 """Reverse-mode gradients vs finite differences and linear-map identities."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fdht.grad
 from fdht.grad import HTGradients, finite_diff_check, htl_backward
-from fdht.ht import htl_forward, init_ht_weight, reconstruct_dense
+from fdht.ht import build_plan, htl_forward, init_ht_weight, reconstruct_dense
 from oracles import max_rel_error, random_small_weight
 
 
 def quad_loss(y):
     return 0.5 * float(np.dot(y, y))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 12), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+def test_plan_consumes_every_slot_exactly_once(d, leaf, internal, root):
+    # backward_from_tape assigns each operand's cotangent once instead of
+    # accumulating; that is exact only while the plan is a tree over slots
+    w = init_ht_weight((1,) * d, (1,) * d, leaf, internal, root, seed=0)
+    steps, _ = build_plan(w)
+    consumed = Counter(slot for s in steps for slot in (s.a, s.b))
+    want = ([("x",)] + [("f", i) for i in range(len(w.factors))]
+            + [("t", k) for k in range(len(steps) - 1)])
+    assert consumed == Counter(want)
 
 
 def test_zero_cotangent_gives_zero_gradients():
@@ -41,13 +59,6 @@ def test_random_configs_match_finite_differences():
         assert err <= 1e-4
 
 
-def test_finite_diff_check_numeric_loss_grad_fallback():
-    # no analytic loss gradient supplied: dL/dy is itself differenced
-    w = init_ht_weight((2,) * 2, (2,) * 2, 2, 2, 2, seed=3)
-    x = np.random.default_rng(3).normal(size=w.in_size)
-    assert finite_diff_check(w, x, quad_loss, step=1e-5) <= 1e-4
-
-
 def test_zero_weight_zero_input_reports_zero():
     w = init_ht_weight((2, 2), (2, 2), 2, 2, 2, seed=0)
     for f in w.factors:
@@ -57,21 +68,25 @@ def test_zero_weight_zero_input_reports_zero():
     assert err == 0.0
 
 
-def test_corrupted_gradient_is_detected():
+def test_corrupted_gradient_is_detected(monkeypatch):
     w = init_ht_weight((2, 2), (2, 2), 2, 2, 2, seed=5)
     x = np.random.default_rng(5).normal(size=w.in_size)
-    bad = htl_backward(w, x, htl_forward(w, x))
-    bad = HTGradients([f.copy() for f in bad.factors], bad.input.copy())
-    bad.factors[0].reshape(-1)[0] += 1.0
-    err = finite_diff_check(w, x, quad_loss, step=1e-5,
-                            loss_grad=lambda y: y, analytic=bad)
+
+    def corrupted_backward(w, x, dL_dy):
+        g = htl_backward(w, x, dL_dy)
+        bad = HTGradients([f.copy() for f in g.factors], g.input.copy())
+        bad.factors[0].reshape(-1)[0] += 1.0
+        return bad
+
+    monkeypatch.setattr(fdht.grad, "htl_backward", corrupted_backward)
+    err = finite_diff_check(w, x, quad_loss, step=1e-5, loss_grad=lambda y: y)
     assert err >= 0.1
 
 
 def test_step_must_be_positive():
     w = init_ht_weight((2, 2), (2, 2), 1, 1, 1, seed=0)
     with pytest.raises(ValueError, match="positive"):
-        finite_diff_check(w, np.ones(4), quad_loss, step=0.0)
+        finite_diff_check(w, np.ones(4), quad_loss, step=0.0, loss_grad=lambda y: y)
 
 
 def test_cotangent_linearity():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdht.ht import (HTWeight, OracleSizeError, build_dim_tree, htl_forward,
-                     init_ht_weight, param_count, param_count_config,
-                     reconstruct_dense)
+                     init_ht_weight, param_count_config, reconstruct_dense)
 from oracles import nested_sum_dense, random_small_weight
 
 
@@ -21,7 +20,7 @@ class TestDimTree:
         t = build_dim_tree(2, 5, 1, 7)
         assert [(n.lo, n.hi) for n in t.nodes] == [(0, 2), (0, 1), (1, 2)]
         assert t.root.rank == 7
-        assert [t.nodes[i].rank for i in t.leaf_indices()] == [5, 5]
+        assert [t.nodes[1].rank, t.nodes[2].rank] == [5, 5]  # the two leaves
 
     def test_d5_ceiling_split(self):
         t = build_dim_tree(5, 1, 1, 1)
@@ -45,9 +44,8 @@ class TestDimTree:
                 continue
             left = t.nodes[node.left]
             right = t.nodes[node.right]
-            assert set(left.modes) | set(right.modes) == set(node.modes)
-            assert set(left.modes) & set(right.modes) == set()
-            assert left.hi == right.lo  # contiguous halves
+            assert (left.lo, right.hi) == (node.lo, node.hi)
+            assert left.lo < left.hi == right.lo < right.hi  # contiguous halves
         assert leaves == set(range(d))
         assert len(t.nodes) == 2 * d - 1
 
@@ -61,7 +59,7 @@ class TestParamCount:
     ])
     def test_reference_configs(self, m, n, leaf, internal, expected):
         w = init_ht_weight(m, n, leaf, internal, 4, seed=0)
-        assert param_count(w) == expected
+        assert sum(f.size for f in w.factors) == expected
         assert param_count_config(m, n, leaf, internal, 4) == expected
 
     def test_count_matches_direct_summation(self):
@@ -75,7 +73,10 @@ class TestParamCount:
                 else:
                     total += (node.rank * w.tree.nodes[node.left].rank
                               * w.tree.nodes[node.right].rank)
-            assert param_count(w) == total
+            # leaf rank and non-root internal rank (a d=2 tree has no such node)
+            ranks = {node.is_leaf: node.rank for node in w.tree.nodes[1:]}
+            assert param_count_config(w.m_shape, w.n_shape, ranks[True],
+                                      ranks.get(False, 1), w.root_rank) == total
 
     def test_cubic_tree_term_at_uniform_rank(self):
         # count(r) = r * sum(m_k n_k) + (d-2) r^3 + g r^2 exactly
@@ -118,7 +119,8 @@ class TestReconstruct:
 
     def test_zero_leaf_annihilates(self):
         w = init_ht_weight((2, 2, 2), (2, 2, 2), 2, 2, 2, seed=3)
-        w.factors[w.tree.leaf_index(1)][:] = 0.0
+        # preorder (0,3) (0,2) (0,1) (1,2) (2,3): node 3 is mode 1's leaf
+        w.factors[3][:] = 0.0
         assert np.all(reconstruct_dense(w) == 0.0)
 
     def test_matches_nested_sum_oracle(self):
@@ -130,14 +132,10 @@ class TestReconstruct:
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_element_cap(self):
-        # dense equivalent 4*512 x 65536 = 1.34e8 entries, over the default cap
+        # dense equivalent 4*512 x 65536 = 1.34e8 entries, over the 10^8 cap
         w = init_ht_weight((4, 4, 4, 8), (16, 16, 16, 16), 2, 2, 4, seed=0)
         with pytest.raises(OracleSizeError, match="oracle too large"):
             reconstruct_dense(w)
-        # configurable cap
-        small = init_ht_weight((2, 2), (2, 2), 1, 1, 1, seed=0)
-        with pytest.raises(OracleSizeError):
-            reconstruct_dense(small, element_cap=3)
 
 
 class TestForward:

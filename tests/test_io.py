@@ -1,18 +1,17 @@
-"""Binary container round-trips and parse failures."""
+"""Checkpoint container round-trips and parse failures."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fdht.io import (BadMagicError, FormatError, ShapeInconsistencyError,
-                     TruncatedError, VersionError, deserialize,
-                     deserialize_checkpoint, load_checkpoint, load_weight,
-                     save_checkpoint, save_weight, serialize,
+                     TruncatedError, VersionError, deserialize_checkpoint,
+                     load_checkpoint, save_checkpoint, serialize,
                      serialize_checkpoint)
 from fdht.ht import init_ht_weight
 from fdht.lstm import make_cell, make_head
-from oracles import random_small_weight
 
 
 def weights_equal(a, b):
@@ -23,80 +22,112 @@ def weights_equal(a, b):
     return all(x.tobytes() == y.tobytes() for x, y in zip(a.factors, b.factors))
 
 
+def random_checkpoint(rng):
+    """A small random cell (d in 2..4, either mode) and head."""
+    d = int(rng.integers(2, 5))
+    m = tuple(int(v) for v in rng.integers(1, 3, size=d))
+    n = tuple(int(v) for v in rng.integers(3, 5, size=d))
+    n_x = int(rng.integers(1, math.prod(n) - math.prod(m) + 1))
+    mode = ("full", "input-only")[int(rng.integers(2))]
+    cell = make_cell(n_x, n, m, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                     mode=mode, seed=int(rng.integers(2**31)))
+    head = make_head(int(rng.integers(1, 5)), cell.hidden_size,
+                     seed=int(rng.integers(2**31)))
+    return cell, head
+
+
+def random_checkpoint_bytes(seed):
+    return serialize_checkpoint(*random_checkpoint(np.random.default_rng(seed)))
+
+
 def test_round_trip_bitwise():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        w = random_small_weight(rng)
-        assert weights_equal(deserialize(serialize(w)), w)
+        cell, head = random_checkpoint(rng)
+        data = serialize_checkpoint(cell, head)
+        cell2, head2 = deserialize_checkpoint(data)
+        assert weights_equal(cell2.weight, cell.weight)
+        assert serialize_checkpoint(cell2, head2) == data
 
 
 def test_truncated_stream():
-    w = random_small_weight(np.random.default_rng(1))
-    data = serialize(w)
-    for cut in (3, 5, len(data) // 2, len(data) - 1):
+    cell, head = random_checkpoint(np.random.default_rng(1))
+    data = serialize_checkpoint(cell, head)
+    weight_len = len(serialize(cell.weight))
+    for cut in (3, 5, weight_len // 2, weight_len - 1, weight_len + 2,
+                len(data) // 2, len(data) - 1):
         with pytest.raises(TruncatedError):
-            deserialize(data[:cut])
+            deserialize_checkpoint(data[:cut])
 
 
 def test_bad_magic():
-    w = random_small_weight(np.random.default_rng(2))
-    data = bytearray(serialize(w))
+    data = bytearray(random_checkpoint_bytes(2))
     data[0:4] = b"XYZW"
     with pytest.raises(BadMagicError):
-        deserialize(bytes(data))
+        deserialize_checkpoint(bytes(data))
 
 
 def test_version_mismatch():
-    w = random_small_weight(np.random.default_rng(3))
-    data = bytearray(serialize(w))
+    data = bytearray(random_checkpoint_bytes(3))
     data[4:6] = (99).to_bytes(2, "little")
     with pytest.raises(VersionError, match="99"):
-        deserialize(bytes(data))
+        deserialize_checkpoint(bytes(data))
 
 
 def test_root_rank_contradicts_gate_count():
-    w = random_small_weight(np.random.default_rng(4))
-    data = bytearray(serialize(w))
+    data = bytearray(random_checkpoint_bytes(4))
     # header gate count field sits after magic+version+d
     g_off = 4 + 2 + 4
-    bad_g = w.root_rank + 1
-    data[g_off:g_off + 4] = bad_g.to_bytes(4, "little")
+    data[g_off:g_off + 4] = (5).to_bytes(4, "little")
     with pytest.raises(ShapeInconsistencyError, match="contradicts"):
-        deserialize(bytes(data))
+        deserialize_checkpoint(bytes(data))
+
+
+def test_root_rank_other_than_four_rejected():
+    # a well-formed container whose weight has g = 3 in front of valid
+    # CELL and HEAD sections
+    cell = make_cell(5, (3, 3), (2, 2), 2, 2, seed=8)
+    data = serialize_checkpoint(cell, make_head(4, cell.hidden_size, seed=9))
+    sections = data[len(serialize(cell.weight)):]
+    w3 = init_ht_weight((2, 2), (3, 3), 2, 2, 3, seed=8)
+    with pytest.raises(ShapeInconsistencyError, match="root rank 4, got 3"):
+        deserialize_checkpoint(serialize(w3) + sections)
 
 
 def test_oversized_ranks_are_truncation():
     # d=2: the ranks of the two leaves sit after the root rank at offset 34.
     # (2^32-1)^2 entries per factor overflow a fixed-width integer size.
-    data = bytearray(serialize(init_ht_weight((2, 2), (3, 3), 2, 2, 4, seed=0)))
+    cell = make_cell(5, (3, 3), (2, 2), 2, 2, seed=0)
+    data = bytearray(serialize_checkpoint(cell, make_head(3, cell.hidden_size, seed=1)))
     data[38:46] = (2**32 - 1).to_bytes(4, "little") * 2
     with pytest.raises(TruncatedError):
-        deserialize(bytes(data))
+        deserialize_checkpoint(bytes(data))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_payload_rejected(value):
-    w = init_ht_weight((2, 2), (3, 3), 2, 2, 4, seed=0)
-    w.factors[-1][0, 0, 0] = value
+    cell = make_cell(5, (3, 3), (2, 2), 2, 2, seed=0)
+    cell.weight.factors[-1][0, 0, 0] = value
+    data = serialize_checkpoint(cell, make_head(3, cell.hidden_size, seed=1))
     with pytest.raises(FormatError, match="non-finite"):
-        deserialize(serialize(w))
+        deserialize_checkpoint(data)
 
 
 def test_trailing_garbage():
-    w = random_small_weight(np.random.default_rng(5))
     with pytest.raises(FormatError, match="trailing"):
-        deserialize(serialize(w) + b"\x00" * 8)
+        deserialize_checkpoint(random_checkpoint_bytes(5) + b"\x00" * 8)
 
 
 def test_save_load_with_sidecar(tmp_path):
-    w = random_small_weight(np.random.default_rng(6))
+    cell, head = random_checkpoint(np.random.default_rng(6))
     path = tmp_path / "model.fdht"
-    save_weight(w, path)
-    assert weights_equal(load_weight(path), w)
+    save_checkpoint(cell, head, path)
+    assert path.read_bytes() == serialize_checkpoint(*load_checkpoint(path))
+    w = cell.weight
     sidecar = json.loads((tmp_path / "model.fdht.json").read_text())
     assert sidecar["format"] == "FDHT"
     assert sidecar["m_shape"] == list(w.m_shape)
-    assert sidecar["nodes"][0]["rank"] == w.root_rank
+    assert sidecar["nodes"][0]["rank"] == w.root_rank == 4
     assert sidecar["nodes"][0]["dims"] == [1, w.tree.d]  # 1-based inclusive
 
 

@@ -154,9 +154,9 @@ class TestPaddingNeutrality:
         y = htl_forward(w, x)
 
         w_big = init_ht_weight((2, 2), (5, 2), 2, 2, 4, seed=6)
-        leaf0 = w_big.tree.leaf_index(0)
+        leaf0 = 1  # preorder (0,2) (0,1) (1,2): node 1 is mode 0's leaf
         w_big.factors[leaf0][:] = 0.0
-        w_big.factors[leaf0][:, :, :3] = w.factors[w.tree.leaf_index(0)]
+        w_big.factors[leaf0][:, :, :3] = w.factors[leaf0]
         for i in range(len(w.factors)):
             if i != leaf0:
                 w_big.factors[i] = w.factors[i].copy()

@@ -5,8 +5,8 @@ import pytest
 
 from fdht.lstm import make_cell, make_head
 from fdht.train import (AdamState, SyntheticTask, TrainConfig, TrainingError,
-                        adam_step, evaluate, generate_task, history_csv,
-                        nearest_template_accuracy, train)
+                        adam_step, evaluate, generate_task, history_csv, train)
+from oracles import nearest_template_accuracy
 
 
 class TestAdam:

@@ -22,7 +22,7 @@ from .config import (ConfigError, RunConfig, apply_seed_override, emit_config,
 from .grad import finite_diff_check
 from .ht import (OracleSizeError, htl_forward, init_ht_weight, param_count_config,
                  reconstruct_dense)
-from .io import FormatError, load_checkpoint, save_checkpoint
+from .io import load_checkpoint, save_checkpoint
 from .lstm import make_cell, make_head
 from .train import TrainingError, evaluate, generate_task, history_csv, train
 
@@ -36,6 +36,7 @@ def _model_weight(cfg: RunConfig):
 
 
 def cmd_params(cfg: RunConfig) -> int:
+    """Print the HT and dense LSTM parameter counts and the compression ratio."""
     m = cfg.model
     ht = param_count_config(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4)
     dense_weights, dense_total = dense_lstm_params(m.n_x, int(np.prod(m.m_shape)))
@@ -51,6 +52,7 @@ def cmd_params(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    """Print the TT/TR/BT/HT parameter counts over [compare] ranks as CSV."""
     c = cfg.compare
     csv = emit_rank_sweep(cfg.model.m_shape, cfg.model.n_shape,
                           range(c.rank_min, c.rank_max + 1))
@@ -59,6 +61,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
+    """Check HT gradients against central finite differences (exit 1 above 1e-4)."""
     w = _model_weight(cfg)
     rng = np.random.default_rng(cfg.model.seed)
     x = rng.normal(size=w.in_size)
@@ -69,6 +72,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    """Check the HT kernel against the dense reconstruction (exit 1 above 1e-10)."""
     w = _model_weight(cfg)
     dense = reconstruct_dense(w)
     rng = np.random.default_rng(cfg.model.seed)
@@ -86,6 +90,7 @@ def _ensure_parent(path: str):
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    """Train on the synthetic task; write the metrics CSV and a checkpoint."""
     m = cfg.model
     train_data, test_data = generate_task(cfg.task)
     cell = make_cell(m.n_x, m.n_shape, m.m_shape, m.leaf_rank, m.internal_rank,
@@ -109,6 +114,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    """Print the synthetic-task test accuracy of a checkpoint."""
     cell, head = load_checkpoint(cfg.paths.checkpoint)
     if cell.n_x != cfg.model.n_x:
         raise ConfigError(
@@ -155,15 +161,12 @@ def main(argv=None) -> int:
             sys.stdout.write(emit_config(cfg))
             return 0
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1
     except (OracleSizeError, TrainingError) as exc:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
+from .ht import param_count_config
+
 SCHEMES = ("tt", "tr", "bt", "ht")
 
 
@@ -52,8 +54,7 @@ def scheme_params(spec: FactorizationSpec) -> int:
         return sum(r * mnk * r for mnk in mn)
     if spec.scheme == "bt":
         return sum(r * mnk for mnk in mn) + r ** d
-    # ht: d leaves, d-2 internal non-root nodes at rank r, root at rank 1
-    return sum(r * mnk for mnk in mn) + (d - 2) * r ** 3 + r ** 2
+    return param_count_config(spec.m_shape, spec.n_shape, r, r, 1)
 
 
 def dense_lstm_params(n_x: int, hidden: int) -> tuple[int, int]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .lstm import MODES
 from .train import SyntheticTask, TrainConfig
 
 
@@ -50,13 +51,7 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "task": SyntheticTask,
-    "compare": CompareConfig,
-    "paths": PathsConfig,
-}
+_SECTIONS = tuple(f.name for f in fields(RunConfig))
 
 
 def _parse_value(raw: str, target_type, section: str, key: str):
@@ -117,8 +112,8 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("model mode lengths must be >= 1")
     if m.leaf_rank < 1 or m.internal_rank < 1:
         raise ConfigError("model ranks must be >= 1")
-    if m.mode not in ("full", "input-only"):
-        raise ConfigError(f"model mode must be 'full' or 'input-only', got {m.mode!r}")
+    if m.mode not in MODES:
+        raise ConfigError(f"model mode must be one of {MODES}, got {m.mode!r}")
     hidden = int(np.prod(m.m_shape))
     total = int(np.prod(m.n_shape))
     if total < m.n_x + hidden:
@@ -156,7 +151,7 @@ def _format_value(value) -> str:
 def emit_config(cfg: RunConfig) -> str:
     """Canonical INI text; parse_config(emit_config(cfg)) == cfg."""
     parser = configparser.ConfigParser()
-    for section, _ in _SECTIONS.items():
+    for section in _SECTIONS:
         target = getattr(cfg, section)
         parser[section] = {
             f.name: _format_value(getattr(target, f.name)) for f in fields(target)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ht import HTWeight, _get_plan, htl_forward, run_plan
+from .ht import HTWeight, htl_forward, run_plan
 from .tensor import contract_vjp, tensorize, vectorize
 
 # Finite-difference entries whose analytic/numeric difference is at most
@@ -35,7 +35,7 @@ def backward_from_tape(w: HTWeight, values, dL_dy) -> HTGradients:
     ``values`` is the slot dict produced by :func:`fdht.ht.run_plan`;
     ``dL_dy`` is the cotangent of the flattened gate-major output.
     """
-    steps, out_perm = _get_plan(w)
+    steps, out_perm = w.plan
     last = ("t", len(steps) - 1)
     out_shape = tuple(values[last].shape[ax] for ax in out_perm)
     g_out = np.asarray(dL_dy, dtype=np.float64).reshape(out_shape)
@@ -87,9 +87,8 @@ def finite_diff_check(w: HTWeight, x, loss, step: float = 1e-5, *, loss_grad) ->
     analytic = htl_backward(w, x, dL_dy)
 
     worst = 0.0
-    for fi, f in enumerate(w.factors):
-        flat = f.reshape(-1)
-        a_flat = analytic.factors[fi].reshape(-1)
+    for arr, grad in zip([*w.factors, x], [*analytic.factors, analytic.input]):
+        flat, a_flat = arr.reshape(-1), grad.reshape(-1)
         for ci in range(flat.size):
             orig = flat[ci]
             flat[ci] = orig + step
@@ -98,12 +97,4 @@ def finite_diff_check(w: HTWeight, x, loss, step: float = 1e-5, *, loss_grad) ->
             lm = loss(htl_forward(w, x))
             flat[ci] = orig
             worst = max(worst, _rel_error(a_flat[ci], (lp - lm) / (2 * step)))
-    for ci in range(x.size):
-        orig = x[ci]
-        x[ci] = orig + step
-        lp = loss(htl_forward(w, x))
-        x[ci] = orig - step
-        lm = loss(htl_forward(w, x))
-        x[ci] = orig
-        worst = max(worst, _rel_error(analytic.input[ci], (lp - lm) / (2 * step)))
     return worst

@@ -16,7 +16,8 @@ the dense matrix explicitly and serves as the testing oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +99,6 @@ class HTWeight:
     m_shape: tuple[int, ...]
     n_shape: tuple[int, ...]
     factors: list[np.ndarray]
-    _plan: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.m_shape = tuple(int(m) for m in self.m_shape)
@@ -122,6 +122,11 @@ class HTWeight:
     @property
     def in_size(self) -> int:
         return int(np.prod(self.n_shape))
+
+    @cached_property
+    def plan(self):
+        """``build_plan(self)``, built once: it reads only tree and shapes."""
+        return build_plan(self)
 
 
 def factor_shapes(tree: DimTree, m_shape, n_shape) -> list[tuple[int, int, int]]:
@@ -300,16 +305,10 @@ def build_plan(w: HTWeight):
     return steps, tuple(out_perm)
 
 
-def _get_plan(w: HTWeight):
-    if w._plan is None:
-        w._plan = build_plan(w)
-    return w._plan
-
-
 def run_plan(w: HTWeight, x_tensor: np.ndarray) -> dict:
     """Execute the schedule; returns the slot dict of the input, every
     factor and every intermediate (the tape reused by the backward pass)."""
-    steps, _ = _get_plan(w)
+    steps, _ = w.plan
     values = {("f", i): f for i, f in enumerate(w.factors)}
     values[("x",)] = x_tensor
     for k, s in enumerate(steps):
@@ -320,7 +319,7 @@ def run_plan(w: HTWeight, x_tensor: np.ndarray) -> dict:
 
 def output_from_tape(w: HTWeight, values: dict) -> np.ndarray:
     """The (g, m_1..m_d) output tensor of an executed schedule."""
-    steps, out_perm = _get_plan(w)
+    steps, out_perm = w.plan
     return values[("t", len(steps) - 1)].transpose(out_perm)
 
 

@@ -75,8 +75,6 @@ class HtGateMap:
     """Gate map stored in HT form: the plan forward, its reverse sweep
     backward. What ``forward`` saves for ``backward`` is the plan's tape."""
 
-    in_label = "prod(n_shape)"
-
     def __init__(self, weight: HTWeight):
         if weight.root_rank != 4:
             raise ValueError(f"cell weight needs root rank 4, got {weight.root_rank}")
@@ -102,8 +100,6 @@ class HtGateMap:
 class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix; ``forward`` saves the
     packed input for ``backward``."""
-
-    in_label = "weight columns"
 
     def __init__(self, w):
         self.weight = np.asarray(w, dtype=np.float64)
@@ -147,7 +143,7 @@ class FdhtLstmCell:
         self.pad_len = self.gate_map.in_size - self.n_x - h
         if self.pad_len < 0:
             raise ValueError(
-                f"{self.gate_map.in_label}={self.gate_map.in_size} too small: "
+                f"gate map input length {self.gate_map.in_size} too small: "
                 f"needs at least n_x + hidden = {self.n_x + h}"
             )
         if biases is None:
@@ -330,8 +326,10 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         input_grads = [None] * len(xs)
         for t in range(len(xs) - 1, -1, -1):
             dh, dc, dx = cell.step_backward(caches[t], dh, dc, grads)
-            input_grads[t] = dx
-        all_input_grads.append(input_grads)
+            if return_input_grads:
+                input_grads[t] = dx
+        if return_input_grads:
+            all_input_grads.append(input_grads)
 
     b = float(len(batch))
     for k in grads:

@@ -1,17 +1,16 @@
 """CLI commands end to end: outputs, exit codes, config round-trips."""
 
-import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdht.cli import main
+from fdht.cli import _COMMANDS, main
 from fdht.config import (ConfigError, RunConfig, emit_config, load_config,
                          parse_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-SCRIPTS = CONFIGS.parent / "scripts"
 
 SMALL_MODEL = """\
 [model]
@@ -36,19 +35,6 @@ epochs = 3
 batch_size = 4
 seed = 2
 """
-
-UCF11_PARAMS = """\
-[model]
-n_x = 57600
-n_shape = 16,16,16,15
-m_shape = 4,4,4,4
-leaf_rank = 14
-internal_rank = 12
-
-[task]
-frame_dim = 57600
-"""
-
 
 @pytest.fixture
 def small_config(tmp_path):
@@ -81,6 +67,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[task\] noise = .*must be finite"):
             parse_config(f"[task]\nnoise = {raw}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\ndropout_rate = 1.0\n", "train dropout_rate must be in [0, 1)"),
+        ("[train]\ndropout_rate = -0.1\n", "train dropout_rate must be in [0, 1)"),
+        ("[train]\nlearning_rate = 0\n", "train learning_rate must be positive"),
+        ("[train]\nbatch_size = 0\n", "train batch_size must be >= 1 and epochs >= 0"),
+        ("[train]\nepochs = -1\n", "train batch_size must be >= 1 and epochs >= 0"),
+        ("[task]\nclasses = 1\n", "task needs classes >= 2"),
+        ("[compare]\nrank_min = 0\n", "compare needs 1 <= rank_min <= rank_max"),
+        ("[compare]\nrank_min = 5\nrank_max = 4\n",
+         "compare needs 1 <= rank_min <= rank_max"),
+        ("[model]\nmode = hidden-only\n",
+         "model mode must be one of ('full', 'input-only'), got 'hidden-only'"),
+        ("[model]\nn_shape = 16,17,1\n",
+         "model n_shape and m_shape must have the same length >= 2"),
+        ("[model]\nn_shape = 4352\nm_shape = 16\n",
+         "model n_shape and m_shape must have the same length >= 2"),
+        ("[model]\nleaf_rank = 0\n", "model ranks must be >= 1"),
+        ("[model]\ninternal_rank = 0\n", "model ranks must be >= 1"),
+        ("[task]\nframe_dim = 255\n", "task frame_dim=255 must equal model n_x=256"),
+    ], ids=["dropout-one", "dropout-negative", "learning-rate", "batch-size",
+            "epochs", "classes", "rank-min", "rank-order", "mode",
+            "shape-lengths-differ", "shape-length-one", "leaf-rank",
+            "internal-rank", "frame-dim"])
+    def test_range_rules(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+
+    def test_range_rule_exits_with_validation_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[train]\ndropout_rate = 1.0\n")
+        code, out, err = run_cli(capsys, "params", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: validation: train dropout_rate must be in [0, 1)\n"
+
     def test_precondition_checked_up_front(self):
         with pytest.raises(ConfigError, match="too small"):
             parse_config("[model]\nn_x = 100\nn_shape = 4,3\nm_shape = 2,2\n"
@@ -100,64 +121,54 @@ class TestPrintConfig:
         assert parse_config(out) == load_config(small_config)
 
 
+# ht, dense weight, dense total and ratio lines of `fdht params`
+REFERENCE_REPORTS = {
+    "ucf11-direct": ("8,808", "59,244,544", "59,245,568", "6,726"),
+    "youtube-direct": ("8,324", "59,244,544", "59,245,568", "7,117"),
+    "ucf11-cnn": ("3,132", "33,554,432", "33,562,624", "10,713"),
+    # 33,554,432 / 8,416 = 3,986.98: the one reference config where
+    # round-to-nearest (3,987) and floor (3,986) differ
+    "hmdb51-cnn": ("8,416", "33,554,432", "33,562,624", "3,987"),
+}
+
+
 class TestParams:
-    def test_ucf11_direct_report(self, capsys, tmp_path):
-        path = tmp_path / "ucf11.ini"
-        path.write_text(UCF11_PARAMS)
-        code, out, _ = run_cli(capsys, "params", "--config", str(path))
-        assert code == 0
-        assert "ht_params = 8,808" in out
-        assert "dense_weight_params = 59,244,544" in out
-        assert "dense_total_params = 59,245,568" in out
-        assert "compression_ratio = 6,726" in out
-
-    def test_hmdb51_ratio_rounds_to_nearest(self, capsys):
-        # 33,554,432 / 8,416 = 3,986.98: the one shipped config where
-        # round-to-nearest (3,987) and floor (3,986) differ
+    @pytest.mark.parametrize("name", REFERENCE_REPORTS)
+    def test_reference_config_report(self, capsys, name):
+        ht, dense_weights, dense_total, ratio = REFERENCE_REPORTS[name]
         code, out, _ = run_cli(capsys, "params", "--config",
-                               str(CONFIGS / "hmdb51-cnn.ini"))
+                               str(CONFIGS / f"{name}.ini"))
         assert code == 0
-        assert "ht_params = 8,416" in out
-        assert "compression_ratio = 3,987" in out
-
-    def test_script_table_matches_params(self, capsys, tmp_path):
-        # scripts/reproduce_param_tables.py and `fdht params` share one
-        # accounting; every column of the script's four rows must agree
-        spec = importlib.util.spec_from_file_location(
-            "reproduce_param_tables", SCRIPTS / "reproduce_param_tables.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        script.main()
-        rows = capsys.readouterr().out.splitlines()[2:]
-        expected = [
-            ("8,808", "59,245,568", "6,726x"),
-            ("8,324", "59,245,568", "7,117x"),
-            ("3,132", "33,562,624", "10,713x"),
-            ("8,416", "33,562,624", "3,987x"),
+        assert out.splitlines()[1:] == [
+            f"ht_params = {ht}",
+            f"dense_weight_params = {dense_weights}",
+            f"dense_total_params = {dense_total}",
+            f"compression_ratio = {ratio}",
         ]
-        assert len(rows) == len(script.CONFIGS) == len(expected)
-        for row, (name, m, n, leaf, internal, n_x), want in zip(
-                rows, script.CONFIGS, expected):
-            path = tmp_path / "ref.ini"
-            path.write_text(
-                f"[model]\nn_x = {n_x}\nn_shape = {','.join(map(str, n))}\n"
-                f"m_shape = {','.join(map(str, m))}\nleaf_rank = {leaf}\n"
-                f"internal_rank = {internal}\n\n[task]\nframe_dim = {n_x}\n")
-            code, out, _ = run_cli(capsys, "params", "--config", str(path))
-            assert code == 0
-            report = dict(line.split(" = ") for line in out.splitlines()[1:])
-            assert row[:22].strip() == name
-            cols = row[22:].split()
-            assert cols == [report["ht_params"], report["dense_weight_params"],
-                            report["dense_total_params"],
-                            report["compression_ratio"] + "x"]
-            assert (cols[0], cols[2], cols[3]) == want
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "params", "--config", "/nonexistent.ini")
         assert code == 1
         assert err.startswith("error: validation:")
         assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_shipped_config_smoke(capsys, path):
+    cfg = load_config(path)
+    code, out, _ = run_cli(capsys, "params", "--config", str(path), "--print-config")
+    assert code == 0
+    assert parse_config(out) == cfg
+    assert run_cli(capsys, "params", "--config", str(path))[0] == 0
+
+
+def test_help_describes_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in _COMMANDS:
+        assert re.search(rf"^    {name} +\S", out, re.MULTILINE), name
 
 
 class TestCompare:

@@ -79,6 +79,8 @@ def test_spec_validation():
         FactorizationSpec((2,), (2,), 0, "tt")
     with pytest.raises(ValueError, match="length"):
         FactorizationSpec((2, 2), (2,), 1, "tt")
+    with pytest.raises(ValueError, match="d >= 2"):
+        scheme_params(FactorizationSpec((1,), (1,), 3, "ht"))
 
 
 def test_compression_ratio_rounds_to_nearest_half_up():

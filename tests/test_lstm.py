@@ -1,6 +1,8 @@
 """FDHT LSTM cell: padding arithmetic, gate math, dense-oracle agreement,
 backpropagation through time."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,27 @@ class TestBptt:
         assert l1 == l2
         for k in g1:
             assert g1[k].tobytes() == g2[k].tobytes()
+
+    def test_input_grads_not_kept_unless_requested(self):
+        # each dx is a view of its step's whole packed-input gradient, so
+        # holding it for every sequence grows the peak with the batch
+        cell = make_cell(4000, (64, 64), (2, 2), 2, 2, seed=0)
+        head = make_head(3, cell.hidden_size, seed=1)
+        rng = np.random.default_rng(4)
+        batch = [([rng.normal(size=4000) for _ in range(4)], i % 3)
+                 for i in range(16)]
+
+        def peak(examples):
+            bptt(cell, head, examples)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                bptt(cell, head, examples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_sequence = 4 * cell.gate_map.in_size * 8
+        assert peak(batch) - peak(batch[:1]) <= one_sequence
 
     def test_zero_grads_covers_all_params(self):
         cell = small_cell(mode="input-only")

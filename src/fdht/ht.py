@@ -9,8 +9,11 @@ weight backs a recurrent cell.
 
 The fast matrix-vector kernel (:func:`htl_forward`) contracts the
 tensorized input into the leaf frames and combines children up the tree,
-never materializing the dense matrix. :func:`reconstruct_dense` assembles
-the dense matrix explicitly and serves as the testing oracle.
+never materializing the dense matrix. :class:`RootFrames` serves training,
+where one minibatch multiplies by the same factors many times: it
+contracts the factors once into two matrices, so each product is two
+GEMMs. :func:`reconstruct_dense` assembles the dense matrix explicitly and
+serves as the testing oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import contract, tensorize, vectorize
+from .tensor import tensorize, vectorize
 
 
 # Largest dense matrix, in entries, that reconstruct_dense will build.
@@ -187,28 +190,37 @@ def param_count_config(m_shape, n_shape, leaf_rank, internal_rank, root_rank) ->
 
 
 # ---------------------------------------------------------------------------
-# Dense reconstruction (oracle path)
+# Frames: dense reconstruction (oracle) and the training kernel
 
 def _node_frame(w: HTWeight, idx: int) -> np.ndarray:
-    """Frame of node idx with axes (rank, m_lo..m_hi-1, n_lo..n_hi-1)."""
+    """Frame of node idx as (rank, prod m, prod n) over its modes, each
+    group lexicographic: F[r, (iL, iR), (jL, jR)] =
+    sum_ab g[r, a, b] FL[a, iL, jL] FR[b, iR, jR]."""
     node = w.tree.nodes[idx]
     if node.is_leaf:
         return w.factors[idx]
-    f1 = _node_frame(w, node.left)
-    f2 = _node_frame(w, node.right)
-    # (r, r2, i1..., j1...) then (r, i1..., j1..., i2..., j2...)
-    t = contract(w.factors[idx], f1, [1], [0])
-    t = contract(t, f2, [1], [0])
-    n1 = w.tree.nodes[node.left].hi - w.tree.nodes[node.left].lo
-    n2 = w.tree.nodes[node.right].hi - w.tree.nodes[node.right].lo
-    perm = (
-        [0]
-        + list(range(1, 1 + n1))                      # i of left child
-        + list(range(1 + 2 * n1, 1 + 2 * n1 + n2))    # i of right child
-        + list(range(1 + n1, 1 + 2 * n1))             # j of left child
-        + list(range(1 + 2 * n1 + n2, 1 + 2 * (n1 + n2)))
-    )
-    return t.transpose(perm)
+    fl, fr = _node_frame(w, node.left), _node_frame(w, node.right)
+    t = np.tensordot(np.tensordot(w.factors[idx], fl, axes=(1, 0)), fr, axes=(1, 0))
+    r, ml, nl, mr, nr = t.shape  # (r, iL, jL, iR, jR)
+    return t.transpose(0, 1, 3, 2, 4).reshape(r, ml * mr, nl * nr)
+
+
+def _frame_vjp(w: HTWeight, idx: int, d_frame, sink):
+    """Reverse of ``_node_frame``: add to ``sink[i]`` the cotangent of
+    every factor in the subtree of node idx, given ``d_frame``, the
+    cotangent of that node's frame."""
+    node = w.tree.nodes[idx]
+    if node.is_leaf:
+        sink[idx] += d_frame
+        return
+    g = w.factors[idx]
+    fl, fr = _node_frame(w, node.left), _node_frame(w, node.right)
+    df = d_frame.reshape(g.shape[0], fl.shape[1], fr.shape[1], fl.shape[2], fr.shape[2])
+    p = np.tensordot(df, fr, axes=([2, 4], [1, 2]))  # (r, iL, jL, b)
+    q = np.tensordot(df, fl, axes=([1, 3], [1, 2]))  # (r, iR, jR, a)
+    sink[idx] += np.tensordot(fl, p, axes=([1, 2], [1, 2])).transpose(1, 0, 2)
+    _frame_vjp(w, node.left, np.tensordot(g, p, axes=([0, 2], [0, 3])), sink)
+    _frame_vjp(w, node.right, np.tensordot(g, q, axes=([0, 1], [0, 3])), sink)
 
 
 def reconstruct_dense(w: HTWeight) -> np.ndarray:
@@ -221,8 +233,69 @@ def reconstruct_dense(w: HTWeight) -> np.ndarray:
             f"oracle too large: dense matrix has {entries} entries "
             f"(cap {ORACLE_ELEMENT_CAP})"
         )
-    full = _node_frame(w, 0)  # (g, m_1..m_d, n_1..n_d)
-    return full.reshape(w.out_size, w.in_size)
+    return _node_frame(w, 0).reshape(w.out_size, w.in_size)
+
+
+class RootFrames:
+    """The HT matrix as two weight-only GEMM operands, for many products
+    with the same factors.
+
+    With FL, FR the frames of the root's children and X the input as an
+    n_L x n_R matrix, W x = sum_ab root[g, a, b] FL[a, iL, jL]
+    FR[b, iR, jR] X[jL, jR] is
+
+        T = U @ X     U[(iL, a), jL]      = FL[a, iL, jL]
+        Y = T' @ V    V[(a, jR), (g, iR)] = sum_b root[g, a, b] FR[b, iR, jR]
+
+    with T' the (m_L, r_L n_R) reshape of T and Y the output as
+    (m_L, g, m_R). ``backward`` accumulates the cotangents of U and V over
+    every product; ``finish`` takes them back through the frame build into
+    ``sink``, one array per factor. U and V are built from the factors at
+    construction and ``finish`` reads the factors again, so keep them
+    unchanged until ``finish`` and build new frames after every update.
+    """
+
+    def __init__(self, w: HTWeight, sink):
+        root = w.tree.root
+        self.w, self.sink = w, sink
+        self.fl, self.fr = _node_frame(w, root.left), _node_frame(w, root.right)
+        rl, ml, nl = self.fl.shape
+        _, mr, nr = self.fr.shape
+        self.shape = (root.rank, rl, ml, mr, nl, nr)
+        self.u = self.fl.transpose(1, 0, 2).reshape(ml * rl, nl)
+        v = np.tensordot(w.factors[0], self.fr, axes=(2, 0))  # (g, a, iR, jR)
+        self.v = v.transpose(1, 3, 0, 2).reshape(rl * nr, root.rank * mr)
+        self.du = np.zeros_like(self.u)
+        self.dv = np.zeros_like(self.v)
+
+    def forward(self, x):
+        """``W @ x`` gate-major, and what ``backward`` needs."""
+        g, _, ml, mr, nl, nr = self.shape
+        t = (self.u @ x.reshape(nl, nr)).reshape(ml, -1)
+        y = (t @ self.v).reshape(ml, g, mr).transpose(1, 0, 2)
+        return y.reshape(-1), (x, t)
+
+    def backward(self, saved, dy):
+        """Accumulate the U and V cotangents of one product; returns
+        ``W.T @ dy``."""
+        x, t = saved
+        g, rl, ml, mr, nl, nr = self.shape
+        dy = dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, g * mr)
+        self.dv += t.T @ dy
+        dt = (dy @ self.v.T).reshape(ml * rl, nr)
+        self.du += dt @ x.reshape(nl, nr).T
+        return (self.u.T @ dt).reshape(-1)
+
+    def finish(self):
+        """Add the factor cotangents of everything accumulated to ``sink``."""
+        g, rl, ml, mr, nl, nr = self.shape
+        root = self.w.tree.root
+        dv = self.dv.reshape(rl, nr, g, mr)  # (a, jR, g, iR)
+        self.sink[0] += np.tensordot(dv, self.fr, axes=([3, 1], [1, 2])).transpose(1, 0, 2)
+        d_fr = np.tensordot(self.w.factors[0], dv, axes=([0, 1], [2, 0]))  # (b, jR, iR)
+        _frame_vjp(self.w, root.left, self.du.reshape(ml, rl, nl).transpose(1, 0, 2),
+                   self.sink)
+        _frame_vjp(self.w, root.right, d_fr.transpose(0, 2, 1), self.sink)
 
 
 # ---------------------------------------------------------------------------

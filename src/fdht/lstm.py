@@ -8,8 +8,9 @@ differs between the paper's cell and its baseline:
 
 - ``HtGateMap`` (``FdhtLstmCell``) stores the stacked input-to-hidden and
   hidden-to-hidden matrices of all four gates in HT form with root rank 4,
-  so the leading output mode selects the gate. Forward runs the
-  contraction plan; backward sweeps its tape in reverse.
+  so the leading output mode selects the gate. A single step runs the
+  contraction plan; BPTT prepares the root-children frames once per
+  minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix.
 
 In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grad import backward_from_tape
-from .ht import HTWeight, init_ht_weight, output_from_tape, run_plan
+from .ht import HTWeight, RootFrames, init_ht_weight, output_from_tape, run_plan
 from .tensor import vectorize
 
 MODES = ("full", "input-only")
@@ -72,8 +72,9 @@ def softmax_cross_entropy(logits, label: int):
 
 
 class HtGateMap:
-    """Gate map stored in HT form: the plan forward, its reverse sweep
-    backward. What ``forward`` saves for ``backward`` is the plan's tape."""
+    """Gate map stored in HT form. One vector at a time (``forward``) it
+    runs the contraction plan; for training, ``prepare`` builds the
+    root-children frames once and every step is two GEMMs."""
 
     def __init__(self, weight: HTWeight):
         if weight.root_rank != 4:
@@ -89,17 +90,15 @@ class HtGateMap:
         tape = run_plan(self.weight, packed.reshape(self.weight.n_shape))
         return vectorize(output_from_tape(self.weight, tape)), tape
 
-    def backward(self, tape, dz, grads):
-        """Accumulate factor gradients; returns dL/dpacked."""
-        ht_grads = backward_from_tape(self.weight, tape, dz)
-        for i, fg in enumerate(ht_grads.factors):
-            grads[f"ht.{i}"] += fg
-        return ht_grads.input
+    def prepare(self, grads) -> RootFrames:
+        """Frames of the current factors, whose ``finish`` adds the factor
+        gradients to ``grads``."""
+        return RootFrames(self.weight, [grads[name] for name in self.params()])
 
 
 class DenseGateMap:
-    """Gate map as one explicit (4H x N) matrix; ``forward`` saves the
-    packed input for ``backward``."""
+    """Gate map as one explicit (4H x N) matrix. Its frame (``prepare``)
+    is the matrix itself, with ``grads["w"]`` as the gradient buffer."""
 
     def __init__(self, w):
         self.weight = np.asarray(w, dtype=np.float64)
@@ -115,9 +114,27 @@ class DenseGateMap:
     def forward(self, packed):
         return self.weight @ packed, packed
 
-    def backward(self, packed, dz, grads):
-        grads["w"] += np.outer(dz, packed)
+    def prepare(self, grads) -> DenseFrame:
+        return DenseFrame(self.weight, grads["w"])
+
+
+@dataclass(eq=False)
+class DenseFrame:
+    """A dense matrix with its gradient buffer: ``backward`` accumulates
+    straight into ``grad``, so ``finish`` has nothing left to do."""
+
+    weight: np.ndarray
+    grad: np.ndarray
+
+    def forward(self, packed):
+        return self.weight @ packed, packed
+
+    def backward(self, packed, dz):
+        self.grad += np.outer(dz, packed)
         return self.weight.T @ dz
+
+    def finish(self):
+        pass
 
 
 class FdhtLstmCell:
@@ -176,8 +193,14 @@ class FdhtLstmCell:
         return self.step_cached(x, state)[0]
 
     def step_cached(self, x, state: LstmState):
-        """One recurrence step: pack, apply the gate map, gate, update.
-        Returns the new state and the cache ``step_backward`` needs."""
+        """One recurrence step through the gate map's own forward (the
+        plan for HT). Returns the new state and the step's cache."""
+        return self.step_frames(self.gate_map, x, state)
+
+    def step_frames(self, frames, x, state: LstmState):
+        """One recurrence step: pack, apply ``frames.forward``, gate,
+        update. Returns the new state and the cache ``step_backward``
+        needs when ``frames`` came from ``gate_map.prepare``."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n_x:
             raise ValueError(f"input has length {x.size}, expected {self.n_x}")
@@ -185,19 +208,20 @@ class FdhtLstmCell:
         packed[: self.n_x] = x
         if self.recurrent is None:
             packed[self.n_x + self.pad_len:] = state.h
-        z, saved = self.gate_map.forward(packed)
+        z, saved = frames.forward(packed)
         if self.recurrent is not None:
             z = z + self.recurrent @ state.h
         new_state, gates = _gate_forward(z, self.biases, state.c, self.hidden_size)
         return new_state, {"map": saved, "gates": gates, "h_prev": state.h}
 
-    def step_backward(self, cache, dh, dc, grads):
-        """Accumulate parameter gradients for one step; returns
-        (dh_prev, dc_prev, dx)."""
+    def step_backward(self, frames, cache, dh, dc, grads):
+        """Accumulate the gradients of one ``step_frames(frames, ...)``
+        step: biases and recurrent matrix into ``grads``, the gate map into
+        ``frames``. Returns (dh_prev, dc_prev, dx)."""
         dz, db, dc_prev = _gate_backward(cache["gates"], dh, dc)
         for g, dbg in zip(GATE_ORDER, db):
             grads[f"b_{g}"] += dbg
-        d_packed = self.gate_map.backward(cache["map"], dz, grads)
+        d_packed = frames.backward(cache["map"], dz)
         dx = d_packed[: self.n_x]
         if self.recurrent is None:
             dh_prev = d_packed[self.n_x + self.pad_len:]
@@ -286,8 +310,11 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     """Mean softmax cross-entropy over a batch of (sequence, label) pairs
     and its gradients with respect to every cell, bias and head parameter.
 
-    Dropout, when enabled, is applied to the final hidden state before the
-    head (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
+    The gate map is prepared once for the batch (for HT, the root-children
+    frames of the current factors); sequences then run one at a time and
+    its factor gradients are finished once at the end. Dropout, when
+    enabled, is applied to the final hidden state before the head
+    (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
     (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
     example i.
     """
@@ -296,6 +323,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     if dropout_rate > 0 and rng is None:
         raise ValueError("dropout needs an rng")
     grads = zero_grads(cell, head)
+    frames = cell.gate_map.prepare(grads)
     total_loss = 0.0
     all_input_grads = []
     for xs, label in batch:
@@ -304,7 +332,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         state = cell.init_state()
         caches = []
         for x in xs:
-            state, cache = cell.step_cached(x, state)
+            state, cache = cell.step_frames(frames, x, state)
             caches.append(cache)
         h_final = state.h
         if dropout_rate > 0:
@@ -325,11 +353,12 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         dc = np.zeros_like(dh)
         input_grads = [None] * len(xs)
         for t in range(len(xs) - 1, -1, -1):
-            dh, dc, dx = cell.step_backward(caches[t], dh, dc, grads)
+            dh, dc, dx = cell.step_backward(frames, caches[t], dh, dc, grads)
             if return_input_grads:
                 input_grads[t] = dx
         if return_input_grads:
             all_input_grads.append(input_grads)
+    frames.finish()
 
     b = float(len(batch))
     for k in grads:

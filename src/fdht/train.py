@@ -153,7 +153,8 @@ def train(cell, head: Head, train_data: Dataset, test_data: Dataset,
 
     Dropout acts on the final hidden state before the head, during
     training only. One history record per epoch; epochs=0 returns an
-    empty history and leaves all parameters untouched.
+    empty history and leaves all parameters untouched. A ``TrainingError``
+    names its 0-based epoch and minibatch.
     """
     params = dict(cell.params())
     params["head.w"] = head.w
@@ -168,9 +169,12 @@ def train(cell, head: Head, train_data: Dataset, test_data: Dataset,
         for start in range(0, len(order), config.batch_size):
             idx = order[start: start + config.batch_size]
             batch = [(train_data.xs[i], int(train_data.labels[i])) for i in idx]
-            loss, grads = bptt(cell, head, batch,
-                               dropout_rate=config.dropout_rate, rng=rng)
-            adam_step(params, grads, state, config)
+            try:
+                loss, grads = bptt(cell, head, batch,
+                                   dropout_rate=config.dropout_rate, rng=rng)
+                adam_step(params, grads, state, config)
+            except TrainingError as exc:
+                raise TrainingError(f"epoch {epoch} minibatch {batch_count}: {exc}") from exc
             loss_sum += loss
             batch_count += 1
         history.append(EpochRecord(

@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is deliberately written as plain nested loops over index
+The oracles are deliberately written as plain nested loops over index
 tuples, with no use of the package's contraction engine, so that the fast
-paths and these oracles can only agree by computing the same math.
+paths and these oracles can only agree by computing the same math. The
+randomized checks at the end need only a few evaluations of the code they
+check, so they also run at geometries too large for a dense matrix.
 """
 
 import itertools
@@ -129,3 +131,28 @@ def nearest_template_accuracy(task, data):
         dists = [np.sum((x - clean[c]) ** 2) for c in range(task.classes)]
         hits += int(np.argmin(dists) == label)
     return hits / len(data)
+
+
+def adjoint_error(forward, backward, v, u):
+    """Relative gap between <J v, u> and <v, J^T u> for a linear map J
+    given as ``forward`` (J) and ``backward`` (J^T)."""
+    a = float(np.vdot(forward(v), u))
+    b = float(np.vdot(v, backward(u)))
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def directional_derivative_error(loss, arr, grad, rng, step=1e-5):
+    """Relative gap between <grad, dir> and the central difference of
+    ``loss()`` along a random direction dir of ``arr`` (mutated in place
+    and restored). The direction is scaled to the RMS entry of ``arr``, so
+    ``step`` is a relative step."""
+    direction = rng.normal(size=arr.shape) * float(np.sqrt(np.mean(arr ** 2)))
+    orig = arr.copy()
+    arr += step * direction
+    lp = loss()
+    arr[...] = orig - step * direction
+    lm = loss()
+    arr[...] = orig
+    numeric = (lp - lm) / (2 * step)
+    analytic = float(np.vdot(grad, direction))
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric))

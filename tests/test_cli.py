@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdht import cli
 from fdht.cli import _COMMANDS, main
 from fdht.config import (ConfigError, RunConfig, emit_config, load_config,
                          parse_config)
@@ -264,6 +265,26 @@ class TestTrainEval:
         assert err.startswith("error: validation: [train] learning_rate = 'nan'")
         assert "\n" not in err.strip()
         assert not (tmp_path / "n.fdht").exists()
+
+    def test_non_finite_training_data_is_one_runtime_line(self, capsys, tmp_path,
+                                                          monkeypatch):
+        generate = cli.generate_task
+
+        def with_nan(task):
+            train_data, test_data = generate(task)
+            train_data.xs[0, 1, 2] = np.nan
+            return train_data, test_data
+
+        monkeypatch.setattr(cli, "generate_task", with_nan)
+        path = tmp_path / "nan.ini"
+        path.write_text(SMALL_MODEL + (
+            f"\n[paths]\ncheckpoint = {tmp_path}/nan.fdht\n"
+            f"metrics = {tmp_path}/nan.csv\n"))
+        code, out, err = run_cli(capsys, "train", "--config", str(path))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: runtime: epoch 0 minibatch \d+: non-finite "
+                            r"gradient in parameter block 'ht\.0'\n", err), err
+        assert not (tmp_path / "nan.fdht").exists()
 
     def test_eval_missing_checkpoint(self, capsys, small_config):
         code, _, err = run_cli(capsys, "eval", "--config", small_config)

@@ -5,7 +5,6 @@ import pytest
 
 from fdht.complexity import (FactorizationSpec, compression_ratio,
                              emit_rank_sweep, scheme_params)
-from fdht.ht import param_count_config
 
 FIG5_M = (4, 4, 2, 4, 2)
 FIG5_N = (8, 10, 10, 9, 8)
@@ -51,15 +50,22 @@ def test_bt_core_overtakes_tt_tr_from_rank_five():
         assert (c["bt"] > max(c["tt"], c["tr"])) == (r >= 5)
 
 
-def test_ht_uniform_rank_matches_weight_param_count():
+def test_ht_balanced_tree_closed_form():
+    # uniform rank r, root rank 1: d leaves r*m_k*n_k, d-2 inner transfer
+    # tensors r^3 and the root's r^2
+    def closed_form(m, n, r):
+        return sum(r * a * b for a, b in zip(m, n)) + (len(m) - 2) * r ** 3 + r ** 2
+
     rng = np.random.default_rng(0)
     for _ in range(25):
         d = int(rng.integers(2, 7))
         m = tuple(int(x) for x in rng.integers(1, 5, size=d))
         n = tuple(int(x) for x in rng.integers(1, 5, size=d))
         r = int(rng.integers(1, 9))
-        spec = FactorizationSpec(m, n, r, "ht")
-        assert scheme_params(spec) == param_count_config(m, n, r, r, 1)
+        assert scheme_params(FactorizationSpec(m, n, r, "ht")) == closed_form(m, n, r)
+    for r in range(1, 17):  # criterion 7b's form at the Fig. 5 shapes
+        assert closed_form(FIG5_M, FIG5_N, r) == 144 * r + 3 * r ** 3 + r ** 2
+        assert counts_at(r)["ht"] == closed_form(FIG5_M, FIG5_N, r)
 
 
 def test_asymptotic_rank_scaling():

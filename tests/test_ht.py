@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdht.ht import (HTWeight, OracleSizeError, build_dim_tree, htl_forward,
-                     init_ht_weight, param_count_config, reconstruct_dense)
-from oracles import nested_sum_dense, random_small_weight
+from fdht.ht import (HTWeight, OracleSizeError, RootFrames, build_dim_tree,
+                     htl_forward, init_ht_weight, param_count_config,
+                     reconstruct_dense)
+from oracles import (adjoint_error, directional_derivative_error, nested_sum_dense,
+                     random_small_weight)
+
+REFERENCE_GEOMETRIES = {
+    # name: (m_shape, n_shape, leaf_rank, internal_rank), as in configs/
+    "ucf11-direct": ((4, 4, 4, 4), (16, 16, 16, 15), 14, 12),
+    "youtube-direct": ((4, 4, 4, 4), (16, 16, 16, 15), 14, 11),
+    "ucf11-cnn": ((4, 8, 8, 8), (8, 8, 8, 8), 9, 6),
+    "hmdb51-cnn": ((4, 8, 8, 8), (8, 8, 8, 8), 14, 12),
+}
 
 
 class TestDimTree:
@@ -183,3 +193,54 @@ class TestForward:
             np.testing.assert_allclose(
                 y[gate * h:(gate + 1) * h],
                 dense[gate * h:(gate + 1) * h] @ x, atol=1e-10)
+
+
+class TestRootFrames:
+    # The UCF11 dense matrix is 480 MB, so these checks never build it: the
+    # forward is checked against the plan, the backward by an adjoint
+    # identity and by directional derivatives of a loss the plan evaluates.
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_reference_geometry(self, name):
+        m, n, leaf, internal = REFERENCE_GEOMETRIES[name]
+        w = init_ht_weight(m, n, leaf, internal, 4, seed=11)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=w.in_size)
+        sink = [np.zeros_like(f) for f in w.factors]
+        frames = RootFrames(w, sink)
+        y, saved = frames.forward(x)
+        assert np.max(np.abs(y - htl_forward(w, x))) <= 1e-10
+
+        u = rng.normal(size=w.out_size)
+        assert adjoint_error(lambda v: frames.forward(v)[0],
+                             lambda dy: frames.backward(saved, dy), x, u) <= 1e-12
+
+        # gradients of 0.5 |W x|^2 through the frames, one direction per factor
+        sink = [np.zeros_like(f) for f in w.factors]
+        frames = RootFrames(w, sink)
+        dx = frames.backward(saved, y)
+        frames.finish()
+
+        def loss():
+            return 0.5 * float(np.sum(htl_forward(w, x) ** 2))
+
+        for arr, grad in zip([*w.factors, x], [*sink, dx]):
+            assert directional_derivative_error(loss, arr, grad, rng) <= 1e-4
+
+    def test_accumulates_over_products(self):
+        # two products accumulate the gradients of a sum of two losses
+        w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=5)
+        rng = np.random.default_rng(13)
+        xs = [rng.normal(size=w.in_size) for _ in range(2)]
+        us = [rng.normal(size=w.out_size) for _ in range(2)]
+        both = [np.zeros_like(f) for f in w.factors]
+        frames = RootFrames(w, both)
+        for x, u in zip(xs, us):
+            frames.backward(frames.forward(x)[1], u)
+        frames.finish()
+        for i in range(len(w.factors)):
+            direction = rng.normal(size=w.factors[i].shape)
+            factors = list(w.factors)
+            factors[i] = direction
+            wv = reconstruct_dense(HTWeight(w.tree, w.m_shape, w.n_shape, factors))
+            want = sum(u @ wv @ x for x, u in zip(xs, us))
+            assert abs(np.vdot(both[i], direction) - want) <= 1e-12 * abs(want)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdht.ht import htl_forward, init_ht_weight, reconstruct_dense
+from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
 from fdht.lstm import (DenseLstmCell, FdhtLstmCell, Head, LstmState, bptt,
                        forward_sequence, make_cell, make_dense_cell, make_head,
                        softmax_cross_entropy, zero_grads)
@@ -311,6 +311,57 @@ class TestBptt:
 
         one_sequence = 4 * cell.gate_map.in_size * 8
         assert peak(batch) - peak(batch[:1]) <= one_sequence
+
+    def test_bad_sequences_rejected(self):
+        for cell in (small_cell(), make_dense_cell(4, 4, seed=0)):
+            head = make_head(3, cell.hidden_size, seed=0)
+            with pytest.raises(ValueError, match="length 5, expected 4"):
+                bptt(cell, head, [([np.ones(4), np.ones(5)], 0)])
+            with pytest.raises(ValueError, match="empty sequence"):
+                bptt(cell, head, [([np.ones(4)], 0), ([], 1)])
+
+    @pytest.mark.parametrize("mode", ["full", "input-only"])
+    def test_matches_dense_cell(self, mode):
+        # the synthetic geometry against a dense cell on the reconstructed
+        # matrix; in input-only mode the recurrent matrix takes the dense
+        # columns that the HT map only ever sees as zeros
+        cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
+        head = make_head(8, cell.hidden_size, seed=2)
+        rng = np.random.default_rng(21)
+        batch = [([rng.normal(size=256) / 16 for _ in range(6)], i % 8)
+                 for i in range(5)]
+        w = cell.weight
+        h_cols = slice(cell.n_x + cell.pad_len, None)
+        matrix = reconstruct_dense(w)
+        if mode == "input-only":
+            matrix[:, h_cols] = cell.recurrent
+        dense = DenseLstmCell(matrix, cell.n_x, biases=cell.biases)
+
+        def run(c):
+            return bptt(c, head, batch, dropout_rate=0.25,
+                        rng=np.random.default_rng(3), return_input_grads=True)
+
+        def rel(got, want):
+            return np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want))
+
+        loss, grads, dx = run(cell)
+        d_loss, d_grads, d_dx = run(dense)
+        assert rel(loss, d_loss) <= 1e-9
+        assert rel(dx, d_dx) <= 1e-9
+        for name in ("b_f", "b_u", "b_c", "b_o", "head.w", "head.b"):
+            assert rel(grads[name], d_grads[name]) <= 1e-9, name
+        dw = d_grads["w"]
+        if mode == "input-only":
+            assert rel(grads["recurrent"], dw[:, h_cols]) <= 1e-9
+            dw[:, h_cols] = 0.0
+        # reconstruction is linear in each factor, so for any direction V,
+        # <dL/dfactor_i, V> = <dL/dW, W(factor_i := V)>
+        for i in range(len(w.factors)):
+            direction = rng.normal(size=w.factors[i].shape)
+            factors = list(w.factors)
+            factors[i] = direction
+            wv = reconstruct_dense(HTWeight(w.tree, w.m_shape, w.n_shape, factors))
+            assert rel(np.vdot(grads[f"ht.{i}"], direction), np.vdot(dw, wv)) <= 1e-9
 
     def test_zero_grads_covers_all_params(self):
         cell = small_cell(mode="input-only")

@@ -129,6 +129,19 @@ class TestTrainLoop:
         train(cell, head, tr, te, cfg)
         assert evaluate(cell, head, te) == evaluate(cell, head, te)
 
+    def test_non_finite_sequence_names_epoch_and_minibatch(self):
+        cell, head, tr, te, cfg = self.small_setup(epochs=2)
+        planted = 2  # lands in minibatch 3 of epoch 0
+        tr.xs[planted, 1, 5] = np.nan
+        # epoch 0's order is the first draw of train's rng
+        order = np.random.default_rng(cfg.seed).permutation(len(tr))
+        minibatch = int(np.flatnonzero(order == planted)[0]) // cfg.batch_size
+        assert minibatch > 0
+        with pytest.raises(TrainingError) as exc:
+            train(cell, head, tr, te, cfg)
+        assert str(exc.value) == (f"epoch 0 minibatch {minibatch}: "
+                                  "non-finite gradient in parameter block 'ht.0'")
+
     def test_history_csv_shape(self):
         cell, head, tr, te, cfg = self.small_setup(epochs=2)
         csv = history_csv(train(cell, head, tr, te, cfg))

@@ -143,8 +143,7 @@ def _read_weight(r: _Reader) -> HTWeight:
 def serialize_checkpoint(cell: FdhtLstmCell, head: Head) -> bytes:
     parts = [serialize(cell.weight), _CELL_TAG,
              struct.pack("<B", _MODE_CODES[cell.mode]), _u32(cell.n_x)]
-    for g in GATE_ORDER:
-        parts.append(_f64s(cell.biases[g]))
+    parts.append(_f64s(cell.bias))  # f, u, c, o rows
     if cell.mode == "input-only":
         parts.append(_f64s(cell.recurrent))
     parts.append(_HEAD_TAG)

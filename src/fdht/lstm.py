@@ -28,6 +28,7 @@ from .tensor import vectorize
 
 MODES = ("full", "input-only")
 GATE_ORDER = ("f", "u", "c", "o")
+BIAS_NAMES = tuple(f"b_{g}" for g in GATE_ORDER)
 
 
 @dataclass(eq=False)
@@ -51,12 +52,11 @@ def make_head(classes: int, hidden_size: int, seed) -> Head:
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: with e = exp(-|z|) it is
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, the same two IEEE
+    expressions as splitting z by sign, so the bits match that form."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_cross_entropy(logits, label: int):
@@ -164,9 +164,16 @@ class FdhtLstmCell:
                 f"needs at least n_x + hidden = {self.n_x + h}"
             )
         if biases is None:
-            biases = {g: np.zeros(h) for g in GATE_ORDER}
-            biases["f"] = np.ones(h)
-        self.biases = {g: np.asarray(biases[g], dtype=np.float64) for g in GATE_ORDER}
+            self.bias = np.zeros((len(GATE_ORDER), h))
+            self.bias[0] = 1.0  # forget gate
+        else:
+            for g in GATE_ORDER:
+                if np.shape(biases[g]) != (h,):
+                    raise ValueError(f"bias {g!r} must have shape ({h},), "
+                                     f"got {np.shape(biases[g])}")
+            self.bias = np.array([biases[g] for g in GATE_ORDER], dtype=np.float64)
+        # one stacked (4, H) bias; the per-gate entries are its row views
+        self.biases = dict(zip(GATE_ORDER, self.bias))
         if mode == "input-only":
             if recurrent is None:
                 raise ValueError("input-only mode needs a recurrent matrix")
@@ -183,8 +190,7 @@ class FdhtLstmCell:
 
     def params(self) -> dict[str, np.ndarray]:
         p = self.gate_map.params()
-        for g in GATE_ORDER:
-            p[f"b_{g}"] = self.biases[g]
+        p.update(zip(BIAS_NAMES, self.bias))
         if self.recurrent is not None:
             p["recurrent"] = self.recurrent
         return p
@@ -211,16 +217,17 @@ class FdhtLstmCell:
         z, saved = frames.forward(packed)
         if self.recurrent is not None:
             z = z + self.recurrent @ state.h
-        new_state, gates = _gate_forward(z, self.biases, state.c, self.hidden_size)
+        new_state, gates = _gate_forward(z, self.bias, state.c)
         return new_state, {"map": saved, "gates": gates, "h_prev": state.h}
 
     def step_backward(self, frames, cache, dh, dc, grads):
         """Accumulate the gradients of one ``step_frames(frames, ...)``
         step: biases and recurrent matrix into ``grads``, the gate map into
         ``frames``. Returns (dh_prev, dc_prev, dx)."""
-        dz, db, dc_prev = _gate_backward(cache["gates"], dh, dc)
-        for g, dbg in zip(GATE_ORDER, db):
-            grads[f"b_{g}"] += dbg
+        dz, dc_prev = _gate_backward(cache["gates"], dh, dc)
+        bias_grad = grads[BIAS_NAMES[0]].base  # see zero_grads
+        bias_grad += dz
+        dz = dz.reshape(-1)
         d_packed = frames.backward(cache["map"], dz)
         dx = d_packed[: self.n_x]
         if self.recurrent is None:
@@ -248,29 +255,38 @@ def make_dense_cell(n_x: int, hidden_size: int, seed) -> DenseLstmCell:
     return DenseLstmCell(w, n_x)
 
 
-def _gate_forward(z, biases, c_prev, h_size):
-    zr = z.reshape(4, h_size)
-    f = sigmoid(zr[0] + biases["f"])
-    u = sigmoid(zr[1] + biases["u"])
-    c_in = np.tanh(zr[2] + biases["c"])
-    o = sigmoid(zr[3] + biases["o"])
+def _gate_forward(z, bias, c_prev):
+    """Gates of one step on the stacked (4, H) block: one bias add, the
+    sigmoid over all four rows, then tanh over the candidate row. The
+    cache is (act, c_prev, tanh_c), act holding f, u, c_in, o."""
+    a = z.reshape(bias.shape) + bias
+    act = sigmoid(a)
+    act[2] = np.tanh(a[2])
+    f, u, c_in, o = act
     c = f * c_prev + u * c_in
     tanh_c = np.tanh(c)
-    h = o * tanh_c
-    gates = (f, u, c_in, o, c_prev, tanh_c)
-    return LstmState(h, c), gates
+    return LstmState(o * tanh_c, c), (act, c_prev, tanh_c)
 
 
 def _gate_backward(gates, dh, dc):
-    f, u, c_in, o, c_prev, tanh_c = gates
-    do = dh * tanh_c * o * (1.0 - o)
+    """Returns the (4, H) pre-activation gradient and dc_prev. Each gate
+    row is (upstream * p) * q with p = act and q = 1 - act, except the
+    candidate row, where p = 1 and q = 1 - c_in**2; keeping that order of
+    products gives the bits of the per-gate formulas."""
+    act, c_prev, tanh_c = gates
+    f, u, c_in, o = act
     dc_total = dc + dh * o * (1.0 - tanh_c ** 2)
-    df = dc_total * c_prev * f * (1.0 - f)
-    du = dc_total * c_in * u * (1.0 - u)
-    dc_in = dc_total * u * (1.0 - c_in ** 2)
-    dc_prev = dc_total * f
-    dz = np.concatenate([df, du, dc_in, do])
-    return dz, (df, du, dc_in, do), dc_prev
+    up = np.empty_like(act)
+    np.multiply(dc_total, c_prev, out=up[0])
+    np.multiply(dc_total, c_in, out=up[1])
+    np.multiply(dc_total, u, out=up[2])
+    np.multiply(dh, tanh_c, out=up[3])
+    dz = up * act
+    dz[2] = up[2]
+    q = 1.0 - act
+    q[2] = 1.0 - c_in ** 2
+    dz *= q
+    return dz, dc_total * f
 
 
 def make_cell(n_x, n_shape, m_shape, leaf_rank, internal_rank,
@@ -299,7 +315,11 @@ def forward_sequence(cell, head: Head, xs) -> np.ndarray:
 
 
 def zero_grads(cell, head: Head) -> dict[str, np.ndarray]:
+    """Zero gradients named as ``cell.params()`` plus the head. The four
+    bias gradients are the rows of one (4, H) array, which
+    ``step_backward`` reaches through the row views' ``base``."""
     grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
+    grads.update(zip(BIAS_NAMES, np.zeros_like(cell.bias)))
     grads["head.w"] = np.zeros_like(head.w)
     grads["head.b"] = np.zeros_like(head.b)
     return grads

@@ -156,3 +156,40 @@ def directional_derivative_error(loss, arr, grad, rng, step=1e-5):
     numeric = (lp - lm) / (2 * step)
     analytic = float(np.vdot(grad, direction))
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric))
+
+
+def masked_sigmoid(z):
+    """Logistic function split by sign with a boolean mask: 1/(1+e^-z)
+    on z >= 0 and e^z/(1+e^z) on z < 0."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def per_gate_forward(z, biases, c_prev):
+    """The LSTM gate stage one gate at a time: per-gate bias adds, the
+    masked sigmoid on f, u, o and tanh on the candidate. Returns
+    (h, c, gates) with gates = (f, u, c_in, o, c_prev, tanh_c)."""
+    zr = z.reshape(4, -1)
+    f = masked_sigmoid(zr[0] + biases["f"])
+    u = masked_sigmoid(zr[1] + biases["u"])
+    c_in = np.tanh(zr[2] + biases["c"])
+    o = masked_sigmoid(zr[3] + biases["o"])
+    c = f * c_prev + u * c_in
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, (f, u, c_in, o, c_prev, tanh_c)
+
+
+def per_gate_backward(gates, dh, dc):
+    """Gradients of ``per_gate_forward``: the flat pre-activation
+    gradient in gate order f, u, c, o and dL/dc_prev."""
+    f, u, c_in, o, c_prev, tanh_c = gates
+    do = dh * tanh_c * o * (1.0 - o)
+    dc_total = dc + dh * o * (1.0 - tanh_c ** 2)
+    df = dc_total * c_prev * f * (1.0 - f)
+    du = dc_total * c_in * u * (1.0 - u)
+    dc_in = dc_total * u * (1.0 - c_in ** 2)
+    return np.concatenate([df, du, dc_in, do]), dc_total * f

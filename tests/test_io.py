@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdht.io import (BadMagicError, FormatError, ShapeInconsistencyError,
                      TruncatedError, VersionError, deserialize_checkpoint,
                      load_checkpoint, save_checkpoint, serialize,
                      serialize_checkpoint)
 from fdht.ht import init_ht_weight
-from fdht.lstm import make_cell, make_head
+from fdht.lstm import MODES, make_cell, make_head
 
 
 def weights_equal(a, b):
@@ -158,3 +160,47 @@ def test_checkpoint_missing_sections():
         deserialize_checkpoint(data[:weight_len] + b"XXXX" + data[weight_len + 4:])
     with pytest.raises(TruncatedError):
         deserialize_checkpoint(data[:-4])
+
+
+def u32_field_offsets(cell):
+    """Byte offsets of every u32 field in a checkpoint: the header's d, g,
+    mode lengths, node count and ranks, the cell's n_x and the head's
+    class count."""
+    d = cell.weight.tree.d
+    header = [6 + 4 * k for k in range(2 + 2 * d + 1 + (2 * d - 1))]
+    n_x = len(serialize(cell.weight)) + 5
+    floats = cell.bias.size
+    if cell.recurrent is not None:
+        floats += cell.recurrent.size
+    classes = n_x + 4 + 8 * floats + 4
+    return header + [n_x, classes]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoints_raise_only_format_errors(mode, data):
+    # a byte flip, a truncation or an overwritten u32 field either parses
+    # to a finite model that re-serializes to the same bytes, or raises a
+    # FormatError; never a bare numpy error or a silent NaN
+    cell = make_cell(10, (3, 3, 3), (2, 2, 2), 2, 2, mode=mode, seed=3)
+    head = make_head(3, cell.hidden_size, seed=4)
+    blob = bytearray(serialize_checkpoint(cell, head))
+    kind = data.draw(st.sampled_from(["flip", "truncate", "u32"]))
+    if kind == "flip":
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        blob[pos] ^= 1 << data.draw(st.integers(0, 7))
+    elif kind == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        pos = data.draw(st.sampled_from(u32_field_offsets(cell)))
+        value = data.draw(st.sampled_from([0, 1, 2, 3, 4, 5, 2**16, 2**31, 2**32 - 1])
+                          | st.integers(0, 2**32 - 1))
+        blob[pos:pos + 4] = value.to_bytes(4, "little")
+    try:
+        cell2, head2 = deserialize_checkpoint(bytes(blob))
+    except FormatError:
+        return
+    for arr in [*cell2.params().values(), head2.w, head2.b]:
+        assert np.all(np.isfinite(arr))
+    assert serialize_checkpoint(cell2, head2) == bytes(blob)

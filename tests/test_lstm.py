@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
-from fdht.lstm import (DenseLstmCell, FdhtLstmCell, Head, LstmState, bptt,
-                       forward_sequence, make_cell, make_dense_cell, make_head,
+from fdht.lstm import (DenseLstmCell, FdhtLstmCell, Head, LstmState,
+                       _gate_backward, _gate_forward, bptt, forward_sequence,
+                       make_cell, make_dense_cell, make_head, sigmoid,
                        softmax_cross_entropy, zero_grads)
-from oracles import fd_param_dict, max_rel_error
+from oracles import (fd_param_dict, max_rel_error, per_gate_backward,
+                     per_gate_forward)
 
 
 def small_cell(mode="full", seed=9, **kw):
@@ -53,6 +55,17 @@ class TestMakeCell:
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="mode"):
             small_cell(mode="both")
+
+    @pytest.mark.parametrize("shape", [(3,), (1,)])
+    def test_bias_shape_checked(self, shape):
+        # (3,) would fail at the first step; (1,) would broadcast silently
+        biases = {g: np.zeros(4) for g in "fuco"}
+        biases["f"] = np.zeros(shape)
+        expected = rf"bias 'f' must have shape \(4,\), got \({shape[0]},\)"
+        with pytest.raises(ValueError, match=expected):
+            FdhtLstmCell(small_cell().weight, n_x=4, biases=biases)
+        with pytest.raises(ValueError, match=expected):
+            DenseLstmCell(np.zeros((16, 9)), n_x=4, biases=biases)
 
 
 class TestStep:
@@ -107,7 +120,8 @@ class TestStep:
         state = cell.init_state()
         for _ in range(5):
             state, cache = cell.step_cached(rng.normal(size=4), state)
-            f, u, c_in, o, _, tanh_c = cache["gates"]
+            act, _, tanh_c = cache["gates"]
+            f, u, c_in, o = act
             for gate in (f, u, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
             assert np.all(np.abs(c_in) < 1.0) and np.all(np.abs(tanh_c) < 1.0)
@@ -145,6 +159,33 @@ class TestStep:
         out = cell.step(x, LstmState(h, c))
         assert np.max(np.abs(out.c - c_new)) <= 1e-12
         assert np.max(np.abs(out.h - sig(o) * np.tanh(c_new))) <= 1e-12
+
+
+class TestGateStage:
+    @pytest.mark.parametrize("h", [1, 4, 2048])
+    @pytest.mark.parametrize("scale", [30.0, 745.0, 1e4])
+    def test_matches_per_gate_oracle_bitwise(self, h, scale):
+        # every other pre-activation sits at +scale or -scale, deep in a
+        # tail; at h = 1 that puts gate u at +scale and gate o at -scale
+        rng = np.random.default_rng([h, int(scale)])
+        z = rng.normal(scale=3.0, size=4 * h)
+        z[1::2] = scale * np.tile([1.0, -1.0], h)
+        bias = rng.normal(size=(4, h))
+        c_prev, dh, dc = rng.normal(size=(3, h))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            state, gates = _gate_forward(z, bias, c_prev)
+            dz, dc_prev = _gate_backward(gates, dh, dc)
+            want_h, want_c, want_gates = per_gate_forward(
+                z, dict(zip("fuco", bias)), c_prev)
+            want_dz, want_dc_prev = per_gate_backward(want_gates, dh, dc)
+        assert np.array_equal(state.h, want_h)
+        assert np.array_equal(state.c, want_c)
+        assert np.array_equal(dz.reshape(-1), want_dz)
+        assert np.array_equal(dc_prev, want_dc_prev)
+
+    def test_sigmoid_saturates_exactly(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert sigmoid(np.array([1e4, -1e4])).tolist() == [1.0, 0.0]
 
 
 class TestPaddingNeutrality:

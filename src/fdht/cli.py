@@ -11,6 +11,7 @@ machine-parsable lines on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -39,7 +40,7 @@ def cmd_params(cfg: RunConfig) -> int:
     """Print the HT and dense LSTM parameter counts and the compression ratio."""
     m = cfg.model
     ht = param_count_config(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4)
-    dense_weights, dense_total = dense_lstm_params(m.n_x, int(np.prod(m.m_shape)))
+    dense_weights, dense_total = dense_lstm_params(m.n_x, math.prod(m.m_shape))
     ratio = compression_ratio(dense_weights, ht)
     print(f"model: n_x={m.n_x} n_shape={','.join(map(str, m.n_shape))} "
           f"m_shape={','.join(map(str, m.m_shape))} "
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1
-    except (OracleSizeError, TrainingError) as exc:
+    except (OracleSizeError, TrainingError, MemoryError) as exc:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return 2
 

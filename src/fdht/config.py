@@ -9,14 +9,17 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .lstm import MODES
 from .train import SyntheticTask, TrainConfig
 
 
 class ConfigError(ValueError):
     pass
+
+
+# numpy sizes are int64: a product of mode lengths above this wraps in
+# numpy arithmetic and can be no array's size.
+INDEX_MAX = 2**63 - 1
 
 
 @dataclass
@@ -76,7 +79,7 @@ def _parse_value(raw: str, target_type, section: str, key: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; any unknown section or key is an error."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -114,8 +117,11 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("model ranks must be >= 1")
     if m.mode not in MODES:
         raise ConfigError(f"model mode must be one of {MODES}, got {m.mode!r}")
-    hidden = int(np.prod(m.m_shape))
-    total = int(np.prod(m.n_shape))
+    hidden, total = math.prod(m.m_shape), math.prod(m.n_shape)
+    for name, size in (("m_shape", hidden), ("n_shape", total)):
+        if size > INDEX_MAX:
+            raise ConfigError(f"prod({name})={size} exceeds the largest numpy "
+                              f"index {INDEX_MAX}")
     if total < m.n_x + hidden:
         raise ConfigError(
             f"prod(n_shape)={total} too small: needs at least "
@@ -150,7 +156,7 @@ def _format_value(value) -> str:
 
 def emit_config(cfg: RunConfig) -> str:
     """Canonical INI text; parse_config(emit_config(cfg)) == cfg."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section in _SECTIONS:
         target = getattr(cfg, section)
         parser[section] = {

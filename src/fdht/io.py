@@ -167,7 +167,7 @@ def deserialize_checkpoint(data: bytes):
         raise ShapeInconsistencyError(f"unknown cell mode code {mode_code}")
     mode = _MODE_NAMES[mode_code]
     n_x = r.u32()
-    hidden = int(np.prod(weight.m_shape))
+    hidden = math.prod(weight.m_shape)
     if weight.in_size < n_x + hidden:
         raise ShapeInconsistencyError(
             f"checkpoint n_x={n_x} does not fit the weight input size"

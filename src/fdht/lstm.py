@@ -19,6 +19,7 @@ recurrent matrix owned by the cell supplies the hidden-to-hidden terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ class HtGateMap:
             raise ValueError(f"cell weight needs root rank 4, got {weight.root_rank}")
         self.weight = weight
         self.in_size = weight.in_size
-        self.hidden_size = int(np.prod(weight.m_shape))
+        self.hidden_size = math.prod(weight.m_shape)
 
     def params(self) -> dict[str, np.ndarray]:
         return {f"ht.{i}": f for i, f in enumerate(self.weight.factors)}
@@ -294,7 +295,7 @@ def make_cell(n_x, n_shape, m_shape, leaf_rank, internal_rank,
     """Build an FDHT cell: HT weight with root rank 4, zero biases except a
     forget-gate bias of 1, and zero-padding from n_x + hidden up to
     prod(n_shape)."""
-    hidden = int(np.prod(m_shape))
+    hidden = math.prod(m_shape)
     weight = init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, 4, seed)
     recurrent = None
     if mode == "input-only":

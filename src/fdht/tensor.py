@@ -9,6 +9,8 @@ formulas elsewhere use the conventional 1-based numbering.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -22,7 +24,7 @@ def tensorize(v, shape) -> np.ndarray:
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0 or any(s < 1 for s in shape):
         raise ValueError(f"invalid tensor shape {shape}: modes must be >= 1")
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     if v.size != n:
         raise ValueError(
             f"cannot tensorize vector of length {v.size} to shape {shape} "

@@ -108,6 +108,25 @@ class TestConfigParsing:
             parse_config("[model]\nn_x = 100\nn_shape = 4,3\nm_shape = 2,2\n"
                          "\n[task]\nframe_dim = 100\n")
 
+    @pytest.mark.parametrize("key", ["m_shape", "n_shape"])
+    def test_mode_length_product_beyond_int64(self, capsys, tmp_path, key):
+        # 2**32 * 2**32 wraps to 0 in int64 arithmetic
+        path = tmp_path / "wide.ini"
+        path.write_text(f"[model]\n{key} = 4294967296,4294967296\n")
+        code, out, err = run_cli(capsys, "params", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: validation: prod({key})=18446744073709551616 exceeds "
+                       f"the largest numpy index 9223372036854775807\n")
+
+    def test_percent_sign_is_literal(self, capsys, tmp_path):
+        path = tmp_path / "pct.ini"
+        path.write_text("[paths]\ncheckpoint = runs/100%.fdht\n")
+        assert load_config(path).paths.checkpoint == "runs/100%.fdht"
+        code, out, _ = run_cli(capsys, "params", "--config", str(path), "--print-config")
+        assert code == 0 and "checkpoint = runs/100%.fdht\n" in out
+        assert parse_config(out) == load_config(path)
+        assert run_cli(capsys, "params", "--config", str(path))[0] == 0
+
     def test_emit_parse_round_trip(self):
         cfg = parse_config(SMALL_MODEL)
         assert parse_config(emit_config(cfg)) == cfg
@@ -206,6 +225,20 @@ class TestGradcheckVerify:
         assert code == 2
         assert "oracle too large" in err
         assert err.startswith("error: runtime:")
+
+    @pytest.mark.parametrize("command", ["verify", "train", "gradcheck"])
+    def test_unallocatable_model_is_one_runtime_line(self, capsys, tmp_path, command):
+        # a valid config whose leaf factor (8, 4, 10**15) needs 227 PiB, more
+        # than any address space, so numpy refuses it before touching memory
+        path = tmp_path / "huge.ini"
+        path.write_text(f"[model]\nn_shape = 16,{10**15}\n"
+                        f"\n[paths]\ncheckpoint = {tmp_path}/h.fdht\n"
+                        f"metrics = {tmp_path}/h.csv\n")
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: runtime: ") and err.count("\n") == 1, err
+        assert "(8, 4, 1000000000000000)" in err
+        assert not (tmp_path / "h.fdht").exists()
 
 
 class TestTrainEval:

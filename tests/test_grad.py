@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fdht.grad
 from fdht.grad import HTGradients, finite_diff_check, htl_backward
 from fdht.ht import build_plan, htl_forward, init_ht_weight, reconstruct_dense
-from oracles import max_rel_error, random_small_weight
+from oracles import directional_derivative_error, max_rel_error, random_small_weight
 
 
 def quad_loss(y):
@@ -57,6 +57,20 @@ def test_random_configs_match_finite_differences():
         x = rng.normal(size=w.in_size)
         err = finite_diff_check(w, x, quad_loss, step=1e-5, loss_grad=lambda y: y)
         assert err <= 1e-4
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_deep_tree_gradients_along_random_directions(d):
+    # from d = 5 on, the plan's frame build nests transfer tensors
+    rng = np.random.default_rng(40 + d)
+    m = tuple(int(v) for v in rng.integers(1, 4, size=d))
+    n = tuple(int(v) for v in rng.integers(2, 4, size=d))
+    w = init_ht_weight(m, n, 2, 3, 3, seed=d)
+    x = rng.normal(size=w.in_size)
+    grads = htl_backward(w, x, htl_forward(w, x))
+    for arr, grad in zip([*w.factors, x], [*grads.factors, grads.input]):
+        assert directional_derivative_error(
+            lambda: quad_loss(htl_forward(w, x)), arr, grad, rng) <= 1e-4
 
 
 def test_zero_weight_zero_input_reports_zero():

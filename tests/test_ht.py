@@ -1,13 +1,16 @@
 """HT weight structure, parameter accounting, dense oracle, fast kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdht.grad import htl_backward
 from fdht.ht import (HTWeight, OracleSizeError, RootFrames, build_dim_tree,
-                     htl_forward, init_ht_weight, param_count_config,
-                     reconstruct_dense)
+                     build_plan, htl_forward, init_ht_weight, param_count_config,
+                     reconstruct_dense, run_plan)
 from oracles import (adjoint_error, directional_derivative_error, nested_sum_dense,
                      random_small_weight)
 
@@ -167,6 +170,19 @@ class TestForward:
             worst = max(worst, err)
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_deep_trees_match_dense_oracle(self, d):
+        # from d = 5 on, a child of the root has an internal child, so the
+        # plan's frame build nests transfer tensors
+        rng = np.random.default_rng(d)
+        for _ in range(4):
+            m = tuple(int(v) for v in rng.integers(1, 4, size=d))
+            n = tuple(int(v) for v in rng.integers(1, 4, size=d))
+            w = init_ht_weight(m, n, *(int(r) for r in rng.integers(1, 4, size=3)),
+                               seed=int(rng.integers(2**31)))
+            x = rng.normal(size=w.in_size)
+            assert np.max(np.abs(htl_forward(w, x) - reconstruct_dense(w) @ x)) <= 1e-10
+
     def test_linearity(self):
         rng = np.random.default_rng(8)
         w = random_small_weight(rng)
@@ -244,3 +260,43 @@ class TestRootFrames:
             wv = reconstruct_dense(HTWeight(w.tree, w.m_shape, w.n_shape, factors))
             want = sum(u @ wv @ x for x, u in zip(xs, us))
             assert abs(np.vdot(both[i], direction) - want) <= 1e-12 * abs(want)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
+    def test_backward_at_reference_geometry(self, name):
+        # the tape backward over the plan, checked without a dense matrix
+        m, n, leaf, internal = REFERENCE_GEOMETRIES[name]
+        w = init_ht_weight(m, n, leaf, internal, 4, seed=14)
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=w.in_size)
+        u = rng.normal(size=w.out_size)
+        assert adjoint_error(lambda v: htl_forward(w, v),
+                             lambda dy: htl_backward(w, x, dy).input, x, u) <= 1e-12
+
+        # gradients of 0.5 |W x|^2, one direction per factor and for x
+        grads = htl_backward(w, x, htl_forward(w, x))
+
+        def loss():
+            return 0.5 * float(np.sum(htl_forward(w, x) ** 2))
+
+        for arr, grad in zip([*w.factors, x], [*grads.factors, grads.input]):
+            assert directional_derivative_error(loss, arr, grad, rng) <= 1e-4
+
+    def test_flops_at_ucf11_direct(self):
+        m, n, leaf, internal = REFERENCE_GEOMETRIES["ucf11-direct"]
+        w = init_ht_weight(m, n, leaf, internal, 4, seed=0)
+        steps, _ = build_plan(w)
+        tape = run_plan(w, np.zeros(n))
+        # a multiply and an add per summed term of each output entry
+        flops = [2 * tape[("t", k)].size * math.prod(tape[s.a].shape[ax] for ax in s.a_axes)
+                 for k, s in enumerate(steps)]
+        assert len(steps) == 2 * len(m) - 1
+        # only the last two steps read the input, directly or through T
+        assert [k for k, s in enumerate(steps) if ("x",) in (s.a, s.b)] == [5]
+        assert steps[6].b == ("t", 5)
+        r_l, m_l, m_r, n_r = internal, 4 * 4, 4 * 4, 16 * 15
+        assert sum(flops[5:]) == (2 * r_l * m_l * math.prod(n)
+                                  + 2 * m_l * r_l * n_r * 4 * m_r) == 29_491_200
+        # carrying x from the leaves to the root costs 49,047,168
+        assert sum(flops) == 37_164_672 < 49_047_168

@@ -9,11 +9,14 @@ weight backs a recurrent cell.
 
 Both fast kernels contract the input with the frames of the root's two
 children, never materializing the dense matrix. The matrix-vector kernel
-(:func:`htl_forward`) runs a schedule of pairwise contractions that
-builds those frames from the factors on every call and then spends two
-steps on the input. :class:`RootFrames` serves training, where one
-minibatch multiplies by the same factors many times: it builds the frames
-once as two matrices, so each product is two GEMMs.
+(:func:`htl_forward`) runs a schedule of pairwise contractions whose
+weight-only steps build those frames from the factors and whose last two
+steps read the input. The weight keeps the weight-only values between
+calls, with a snapshot of the factors they came from; every call checks
+the live factors against it bitwise and rebuilds them on any difference.
+:class:`RootFrames` serves training, where one minibatch multiplies by
+the same factors many times: it builds the frames once as two matrices,
+so each product is two GEMMs.
 :func:`reconstruct_dense` assembles the dense matrix explicitly and
 serves as the testing oracle.
 """
@@ -21,7 +24,7 @@ serves as the testing oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -104,6 +107,8 @@ class HTWeight:
     m_shape: tuple[int, ...]
     n_shape: tuple[int, ...]
     factors: list[np.ndarray]
+    # (factor snapshot, weight-only tape values), kept by run_plan
+    _weight_steps: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.m_shape = tuple(int(m) for m in self.m_shape)
@@ -260,11 +265,11 @@ class RootFrames:
     def __init__(self, w: HTWeight, sink):
         root = w.tree.root
         self.w, self.sink = w, sink
-        self.fl, self.fr = _node_frame(w, root.left), _node_frame(w, root.right)
-        rl, ml, nl = self.fl.shape
+        fl, self.fr = _node_frame(w, root.left), _node_frame(w, root.right)
+        rl, ml, nl = fl.shape
         _, mr, nr = self.fr.shape
         self.shape = (root.rank, rl, ml, mr, nl, nr)
-        self.u = self.fl.transpose(1, 0, 2).reshape(ml * rl, nl)
+        self.u = fl.transpose(1, 0, 2).reshape(ml * rl, nl)
         v = np.tensordot(w.factors[0], self.fr, axes=(2, 0))  # (g, a, iR, jR)
         self.v = v.transpose(1, 3, 0, 2).reshape(rl * nr, root.rank * mr)
         self.du = np.zeros_like(self.u)
@@ -308,13 +313,13 @@ class RootFrames:
 #   ("f", i)     factor of node i
 #   ("t", k)     output of step k
 # Each step contracts slot a with slot b over the given axis lists, and
-# every slot feeds exactly one step. The steps before the last two read
-# only factors: they build the frames of the root's children, FL and FR,
-# and V = root x FR. The last two read the input: T = FL x, then
-# Y = V T, whose axes are the gate (root rank) axis and m_1..m_d in some
-# order; out_perm puts them in (gate, m_1..m_d) order. The tape returned
-# by run_plan maps every slot to its value, so forward and backward both
-# read an operand as values[slot].
+# every slot feeds exactly one step. A step is weight-only when neither
+# operand depends on ("x",); here those build the frames of the root's
+# children, FL and FR, and V = root x FR. The per-input steps are
+# T = FL x, then Y = V T, whose axes are the gate (root rank) axis and
+# m_1..m_d in some order; out_perm puts them in (gate, m_1..m_d) order.
+# The tape returned by run_plan maps every slot to its value, so forward
+# and backward both read an operand as values[slot].
 
 
 @dataclass(frozen=True)
@@ -336,11 +341,11 @@ def build_plan(w: HTWeight):
     ``T = FL x`` over the left n-modes (x's leading axes) and ``Y = V T``
     over (r_L, right n-modes). Axes are tracked by label. Contracting an
     internal frame's rank axis, x's leading axes or, when FL is internal,
-    T's trailing (r_L, n_R) axes reads that operand in place; ``Y``
-    copies V, whose gate and r_L axes sit side by side. At every reference
-    geometry this takes fewer FLOPs than carrying x from the leaves to the
-    root (37.2 against 49.0 MFLOPs at ucf11-direct, 29.5 of them per
-    input).
+    T's trailing (r_L, n_R) axes reads that operand in place. The
+    weight-only steps (7.7 of the 37.2 MFLOPs at ucf11-direct, against
+    49.0 for carrying x from the leaves to the root) run only when the
+    factors change: :func:`run_plan` keeps their values, with FL and V
+    stored in the order ``T`` and ``Y`` read them.
     """
     tree, root = w.tree, w.tree.root
     steps: list[PlanStep] = []
@@ -375,14 +380,70 @@ def build_plan(w: HTWeight):
 
 def run_plan(w: HTWeight, x_tensor: np.ndarray) -> dict:
     """Execute the schedule; returns the slot dict of the input, every
-    factor and every intermediate (the tape reused by the backward pass)."""
+    factor and every intermediate (the tape reused by the backward pass).
+
+    The values of the weight-only steps come from :func:`_weight_steps`
+    and are read-only; only the per-input steps run on every call.
+    """
     steps, _ = w.plan
     values = {("f", i): f for i, f in enumerate(w.factors)}
     values[("x",)] = x_tensor
+    kept = _weight_steps(w)
+    values.update(kept)
     for k, s in enumerate(steps):
-        values[("t", k)] = np.tensordot(values[s.a], values[s.b],
-                                        axes=(list(s.a_axes), list(s.b_axes)))
+        if ("t", k) not in kept:
+            values[("t", k)] = np.tensordot(values[s.a], values[s.b],
+                                            axes=(list(s.a_axes), list(s.b_axes)))
     return values
+
+
+def _weight_steps(w: HTWeight) -> dict:
+    """Tape values of the plan's weight-only steps, kept on ``w`` with a
+    private snapshot of the factors they came from. They are reused while
+    every live factor has the snapshot's dtype, shape and bytes, and
+    recomputed from a fresh snapshot on any difference. Each value that a
+    per-input step reads is stored in the order ``np.tensordot`` reads
+    it, so that step runs one GEMM with no operand copy."""
+    kept = w._weight_steps
+    if (kept is not None and len(kept[0]) == len(w.factors)
+            and all(map(_same_bits, w.factors, kept[0]))):
+        return kept[1]
+    steps, _ = w.plan
+    snapshot = [np.array(f) for f in w.factors]
+    values = {("f", i): f for i, f in enumerate(snapshot)}
+    per_input = {("x",)}
+    for k, s in enumerate(steps):
+        if s.a in per_input or s.b in per_input:
+            per_input.add(("t", k))
+            for slot, summed, left in ((s.a, s.a_axes, True), (s.b, s.b_axes, False)):
+                if slot[0] == "t" and slot not in per_input:
+                    values[slot] = _read_order(values[slot], summed, left)
+        else:
+            values[("t", k)] = np.tensordot(values[s.a], values[s.b],
+                                            axes=(list(s.a_axes), list(s.b_axes)))
+    kept = {slot: v for slot, v in values.items() if slot[0] == "t"}
+    for v in kept.values():
+        v.flags.writeable = False
+    w._weight_steps = (snapshot, kept)
+    return kept
+
+
+def _read_order(a, summed, left):
+    """A copy of ``a`` stored with its free axes then its ``summed`` axes
+    (``left``) or summed then free, returned as a view with a's shape."""
+    free = [ax for ax in range(a.ndim) if ax not in summed]
+    order = free + list(summed) if left else list(summed) + free
+    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+
+
+def _same_bits(a, b) -> bool:
+    """Same dtype, shape and bytes, compared in place: 0.0 differs from
+    -0.0 and a NaN matches only its own bits. Item sizes with no unsigned
+    integer view never match."""
+    if a.dtype != b.dtype or a.shape != b.shape or a.itemsize not in (1, 2, 4, 8):
+        return False
+    bits = np.dtype(f"u{a.itemsize}")
+    return bool((a.view(bits) == b.view(bits)).all())
 
 
 def output_from_tape(w: HTWeight, values: dict) -> np.ndarray:

@@ -211,10 +211,10 @@ class FdhtLstmCell:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n_x:
             raise ValueError(f"input has length {x.size}, expected {self.n_x}")
-        packed = np.zeros(self.gate_map.in_size)
+        packed = np.empty(self.gate_map.in_size)
         packed[: self.n_x] = x
-        if self.recurrent is None:
-            packed[self.n_x + self.pad_len:] = state.h
+        packed[self.n_x: self.n_x + self.pad_len] = 0.0
+        packed[self.n_x + self.pad_len:] = state.h if self.recurrent is None else 0.0
         z, saved = frames.forward(packed)
         if self.recurrent is not None:
             z = z + self.recurrent @ state.h

@@ -79,9 +79,11 @@ def contract_vjp(g, a, b, a_modes, b_modes):
     Given the cotangent ``g`` of ``c = contract(a, b, a_modes, b_modes)``,
     returns ``(ga, gb)`` with the shapes of ``a`` and ``b``. Used by the
     reverse pass to differentiate any contraction schedule step by step.
+    ``a`` and ``b`` are read in C order (copied when stored otherwise), so
+    the result does not depend on how they are laid out in memory.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     a_modes = [int(x) for x in a_modes]
     b_modes = [int(x) for x in b_modes]

@@ -3,6 +3,8 @@
 The oracles are deliberately written as plain nested loops over index
 tuples, with no use of the package's contraction engine, so that the fast
 paths and these oracles can only agree by computing the same math. The
+exception is ``uncached_plan_tape``, which replays the package's own plan
+step by step to check what its executor keeps between calls. The
 randomized checks at the end need only a few evaluations of the code they
 check, so they also run at geometries too large for a dense matrix.
 """
@@ -37,6 +39,20 @@ def loop_contract(a, b, a_modes, b_modes):
     if not out_shape:
         return out[0]
     return out
+
+
+def uncached_plan_tape(w, x_tensor):
+    """The tape of ``fdht.ht.run_plan`` computed step by step with plain
+    ``np.tensordot`` on the live factors, keeping nothing between calls."""
+    from fdht.ht import build_plan
+
+    steps, _ = build_plan(w)
+    values = {("f", i): f for i, f in enumerate(w.factors)}
+    values[("x",)] = x_tensor
+    for k, s in enumerate(steps):
+        values[("t", k)] = np.tensordot(values[s.a], values[s.b],
+                                        axes=(list(s.a_axes), list(s.b_axes)))
+    return values
 
 
 def nested_sum_dense(w):

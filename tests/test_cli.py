@@ -1,10 +1,14 @@
 """CLI commands end to end: outputs, exit codes, config round-trips."""
 
+import configparser
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdht import cli
 from fdht.cli import _COMMANDS, main
@@ -131,6 +135,51 @@ class TestConfigParsing:
         cfg = parse_config(SMALL_MODEL)
         assert parse_config(emit_config(cfg)) == cfg
         assert parse_config(emit_config(RunConfig())) == RunConfig()
+
+
+SECTIONS = [f.name for f in fields(RunConfig)]
+KEYS = [f.name for s in SECTIONS for f in fields(getattr(RunConfig(), s))]
+DEFAULTS = configparser.ConfigParser(interpolation=None)
+DEFAULTS.read_string(emit_config(RunConfig()))
+VALUES = ["8", "0", "-1", "1_0", "0.5", "1e-3", "nan", "inf", "", "4,4", "16,17",
+          "4294967296,4294967296", "input-only", "runs/100%.fdht", "9" * 5000,
+          "a\n  b", "1\n\n  2", "[model]"]
+
+
+@st.composite
+def ini_texts(draw):
+    """INI-shaped text: known and unknown sections holding known keys,
+    often at their defaults, and now and then an unknown key, a foreign
+    value or a line without a delimiter, so that a share of texts parse."""
+    names = st.sampled_from(SECTIONS + ["DEFAULT", "Model", "optimizer"]) | st.text(max_size=8)
+    lines = []
+    for section in draw(st.lists(names, max_size=4, unique=True)):
+        own = dict(DEFAULTS[section]) if section in SECTIONS else {}
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(sorted(own) or KEYS), max_size=4,
+                                 unique=True)):
+            if key in own and draw(st.integers(0, 2)):
+                value = own[key]
+            else:
+                value = draw(st.sampled_from(VALUES) | st.text(max_size=12))
+            lines.append(f"{key}{draw(st.sampled_from([' = ', '=', ': ']))}{value}")
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(KEYS) | st.text(max_size=8))
+                         + draw(st.sampled_from([" = ", " ", "\n"]))
+                         + draw(st.sampled_from(VALUES) | st.text(max_size=12)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | ini_texts())
+def test_random_ini_raises_only_config_errors(text):
+    # any text either parses to a config that emit_config round-trips or
+    # raises ConfigError; never a bare configparser, int() or float() error
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert parse_config(emit_config(cfg)) == cfg
 
 
 class TestPrintConfig:

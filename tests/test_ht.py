@@ -1,18 +1,20 @@
 """HT weight structure, parameter accounting, dense oracle, fast kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdht.grad import htl_backward
+from fdht.grad import backward_from_tape, htl_backward
 from fdht.ht import (HTWeight, OracleSizeError, RootFrames, build_dim_tree,
                      build_plan, htl_forward, init_ht_weight, param_count_config,
                      reconstruct_dense, run_plan)
+from fdht.train import AdamState, TrainConfig, adam_step
 from oracles import (adjoint_error, directional_derivative_error, nested_sum_dense,
-                     random_small_weight)
+                     random_small_weight, uncached_plan_tape)
 
 REFERENCE_GEOMETRIES = {
     # name: (m_shape, n_shape, leaf_rank, internal_rank), as in configs/
@@ -20,6 +22,11 @@ REFERENCE_GEOMETRIES = {
     "youtube-direct": ((4, 4, 4, 4), (16, 16, 16, 15), 14, 11),
     "ucf11-cnn": ((4, 8, 8, 8), (8, 8, 8, 8), 9, 6),
     "hmdb51-cnn": ((4, 8, 8, 8), (8, 8, 8, 8), 14, 12),
+}
+# trees whose root children nest transfer tensors (d = 5 and 6)
+DEEP_GEOMETRIES = {
+    "d5": ((2, 3, 2, 2, 3), (3, 2, 3, 2, 2), 2, 3),
+    "d6": ((2, 2, 3, 2, 2, 2), (2, 3, 2, 2, 3, 2), 3, 2),
 }
 
 
@@ -300,3 +307,103 @@ class TestPlan:
                                   + 2 * m_l * r_l * n_r * 4 * m_r) == 29_491_200
         # carrying x from the leaves to the root costs 49,047,168
         assert sum(flops) == 37_164_672 < 49_047_168
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def weight_only_slots(w):
+    """Slots of the plan steps whose operands never reach the input."""
+    per_input, slots = {("x",)}, []
+    for k, s in enumerate(build_plan(w)[0]):
+        if s.a in per_input or s.b in per_input:
+            per_input.add(("t", k))
+        else:
+            slots.append(("t", k))
+    return slots
+
+
+class TestPlanCache:
+    # run_plan keeps the weight-only step values between calls; every tape
+    # must still equal the uncached step-by-step tape bit for bit.
+    @pytest.mark.parametrize("name", [*REFERENCE_GEOMETRIES, *DEEP_GEOMETRIES])
+    def test_tape_and_gradients_equal_uncached_oracle(self, name):
+        m, n, leaf, internal = {**REFERENCE_GEOMETRIES, **DEEP_GEOMETRIES}[name]
+        w = init_ht_weight(m, n, leaf, internal, 4, seed=16)
+        rng = np.random.default_rng(17)
+        for _ in range(2):  # the miss that fills the cache, then a hit
+            x = rng.normal(size=w.n_shape)
+            tape, want = run_plan(w, x), uncached_plan_tape(w, x)
+            assert tape.keys() == want.keys()
+            assert all(same_bits(tape[slot], want[slot]) for slot in want)
+            dy = rng.normal(size=w.out_size)
+            got, ref = htl_backward(w, x, dy), backward_from_tape(w, want, dy)
+            assert all(map(same_bits, [*got.factors, got.input], [*ref.factors, ref.input]))
+
+    @pytest.mark.parametrize("edit", ["adam", "perturb", "replace", "signed-zero"])
+    def test_factor_edits_invalidate(self, edit):
+        w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=18)
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=w.n_shape)
+        if edit == "signed-zero":
+            w.factors[0][0, 0, 0] = 0.0
+        before = run_plan(w, x)
+        if edit == "adam":
+            params = {str(i): f for i, f in enumerate(w.factors)}
+            grads = {k: rng.normal(size=f.shape) for k, f in params.items()}
+            adam_step(params, grads, AdamState(), TrainConfig())
+        elif edit == "perturb":  # one entry in place, as finite_diff_check does
+            w.factors[1].reshape(-1)[3] += 1e-5
+        elif edit == "replace":
+            w.factors[2] = rng.normal(size=w.factors[2].shape)
+        else:
+            w.factors[0][0, 0, 0] = -0.0
+        after, want = run_plan(w, x), uncached_plan_tape(w, x)
+        assert all(same_bits(after[slot], want[slot]) for slot in want)
+        assert all(after[slot] is not before[slot] for slot in weight_only_slots(w))
+
+    def test_unchanged_factors_keep_the_values(self):
+        w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=20)
+        w.factors[0][0, 0, 0] = np.nan  # compared by bits, so a NaN still matches
+        x = np.ones(w.n_shape)
+        first = run_plan(w, x)
+        w.factors[1] = w.factors[1].copy()  # a new array with the same bytes
+        second = run_plan(w, x)
+        assert all(second[slot] is first[slot] for slot in weight_only_slots(w))
+
+    def test_kept_values_are_read_only(self):
+        w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=21)
+        tape = run_plan(w, np.ones(w.n_shape))
+        for slot in weight_only_slots(w):
+            with pytest.raises(ValueError, match="read-only"):
+                tape[slot][...] = 0.0
+
+    def test_hit_at_ucf11_direct_copies_no_operand(self):
+        m, n, leaf, internal = REFERENCE_GEOMETRIES["ucf11-direct"]
+        w = init_ht_weight(m, n, leaf, internal, 4, seed=22)
+        x = np.random.default_rng(23).normal(size=n)
+        steps, _ = build_plan(w)
+        kept = weight_only_slots(w)
+        assert kept == [("t", k) for k in range(2 * len(m) - 3)]
+        first = run_plan(w, x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            second = run_plan(w, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(second[slot] is first[slot] for slot in kept)
+        # The hit allocates T and Y. The cached operands that T and Y read
+        # are FL (393,216 B) and V (1,474,560 B); a slack of a quarter of
+        # the smaller lets any copy of either fail the bound.
+        outputs = sum(second[("t", k)].nbytes for k in range(len(steps))
+                      if ("t", k) not in kept)
+        read = [first[s] for k in range(len(steps)) if ("t", k) not in kept
+                for s in (steps[k].a, steps[k].b) if s in kept]
+        slack = min(a.nbytes for a in read) // 4
+        assert sorted(a.nbytes for a in read) == [393_216, 1_474_560]
+        assert peak <= outputs + slack

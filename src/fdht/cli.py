@@ -3,9 +3,10 @@
 Subcommands: params, compare, gradcheck, verify, train, eval. Each takes
 ``--config <path>`` (INI file; defaults apply when omitted), ``--seed``
 (rebases all seeds) and ``--print-config`` (echo the effective config and
-exit). Exit codes: 0 success, 1 validation failure (bad config or a
-check exceeding its tolerance), 2 runtime error. Errors are single
-machine-parsable lines on stderr.
+exit). Exit codes: 0 success, 1 validation failure (bad config, an
+unreadable path, a corrupt checkpoint or a check exceeding its
+tolerance), 2 runtime error or, from argparse with its usage text, a
+usage error. Other errors are single machine-parsable lines on stderr.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
             sys.stdout.write(emit_config(cfg))
             return 0
         return _COMMANDS[args.command](cfg)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1
     except (OracleSizeError, TrainingError, MemoryError) as exc:

@@ -78,8 +78,9 @@ def _parse_value(raw: str, target_type, section: str, key: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate; any unknown section or key is an error."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Parse and validate; any unknown section or key is an error, and
+    so is ``[DEFAULT]``: no header can name the default section ""."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -4,8 +4,11 @@ Layout: magic ``FDHT``, format version (u16 LE), then d, g, m_shape,
 n_shape, node count and per-node ranks in preorder (all u32 LE), then
 one factor payload per node in the same preorder as little-endian float64
 with the last index varying fastest. A ``CELL`` section (mode, input
-size, gate biases, dense recurrent matrix for input-only cells) and a
-``HEAD`` section (classifier weights) follow. Saving to a file also
+size, the (4, hidden) gate biases, dense recurrent matrix for input-only
+cells) and a ``HEAD`` section (classifier weights) follow. The cell's
+rules (root rank 4, n_x + hidden within the input size) are
+``FdhtLstmCell``'s; the reader re-raises its ``ValueError`` as
+``ShapeInconsistencyError``. Saving to a file also
 writes a ``.json`` sidecar duplicating shapes and ranks for inspection;
 the sidecar reports dimension sets 1-based, matching the written-out math.
 """
@@ -143,7 +146,7 @@ def _read_weight(r: _Reader) -> HTWeight:
 def serialize_checkpoint(cell: FdhtLstmCell, head: Head) -> bytes:
     parts = [serialize(cell.weight), _CELL_TAG,
              struct.pack("<B", _MODE_CODES[cell.mode]), _u32(cell.n_x)]
-    parts.append(_f64s(cell.bias))  # f, u, c, o rows
+    parts.append(_f64s(cell.biases))
     if cell.mode == "input-only":
         parts.append(_f64s(cell.recurrent))
     parts.append(_HEAD_TAG)
@@ -156,10 +159,6 @@ def serialize_checkpoint(cell: FdhtLstmCell, head: Head) -> bytes:
 def deserialize_checkpoint(data: bytes):
     r = _Reader(data)
     weight = _read_weight(r)
-    if weight.root_rank != len(GATE_ORDER):
-        raise ShapeInconsistencyError(
-            f"cell weight needs root rank {len(GATE_ORDER)}, got {weight.root_rank}"
-        )
     if r.take(4) != _CELL_TAG:
         raise FormatError("missing CELL section in checkpoint")
     mode_code = struct.unpack("<B", r.take(1))[0]
@@ -168,15 +167,14 @@ def deserialize_checkpoint(data: bytes):
     mode = _MODE_NAMES[mode_code]
     n_x = r.u32()
     hidden = math.prod(weight.m_shape)
-    if weight.in_size < n_x + hidden:
-        raise ShapeInconsistencyError(
-            f"checkpoint n_x={n_x} does not fit the weight input size"
-        )
-    biases = {g: r.f64s((hidden,)) for g in GATE_ORDER}
+    biases = r.f64s((len(GATE_ORDER), hidden))
     recurrent = None
     if mode == "input-only":
         recurrent = r.f64s((4 * hidden, hidden))
-    cell = FdhtLstmCell(weight, n_x, mode, biases=biases, recurrent=recurrent)
+    try:
+        cell = FdhtLstmCell(weight, n_x, mode, biases=biases, recurrent=recurrent)
+    except ValueError as exc:
+        raise ShapeInconsistencyError(str(exc)) from None
     if r.take(4) != _HEAD_TAG:
         raise FormatError("missing HEAD section in checkpoint")
     classes = r.u32()

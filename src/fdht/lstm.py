@@ -15,6 +15,8 @@ differs between the paper's cell and its baseline:
 
 In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
 recurrent matrix owned by the cell supplies the hidden-to-hidden terms.
+The cell's bias is one (4, H) array ``biases``, rows f, u, c, o, held as
+one block named ``biases`` in ``params()`` and in every gradient dict.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .tensor import vectorize
 
 MODES = ("full", "input-only")
 GATE_ORDER = ("f", "u", "c", "o")
-BIAS_NAMES = tuple(f"b_{g}" for g in GATE_ORDER)
 
 
 @dataclass(eq=False)
@@ -165,16 +166,12 @@ class FdhtLstmCell:
                 f"needs at least n_x + hidden = {self.n_x + h}"
             )
         if biases is None:
-            self.bias = np.zeros((len(GATE_ORDER), h))
-            self.bias[0] = 1.0  # forget gate
-        else:
-            for g in GATE_ORDER:
-                if np.shape(biases[g]) != (h,):
-                    raise ValueError(f"bias {g!r} must have shape ({h},), "
-                                     f"got {np.shape(biases[g])}")
-            self.bias = np.array([biases[g] for g in GATE_ORDER], dtype=np.float64)
-        # one stacked (4, H) bias; the per-gate entries are its row views
-        self.biases = dict(zip(GATE_ORDER, self.bias))
+            biases = np.zeros((len(GATE_ORDER), h))
+            biases[0] = 1.0  # forget gate
+        self.biases = np.array(biases, dtype=np.float64)
+        if self.biases.shape != (len(GATE_ORDER), h):
+            raise ValueError(f"biases must have shape {(len(GATE_ORDER), h)}, "
+                             f"got {self.biases.shape}")
         if mode == "input-only":
             if recurrent is None:
                 raise ValueError("input-only mode needs a recurrent matrix")
@@ -191,7 +188,7 @@ class FdhtLstmCell:
 
     def params(self) -> dict[str, np.ndarray]:
         p = self.gate_map.params()
-        p.update(zip(BIAS_NAMES, self.bias))
+        p["biases"] = self.biases
         if self.recurrent is not None:
             p["recurrent"] = self.recurrent
         return p
@@ -218,7 +215,7 @@ class FdhtLstmCell:
         z, saved = frames.forward(packed)
         if self.recurrent is not None:
             z = z + self.recurrent @ state.h
-        new_state, gates = _gate_forward(z, self.bias, state.c)
+        new_state, gates = _gate_forward(z, self.biases, state.c)
         return new_state, {"map": saved, "gates": gates, "h_prev": state.h}
 
     def step_backward(self, frames, cache, dh, dc, grads):
@@ -226,8 +223,7 @@ class FdhtLstmCell:
         step: biases and recurrent matrix into ``grads``, the gate map into
         ``frames``. Returns (dh_prev, dc_prev, dx)."""
         dz, dc_prev = _gate_backward(cache["gates"], dh, dc)
-        bias_grad = grads[BIAS_NAMES[0]].base  # see zero_grads
-        bias_grad += dz
+        grads["biases"] += dz
         dz = dz.reshape(-1)
         d_packed = frames.backward(cache["map"], dz)
         dx = d_packed[: self.n_x]
@@ -316,11 +312,8 @@ def forward_sequence(cell, head: Head, xs) -> np.ndarray:
 
 
 def zero_grads(cell, head: Head) -> dict[str, np.ndarray]:
-    """Zero gradients named as ``cell.params()`` plus the head. The four
-    bias gradients are the rows of one (4, H) array, which
-    ``step_backward`` reaches through the row views' ``base``."""
+    """Zero gradients named as ``cell.params()`` plus the head."""
     grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
-    grads.update(zip(BIAS_NAMES, np.zeros_like(cell.bias)))
     grads["head.w"] = np.zeros_like(head.w)
     grads["head.b"] = np.zeros_like(head.b)
     return grads

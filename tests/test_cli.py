@@ -99,13 +99,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
 
-    def test_range_rule_exits_with_validation_line(self, capsys, tmp_path):
-        path = tmp_path / "bad.ini"
-        path.write_text("[train]\ndropout_rate = 1.0\n")
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nbogus = 5\n",
+        "[DEFAULT]\nseed = 5\n[model]\n[task]\n",
+        "[DEFAULT]\nseed = 5\n[model]\n[task]\n[paths]\n",
+    ], ids=["unknown-key", "spread-seed", "with-paths"])
+    def test_default_section_rejected(self, capsys, tmp_path, text):
+        # configparser would spread [DEFAULT] keys into every other section
+        with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+            parse_config(text)
+        path = tmp_path / "default.ini"
+        path.write_text(text)
         code, out, err = run_cli(capsys, "params", "--config", str(path))
-        assert code == 1
-        assert out == ""
-        assert err == "error: validation: train dropout_rate must be in [0, 1)\n"
+        assert (code, out) == (1, "")
+        assert err == "error: validation: unknown config section [DEFAULT]\n"
 
     def test_precondition_checked_up_front(self):
         with pytest.raises(ConfigError, match="too small"):
@@ -215,12 +222,6 @@ class TestParams:
             f"compression_ratio = {ratio}",
         ]
 
-    def test_missing_config_file(self, capsys):
-        code, _, err = run_cli(capsys, "params", "--config", "/nonexistent.ini")
-        assert code == 1
-        assert err.startswith("error: validation:")
-        assert "\n" not in err.strip()
-
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
 def test_shipped_config_smoke(capsys, path):
@@ -229,6 +230,77 @@ def test_shipped_config_smoke(capsys, path):
     assert code == 0
     assert parse_config(out) == cfg
     assert run_cli(capsys, "params", "--config", str(path))[0] == 0
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "case.ini"
+    path.write_text(text)
+    return str(path)
+
+
+def huge_config(tmp_path):
+    """A valid config whose leaf factor (8, 4, 10**15) needs 227 PiB."""
+    return write_config(tmp_path, f"[model]\nn_shape = 16,{10**15}\n"
+                                  f"\n[paths]\ncheckpoint = {tmp_path}/h.fdht\n"
+                                  f"metrics = {tmp_path}/h.csv\n")
+
+
+def small_run(tmp_path, checkpoint, metrics, epochs=3):
+    """SMALL_MODEL with its [paths] and epoch count set."""
+    return write_config(tmp_path, SMALL_MODEL.replace("epochs = 3", f"epochs = {epochs}")
+                        + f"\n[paths]\ncheckpoint = {checkpoint}\nmetrics = {metrics}\n")
+
+
+def corrupt_checkpoint(tmp_path):
+    (tmp_path / "bad.fdht").write_bytes(b"XYZW" + bytes(60))
+    return small_run(tmp_path, tmp_path / "bad.fdht", tmp_path / "m.csv")
+
+
+VALIDATION = "error: validation: "
+# README "CLI": one row per documented outcome, with argv built in tmp_path
+# and a full match for stderr (".*" stops at the first newline)
+EXIT_CASES = {
+    "success": (lambda t: ["params"], 0, ""),
+    "bad-ini-value": (
+        lambda t: ["params", "--config", write_config(t, "[train]\ndropout_rate = 1.0\n")],
+        1, re.escape(VALIDATION + "train dropout_rate must be in [0, 1)\n")),
+    "missing-config": (
+        lambda t: ["params", "--config", "/nonexistent.ini"], 1,
+        re.escape(VALIDATION + "[Errno 2] No such file or directory: '/nonexistent.ini'\n")),
+    "missing-checkpoint": (
+        lambda t: ["eval", "--config", small_run(t, t / "absent.fdht", t / "m.csv")],
+        1, re.escape(VALIDATION + "[Errno 2] No such file or directory: ") + ".*\n"),
+    "config-directory": (
+        lambda t: ["params", "--config", str(t)],
+        1, re.escape(VALIDATION + "[Errno 21] Is a directory: ") + ".*\n"),
+    "checkpoint-directory": (
+        lambda t: ["eval", "--config", small_run(t, t, t / "m.csv")],
+        1, re.escape(VALIDATION + "[Errno 21] Is a directory: ") + ".*\n"),
+    "metrics-directory": (
+        lambda t: ["train", "--config", small_run(t, t / "c.fdht", t, epochs=0)],
+        1, re.escape(VALIDATION + "[Errno 21] Is a directory: ") + ".*\n"),
+    "corrupt-checkpoint": (
+        lambda t: ["eval", "--config", corrupt_checkpoint(t)],
+        1, re.escape(VALIDATION + "not an FDHT container (bad magic bytes)\n")),
+    "runtime": (lambda t: ["verify", "--config", huge_config(t)], 2, "error: runtime: .*\n"),
+    "unknown-option": (lambda t: ["params", "--bogus"], 2,
+                       "(?s)usage: fdht .*unrecognized arguments: --bogus\n"),
+    "no-subcommand": (lambda t: [], 2,
+                      "(?s)usage: fdht .*the following arguments are required: command\n"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_codes_match_readme(capsys, tmp_path, case):
+    make_argv, want_code, want_err = EXIT_CASES[case]
+    try:
+        code = main(make_argv(tmp_path))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == want_code
+    assert (captured.out != "") == (code == 0), captured.out
+    assert re.fullmatch(want_err, captured.err), captured.err
 
 
 def test_help_describes_every_command(capsys):
@@ -279,11 +351,7 @@ class TestGradcheckVerify:
     def test_unallocatable_model_is_one_runtime_line(self, capsys, tmp_path, command):
         # a valid config whose leaf factor (8, 4, 10**15) needs 227 PiB, more
         # than any address space, so numpy refuses it before touching memory
-        path = tmp_path / "huge.ini"
-        path.write_text(f"[model]\nn_shape = 16,{10**15}\n"
-                        f"\n[paths]\ncheckpoint = {tmp_path}/h.fdht\n"
-                        f"metrics = {tmp_path}/h.csv\n")
-        code, out, err = run_cli(capsys, command, "--config", str(path))
+        code, out, err = run_cli(capsys, command, "--config", huge_config(tmp_path))
         assert (code, out) == (2, "")
         assert err.startswith("error: runtime: ") and err.count("\n") == 1, err
         assert "(8, 4, 1000000000000000)" in err
@@ -367,11 +435,6 @@ class TestTrainEval:
         assert re.fullmatch(r"error: runtime: epoch 0 minibatch \d+: non-finite "
                             r"gradient in parameter block 'ht\.0'\n", err), err
         assert not (tmp_path / "nan.fdht").exists()
-
-    def test_eval_missing_checkpoint(self, capsys, small_config):
-        code, _, err = run_cli(capsys, "eval", "--config", small_config)
-        assert code == 1
-        assert err.startswith("error: validation:")
 
     def test_seed_override_changes_results(self, capsys, tmp_path):
         csvs = []

@@ -143,8 +143,7 @@ def test_checkpoint_round_trip(mode, tmp_path):
     assert cell2.mode == mode
     assert cell2.n_x == cell.n_x
     assert weights_equal(cell2.weight, cell.weight)
-    for g in cell.biases:
-        assert cell2.biases[g].tobytes() == cell.biases[g].tobytes()
+    assert cell2.biases.tobytes() == cell.biases.tobytes()
     if mode == "input-only":
         assert cell2.recurrent.tobytes() == cell.recurrent.tobytes()
     assert head2.w.tobytes() == head.w.tobytes()
@@ -169,7 +168,7 @@ def u32_field_offsets(cell):
     d = cell.weight.tree.d
     header = [6 + 4 * k for k in range(2 + 2 * d + 1 + (2 * d - 1))]
     n_x = len(serialize(cell.weight)) + 5
-    floats = cell.bias.size
+    floats = cell.biases.size
     if cell.recurrent is not None:
         floats += cell.recurrent.size
     classes = n_x + 4 + 8 * floats + 4

@@ -1,6 +1,7 @@
 """FDHT LSTM cell: padding arithmetic, gate math, dense-oracle agreement,
 backpropagation through time."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,9 +44,9 @@ class TestMakeCell:
 
     def test_forget_bias_one_rest_zero(self):
         cell = small_cell()
-        assert np.all(cell.biases["f"] == 1.0)
-        for g in ("u", "c", "o"):
-            assert np.all(cell.biases[g] == 0.0)
+        assert cell.biases.shape == (4, 4)
+        assert np.all(cell.biases[0] == 1.0)  # f
+        assert np.all(cell.biases[1:] == 0.0)  # u, c, o
 
     def test_root_rank_must_be_four(self):
         w = init_ht_weight((2, 2), (3, 3), 2, 2, 3, seed=0)
@@ -56,12 +57,12 @@ class TestMakeCell:
         with pytest.raises(ValueError, match="mode"):
             small_cell(mode="both")
 
-    @pytest.mark.parametrize("shape", [(3,), (1,)])
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (4,)])
     def test_bias_shape_checked(self, shape):
-        # (3,) would fail at the first step; (1,) would broadcast silently
-        biases = {g: np.zeros(4) for g in "fuco"}
-        biases["f"] = np.zeros(shape)
-        expected = rf"bias 'f' must have shape \(4,\), got \({shape[0]},\)"
+        # (4, 3) would fail at the first step; (4, 1) and (4,) would
+        # broadcast silently
+        biases = np.zeros(shape)
+        expected = rf"biases must have shape \(4, 4\), got {re.escape(str(shape))}"
         with pytest.raises(ValueError, match=expected):
             FdhtLstmCell(small_cell().weight, n_x=4, biases=biases)
         with pytest.raises(ValueError, match=expected):
@@ -73,8 +74,7 @@ class TestStep:
         cell = small_cell()
         for f in cell.weight.factors:
             f[:] = 0.0
-        for g in cell.biases:
-            cell.biases[g][:] = 0.0
+        cell.biases[:] = 0.0
         c0 = np.array([0.3, -1.2, 0.0, 2.0])
         out = cell.step(np.zeros(4), LstmState(np.zeros(4), c0))
         np.testing.assert_allclose(out.c, 0.5 * c0, atol=1e-15)
@@ -142,15 +142,13 @@ class TestStep:
             cell = small_cell(mode=mode, seed=1)
             w = reconstruct_dense(cell.weight)
         assert cell.pad_len == 1
-        for g in cell.biases:
-            cell.biases[g][:] = rng.normal(size=4)
+        cell.biases[:] = rng.normal(size=(4, 4))  # rows f, u, c, o
         x, h, c = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
         if mode == "input-only":
             z = w @ np.concatenate([x, np.zeros(5)]) + cell.recurrent @ h
         else:
             z = w @ np.concatenate([x, np.zeros(1), h])
-        f, u, c_in, o = (z[4 * k:4 * k + 4] + cell.biases[g]
-                         for k, g in enumerate("fuco"))
+        f, u, c_in, o = (z[4 * k:4 * k + 4] + cell.biases[k] for k in range(4))
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -219,8 +217,7 @@ class TestSequenceAndHead:
         cell = small_cell()
         for f in cell.weight.factors:
             f[:] = 0.0
-        for g in cell.biases:
-            cell.biases[g][:] = 0.0
+        cell.biases[:] = 0.0
         head = Head(np.zeros((3, 4)), np.array([0.1, -0.2, 0.7]))
         logits = forward_sequence(cell, head, [np.zeros(4)])
         np.testing.assert_allclose(logits, head.b, atol=1e-15)
@@ -307,8 +304,7 @@ class TestBptt:
         cell = small_cell()
         for f in cell.weight.factors:
             f[:] = 0.0
-        for g in cell.biases:
-            cell.biases[g][:] = 0.0
+        cell.biases[:] = 0.0
         head = Head(np.zeros((5, 4)), np.zeros(5))
         loss, _ = bptt(cell, head, [([np.zeros(4)], 2)])
         assert abs(loss - np.log(5)) <= 1e-12
@@ -389,7 +385,7 @@ class TestBptt:
         d_loss, d_grads, d_dx = run(dense)
         assert rel(loss, d_loss) <= 1e-9
         assert rel(dx, d_dx) <= 1e-9
-        for name in ("b_f", "b_u", "b_c", "b_o", "head.w", "head.b"):
+        for name in ("biases", "head.w", "head.b"):
             assert rel(grads[name], d_grads[name]) <= 1e-9, name
         dw = d_grads["w"]
         if mode == "input-only":
@@ -403,6 +399,40 @@ class TestBptt:
             factors[i] = direction
             wv = reconstruct_dense(HTWeight(w.tree, w.m_shape, w.n_shape, factors))
             assert rel(np.vdot(grads[f"ht.{i}"], direction), np.vdot(dw, wv)) <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
+    def test_step_backward_into_plain_grad_dict(self, mode):
+        # zeros_like over params() plus the head, with no shared bias
+        # buffer, takes the same accumulation as zero_grads' dict, bit for bit
+        if mode == "dense":
+            cell = make_dense_cell(4, 4, seed=3)
+        else:
+            cell = small_cell(mode=mode, seed=3)
+        head = make_head(3, cell.hidden_size, seed=0)
+        rng = np.random.default_rng(22)
+        xs, dh = rng.normal(size=(3, 4)), rng.normal(size=4)
+
+        def accumulate(grads):
+            frames = cell.gate_map.prepare(grads)
+            state, caches = cell.init_state(), []
+            for x in xs:
+                state, cache = cell.step_frames(frames, x, state)
+                caches.append(cache)
+            g_h, g_c = dh, np.zeros(4)
+            for cache in reversed(caches):
+                g_h, g_c, _ = cell.step_backward(frames, cache, g_h, g_c, grads)
+            frames.finish()
+            return grads
+
+        plain = {k: np.zeros_like(v) for k, v in cell.params().items()}
+        plain["head.w"] = np.zeros_like(head.w)
+        plain["head.b"] = np.zeros_like(head.b)
+        got = accumulate(plain)
+        want = accumulate(zero_grads(cell, head))
+        assert got.keys() == want.keys()
+        assert np.any(want["biases"] != 0.0)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
     def test_zero_grads_covers_all_params(self):
         cell = small_cell(mode="input-only")

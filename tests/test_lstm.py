@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
-from fdht.lstm import (DenseLstmCell, FdhtLstmCell, Head, LstmState,
-                       _gate_backward, _gate_forward, bptt, forward_sequence,
-                       make_cell, make_dense_cell, make_head, sigmoid,
-                       softmax_cross_entropy, zero_grads)
+from fdht.lstm import (GATE_ORDER, DenseLstmCell, FdhtLstmCell, Head,
+                       LstmState, _gate_backward, _gate_forward, bptt,
+                       forward_sequence, make_cell, make_dense_cell,
+                       make_head, sigmoid, softmax_cross_entropy, zero_grads)
 from oracles import (fd_param_dict, max_rel_error, per_gate_backward,
                      per_gate_forward)
 
@@ -385,7 +385,9 @@ class TestBptt:
         d_loss, d_grads, d_dx = run(dense)
         assert rel(loss, d_loss) <= 1e-9
         assert rel(dx, d_dx) <= 1e-9
-        for name in ("biases", "head.w", "head.b"):
+        for k, g in enumerate(GATE_ORDER):
+            assert rel(grads["biases"][k], d_grads["biases"][k]) <= 1e-9, g
+        for name in ("head.w", "head.b"):
             assert rel(grads[name], d_grads[name]) <= 1e-9, name
         dw = d_grads["w"]
         if mode == "input-only":

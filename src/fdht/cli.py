@@ -12,6 +12,7 @@ usage error. Other errors are single machine-parsable lines on stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -87,23 +88,25 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _ensure_parent(path: str):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    """Make an output file's directory; reject a path that is a directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    """Train on the synthetic task; write the metrics CSV and a checkpoint."""
+    """Train on the synthetic task; write a checkpoint and the metrics CSV."""
     m = cfg.model
+    _ensure_parent(cfg.paths.checkpoint)
+    _ensure_parent(cfg.paths.metrics)
     train_data, test_data = generate_task(cfg.task)
     cell = make_cell(m.n_x, m.n_shape, m.m_shape, m.leaf_rank, m.internal_rank,
                      m.mode, m.seed)
     head = make_head(cfg.task.classes, cell.hidden_size, (m.seed, 2))
     history = train(cell, head, train_data, test_data, cfg.train)
-    _ensure_parent(cfg.paths.metrics)
+    save_checkpoint(cell, head, cfg.paths.checkpoint)
     with open(cfg.paths.metrics, "w") as fh:
         fh.write(history_csv(history))
-    _ensure_parent(cfg.paths.checkpoint)
-    save_checkpoint(cell, head, cfg.paths.checkpoint)
     if history:
         last = history[-1]
         print(f"trained {len(history)} epochs: train_acc={last.train_acc:.6f} "

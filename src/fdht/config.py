@@ -7,6 +7,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 from .lstm import MODES
@@ -84,7 +85,10 @@ def parse_config(text: str) -> RunConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from None
+        # configparser's text spans lines and writes "line: 1" or "[line  1]"
+        message = " ".join(part.strip() for part in str(exc).splitlines())
+        message = re.sub(r"\[?line:? +(\d+)\]?", r"line \1", message)
+        raise ConfigError(f"config syntax error: {message}") from None
 
     cfg = RunConfig()
     for section in parser.sections():

@@ -113,7 +113,27 @@ class HTWeight:
     def __post_init__(self):
         self.m_shape = tuple(int(m) for m in self.m_shape)
         self.n_shape = tuple(int(n) for n in self.n_shape)
-        validate_weight(self)
+        tree = self.tree
+        if len(self.m_shape) != tree.d or len(self.n_shape) != tree.d:
+            raise ValueError(
+                f"m/n shapes must have length d={tree.d}, got "
+                f"{len(self.m_shape)} and {len(self.n_shape)}"
+            )
+        ranks = [node.rank for node in tree.nodes]
+        if min(self.m_shape + self.n_shape + tuple(ranks)) < 1:
+            raise ValueError(f"mode lengths and ranks must be >= 1, got m_shape="
+                             f"{self.m_shape}, n_shape={self.n_shape}, ranks={ranks}")
+        if len(self.factors) != len(tree.nodes):
+            raise ValueError(
+                f"expected {len(tree.nodes)} factors, got {len(self.factors)}"
+            )
+        shapes = factor_shapes(tree, self.m_shape, self.n_shape)
+        for i, (node, f, want) in enumerate(zip(tree.nodes, self.factors, shapes)):
+            if f.shape != want:
+                raise ValueError(
+                    f"factor for node {i} (modes {node.lo}..{node.hi - 1}) has "
+                    f"shape {f.shape}, expected {want}"
+                )
 
     def __repr__(self):
         ranks = [n.rank for n in self.tree.nodes]
@@ -149,43 +169,22 @@ def factor_shapes(tree: DimTree, m_shape, n_shape) -> list[tuple[int, int, int]]
             for n in nodes]
 
 
-def validate_weight(w: HTWeight):
-    tree = w.tree
-    if len(w.m_shape) != tree.d or len(w.n_shape) != tree.d:
-        raise ValueError(
-            f"m/n shapes must have length d={tree.d}, got "
-            f"{len(w.m_shape)} and {len(w.n_shape)}"
-        )
-    if len(w.factors) != len(tree.nodes):
-        raise ValueError(
-            f"expected {len(tree.nodes)} factors, got {len(w.factors)}"
-        )
-    shapes = factor_shapes(tree, w.m_shape, w.n_shape)
-    for i, (node, f, want) in enumerate(zip(tree.nodes, w.factors, shapes)):
-        if f.shape != want:
-            raise ValueError(
-                f"factor for node {i} (modes {node.lo}..{node.hi - 1}) has "
-                f"shape {f.shape}, expected {want}"
-            )
-
-
 def init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, root_rank, seed) -> HTWeight:
     """Random Gaussian initialization, deterministic in the seed.
 
     Leaf frames use std 1/sqrt(n_k); transfer tensors use
     std 1/sqrt(left_rank * right_rank). Factors are drawn in preorder.
     """
-    m_shape = tuple(int(m) for m in m_shape)
-    n_shape = tuple(int(n) for n in n_shape)
     if len(m_shape) == 0 or len(m_shape) != len(n_shape):
         raise ValueError("m_shape and n_shape must be non-empty and equal length")
     tree = build_dim_tree(len(m_shape), leaf_rank, internal_rank, root_rank)
+    w = HTWeight(tree, m_shape, n_shape,
+                 [np.empty(shape) for shape in factor_shapes(tree, m_shape, n_shape)])
     rng = np.random.default_rng(seed)
-    factors = []
-    for node, shape in zip(tree.nodes, factor_shapes(tree, m_shape, n_shape)):
-        fan_in = shape[2] if node.is_leaf else shape[1] * shape[2]
-        factors.append(rng.normal(0.0, (1.0 / fan_in) ** 0.5, size=shape))
-    return HTWeight(tree, m_shape, n_shape, factors)
+    for node, f in zip(tree.nodes, w.factors):
+        fan_in = f.shape[2] if node.is_leaf else f.shape[1] * f.shape[2]
+        f[...] = rng.normal(0.0, (1.0 / fan_in) ** 0.5, size=f.shape)
+    return w
 
 
 def param_count_config(m_shape, n_shape, leaf_rank, internal_rank, root_rank) -> int:

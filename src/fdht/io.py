@@ -7,8 +7,9 @@ with the last index varying fastest. A ``CELL`` section (mode, input
 size, the (4, hidden) gate biases, dense recurrent matrix for input-only
 cells) and a ``HEAD`` section (classifier weights) follow. The cell's
 rules (root rank 4, n_x + hidden within the input size) are
-``FdhtLstmCell``'s; the reader re-raises its ``ValueError`` as
-``ShapeInconsistencyError``. Saving to a file also
+``FdhtLstmCell``'s, and the weight's (d >= 2, mode lengths and ranks
+>= 1) are ``build_dim_tree``'s and ``HTWeight``'s; the reader re-raises
+their ``ValueError`` as ``ShapeInconsistencyError``. Saving to a file also
 writes a ``.json`` sidecar duplicating shapes and ranks for inspection;
 the sidecar reports dimension sets 1-based, matching the written-out math.
 """
@@ -118,29 +119,29 @@ def _read_weight(r: _Reader) -> HTWeight:
         raise VersionError(f"unsupported format version {version} (expected {VERSION})")
     d = r.u32()
     g = r.u32()
-    if d < 2:
-        raise ShapeInconsistencyError(f"header d={d} is below the minimum of 2")
     m_shape = tuple(r.u32s(d))
     n_shape = tuple(r.u32s(d))
-    if min(m_shape) < 1 or min(n_shape) < 1:
-        raise ShapeInconsistencyError("header mode lengths must be >= 1")
+    try:
+        tree = build_dim_tree(d, 1, 1, 1)
+    except ValueError as exc:
+        raise ShapeInconsistencyError(str(exc)) from None
     n_nodes = r.u32()
-    if n_nodes != 2 * d - 1:
+    if n_nodes != len(tree.nodes):
         raise ShapeInconsistencyError(
-            f"header declares {n_nodes} nodes, a {d}-mode tree has {2 * d - 1}"
+            f"header declares {n_nodes} nodes, a {d}-mode tree has {len(tree.nodes)}"
         )
     ranks = r.u32s(n_nodes)
-    if min(ranks) < 1:
-        raise ShapeInconsistencyError("all ranks must be >= 1")
     if ranks[0] != g:
         raise ShapeInconsistencyError(
             f"root rank {ranks[0]} contradicts header gate count {g}"
         )
-    tree = build_dim_tree(d, 1, 1, 1)
     for node, rank in zip(tree.nodes, ranks):
         node.rank = rank
     factors = [r.f64s(shape) for shape in factor_shapes(tree, m_shape, n_shape)]
-    return HTWeight(tree, m_shape, n_shape, factors)
+    try:
+        return HTWeight(tree, m_shape, n_shape, factors)
+    except ValueError as exc:
+        raise ShapeInconsistencyError(str(exc)) from None
 
 
 def serialize_checkpoint(cell: FdhtLstmCell, head: Head) -> bytes:

@@ -11,7 +11,8 @@ differs between the paper's cell and its baseline:
   so the leading output mode selects the gate. A single step runs the
   contraction plan; BPTT prepares the root-children frames once per
   minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step.
-- ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix.
+- ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix and
+  serves as its own frame.
 
 In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
 recurrent matrix owned by the cell supplies the hidden-to-hidden terms.
@@ -21,6 +22,7 @@ one block named ``biases`` in ``params()`` and in every gradient dict.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -99,8 +101,10 @@ class HtGateMap:
 
 
 class DenseGateMap:
-    """Gate map as one explicit (4H x N) matrix. Its frame (``prepare``)
-    is the matrix itself, with ``grads["w"]`` as the gradient buffer."""
+    """Gate map as one explicit (4H x N) matrix. It is its own frame:
+    ``prepare`` returns a copy whose ``grad`` is ``grads["w"]`` itself, so
+    ``backward`` accumulates straight into it and ``finish`` has nothing
+    left to do."""
 
     def __init__(self, w):
         self.weight = np.asarray(w, dtype=np.float64)
@@ -116,20 +120,10 @@ class DenseGateMap:
     def forward(self, packed):
         return self.weight @ packed, packed
 
-    def prepare(self, grads) -> DenseFrame:
-        return DenseFrame(self.weight, grads["w"])
-
-
-@dataclass(eq=False)
-class DenseFrame:
-    """A dense matrix with its gradient buffer: ``backward`` accumulates
-    straight into ``grad``, so ``finish`` has nothing left to do."""
-
-    weight: np.ndarray
-    grad: np.ndarray
-
-    def forward(self, packed):
-        return self.weight @ packed, packed
+    def prepare(self, grads) -> DenseGateMap:
+        frame = copy.copy(self)
+        frame.grad = grads["w"]
+        return frame
 
     def backward(self, packed, dz):
         self.grad += np.outer(dz, packed)

@@ -114,6 +114,18 @@ class TestConfigParsing:
         assert (code, out) == (1, "")
         assert err == "error: validation: unknown config section [DEFAULT]\n"
 
+    @pytest.mark.parametrize("text,line", [
+        ("n_x = 4\n", 1),
+        ("[model]\nn_x = 4\nfoo\n", 3),
+        ("[model]\nn_x = 4\n[model]\n", 3),
+        ("[model]\nn_x = 4\nn_x = 5\n", 3),
+    ], ids=["no-section-header", "no-delimiter", "duplicate-section", "duplicate-key"])
+    def test_syntax_error_is_one_line(self, capsys, tmp_path, text, line):
+        code, out, err = run_cli(capsys, "params", "--config", write_config(tmp_path, text))
+        assert (code, out) == (1, "")
+        assert err.startswith(VALIDATION + "config syntax error: ")
+        assert err.count("\n") == 1 and f"line {line}" in err, err
+
     def test_precondition_checked_up_front(self):
         with pytest.raises(ConfigError, match="too small"):
             parse_config("[model]\nn_x = 100\nn_shape = 4,3\nm_shape = 2,2\n"
@@ -435,6 +447,40 @@ class TestTrainEval:
         assert re.fullmatch(r"error: runtime: epoch 0 minibatch \d+: non-finite "
                             r"gradient in parameter block 'ht\.0'\n", err), err
         assert not (tmp_path / "nan.fdht").exists()
+
+    @pytest.mark.parametrize("bad", ["metrics-directory", "checkpoint-directory",
+                                     "metrics-parent-is-file"])
+    def test_bad_output_path_rejected_before_training(self, capsys, tmp_path,
+                                                      monkeypatch, bad):
+        def never(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", never)
+        (tmp_path / "file").write_text("")
+        checkpoint, metrics = tmp_path / "c.fdht", tmp_path / "m.csv"
+        if bad == "metrics-directory":
+            metrics = tmp_path
+        elif bad == "checkpoint-directory":
+            checkpoint = tmp_path
+        else:
+            metrics = tmp_path / "file" / "m.csv"
+        code, out, err = run_cli(capsys, "train", "--config",
+                                 small_run(tmp_path, checkpoint, metrics, epochs=2))
+        assert (code, out) == (1, "")
+        assert err.startswith(VALIDATION) and err.count("\n") == 1, err
+        assert not (tmp_path / "c.fdht").exists()
+
+    def test_checkpoint_written_before_metrics(self, capsys, tmp_path, monkeypatch):
+        # a metrics write that fails after training still leaves the model
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(tmp_path / "m.csv"))
+
+        monkeypatch.setattr(cli, "history_csv", refuse)
+        code, _, err = run_cli(capsys, "train", "--config",
+                               small_run(tmp_path, tmp_path / "c.fdht",
+                                         tmp_path / "m.csv", epochs=1))
+        assert code == 1 and err.count("\n") == 1, err
+        assert (tmp_path / "c.fdht").exists()
 
     def test_seed_override_changes_results(self, capsys, tmp_path):
         csvs = []

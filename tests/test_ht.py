@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fdht.grad import backward_from_tape, htl_backward
 from fdht.ht import (HTWeight, OracleSizeError, RootFrames, build_dim_tree,
-                     build_plan, htl_forward, init_ht_weight, param_count_config,
-                     reconstruct_dense, run_plan)
+                     build_plan, factor_shapes, htl_forward, init_ht_weight,
+                     param_count_config, reconstruct_dense, run_plan)
 from fdht.train import AdamState, TrainConfig, adam_step
 from oracles import (adjoint_error, directional_derivative_error, nested_sum_dense,
                      random_small_weight, uncached_plan_tape)
@@ -128,6 +128,29 @@ class TestInit:
         bad[1] = np.zeros((3, 2, 2))
         with pytest.raises(ValueError, match="expected"):
             HTWeight(w.tree, w.m_shape, w.n_shape, bad)
+
+    @pytest.mark.parametrize("m,n", [((0, 2, 2), (2, 2, 2)), ((2, 2, 2), (2, 2, 0))],
+                             ids=["m", "n"])
+    def test_zero_mode_length_rejected(self, m, n):
+        with pytest.raises(ValueError, match="mode lengths and ranks must be >= 1"):
+            init_ht_weight(m, n, 1, 1, 1, seed=0)
+        tree = build_dim_tree(3, 1, 1, 1)
+        factors = [np.zeros(shape) for shape in factor_shapes(tree, m, n)]
+        with pytest.raises(ValueError, match="mode lengths and ranks must be >= 1"):
+            HTWeight(tree, m, n, factors)
+
+    @pytest.mark.parametrize("node", range(5), ids=["root", "internal", "leaf0",
+                                                    "leaf1", "leaf2"])
+    def test_zero_rank_rejected(self, node):
+        tree = build_dim_tree(3, 2, 2, 2)
+        tree.nodes[node].rank = 0
+        factors = [np.zeros(shape) for shape in factor_shapes(tree, (2, 2, 2), (2, 2, 2))]
+        with pytest.raises(ValueError, match="mode lengths and ranks must be >= 1"):
+            HTWeight(tree, (2, 2, 2), (2, 2, 2), factors)
+        ranks = [2, 2, 2]
+        ranks[{0: 2, 1: 1}.get(node, 0)] = 0  # root, internal or leaf rank
+        with pytest.raises(ValueError, match="ranks must be >= 1"):
+            init_ht_weight((2, 2, 2), (2, 2, 2), *ranks, seed=0)
 
 
 class TestReconstruct:

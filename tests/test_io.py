@@ -2,16 +2,17 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdht.io import (BadMagicError, FormatError, ShapeInconsistencyError,
-                     TruncatedError, VersionError, deserialize_checkpoint,
-                     load_checkpoint, save_checkpoint, serialize,
-                     serialize_checkpoint)
+from fdht.io import (MAGIC, VERSION, BadMagicError, FormatError,
+                     ShapeInconsistencyError, TruncatedError, VersionError,
+                     deserialize_checkpoint, load_checkpoint, save_checkpoint,
+                     serialize, serialize_checkpoint)
 from fdht.ht import init_ht_weight
 from fdht.lstm import MODES, make_cell, make_head
 
@@ -94,6 +95,27 @@ def test_root_rank_other_than_four_rejected():
     w3 = init_ht_weight((2, 2), (3, 3), 2, 2, 3, seed=8)
     with pytest.raises(ShapeInconsistencyError, match="root rank 4, got 3"):
         deserialize_checkpoint(serialize(w3) + sections)
+
+
+@pytest.mark.parametrize("offset", [14, 26, 34, 42], ids=["m", "n", "root-rank", "leaf-rank"])
+def test_zero_mode_length_or_rank_is_the_weights_error(offset):
+    # d=2 header: m_shape at 14, n_shape at 22, node count at 30, ranks
+    # at 34 (root, also g at 10), 38 and 42
+    cell = make_cell(5, (3, 3), (2, 2), 2, 2, seed=0)
+    data = bytearray(serialize_checkpoint(cell, make_head(3, cell.hidden_size, seed=1)))
+    data[offset:offset + 4] = bytes(4)
+    if offset == 34:
+        data[10:14] = bytes(4)
+    with pytest.raises(ShapeInconsistencyError, match="mode lengths and ranks must be >= 1"):
+        deserialize_checkpoint(bytes(data))
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_tree_below_two_modes_is_the_trees_error(d):
+    fields = [d, 4, *[4] * d, *[8] * d, 1, 4]
+    header = MAGIC + struct.pack(f"<H{len(fields)}I", VERSION, *fields)
+    with pytest.raises(ShapeInconsistencyError, match=f"tree needs d >= 2, got {d}"):
+        deserialize_checkpoint(header + bytes(8 * 32))
 
 
 def test_oversized_ranks_are_truncation():

@@ -25,7 +25,7 @@ from .config import (ConfigError, RunConfig, apply_seed_override, emit_config,
 from .grad import finite_diff_check
 from .ht import (OracleSizeError, htl_forward, init_ht_weight, param_count_config,
                  reconstruct_dense)
-from .io import load_checkpoint, save_checkpoint
+from .io import SIDECAR_SUFFIX, load_checkpoint, save_checkpoint
 from .lstm import make_cell, make_head
 from .train import TrainingError, evaluate, generate_task, history_csv, train
 
@@ -97,8 +97,9 @@ def _ensure_parent(path: str):
 def cmd_train(cfg: RunConfig) -> int:
     """Train on the synthetic task; write a checkpoint and the metrics CSV."""
     m = cfg.model
-    _ensure_parent(cfg.paths.checkpoint)
-    _ensure_parent(cfg.paths.metrics)
+    for path in (cfg.paths.checkpoint, cfg.paths.checkpoint + SIDECAR_SUFFIX,
+                 cfg.paths.metrics):
+        _ensure_parent(path)
     train_data, test_data = generate_task(cfg.task)
     cell = make_cell(m.n_x, m.n_shape, m.m_shape, m.leaf_rank, m.internal_rank,
                      m.mode, m.seed)

@@ -8,8 +8,9 @@ import configparser
 import io
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
+from .ht import param_count_config
 from .lstm import MODES
 from .train import SyntheticTask, TrainConfig
 
@@ -112,14 +113,11 @@ def load_config(path) -> RunConfig:
 
 def validate_config(cfg: RunConfig):
     m = cfg.model
-    if len(m.n_shape) != len(m.m_shape) or len(m.n_shape) < 2:
-        raise ConfigError(
-            "model n_shape and m_shape must have the same length >= 2"
-        )
-    if min(m.n_shape) < 1 or min(m.m_shape) < 1:
-        raise ConfigError("model mode lengths must be >= 1")
-    if m.leaf_rank < 1 or m.internal_rank < 1:
-        raise ConfigError("model ranks must be >= 1")
+    # the owners' messages name the key; the section goes in front
+    try:
+        param_count_config(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4)
+    except ValueError as exc:
+        raise ConfigError(f"model {exc}") from None
     if m.mode not in MODES:
         raise ConfigError(f"model mode must be one of {MODES}, got {m.mode!r}")
     hidden, total = math.prod(m.m_shape), math.prod(m.n_shape)
@@ -132,13 +130,10 @@ def validate_config(cfg: RunConfig):
             f"prod(n_shape)={total} too small: needs at least "
             f"n_x + hidden = {m.n_x + hidden}"
         )
-    t = cfg.train
-    if not 0.0 <= t.dropout_rate < 1.0:
-        raise ConfigError("train dropout_rate must be in [0, 1)")
-    if t.batch_size < 1 or t.epochs < 0:
-        raise ConfigError("train batch_size must be >= 1 and epochs >= 0")
-    if t.learning_rate <= 0:
-        raise ConfigError("train learning_rate must be positive")
+    try:
+        replace(cfg.train)
+    except ValueError as exc:
+        raise ConfigError(f"train {exc}") from None
     k = cfg.task
     if k.classes < 2 or k.frames < 1 or k.frame_dim < 1:
         raise ConfigError("task needs classes >= 2, frames >= 1, frame_dim >= 1")

@@ -74,9 +74,10 @@ def build_dim_tree(d: int, leaf_rank: int, internal_rank: int, root_rank: int) -
     the root gets root_rank, remaining internal nodes get internal_rank.
     """
     if d < 2:
-        raise ValueError(f"dimension tree needs d >= 2, got {d}")
+        raise ValueError(f"m_shape and n_shape length: dimension tree needs d >= 2, got {d}")
     if min(leaf_rank, internal_rank, root_rank) < 1:
-        raise ValueError("all ranks must be >= 1")
+        raise ValueError(f"ranks must be >= 1, got leaf_rank={leaf_rank}, "
+                         f"internal_rank={internal_rank}, root_rank={root_rank}")
     nodes: list[DimNode] = []
 
     def build(lo, hi, is_root):
@@ -114,20 +115,11 @@ class HTWeight:
         self.m_shape = tuple(int(m) for m in self.m_shape)
         self.n_shape = tuple(int(n) for n in self.n_shape)
         tree = self.tree
-        if len(self.m_shape) != tree.d or len(self.n_shape) != tree.d:
-            raise ValueError(
-                f"m/n shapes must have length d={tree.d}, got "
-                f"{len(self.m_shape)} and {len(self.n_shape)}"
-            )
-        ranks = [node.rank for node in tree.nodes]
-        if min(self.m_shape + self.n_shape + tuple(ranks)) < 1:
-            raise ValueError(f"mode lengths and ranks must be >= 1, got m_shape="
-                             f"{self.m_shape}, n_shape={self.n_shape}, ranks={ranks}")
+        shapes = factor_shapes(tree, self.m_shape, self.n_shape)
         if len(self.factors) != len(tree.nodes):
             raise ValueError(
                 f"expected {len(tree.nodes)} factors, got {len(self.factors)}"
             )
-        shapes = factor_shapes(tree, self.m_shape, self.n_shape)
         for i, (node, f, want) in enumerate(zip(tree.nodes, self.factors, shapes)):
             if f.shape != want:
                 raise ValueError(
@@ -162,8 +154,16 @@ class HTWeight:
 def factor_shapes(tree: DimTree, m_shape, n_shape) -> list[tuple[int, int, int]]:
     """Shape of every node's factor, in preorder: ``(rank, m_k, n_k)`` at
     the leaf for mode k, ``(rank, left_rank, right_rank)`` at an internal
-    node."""
+    node. The one owner of the weight's geometry rules: both shapes have
+    length d, and every mode length and node rank is at least 1."""
     nodes = tree.nodes
+    if len(m_shape) != tree.d or len(n_shape) != tree.d:
+        raise ValueError(f"m_shape and n_shape must have length d={tree.d}, "
+                         f"got {len(m_shape)} and {len(n_shape)}")
+    ranks = [n.rank for n in nodes]
+    if min(*m_shape, *n_shape, *ranks) < 1:
+        raise ValueError(f"mode lengths and ranks must be >= 1, got m_shape="
+                         f"{tuple(m_shape)}, n_shape={tuple(n_shape)}, ranks={ranks}")
     return [(n.rank, int(m_shape[n.lo]), int(n_shape[n.lo])) if n.is_leaf
             else (n.rank, nodes[n.left].rank, nodes[n.right].rank)
             for n in nodes]
@@ -175,8 +175,6 @@ def init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, root_rank, seed) 
     Leaf frames use std 1/sqrt(n_k); transfer tensors use
     std 1/sqrt(left_rank * right_rank). Factors are drawn in preorder.
     """
-    if len(m_shape) == 0 or len(m_shape) != len(n_shape):
-        raise ValueError("m_shape and n_shape must be non-empty and equal length")
     tree = build_dim_tree(len(m_shape), leaf_rank, internal_rank, root_rank)
     w = HTWeight(tree, m_shape, n_shape,
                  [np.empty(shape) for shape in factor_shapes(tree, m_shape, n_shape)])

@@ -8,10 +8,10 @@ size, the (4, hidden) gate biases, dense recurrent matrix for input-only
 cells) and a ``HEAD`` section (classifier weights) follow. The cell's
 rules (root rank 4, n_x + hidden within the input size) are
 ``FdhtLstmCell``'s, and the weight's (d >= 2, mode lengths and ranks
->= 1) are ``build_dim_tree``'s and ``HTWeight``'s; the reader re-raises
-their ``ValueError`` as ``ShapeInconsistencyError``. Saving to a file also
-writes a ``.json`` sidecar duplicating shapes and ranks for inspection;
-the sidecar reports dimension sets 1-based, matching the written-out math.
+>= 1) are ``build_dim_tree``'s and ``factor_shapes``'s; the reader
+re-raises their ``ValueError`` as ``ShapeInconsistencyError``. Saving to
+a file also writes a ``.json`` sidecar (``SIDECAR_SUFFIX``) duplicating
+shapes and ranks for inspection, dimension sets 1-based as in the math.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ VERSION = 1
 _CELL_TAG = b"CELL"
 _HEAD_TAG = b"HEAD"
 _MODE_CODES = {"full": 0, "input-only": 1}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
+SIDECAR_SUFFIX = ".json"
 
 
 class FormatError(ValueError):
@@ -137,11 +137,11 @@ def _read_weight(r: _Reader) -> HTWeight:
         )
     for node, rank in zip(tree.nodes, ranks):
         node.rank = rank
-    factors = [r.f64s(shape) for shape in factor_shapes(tree, m_shape, n_shape)]
     try:
-        return HTWeight(tree, m_shape, n_shape, factors)
+        shapes = factor_shapes(tree, m_shape, n_shape)
     except ValueError as exc:
         raise ShapeInconsistencyError(str(exc)) from None
+    return HTWeight(tree, m_shape, n_shape, [r.f64s(shape) for shape in shapes])
 
 
 def serialize_checkpoint(cell: FdhtLstmCell, head: Head) -> bytes:
@@ -163,17 +163,16 @@ def deserialize_checkpoint(data: bytes):
     if r.take(4) != _CELL_TAG:
         raise FormatError("missing CELL section in checkpoint")
     mode_code = struct.unpack("<B", r.take(1))[0]
-    if mode_code not in _MODE_NAMES:
+    if mode_code not in _MODE_CODES.values():
         raise ShapeInconsistencyError(f"unknown cell mode code {mode_code}")
-    mode = _MODE_NAMES[mode_code]
     n_x = r.u32()
     hidden = math.prod(weight.m_shape)
     biases = r.f64s((len(GATE_ORDER), hidden))
     recurrent = None
-    if mode == "input-only":
+    if mode_code == _MODE_CODES["input-only"]:
         recurrent = r.f64s((4 * hidden, hidden))
     try:
-        cell = FdhtLstmCell(weight, n_x, mode, biases=biases, recurrent=recurrent)
+        cell = FdhtLstmCell(weight, n_x, biases=biases, recurrent=recurrent)
     except ValueError as exc:
         raise ShapeInconsistencyError(str(exc)) from None
     if r.take(4) != _HEAD_TAG:
@@ -209,7 +208,7 @@ def save_checkpoint(cell: FdhtLstmCell, head: Head, path):
                  "hidden_size": cell.hidden_size, "pad_len": cell.pad_len},
         "head_classes": int(head.w.shape[0]),
     }
-    with open(path + ".json", "w") as fh:
+    with open(path + SIDECAR_SUFFIX, "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 

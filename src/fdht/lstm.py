@@ -136,22 +136,18 @@ class DenseGateMap:
 class FdhtLstmCell:
     """LSTM cell over a gate map; by default the HT map with root rank 4.
 
-    mode "full": the gate map consumes [x | zeros(pad_len) | h].
-    mode "input-only": the gate map consumes only [x | zeros], and a dense
-    (4H x H) recurrent matrix supplies the hidden-to-hidden terms, one
-    H x H block per gate.
+    Without ``recurrent`` (mode "full") the gate map consumes
+    [x | zeros(pad_len) | h]. With a dense (4H x H) ``recurrent`` matrix
+    (mode "input-only") the gate map consumes only [x | zeros], and that
+    matrix supplies the hidden-to-hidden terms, one H x H block per gate.
     """
 
     gate_map_type = HtGateMap
 
-    def __init__(self, weight, n_x: int, mode: str = "full",
-                 biases=None, recurrent=None):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    def __init__(self, weight, n_x: int, biases=None, recurrent=None):
         self.gate_map = self.gate_map_type(weight)
         self.weight = self.gate_map.weight
         self.n_x = int(n_x)
-        self.mode = mode
         self.hidden_size = h = self.gate_map.hidden_size
         self.pad_len = self.gate_map.in_size - self.n_x - h
         if self.pad_len < 0:
@@ -166,16 +162,18 @@ class FdhtLstmCell:
         if self.biases.shape != (len(GATE_ORDER), h):
             raise ValueError(f"biases must have shape {(len(GATE_ORDER), h)}, "
                              f"got {self.biases.shape}")
-        if mode == "input-only":
-            if recurrent is None:
-                raise ValueError("input-only mode needs a recurrent matrix")
+        self.recurrent = recurrent
+        if recurrent is not None:
             self.recurrent = np.asarray(recurrent, dtype=np.float64)
             if self.recurrent.shape != (4 * h, h):
                 raise ValueError(
                     f"recurrent matrix must be {(4 * h, h)}, got {self.recurrent.shape}"
                 )
-        else:
-            self.recurrent = None
+
+    @property
+    def mode(self) -> str:
+        """``"input-only"`` exactly when the cell has a recurrent matrix."""
+        return "full" if self.recurrent is None else "input-only"
 
     def init_state(self) -> LstmState:
         return LstmState(np.zeros(self.hidden_size), np.zeros(self.hidden_size))
@@ -285,13 +283,15 @@ def make_cell(n_x, n_shape, m_shape, leaf_rank, internal_rank,
     """Build an FDHT cell: HT weight with root rank 4, zero biases except a
     forget-gate bias of 1, and zero-padding from n_x + hidden up to
     prod(n_shape)."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     hidden = math.prod(m_shape)
     weight = init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, 4, seed)
     recurrent = None
     if mode == "input-only":
         rng = np.random.default_rng((seed, 1))
         recurrent = rng.normal(0.0, hidden ** -0.5, size=(4 * hidden, hidden))
-    return FdhtLstmCell(weight, n_x, mode, recurrent=recurrent)
+    return FdhtLstmCell(weight, n_x, recurrent=recurrent)
 
 
 def forward_sequence(cell, head: Head, xs) -> np.ndarray:

@@ -29,9 +29,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError("dropout_rate must be in [0, 1)")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass

@@ -14,6 +14,8 @@ from fdht import cli
 from fdht.cli import _COMMANDS, main
 from fdht.config import (ConfigError, RunConfig, emit_config, load_config,
                          parse_config)
+from fdht.ht import param_count_config
+from fdht.train import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -85,11 +87,13 @@ class TestConfigParsing:
         ("[model]\nmode = hidden-only\n",
          "model mode must be one of ('full', 'input-only'), got 'hidden-only'"),
         ("[model]\nn_shape = 16,17,1\n",
-         "model n_shape and m_shape must have the same length >= 2"),
+         "model m_shape and n_shape must have length d=2, got 2 and 3"),
         ("[model]\nn_shape = 4352\nm_shape = 16\n",
-         "model n_shape and m_shape must have the same length >= 2"),
-        ("[model]\nleaf_rank = 0\n", "model ranks must be >= 1"),
-        ("[model]\ninternal_rank = 0\n", "model ranks must be >= 1"),
+         "model m_shape and n_shape length: dimension tree needs d >= 2, got 1"),
+        ("[model]\nleaf_rank = 0\n",
+         "model ranks must be >= 1, got leaf_rank=0, internal_rank=8, root_rank=4"),
+        ("[model]\ninternal_rank = 0\n",
+         "model ranks must be >= 1, got leaf_rank=8, internal_rank=0, root_rank=4"),
         ("[task]\nframe_dim = 255\n", "task frame_dim=255 must equal model n_x=256"),
     ], ids=["dropout-one", "dropout-negative", "learning-rate", "batch-size",
             "epochs", "classes", "rank-min", "rank-order", "mode",
@@ -154,6 +158,45 @@ class TestConfigParsing:
         cfg = parse_config(SMALL_MODEL)
         assert parse_config(emit_config(cfg)) == cfg
         assert parse_config(emit_config(RunConfig())) == RunConfig()
+
+
+def owner_error(owner, *args, **kwargs):
+    """The message of the ValueError ``owner`` raises, or None."""
+    try:
+        owner(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOwnersMessages:
+    # The geometry and [train] rules live in param_count_config and
+    # TrainConfig; the config only puts its section in front.
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.lists(st.integers(0, 3), max_size=4),
+           n=st.lists(st.integers(0, 3), max_size=4),
+           leaf=st.integers(0, 3), internal=st.integers(0, 3))
+    def test_model_geometry(self, m, n, leaf, internal):
+        message = owner_error(param_count_config, tuple(m), tuple(n), leaf, internal, 4)
+        if message is None:
+            return
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[model]\nm_shape = {','.join(map(str, m))}\n"
+                         f"n_shape = {','.join(map(str, n))}\n"
+                         f"leaf_rank = {leaf}\ninternal_rank = {internal}\n")
+        assert str(info.value) == f"model {message}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        "dropout_rate": st.floats(-0.5, 1.5), "batch_size": st.integers(-1, 3),
+        "epochs": st.integers(-2, 3), "learning_rate": st.floats(-1.0, 1.0)}))
+    def test_train_settings(self, values):
+        message = owner_error(TrainConfig, **values)
+        if message is None:
+            return
+        with pytest.raises(ConfigError) as info:
+            parse_config("[train]\n" + "".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        assert str(info.value) == f"train {message}"
 
 
 SECTIONS = [f.name for f in fields(RunConfig)]
@@ -449,7 +492,7 @@ class TestTrainEval:
         assert not (tmp_path / "nan.fdht").exists()
 
     @pytest.mark.parametrize("bad", ["metrics-directory", "checkpoint-directory",
-                                     "metrics-parent-is-file"])
+                                     "metrics-parent-is-file", "sidecar-directory"])
     def test_bad_output_path_rejected_before_training(self, capsys, tmp_path,
                                                       monkeypatch, bad):
         def never(*args, **kwargs):
@@ -462,6 +505,8 @@ class TestTrainEval:
             metrics = tmp_path
         elif bad == "checkpoint-directory":
             checkpoint = tmp_path
+        elif bad == "sidecar-directory":
+            (tmp_path / "c.fdht.json").mkdir()
         else:
             metrics = tmp_path / "file" / "m.csv"
         code, out, err = run_cli(capsys, "train", "--config",

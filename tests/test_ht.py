@@ -98,6 +98,15 @@ class TestParamCount:
             assert param_count_config(w.m_shape, w.n_shape, ranks[True],
                                       ranks.get(False, 1), w.root_rank) == total
 
+    @pytest.mark.parametrize("m,n,message", [
+        ((2, 2), (2, 2, 2), "must have length d=2, got 2 and 3"),
+        ((0, 2), (2, 2), "mode lengths and ranks must be >= 1"),
+    ], ids=["length-mismatch", "zero-mode-length"])
+    def test_rejects_bad_geometry(self, m, n, message):
+        # the count reads only shapes and ranks, so it checks them itself
+        with pytest.raises(ValueError, match=message):
+            param_count_config(m, n, 1, 1, 1)
+
     def test_cubic_tree_term_at_uniform_rank(self):
         # count(r) = r * sum(m_k n_k) + (d-2) r^3 + g r^2 exactly
         m, n, g = (3, 4, 2, 5), (4, 2, 6, 3), 4
@@ -121,7 +130,7 @@ class TestInit:
         assert any(a.tobytes() != b.tobytes() for a, b in zip(w1.factors, w2.factors))
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(ValueError, match="must have length d=2, got 2 and 1"):
             init_ht_weight((2, 3), (3,), 1, 1, 1, seed=0)
         w = init_ht_weight((2, 2), (2, 2), 2, 2, 2, seed=0)
         bad = [f.copy() for f in w.factors]
@@ -135,7 +144,7 @@ class TestInit:
         with pytest.raises(ValueError, match="mode lengths and ranks must be >= 1"):
             init_ht_weight(m, n, 1, 1, 1, seed=0)
         tree = build_dim_tree(3, 1, 1, 1)
-        factors = [np.zeros(shape) for shape in factor_shapes(tree, m, n)]
+        factors = [np.zeros(shape) for shape in factor_shapes(tree, (2, 2, 2), (2, 2, 2))]
         with pytest.raises(ValueError, match="mode lengths and ranks must be >= 1"):
             HTWeight(tree, m, n, factors)
 
@@ -143,8 +152,8 @@ class TestInit:
                                                     "leaf1", "leaf2"])
     def test_zero_rank_rejected(self, node):
         tree = build_dim_tree(3, 2, 2, 2)
-        tree.nodes[node].rank = 0
         factors = [np.zeros(shape) for shape in factor_shapes(tree, (2, 2, 2), (2, 2, 2))]
+        tree.nodes[node].rank = 0
         with pytest.raises(ValueError, match="mode lengths and ranks must be >= 1"):
             HTWeight(tree, (2, 2, 2), (2, 2, 2), factors)
         ranks = [2, 2, 2]
@@ -242,19 +251,35 @@ class TestForward:
 
 
 class TestRootFrames:
-    # The UCF11 dense matrix is 480 MB, so these checks never build it: the
-    # forward is checked against the plan, the backward by an adjoint
-    # identity and by directional derivatives of a loss the plan evaluates.
+    # The UCF11 dense matrix is 480 MB, so the reference geometries never
+    # build it: their forward is checked against the plan, and so is the
+    # loss whose directional derivatives check the backward.
     @pytest.mark.parametrize("name", list(REFERENCE_GEOMETRIES))
     def test_reference_geometry(self, name):
         m, n, leaf, internal = REFERENCE_GEOMETRIES[name]
         w = init_ht_weight(m, n, leaf, internal, 4, seed=11)
-        rng = np.random.default_rng(12)
+        self.check_frames(w, lambda x: htl_forward(w, x), np.random.default_rng(12))
+
+    @pytest.mark.parametrize("name", list(DEEP_GEOMETRIES))
+    def test_deep_tree(self, name):
+        # the root's children nest transfer tensors, so _frame_vjp recurses
+        # through an internal child of an internal node; small enough for
+        # the dense matrix to be the reference
+        m, n, leaf, internal = DEEP_GEOMETRIES[name]
+        w = init_ht_weight(m, n, leaf, internal, 4, seed=16)
+        self.check_frames(w, lambda x: reconstruct_dense(w) @ x,
+                          np.random.default_rng(17))
+
+    @staticmethod
+    def check_frames(w, forward, rng):
+        """Forward against ``forward`` (W x from the live factors), the
+        backward by the adjoint identity, and the ``finish`` gradients of
+        0.5 |W x|^2 by one directional derivative per factor and for x."""
         x = rng.normal(size=w.in_size)
         sink = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, sink)
         y, saved = frames.forward(x)
-        assert np.max(np.abs(y - htl_forward(w, x))) <= 1e-10
+        assert np.max(np.abs(y - forward(x))) <= 1e-10
 
         u = rng.normal(size=w.out_size)
         assert adjoint_error(lambda v: frames.forward(v)[0],
@@ -267,7 +292,7 @@ class TestRootFrames:
         frames.finish()
 
         def loss():
-            return 0.5 * float(np.sum(htl_forward(w, x) ** 2))
+            return 0.5 * float(np.sum(forward(x) ** 2))
 
         for arr, grad in zip([*w.factors, x], [*sink, dx]):
             assert directional_derivative_error(loss, arr, grad, rng) <= 1e-4

@@ -14,7 +14,7 @@ from fdht.io import (MAGIC, VERSION, BadMagicError, FormatError,
                      deserialize_checkpoint, load_checkpoint, save_checkpoint,
                      serialize, serialize_checkpoint)
 from fdht.ht import init_ht_weight
-from fdht.lstm import MODES, make_cell, make_head
+from fdht.lstm import MODES, FdhtLstmCell, make_cell, make_head
 
 
 def weights_equal(a, b):
@@ -170,6 +170,21 @@ def test_checkpoint_round_trip(mode, tmp_path):
         assert cell2.recurrent.tobytes() == cell.recurrent.tobytes()
     assert head2.w.tobytes() == head.w.tobytes()
     assert head2.b.tobytes() == head.b.tobytes()
+
+
+def test_cell_given_only_a_recurrent_block_round_trips(tmp_path):
+    # the mode written to the CELL section is the one the block implies
+    w = init_ht_weight((2, 2), (3, 3), 2, 2, 4, seed=3)
+    recurrent = np.random.default_rng(4).normal(size=(16, 4))
+    cell = FdhtLstmCell(w, 5, recurrent=recurrent)
+    assert cell.mode == "input-only"
+    path = tmp_path / "ckpt.fdht"
+    save_checkpoint(cell, make_head(2, cell.hidden_size, seed=5), path)
+    cell2, _ = load_checkpoint(path)
+    assert cell2.mode == "input-only"
+    assert cell2.recurrent.tobytes() == recurrent.tobytes()
+    sidecar = json.loads((tmp_path / "ckpt.fdht.json").read_text())
+    assert sidecar["cell"]["mode"] == "input-only"
 
 
 def test_checkpoint_missing_sections():

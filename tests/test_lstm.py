@@ -54,8 +54,16 @@ class TestMakeCell:
             FdhtLstmCell(w, n_x=4)
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            small_cell(mode="both")
+        with pytest.raises(ValueError, match=r"mode must be one of .*, got 'bogus'"):
+            small_cell(mode="bogus")
+
+    def test_mode_read_from_recurrent_block(self):
+        cell = small_cell(mode="input-only")
+        assert FdhtLstmCell(cell.weight, n_x=4).mode == "full"
+        assert FdhtLstmCell(cell.weight, n_x=4,
+                            recurrent=cell.recurrent).mode == "input-only"
+        with pytest.raises(ValueError, match=r"recurrent matrix must be \(16, 4\)"):
+            FdhtLstmCell(cell.weight, n_x=4, recurrent=cell.recurrent[:4])
 
     @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (4,)])
     def test_bias_shape_checked(self, shape):

@@ -53,6 +53,12 @@ class TestAdam:
             TrainConfig(dropout_rate=1.0)
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="epochs >= 0"):
+            TrainConfig(epochs=-1)
+        for rate in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="learning_rate must be positive"):
+                TrainConfig(learning_rate=rate)
+        TrainConfig(epochs=0)  # a run that trains nothing is allowed
 
 
 class TestSyntheticTask:

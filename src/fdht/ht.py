@@ -16,7 +16,8 @@ calls, with a snapshot of the factors they came from; every call checks
 the live factors against it bitwise and rebuilds them on any difference.
 :class:`RootFrames` serves training, where one minibatch multiplies by
 the same factors many times: it builds the frames once as two matrices,
-so each product is two GEMMs.
+so each product is two GEMMs, and it sums the weight cotangent of a
+whole sequence of products in one GEMM when the sequence ends.
 :func:`reconstruct_dense` assembles the dense matrix explicitly and
 serves as the testing oracle.
 """
@@ -252,11 +253,20 @@ class RootFrames:
         Y = T' @ V    V[(a, jR), (g, iR)] = sum_b root[g, a, b] FR[b, iR, jR]
 
     with T' the (m_L, r_L n_R) reshape of T and Y the output as
-    (m_L, g, m_R). ``backward`` accumulates the cotangents of U and V over
-    every product; ``finish`` takes them back through the frame build into
-    ``sink``, one array per factor. U and V are built from the factors at
-    construction and ``finish`` reads the factors again, so keep them
-    unchanged until ``finish`` and build new frames after every update.
+    (m_L, g, m_R). ``backward`` accumulates the cotangent of U and, per
+    sequence, that of V; ``finish`` takes them back through the frame
+    build into ``sink``, one array per factor. U and V are built from the
+    factors at construction and ``finish`` reads the factors again, so
+    keep them unchanged until ``finish`` and build new frames after every
+    update.
+
+    Products come in sequences, each opened by ``begin(steps)``. Product
+    k writes T' into slot k of a (steps, m_L, r_L n_R) block, and its
+    ``backward`` writes dy as (m_L, g m_R) into slot k of a second block,
+    so the sequence's V cotangent, the sum of T'_k.T @ dy_k, is one GEMM
+    with inner dimension steps * m_L, run when the sequence ends (the
+    next ``begin``, or ``finish``). Backward every product once before
+    then. The next sequence reuses the blocks unless its length differs.
     """
 
     def __init__(self, w: HTWeight, sink):
@@ -271,27 +281,53 @@ class RootFrames:
         self.v = v.transpose(1, 3, 0, 2).reshape(rl * nr, root.rank * mr)
         self.du = np.zeros_like(self.u)
         self.dv = np.zeros_like(self.v)
+        # per-sequence blocks of T' and of dy, and the products run so far
+        self.t_block = np.empty((0, ml, rl * nr))
+        self.dy_block = np.empty((0, ml, root.rank, mr))
+        self.count = 0
+
+    def begin(self, steps: int):
+        """End the open sequence, if any, and open one of ``steps``
+        products."""
+        self._end_sequence()
+        if len(self.t_block) != steps:
+            g, rl, ml, mr, nl, nr = self.shape
+            self.t_block = np.empty((steps, ml, rl * nr))
+            self.dy_block = np.empty((steps, ml, g, mr))
 
     def forward(self, x):
         """``W @ x`` gate-major, and what ``backward`` needs."""
-        g, _, ml, mr, nl, nr = self.shape
-        t = (self.u @ x.reshape(nl, nr)).reshape(ml, -1)
+        g, rl, ml, mr, nl, nr = self.shape
+        k, self.count = self.count, self.count + 1
+        t = self.t_block[k]
+        np.matmul(self.u, x.reshape(nl, nr), out=t.reshape(ml * rl, nr))
         y = (t @ self.v).reshape(ml, g, mr).transpose(1, 0, 2)
-        return y.reshape(-1), (x, t)
+        return y.reshape(-1), (x, k)
 
     def backward(self, saved, dy):
-        """Accumulate the U and V cotangents of one product; returns
-        ``W.T @ dy``."""
-        x, t = saved
+        """Accumulate the U cotangent of one product and keep its ``dy``
+        for the sequence's V cotangent; returns ``W.T @ dy``."""
+        x, k = saved
         g, rl, ml, mr, nl, nr = self.shape
-        dy = dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, g * mr)
-        self.dv += t.T @ dy
-        dt = (dy @ self.v.T).reshape(ml * rl, nr)
+        slot = self.dy_block[k]
+        slot[...] = dy.reshape(g, ml, mr).transpose(1, 0, 2)
+        dt = (slot.reshape(ml, g * mr) @ self.v.T).reshape(ml * rl, nr)
         self.du += dt @ x.reshape(nl, nr).T
         return (self.u.T @ dt).reshape(-1)
 
+    def _end_sequence(self):
+        """Add the V cotangent of the open sequence's products in one GEMM."""
+        n, self.count = self.count, 0
+        if n:
+            t = self.t_block[:n].reshape(-1, self.v.shape[0])
+            self.dv += t.T @ self.dy_block[:n].reshape(-1, self.v.shape[1])
+
     def finish(self):
-        """Add the factor cotangents of everything accumulated to ``sink``."""
+        """End the open sequence and add the factor cotangents of
+        everything accumulated to ``sink``. The sequence blocks are freed
+        first, so the frames take no more products."""
+        self._end_sequence()
+        self.t_block = self.dy_block = None
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root
         dv = self.dv.reshape(rl, nr, g, mr)  # (a, jR, g, iR)

@@ -10,7 +10,8 @@ differs between the paper's cell and its baseline:
   hidden-to-hidden matrices of all four gates in HT form with root rank 4,
   so the leading output mode selects the gate. A single step runs the
   contraction plan; BPTT prepares the root-children frames once per
-  minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step.
+  minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step, with
+  the weight-gradient GEMM of a whole sequence run once when it ends.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix and
   serves as its own frame.
 
@@ -103,8 +104,8 @@ class HtGateMap:
 class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix. It is its own frame:
     ``prepare`` returns a copy whose ``grad`` is ``grads["w"]`` itself, so
-    ``backward`` accumulates straight into it and ``finish`` has nothing
-    left to do."""
+    ``backward`` accumulates straight into it and ``begin`` and ``finish``
+    have nothing to do."""
 
     def __init__(self, w):
         self.weight = np.asarray(w, dtype=np.float64)
@@ -124,6 +125,9 @@ class DenseGateMap:
         frame = copy.copy(self)
         frame.grad = grads["w"]
         return frame
+
+    def begin(self, steps: int):
+        pass
 
     def backward(self, packed, dz):
         self.grad += np.outer(dz, packed)
@@ -196,7 +200,9 @@ class FdhtLstmCell:
     def step_frames(self, frames, x, state: LstmState):
         """One recurrence step: pack, apply ``frames.forward``, gate,
         update. Returns the new state and the cache ``step_backward``
-        needs when ``frames`` came from ``gate_map.prepare``."""
+        needs when ``frames`` came from ``gate_map.prepare``. Only the
+        recurrent matrix reads h_prev from it: in full mode the packed
+        input holds h."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n_x:
             raise ValueError(f"input has length {x.size}, expected {self.n_x}")
@@ -208,7 +214,8 @@ class FdhtLstmCell:
         if self.recurrent is not None:
             z = z + self.recurrent @ state.h
         new_state, gates = _gate_forward(z, self.biases, state.c)
-        return new_state, {"map": saved, "gates": gates, "h_prev": state.h}
+        h_prev = None if self.recurrent is None else state.h
+        return new_state, {"map": saved, "gates": gates, "h_prev": h_prev}
 
     def step_backward(self, frames, cache, dh, dc, grads):
         """Accumulate the gradients of one ``step_frames(frames, ...)``
@@ -320,7 +327,11 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
 
     The gate map is prepared once for the batch (for HT, the root-children
     frames of the current factors); sequences then run one at a time and
-    its factor gradients are finished once at the end. Dropout, when
+    its factor gradients are finished once at the end. Each sequence opens
+    with ``frames.begin(steps)``, so the HT frames add the sequence's V
+    cotangent in one GEMM after its backward. Each step cache is dropped
+    as soon as its backward has run, so the caches are gone before that
+    GEMM and the peak memory does not grow with the batch. Dropout, when
     enabled, is applied to the final hidden state before the head
     (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
     (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
@@ -337,6 +348,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     for xs, label in batch:
         if len(xs) == 0:
             raise ValueError("cannot run an empty sequence")
+        frames.begin(len(xs))
         state = cell.init_state()
         caches = []
         for x in xs:
@@ -362,6 +374,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         input_grads = [None] * len(xs)
         for t in range(len(xs) - 1, -1, -1):
             dh, dc, dx = cell.step_backward(frames, caches[t], dh, dc, grads)
+            caches[t] = None
             if return_input_grads:
                 input_grads[t] = dx
         if return_input_grads:

@@ -34,6 +34,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        # adam_step divides by 1 - beta**t and by sqrt(v_hat) + eps
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if not self.l2_coeff >= 0:
+            raise ValueError("l2_coeff must be >= 0")
 
 
 @dataclass

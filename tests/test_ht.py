@@ -278,6 +278,7 @@ class TestRootFrames:
         x = rng.normal(size=w.in_size)
         sink = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, sink)
+        frames.begin(2)  # this product and the adjoint identity's
         y, saved = frames.forward(x)
         assert np.max(np.abs(y - forward(x))) <= 1e-10
 
@@ -288,6 +289,8 @@ class TestRootFrames:
         # gradients of 0.5 |W x|^2 through the frames, one direction per factor
         sink = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, sink)
+        frames.begin(1)
+        _, saved = frames.forward(x)
         dx = frames.backward(saved, y)
         frames.finish()
 
@@ -305,6 +308,7 @@ class TestRootFrames:
         us = [rng.normal(size=w.out_size) for _ in range(2)]
         both = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, both)
+        frames.begin(len(xs))
         for x, u in zip(xs, us):
             frames.backward(frames.forward(x)[1], u)
         frames.finish()
@@ -315,6 +319,36 @@ class TestRootFrames:
             wv = reconstruct_dense(HTWeight(w.tree, w.m_shape, w.n_shape, factors))
             want = sum(u @ wv @ x for x, u in zip(xs, us))
             assert abs(np.vdot(both[i], direction) - want) <= 1e-12 * abs(want)
+
+    def test_sequence_dv_is_sum_of_products(self):
+        # the V cotangent of a sequence, one stacked GEMM when it ends,
+        # against the per-product sum of T'_k.T @ dy_k; the second sequence
+        # is longer, so the blocks are reallocated between the two
+        w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=6)
+        frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
+        g, rl, ml, mr, nl, nr = frames.shape
+        rng = np.random.default_rng(14)
+        want = np.zeros_like(frames.dv)
+
+        def sequence(steps):
+            xs = rng.normal(size=(steps, w.in_size))
+            saved = [frames.forward(x)[1] for x in xs]
+            for x, s in zip(xs[::-1], saved[::-1]):
+                dy = rng.normal(size=w.out_size)
+                frames.backward(s, dy)
+                t = (frames.u @ x.reshape(nl, nr)).reshape(ml, rl * nr)
+                want[...] += t.T @ dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, -1)
+
+        def rel():
+            return np.max(np.abs(frames.dv - want)) / np.max(np.abs(want))
+
+        frames.begin(3)
+        sequence(3)
+        frames.begin(5)  # ends the first sequence
+        assert rel() <= 1e-12
+        sequence(5)
+        frames.finish()
+        assert rel() <= 1e-12
 
 
 class TestPlan:

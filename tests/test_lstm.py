@@ -357,6 +357,28 @@ class TestBptt:
         one_sequence = 4 * cell.gate_map.in_size * 8
         assert peak(batch) - peak(batch[:1]) <= one_sequence
 
+    @pytest.mark.parametrize("mode", ["full", "input-only"])
+    def test_peak_memory_flat_in_batch_size(self, mode):
+        # step caches are dropped as backward uses them and the frames'
+        # sequence blocks are reused, so eight times the sequences may not
+        # raise the peak by more than a few small objects
+        cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
+        head = make_head(8, cell.hidden_size, seed=2)
+        rng = np.random.default_rng(5)
+        batch = [([rng.normal(size=256) for _ in range(6)], i % 8)
+                 for i in range(16)]
+
+        def peak(examples):
+            bptt(cell, head, examples)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                bptt(cell, head, examples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(batch) <= peak(batch[:2]) + 1024
+
     def test_bad_sequences_rejected(self):
         for cell in (small_cell(), make_dense_cell(4, 4, seed=0)):
             head = make_head(3, cell.hidden_size, seed=0)
@@ -367,14 +389,23 @@ class TestBptt:
 
     @pytest.mark.parametrize("mode", ["full", "input-only"])
     def test_matches_dense_cell(self, mode):
+        self.check_against_dense_cell(mode, [6] * 5)
+
+    @pytest.mark.parametrize("mode", ["full", "input-only"])
+    def test_mixed_lengths_match_dense_cell(self, mode):
+        # each change of length reallocates the frames' sequence blocks
+        self.check_against_dense_cell(mode, [2, 5, 3])
+
+    @staticmethod
+    def check_against_dense_cell(mode, lengths):
         # the synthetic geometry against a dense cell on the reconstructed
         # matrix; in input-only mode the recurrent matrix takes the dense
         # columns that the HT map only ever sees as zeros
         cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
         head = make_head(8, cell.hidden_size, seed=2)
         rng = np.random.default_rng(21)
-        batch = [([rng.normal(size=256) / 16 for _ in range(6)], i % 8)
-                 for i in range(5)]
+        batch = [([rng.normal(size=256) / 16 for _ in range(steps)], i % 8)
+                 for i, steps in enumerate(lengths)]
         w = cell.weight
         h_cols = slice(cell.n_x + cell.pad_len, None)
         matrix = reconstruct_dense(w)
@@ -392,7 +423,8 @@ class TestBptt:
         loss, grads, dx = run(cell)
         d_loss, d_grads, d_dx = run(dense)
         assert rel(loss, d_loss) <= 1e-9
-        assert rel(dx, d_dx) <= 1e-9
+        # one dL/dx_t per step of every sequence, whatever their lengths
+        assert rel(np.concatenate(sum(dx, [])), np.concatenate(sum(d_dx, []))) <= 1e-9
         for k, g in enumerate(GATE_ORDER):
             assert rel(grads["biases"][k], d_grads["biases"][k]) <= 1e-9, g
         for name in ("head.w", "head.b"):
@@ -424,6 +456,7 @@ class TestBptt:
 
         def accumulate(grads):
             frames = cell.gate_map.prepare(grads)
+            frames.begin(len(xs))
             state, caches = cell.init_state(), []
             for x in xs:
                 state, cache = cell.step_frames(frames, x, state)

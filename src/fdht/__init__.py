@@ -11,8 +11,7 @@ from .ht import (DimNode, DimTree, HTWeight, OracleSizeError, build_dim_tree,
 from .io import (deserialize_checkpoint, load_checkpoint, save_checkpoint,
                  serialize, serialize_checkpoint)
 from .lstm import (DenseGateMap, DenseLstmCell, FdhtLstmCell, Head, HtGateMap,
-                   LstmState, bptt, forward_sequence, make_cell,
-                   make_dense_cell, make_head)
+                   LstmState, bptt, forward_sequence, make_cell, make_head)
 from .tensor import contract, contract_vjp, tensorize, vectorize
 from .train import (AdamState, EpochRecord, SyntheticTask, TrainConfig,
                     TrainingError, adam_step, evaluate, generate_task,

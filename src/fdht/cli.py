@@ -26,7 +26,7 @@ from .grad import finite_diff_check
 from .ht import (OracleSizeError, htl_forward, init_ht_weight, param_count_config,
                  reconstruct_dense)
 from .io import SIDECAR_SUFFIX, load_checkpoint, save_checkpoint
-from .lstm import make_cell, make_head
+from .lstm import GATES, make_cell, make_head
 from .train import TrainingError, evaluate, generate_task, history_csv, train
 
 GRADCHECK_TOL = 1e-4
@@ -35,18 +35,18 @@ VERIFY_TOL = 1e-10
 
 def _model_weight(cfg: RunConfig):
     m = cfg.model
-    return init_ht_weight(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4, m.seed)
+    return init_ht_weight(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, GATES, m.seed)
 
 
 def cmd_params(cfg: RunConfig) -> int:
     """Print the HT and dense LSTM parameter counts and the compression ratio."""
     m = cfg.model
-    ht = param_count_config(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4)
+    ht = param_count_config(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, GATES)
     dense_weights, dense_total = dense_lstm_params(m.n_x, math.prod(m.m_shape))
     ratio = compression_ratio(dense_weights, ht)
     print(f"model: n_x={m.n_x} n_shape={','.join(map(str, m.n_shape))} "
           f"m_shape={','.join(map(str, m.m_shape))} "
-          f"leaf_rank={m.leaf_rank} internal_rank={m.internal_rank} gates=4")
+          f"leaf_rank={m.leaf_rank} internal_rank={m.internal_rank} gates={GATES}")
     print(f"ht_params = {ht:,}")
     print(f"dense_weight_params = {dense_weights:,}")
     print(f"dense_total_params = {dense_total:,}")
@@ -57,9 +57,8 @@ def cmd_params(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     """Print the TT/TR/BT/HT parameter counts over [compare] ranks as CSV."""
     c = cfg.compare
-    csv = emit_rank_sweep(cfg.model.m_shape, cfg.model.n_shape,
-                          range(c.rank_min, c.rank_max + 1))
-    sys.stdout.write(csv)
+    sys.stdout.write(emit_rank_sweep(cfg.model.m_shape, cfg.model.n_shape,
+                                     range(c.rank_min, c.rank_max + 1)))
     return 0
 
 
@@ -87,19 +86,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if err <= VERIFY_TOL else 1
 
 
-def _ensure_parent(path: str):
-    """Make an output file's directory; reject a path that is a directory."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-
-
 def cmd_train(cfg: RunConfig) -> int:
     """Train on the synthetic task; write a checkpoint and the metrics CSV."""
     m = cfg.model
     for path in (cfg.paths.checkpoint, cfg.paths.checkpoint + SIDECAR_SUFFIX,
-                 cfg.paths.metrics):
-        _ensure_parent(path)
+                 cfg.paths.metrics):  # make each output's directory; none may be one
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     train_data, test_data = generate_task(cfg.task)
     cell = make_cell(m.n_x, m.n_shape, m.m_shape, m.leaf_rank, m.internal_rank,
                      m.mode, m.seed)
@@ -122,10 +116,10 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     """Print the synthetic-task test accuracy of a checkpoint."""
     cell, head = load_checkpoint(cfg.paths.checkpoint)
-    if cell.n_x != cfg.model.n_x:
-        raise ConfigError(
-            f"checkpoint n_x={cell.n_x} does not match config n_x={cfg.model.n_x}"
-        )
+    for key, saved, wanted in (("n_x", cell.n_x, cfg.model.n_x),
+                               ("classes", head.b.size, cfg.task.classes)):
+        if saved != wanted:
+            raise ConfigError(f"checkpoint {key}={saved} does not match config {key}={wanted}")
     _, test_data = generate_task(cfg.task)
     acc = evaluate(cell, head, test_data)
     print(f"test_acc = {acc:.6f}")

@@ -12,6 +12,7 @@ import io
 from dataclasses import dataclass
 
 from .ht import param_count_config
+from .lstm import GATES
 
 SCHEMES = ("tt", "tr", "bt", "ht")
 
@@ -60,8 +61,8 @@ def scheme_params(spec: FactorizationSpec) -> int:
 def dense_lstm_params(n_x: int, hidden: int) -> tuple[int, int]:
     """Parameters of the dense LSTM with input size n_x and hidden size H:
     the four gate matrices, 4H(n_x + H), and that plus the 4H gate biases."""
-    weights = 4 * hidden * (n_x + hidden)
-    return weights, weights + 4 * hidden
+    weights = GATES * hidden * (n_x + hidden)
+    return weights, weights + GATES * hidden
 
 
 def compression_ratio(dense_params: int, compressed_params: int) -> int:

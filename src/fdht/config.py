@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass, field, fields, replace
 
 from .ht import param_count_config
-from .lstm import MODES
-from .train import SyntheticTask, TrainConfig
+from .lstm import GATES, check_mode, pad_length
+from .train import SyntheticTask, TrainConfig, check_seed
 
 
 class ConfigError(ValueError):
@@ -34,17 +34,39 @@ class ModelConfig:
     mode: str = "full"
     seed: int = 1
 
+    def __post_init__(self):
+        # geometry first: its owner's message wins when several rules break
+        param_count_config(self.m_shape, self.n_shape, self.leaf_rank,
+                           self.internal_rank, GATES)
+        check_mode(self.mode)
+        hidden, total = math.prod(self.m_shape), math.prod(self.n_shape)
+        for name, size in (("m_shape", hidden), ("n_shape", total)):
+            if size > INDEX_MAX:
+                raise ValueError(f"prod({name})={size} exceeds the largest numpy "
+                                 f"index {INDEX_MAX}")
+        pad_length(self.n_x, hidden, total)
+        check_seed(self.seed)
+
 
 @dataclass
 class CompareConfig:
     rank_min: int = 1
     rank_max: int = 16
 
+    def __post_init__(self):
+        if not 1 <= self.rank_min <= self.rank_max:
+            raise ValueError("needs 1 <= rank_min <= rank_max")
+
 
 @dataclass
 class PathsConfig:
     checkpoint: str = "checkpoint.fdht"
     metrics: str = "metrics.csv"
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise ValueError(f"{f.name} must not be empty")
 
 
 @dataclass
@@ -71,9 +93,8 @@ def _parse_value(raw: str, target_type, section: str, key: str):
             return tuple(int(p) for p in raw.split(",") if p.strip() != "")
         value = float(raw)
     except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r}: cannot parse as {target_type}"
-        ) from None
+        raise ConfigError(f"[{section}] {key} = {raw!r}: cannot parse as "
+                          f"{target_type}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
     return value
@@ -112,40 +133,15 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig):
-    m = cfg.model
-    # the owners' messages name the key; the section goes in front
-    try:
-        param_count_config(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, 4)
-    except ValueError as exc:
-        raise ConfigError(f"model {exc}") from None
-    if m.mode not in MODES:
-        raise ConfigError(f"model mode must be one of {MODES}, got {m.mode!r}")
-    hidden, total = math.prod(m.m_shape), math.prod(m.n_shape)
-    for name, size in (("m_shape", hidden), ("n_shape", total)):
-        if size > INDEX_MAX:
-            raise ConfigError(f"prod({name})={size} exceeds the largest numpy "
-                              f"index {INDEX_MAX}")
-    if total < m.n_x + hidden:
-        raise ConfigError(
-            f"prod(n_shape)={total} too small: needs at least "
-            f"n_x + hidden = {m.n_x + hidden}"
-        )
-    try:
-        replace(cfg.train)
-    except ValueError as exc:
-        raise ConfigError(f"train {exc}") from None
-    k = cfg.task
-    if k.classes < 2 or k.frames < 1 or k.frame_dim < 1:
-        raise ConfigError("task needs classes >= 2, frames >= 1, frame_dim >= 1")
-    if k.train_per_class < 1 or k.test_per_class < 1:
-        raise ConfigError("task per-class sample counts must be >= 1")
-    if k.frame_dim != m.n_x:
-        raise ConfigError(
-            f"task frame_dim={k.frame_dim} must equal model n_x={m.n_x}"
-        )
-    c = cfg.compare
-    if not 1 <= c.rank_min <= c.rank_max:
-        raise ConfigError("compare needs 1 <= rank_min <= rank_max")
+    """Each section's own rules, section name first, then frame_dim == n_x."""
+    for section in _SECTIONS:
+        try:
+            replace(getattr(cfg, section))
+        except ValueError as exc:
+            raise ConfigError(f"{section} {exc}") from None
+    if cfg.task.frame_dim != cfg.model.n_x:
+        raise ConfigError(f"task frame_dim={cfg.task.frame_dim} must equal "
+                          f"model n_x={cfg.model.n_x}")
 
 
 def _format_value(value) -> str:
@@ -168,7 +164,8 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def apply_seed_override(cfg: RunConfig, seed: int):
-    """--seed: rebase the model, train and task seeds deterministically."""
+    """--seed: rebase the model, train and task seeds, then validate."""
     cfg.model.seed = seed
     cfg.train.seed = seed + 1
     cfg.task.seed = seed + 2
+    validate_config(cfg)

@@ -3,10 +3,10 @@
 Layout: magic ``FDHT``, format version (u16 LE), then d, g, m_shape,
 n_shape, node count and per-node ranks in preorder (all u32 LE), then
 one factor payload per node in the same preorder as little-endian float64
-with the last index varying fastest. A ``CELL`` section (mode, input
-size, the (4, hidden) gate biases, dense recurrent matrix for input-only
-cells) and a ``HEAD`` section (classifier weights) follow. The cell's
-rules (root rank 4, n_x + hidden within the input size) are
+with the last index varying fastest. A ``CELL`` section (the mode's index
+in ``lstm.MODES``, input size, (GATES, hidden) biases, dense recurrent
+matrix for input-only cells) and a ``HEAD`` section (classifier weights)
+follow. The cell's rules (root rank, n_x + hidden within the input) are
 ``FdhtLstmCell``'s, and the weight's (d >= 2, mode lengths and ranks
 >= 1) are ``build_dim_tree``'s and ``factor_shapes``'s; the reader
 re-raises their ``ValueError`` as ``ShapeInconsistencyError``. Saving to
@@ -23,13 +23,12 @@ import struct
 import numpy as np
 
 from .ht import HTWeight, build_dim_tree, factor_shapes
-from .lstm import GATE_ORDER, FdhtLstmCell, Head
+from .lstm import GATES, MODES, FdhtLstmCell, Head
 
 MAGIC = b"FDHT"
 VERSION = 1
 _CELL_TAG = b"CELL"
 _HEAD_TAG = b"HEAD"
-_MODE_CODES = {"full": 0, "input-only": 1}
 SIDECAR_SUFFIX = ".json"
 
 
@@ -60,10 +59,8 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise TruncatedError(
-                f"stream truncated: needed {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
+            raise TruncatedError(f"stream truncated: needed {n} bytes at offset "
+                                 f"{self.pos}, have {len(self.data) - self.pos}")
         out = self.data[self.pos: self.pos + n]
         self.pos += n
         return out
@@ -127,14 +124,12 @@ def _read_weight(r: _Reader) -> HTWeight:
         raise ShapeInconsistencyError(str(exc)) from None
     n_nodes = r.u32()
     if n_nodes != len(tree.nodes):
-        raise ShapeInconsistencyError(
-            f"header declares {n_nodes} nodes, a {d}-mode tree has {len(tree.nodes)}"
-        )
+        raise ShapeInconsistencyError(f"header declares {n_nodes} nodes, a {d}-mode "
+                                      f"tree has {len(tree.nodes)}")
     ranks = r.u32s(n_nodes)
     if ranks[0] != g:
-        raise ShapeInconsistencyError(
-            f"root rank {ranks[0]} contradicts header gate count {g}"
-        )
+        raise ShapeInconsistencyError(f"root rank {ranks[0]} contradicts header "
+                                      f"gate count {g}")
     for node, rank in zip(tree.nodes, ranks):
         node.rank = rank
     try:
@@ -146,7 +141,7 @@ def _read_weight(r: _Reader) -> HTWeight:
 
 def serialize_checkpoint(cell: FdhtLstmCell, head: Head) -> bytes:
     parts = [serialize(cell.weight), _CELL_TAG,
-             struct.pack("<B", _MODE_CODES[cell.mode]), _u32(cell.n_x)]
+             struct.pack("<B", MODES.index(cell.mode)), _u32(cell.n_x)]
     parts.append(_f64s(cell.biases))
     if cell.mode == "input-only":
         parts.append(_f64s(cell.recurrent))
@@ -163,14 +158,14 @@ def deserialize_checkpoint(data: bytes):
     if r.take(4) != _CELL_TAG:
         raise FormatError("missing CELL section in checkpoint")
     mode_code = struct.unpack("<B", r.take(1))[0]
-    if mode_code not in _MODE_CODES.values():
+    if mode_code >= len(MODES):
         raise ShapeInconsistencyError(f"unknown cell mode code {mode_code}")
     n_x = r.u32()
     hidden = math.prod(weight.m_shape)
-    biases = r.f64s((len(GATE_ORDER), hidden))
+    biases = r.f64s((GATES, hidden))
     recurrent = None
-    if mode_code == _MODE_CODES["input-only"]:
-        recurrent = r.f64s((4 * hidden, hidden))
+    if MODES[mode_code] == "input-only":
+        recurrent = r.f64s((GATES * hidden, hidden))
     try:
         cell = FdhtLstmCell(weight, n_x, biases=biases, recurrent=recurrent)
     except ValueError as exc:
@@ -182,9 +177,8 @@ def deserialize_checkpoint(data: bytes):
         raise ShapeInconsistencyError("head must have at least one class")
     head = Head(r.f64s((classes, hidden)), r.f64s((classes,)))
     if not r.exhausted:
-        raise FormatError(
-            f"{len(r.data) - r.pos} unexpected trailing bytes after checkpoint"
-        )
+        raise FormatError(f"{len(r.data) - r.pos} unexpected trailing bytes after "
+                          "checkpoint")
     return cell, head
 
 

@@ -7,11 +7,11 @@ gate-major in the order f, u, c, o. The gate map is the only part that
 differs between the paper's cell and its baseline:
 
 - ``HtGateMap`` (``FdhtLstmCell``) stores the stacked input-to-hidden and
-  hidden-to-hidden matrices of all four gates in HT form with root rank 4,
-  so the leading output mode selects the gate. A single step runs the
-  contraction plan; BPTT prepares the root-children frames once per
-  minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step, with
-  the weight-gradient GEMM of a whole sequence run once when it ends.
+  hidden-to-hidden matrices of all four gates in HT form with root rank
+  ``GATES``, so the leading output mode selects the gate. A single step
+  runs the contraction plan; BPTT prepares the root-children frames once
+  per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step,
+  with the weight-gradient GEMM of a whole sequence run once when it ends.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix and
   serves as its own frame.
 
@@ -34,6 +34,7 @@ from .tensor import vectorize
 
 MODES = ("full", "input-only")
 GATE_ORDER = ("f", "u", "c", "o")
+GATES = len(GATE_ORDER)  # the HT root rank: one output slice per gate
 
 
 @dataclass(eq=False)
@@ -82,8 +83,8 @@ class HtGateMap:
     root-children frames once and every step is two GEMMs."""
 
     def __init__(self, weight: HTWeight):
-        if weight.root_rank != 4:
-            raise ValueError(f"cell weight needs root rank 4, got {weight.root_rank}")
+        if weight.root_rank != GATES:
+            raise ValueError(f"cell weight needs root rank {GATES}, got {weight.root_rank}")
         self.weight = weight
         self.in_size = weight.in_size
         self.hidden_size = math.prod(weight.m_shape)
@@ -109,11 +110,11 @@ class DenseGateMap:
 
     def __init__(self, w):
         self.weight = np.asarray(w, dtype=np.float64)
-        if self.weight.shape[0] % 4:
+        if self.weight.shape[0] % GATES:
             raise ValueError(
-                f"weight rows must be a multiple of 4, got {self.weight.shape[0]}")
+                f"weight rows must be a multiple of {GATES}, got {self.weight.shape[0]}")
         self.in_size = self.weight.shape[1]
-        self.hidden_size = self.weight.shape[0] // 4
+        self.hidden_size = self.weight.shape[0] // GATES
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.weight}
@@ -138,7 +139,7 @@ class DenseGateMap:
 
 
 class FdhtLstmCell:
-    """LSTM cell over a gate map; by default the HT map with root rank 4.
+    """LSTM cell over a gate map; by default the HT map, root rank ``GATES``.
 
     Without ``recurrent`` (mode "full") the gate map consumes
     [x | zeros(pad_len) | h]. With a dense (4H x H) ``recurrent`` matrix
@@ -153,26 +154,20 @@ class FdhtLstmCell:
         self.weight = self.gate_map.weight
         self.n_x = int(n_x)
         self.hidden_size = h = self.gate_map.hidden_size
-        self.pad_len = self.gate_map.in_size - self.n_x - h
-        if self.pad_len < 0:
-            raise ValueError(
-                f"gate map input length {self.gate_map.in_size} too small: "
-                f"needs at least n_x + hidden = {self.n_x + h}"
-            )
+        self.pad_len = pad_length(self.n_x, h, self.gate_map.in_size)
         if biases is None:
-            biases = np.zeros((len(GATE_ORDER), h))
+            biases = np.zeros((GATES, h))
             biases[0] = 1.0  # forget gate
         self.biases = np.array(biases, dtype=np.float64)
-        if self.biases.shape != (len(GATE_ORDER), h):
-            raise ValueError(f"biases must have shape {(len(GATE_ORDER), h)}, "
+        if self.biases.shape != (GATES, h):
+            raise ValueError(f"biases must have shape {(GATES, h)}, "
                              f"got {self.biases.shape}")
         self.recurrent = recurrent
         if recurrent is not None:
             self.recurrent = np.asarray(recurrent, dtype=np.float64)
-            if self.recurrent.shape != (4 * h, h):
-                raise ValueError(
-                    f"recurrent matrix must be {(4 * h, h)}, got {self.recurrent.shape}"
-                )
+            if self.recurrent.shape != (GATES * h, h):
+                raise ValueError(f"recurrent matrix must be {(GATES * h, h)}, "
+                                 f"got {self.recurrent.shape}")
 
     @property
     def mode(self) -> str:
@@ -244,13 +239,6 @@ class DenseLstmCell(FdhtLstmCell):
         super().__init__(w, n_x, biases=biases)
 
 
-def make_dense_cell(n_x: int, hidden_size: int, seed) -> DenseLstmCell:
-    rng = np.random.default_rng(seed)
-    fan_in = n_x + hidden_size
-    w = rng.normal(0.0, fan_in ** -0.5, size=(4 * hidden_size, fan_in))
-    return DenseLstmCell(w, n_x)
-
-
 def _gate_forward(z, bias, c_prev):
     """Gates of one step on the stacked (4, H) block: one bias add, the
     sigmoid over all four rows, then tanh over the candidate row. The
@@ -285,19 +273,31 @@ def _gate_backward(gates, dh, dc):
     return dz, dc_total * f
 
 
-def make_cell(n_x, n_shape, m_shape, leaf_rank, internal_rank,
-              mode: str = "full", seed=0) -> FdhtLstmCell:
-    """Build an FDHT cell: HT weight with root rank 4, zero biases except a
-    forget-gate bias of 1, and zero-padding from n_x + hidden up to
-    prod(n_shape)."""
+def check_mode(mode: str):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def pad_length(n_x: int, hidden: int, in_size: int) -> int:
+    """Zeros between x and h in the packed input; the packing bound."""
+    if in_size < n_x + hidden:
+        raise ValueError(f"gate map input length {in_size} too small: "
+                         f"needs at least n_x + hidden = {n_x + hidden}")
+    return in_size - n_x - hidden
+
+
+def make_cell(n_x, n_shape, m_shape, leaf_rank, internal_rank,
+              mode: str = "full", seed=0) -> FdhtLstmCell:
+    """Build an FDHT cell: HT weight with root rank ``GATES``, zero biases
+    except a forget-gate bias of 1, and zero-padding from n_x + hidden up
+    to prod(n_shape)."""
+    check_mode(mode)
     hidden = math.prod(m_shape)
-    weight = init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, 4, seed)
+    weight = init_ht_weight(m_shape, n_shape, leaf_rank, internal_rank, GATES, seed)
     recurrent = None
     if mode == "input-only":
         rng = np.random.default_rng((seed, 1))
-        recurrent = rng.normal(0.0, hidden ** -0.5, size=(4 * hidden, hidden))
+        recurrent = rng.normal(0.0, hidden ** -0.5, size=(GATES * hidden, hidden))
     return FdhtLstmCell(weight, n_x, recurrent=recurrent)
 
 

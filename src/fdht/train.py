@@ -15,6 +15,12 @@ class TrainingError(RuntimeError):
     pass
 
 
+def check_seed(seed: int):
+    """The seed rule of every config section that holds one."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
@@ -42,6 +48,7 @@ class TrainConfig:
             raise ValueError("eps must be positive")
         if not self.l2_coeff >= 0:
             raise ValueError("l2_coeff must be >= 0")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -56,6 +63,13 @@ class SyntheticTask:
     seed: int = 0
     train_per_class: int = 40
     test_per_class: int = 20
+
+    def __post_init__(self):
+        if self.classes < 2 or self.frames < 1 or self.frame_dim < 1:
+            raise ValueError("needs classes >= 2, frames >= 1, frame_dim >= 1")
+        if self.train_per_class < 1 or self.test_per_class < 1:
+            raise ValueError("train_per_class and test_per_class must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass(eq=False, repr=False)

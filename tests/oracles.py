@@ -136,6 +136,17 @@ def random_small_weight(rng, d_choices=(2, 3, 4), max_len=4, max_rank=3):
     return init_ht_weight(m, n, leaf, internal, root, seed=int(rng.integers(2**31)))
 
 
+def make_dense_cell(n_x, hidden_size, seed):
+    """A ``DenseLstmCell`` with Gaussian weights of variance 1 / fan-in:
+    the dense baseline and the trajectory oracle's vehicle."""
+    from fdht.lstm import GATES, DenseLstmCell
+
+    rng = np.random.default_rng(seed)
+    fan_in = n_x + hidden_size
+    w = rng.normal(0.0, fan_in ** -0.5, size=(GATES * hidden_size, fan_in))
+    return DenseLstmCell(w, n_x)
+
+
 def nearest_template_accuracy(task, data):
     """Classify by distance to the clean per-class sequence; the sanity
     ceiling for the synthetic task."""

@@ -18,10 +18,10 @@ from fdht.complexity import FactorizationSpec, emit_rank_sweep, scheme_params
 from fdht.grad import finite_diff_check
 from fdht.ht import htl_forward, init_ht_weight, param_count_config, reconstruct_dense
 from fdht.lstm import (DenseLstmCell, bptt, forward_sequence, make_cell,
-                       make_dense_cell, make_head, softmax_cross_entropy)
+                       make_head, softmax_cross_entropy)
 from fdht.train import (SyntheticTask, TrainConfig, generate_task,
                         history_csv, train)
-from oracles import fd_param_dict, max_rel_error
+from oracles import fd_param_dict, make_dense_cell, max_rel_error
 
 REFERENCE_CONFIGS = {
     # name: (m_shape, n_shape, leaf_rank, internal_rank, n_x, expected count,

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from fdht import cli
 from fdht.cli import _COMMANDS, main
-from fdht.config import (ConfigError, RunConfig, emit_config, load_config,
-                         parse_config)
+from fdht.config import (CompareConfig, ConfigError, ModelConfig, PathsConfig,
+                         RunConfig, emit_config, load_config, parse_config)
 from fdht.ht import param_count_config
-from fdht.train import TrainConfig
+from fdht.io import save_checkpoint
+from fdht.lstm import make_cell, make_head
+from fdht.train import SyntheticTask, TrainConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -147,7 +149,7 @@ class TestConfigParsing:
         path.write_text(f"[model]\n{key} = 4294967296,4294967296\n")
         code, out, err = run_cli(capsys, "params", "--config", str(path))
         assert (code, out) == (1, "")
-        assert err == (f"error: validation: prod({key})=18446744073709551616 exceeds "
+        assert err == (f"error: validation: model prod({key})=18446744073709551616 exceeds "
                        f"the largest numpy index 9223372036854775807\n")
 
     def test_percent_sign_is_literal(self, capsys, tmp_path):
@@ -175,8 +177,8 @@ def owner_error(owner, *args, **kwargs):
 
 
 class TestOwnersMessages:
-    # The geometry and [train] rules live in param_count_config and
-    # TrainConfig; the config only puts its section in front.
+    # Each section's dataclass owns its rules (the model's geometry through
+    # param_count_config); the config only puts the section in front.
     @settings(max_examples=200, deadline=None)
     @given(m=st.lists(st.integers(0, 3), max_size=4),
            n=st.lists(st.integers(0, 3), max_size=4),
@@ -202,6 +204,50 @@ class TestOwnersMessages:
         with pytest.raises(ConfigError) as info:
             parse_config("[train]\n" + "".join(f"{k} = {v!r}\n" for k, v in values.items()))
         assert str(info.value) == f"train {message}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        "classes": st.integers(0, 3), "frames": st.integers(-1, 2),
+        "frame_dim": st.integers(-1, 2), "train_per_class": st.integers(-1, 2),
+        "test_per_class": st.integers(-1, 2), "seed": st.integers(-2, 2)}))
+    def test_task_settings(self, values):
+        message = owner_error(SyntheticTask, **values)
+        if message is None:
+            return
+        with pytest.raises(ConfigError) as info:
+            parse_config("[task]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert str(info.value) == f"task {message}"
+
+    @pytest.mark.parametrize("owner, section, values", [
+        (ModelConfig, "model", {"mode": "hidden-only"}),
+        (ModelConfig, "model", {"n_x": 257}),
+        (ModelConfig, "model", {"seed": -1}),
+        (TrainConfig, "train", {"seed": -2}),
+        (SyntheticTask, "task", {"seed": -3}),
+        (SyntheticTask, "task", {"classes": 1}),
+        (SyntheticTask, "task", {"test_per_class": 0}),
+        (CompareConfig, "compare", {"rank_min": 0}),
+        (CompareConfig, "compare", {"rank_min": 3, "rank_max": 2}),
+        (PathsConfig, "paths", {"checkpoint": ""}),
+        (PathsConfig, "paths", {"metrics": ""}),
+    ], ids=["model-mode", "model-packing", "model-seed", "train-seed", "task-seed",
+            "task-classes", "task-per-class", "compare-rank-min", "compare-order",
+            "paths-checkpoint", "paths-metrics"])
+    def test_section_owner_rejects(self, owner, section, values):
+        # the dataclass rejects the values when built directly, and the INI
+        # text holding them reports that message after its section
+        message = owner_error(owner, **values)
+        assert message is not None and any(key in message for key in values)
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert str(info.value) == f"{section} {message}"
+
+    @pytest.mark.parametrize("values", [{"mode": "hidden-only"}, {"n_x": 257}],
+                             ids=["mode", "packing"])
+    def test_model_shares_the_cells_rules(self, values):
+        args = {"n_x": 256, "n_shape": (16, 17), "m_shape": (4, 4), "leaf_rank": 8,
+                "internal_rank": 8, **values}
+        assert owner_error(ModelConfig, **values) == owner_error(make_cell, **args)
 
 
 SECTIONS = [f.name for f in fields(RunConfig)]
@@ -311,6 +357,14 @@ def small_run(tmp_path, checkpoint, metrics, epochs=3):
                         + f"\n[paths]\ncheckpoint = {checkpoint}\nmetrics = {metrics}\n")
 
 
+def two_class_checkpoint(tmp_path):
+    """A checkpoint of SMALL_MODEL's geometry whose head has 2 classes, in a
+    config whose [task] has 3."""
+    cell = make_cell(6, (4, 3), (2, 2), 2, 2)
+    save_checkpoint(cell, make_head(2, cell.hidden_size, 0), tmp_path / "two.fdht")
+    return small_run(tmp_path, tmp_path / "two.fdht", tmp_path / "m.csv")
+
+
 def corrupt_checkpoint(tmp_path):
     (tmp_path / "bad.fdht").write_bytes(b"XYZW" + bytes(60))
     return small_run(tmp_path, tmp_path / "bad.fdht", tmp_path / "m.csv")
@@ -339,6 +393,15 @@ EXIT_CASES = {
     "metrics-directory": (
         lambda t: ["train", "--config", small_run(t, t / "c.fdht", t, epochs=0)],
         1, re.escape(VALIDATION + "[Errno 21] Is a directory: ") + ".*\n"),
+    "empty-checkpoint-path": (
+        lambda t: ["train", "--config", write_config(t, "[paths]\ncheckpoint =\n")],
+        1, re.escape(VALIDATION + "paths checkpoint must not be empty\n")),
+    "negative-seed": (
+        lambda t: ["params", "--seed", "-1"],
+        1, re.escape(VALIDATION + "model seed must be >= 0, got -1\n")),
+    "checkpoint-classes": (
+        lambda t: ["eval", "--config", two_class_checkpoint(t)],
+        1, re.escape(VALIDATION + "checkpoint classes=2 does not match config classes=3\n")),
     "corrupt-checkpoint": (
         lambda t: ["eval", "--config", corrupt_checkpoint(t)],
         1, re.escape(VALIDATION + "not an FDHT container (bad magic bytes)\n")),

@@ -187,6 +187,17 @@ def test_cell_given_only_a_recurrent_block_round_trips(tmp_path):
     assert sidecar["cell"]["mode"] == "input-only"
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_byte_is_the_index_in_modes(mode):
+    cell = make_cell(5, (3, 3), (2, 2), 2, 2, mode=mode, seed=8)
+    data = bytearray(serialize_checkpoint(cell, make_head(4, cell.hidden_size, seed=9)))
+    at = len(serialize(cell.weight)) + 4  # after the CELL tag
+    assert data[at] == MODES.index(mode)
+    data[at] = len(MODES)
+    with pytest.raises(ShapeInconsistencyError, match=f"unknown cell mode code {len(MODES)}$"):
+        deserialize_checkpoint(bytes(data))
+
+
 def test_checkpoint_missing_sections():
     cell = make_cell(5, (3, 3), (2, 2), 2, 2, seed=8)
     head = make_head(4, cell.hidden_size, seed=9)

@@ -10,10 +10,10 @@ import pytest
 from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
 from fdht.lstm import (GATE_ORDER, DenseLstmCell, FdhtLstmCell, Head,
                        LstmState, _gate_backward, _gate_forward, bptt,
-                       forward_sequence, make_cell, make_dense_cell,
-                       make_head, sigmoid, softmax_cross_entropy, zero_grads)
-from oracles import (fd_param_dict, max_rel_error, per_gate_backward,
-                     per_gate_forward)
+                       forward_sequence, make_cell, make_head, sigmoid,
+                       softmax_cross_entropy, zero_grads)
+from oracles import (fd_param_dict, make_dense_cell, max_rel_error,
+                     per_gate_backward, per_gate_forward)
 
 
 def small_cell(mode="full", seed=9, **kw):

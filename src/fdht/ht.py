@@ -265,8 +265,10 @@ class RootFrames:
     ``backward`` writes dy as (m_L, g m_R) into slot k of a second block,
     so the sequence's V cotangent, the sum of T'_k.T @ dy_k, is one GEMM
     with inner dimension steps * m_L, run when the sequence ends (the
-    next ``begin``, or ``finish``). Backward every product once before
-    then. The next sequence reuses the blocks unless its length differs.
+    next ``begin``, or ``finish``). It is accumulated transposed, as
+    ``dvt`` = the sum of dy_k.T @ T'_k, the faster orientation of that
+    GEMM on OpenBLAS. Backward every product once before then. The next
+    sequence reuses the blocks unless its length differs.
     """
 
     def __init__(self, w: HTWeight, sink):
@@ -280,7 +282,7 @@ class RootFrames:
         v = np.tensordot(w.factors[0], self.fr, axes=(2, 0))  # (g, a, iR, jR)
         self.v = v.transpose(1, 3, 0, 2).reshape(rl * nr, root.rank * mr)
         self.du = np.zeros_like(self.u)
-        self.dv = np.zeros_like(self.v)
+        self.dvt = np.zeros((root.rank * mr, rl * nr))
         # per-sequence blocks of T' and of dy, and the products run so far
         self.t_block = np.empty((0, ml, rl * nr))
         self.dy_block = np.empty((0, ml, root.rank, mr))
@@ -304,23 +306,28 @@ class RootFrames:
         y = (t @ self.v).reshape(ml, g, mr).transpose(1, 0, 2)
         return y.reshape(-1), (x, k)
 
-    def backward(self, saved, dy):
+    def backward(self, saved, dy, start=0):
         """Accumulate the U cotangent of one product and keep its ``dy``
-        for the sequence's V cotangent; returns ``W.T @ dy``."""
+        for the sequence's V cotangent; returns ``(W.T @ dy)[start:]``.
+        Only the n_L-rows of X from ``start // n_R`` on are computed, and
+        none when ``start`` is the input length."""
         x, k = saved
         g, rl, ml, mr, nl, nr = self.shape
         slot = self.dy_block[k]
         slot[...] = dy.reshape(g, ml, mr).transpose(1, 0, 2)
         dt = (slot.reshape(ml, g * mr) @ self.v.T).reshape(ml * rl, nr)
         self.du += dt @ x.reshape(nl, nr).T
-        return (self.u.T @ dt).reshape(-1)
+        r0 = start // nr
+        if r0 == nl:
+            return np.empty(0)
+        return (self.u[:, r0:].T @ dt).reshape(-1)[start - r0 * nr:]
 
     def _end_sequence(self):
         """Add the V cotangent of the open sequence's products in one GEMM."""
         n, self.count = self.count, 0
         if n:
-            t = self.t_block[:n].reshape(-1, self.v.shape[0])
-            self.dv += t.T @ self.dy_block[:n].reshape(-1, self.v.shape[1])
+            dy = self.dy_block[:n].reshape(-1, self.dvt.shape[0])
+            self.dvt += dy.T @ self.t_block[:n].reshape(-1, self.dvt.shape[1])
 
     def finish(self):
         """End the open sequence and add the factor cotangents of
@@ -330,7 +337,7 @@ class RootFrames:
         self.t_block = self.dy_block = None
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root
-        dv = self.dv.reshape(rl, nr, g, mr)  # (a, jR, g, iR)
+        dv = self.dvt.T.reshape(rl, nr, g, mr)  # (a, jR, g, iR)
         self.sink[0] += np.tensordot(dv, self.fr, axes=([3, 1], [1, 2])).transpose(1, 0, 2)
         d_fr = np.tensordot(self.w.factors[0], dv, axes=([0, 1], [2, 0]))  # (b, jR, iR)
         _frame_vjp(self.w, root.left, self.du.reshape(ml, rl, nl).transpose(1, 0, 2),

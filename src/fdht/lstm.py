@@ -130,9 +130,9 @@ class DenseGateMap:
     def begin(self, steps: int):
         pass
 
-    def backward(self, packed, dz):
+    def backward(self, packed, dz, start=0):
         self.grad += np.outer(dz, packed)
-        return self.weight.T @ dz
+        return self.weight[:, start:].T @ dz
 
     def finish(self):
         pass
@@ -212,17 +212,22 @@ class FdhtLstmCell:
         h_prev = None if self.recurrent is None else state.h
         return new_state, {"map": saved, "gates": gates, "h_prev": h_prev}
 
-    def step_backward(self, frames, cache, dh, dc, grads):
+    def step_backward(self, frames, cache, dh, dc, grads, need_dx=True):
         """Accumulate the gradients of one ``step_frames(frames, ...)``
         step: biases and recurrent matrix into ``grads``, the gate map into
-        ``frames``. Returns (dh_prev, dc_prev, dx)."""
+        ``frames``. Returns (dh_prev, dc_prev, dx), dx None unless
+        ``need_dx``: the gate map then computes its input cotangent only
+        from the h slice on (full mode) or not at all (input-only)."""
         dz, dc_prev = _gate_backward(cache["gates"], dh, dc)
         grads["biases"] += dz
         dz = dz.reshape(-1)
-        d_packed = frames.backward(cache["map"], dz)
-        dx = d_packed[: self.n_x]
+        h_start = self.n_x + self.pad_len
+        start = (0 if need_dx else h_start if self.recurrent is None
+                 else self.gate_map.in_size)
+        d_packed = frames.backward(cache["map"], dz, start)
+        dx = d_packed[: self.n_x] if need_dx else None
         if self.recurrent is None:
-            dh_prev = d_packed[self.n_x + self.pad_len:]
+            dh_prev = d_packed[h_start - start:]
         else:
             grads["recurrent"] += np.outer(dz, cache["h_prev"])
             dh_prev = self.recurrent.T @ dz
@@ -279,7 +284,10 @@ def check_mode(mode: str):
 
 
 def pad_length(n_x: int, hidden: int, in_size: int) -> int:
-    """Zeros between x and h in the packed input; the packing bound."""
+    """Zeros between x and h in the packed input; the packing bound,
+    which also needs n_x >= 1."""
+    if n_x < 1:
+        raise ValueError(f"n_x must be >= 1, got {n_x}")
     if in_size < n_x + hidden:
         raise ValueError(f"gate map input length {in_size} too small: "
                          f"needs at least n_x + hidden = {n_x + hidden}")
@@ -331,9 +339,11 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     with ``frames.begin(steps)``, so the HT frames add the sequence's V
     cotangent in one GEMM after its backward. Each step cache is dropped
     as soon as its backward has run, so the caches are gone before that
-    GEMM and the peak memory does not grow with the batch. Dropout, when
-    enabled, is applied to the final hidden state before the head
-    (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
+    GEMM and the peak memory does not grow with the batch. Unless
+    ``return_input_grads`` is set, each step's backward computes only the
+    h rows of the gate map's input cotangent (none in input-only mode).
+    Dropout, when enabled, is applied to the final hidden state before
+    the head (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
     (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
     example i.
     """
@@ -373,10 +383,9 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         dc = np.zeros_like(dh)
         input_grads = [None] * len(xs)
         for t in range(len(xs) - 1, -1, -1):
-            dh, dc, dx = cell.step_backward(frames, caches[t], dh, dc, grads)
+            dh, dc, input_grads[t] = cell.step_backward(
+                frames, caches[t], dh, dc, grads, need_dx=return_input_grads)
             caches[t] = None
-            if return_input_grads:
-                input_grads[t] = dx
         if return_input_grads:
             all_input_grads.append(input_grads)
     frames.finish()

@@ -1,7 +1,10 @@
 """CLI commands end to end: outputs, exit codes, config round-trips."""
 
 import configparser
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -221,6 +224,7 @@ class TestOwnersMessages:
     @pytest.mark.parametrize("owner, section, values", [
         (ModelConfig, "model", {"mode": "hidden-only"}),
         (ModelConfig, "model", {"n_x": 257}),
+        (ModelConfig, "model", {"n_x": -5}),
         (ModelConfig, "model", {"seed": -1}),
         (TrainConfig, "train", {"seed": -2}),
         (SyntheticTask, "task", {"seed": -3}),
@@ -230,9 +234,9 @@ class TestOwnersMessages:
         (CompareConfig, "compare", {"rank_min": 3, "rank_max": 2}),
         (PathsConfig, "paths", {"checkpoint": ""}),
         (PathsConfig, "paths", {"metrics": ""}),
-    ], ids=["model-mode", "model-packing", "model-seed", "train-seed", "task-seed",
-            "task-classes", "task-per-class", "compare-rank-min", "compare-order",
-            "paths-checkpoint", "paths-metrics"])
+    ], ids=["model-mode", "model-packing", "model-n-x", "model-seed", "train-seed",
+            "task-seed", "task-classes", "task-per-class", "compare-rank-min",
+            "compare-order", "paths-checkpoint", "paths-metrics"])
     def test_section_owner_rejects(self, owner, section, values):
         # the dataclass rejects the values when built directly, and the INI
         # text holding them reports that message after its section
@@ -242,8 +246,8 @@ class TestOwnersMessages:
             parse_config(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
         assert str(info.value) == f"{section} {message}"
 
-    @pytest.mark.parametrize("values", [{"mode": "hidden-only"}, {"n_x": 257}],
-                             ids=["mode", "packing"])
+    @pytest.mark.parametrize("values", [{"mode": "hidden-only"}, {"n_x": 257},
+                                        {"n_x": 0}], ids=["mode", "packing", "n-x"])
     def test_model_shares_the_cells_rules(self, values):
         args = {"n_x": 256, "n_shape": (16, 17), "m_shape": (4, 4), "leaf_rank": 8,
                 "internal_rank": 8, **values}
@@ -433,6 +437,16 @@ def test_help_describes_every_command(capsys):
     out = capsys.readouterr().out
     for name in _COMMANDS:
         assert re.search(rf"^    {name} +\S", out, re.MULTILINE), name
+
+
+def test_python_dash_m_runs_the_cli():
+    # from a checkout with only src/ on the import path, no install
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "fdht", "params", "--config",
+                           "configs/synthetic.ini"], cwd=CONFIGS.parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "ht_params = 1,312" in done.stdout.splitlines()
 
 
 class TestCompare:

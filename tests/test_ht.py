@@ -328,7 +328,7 @@ class TestRootFrames:
         frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
         g, rl, ml, mr, nl, nr = frames.shape
         rng = np.random.default_rng(14)
-        want = np.zeros_like(frames.dv)
+        want = np.zeros_like(frames.dvt.T)
 
         def sequence(steps):
             xs = rng.normal(size=(steps, w.in_size))
@@ -340,7 +340,7 @@ class TestRootFrames:
                 want[...] += t.T @ dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, -1)
 
         def rel():
-            return np.max(np.abs(frames.dv - want)) / np.max(np.abs(want))
+            return np.max(np.abs(frames.dvt.T - want)) / np.max(np.abs(want))
 
         frames.begin(3)
         sequence(3)
@@ -349,6 +349,39 @@ class TestRootFrames:
         sequence(5)
         frames.finish()
         assert rel() <= 1e-12
+
+    # at (16, 17): 0, a row boundary, 256 = 15 * 17 + 1 (the synthetic
+    # cell's n_x + pad, mid-row) and the input length
+    @pytest.mark.parametrize("start", [0, 3 * 17, 256, 272])
+    def test_backward_from_start(self, start):
+        # rows start.. of W.T dy, reading only the rows of U from
+        # start // n_R on, and no product with U at all past the input
+        w = init_ht_weight((4, 4), (16, 17), 8, 8, 4, seed=7)
+        frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
+        frames.u = frames.u.view(MatmulSpy)
+        rng = np.random.default_rng(18)
+        dy = rng.normal(size=w.out_size)
+        frames.begin(1)
+        _, saved = frames.forward(rng.normal(size=w.in_size))
+        MatmulSpy.calls = 0
+        got = frames.backward(saved, dy, start)
+        want = (reconstruct_dense(w).T @ dy)[start:]
+        assert got.shape == want.shape
+        assert MatmulSpy.calls == (start < w.in_size)
+        if want.size:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class MatmulSpy(np.ndarray):
+    """An array view that counts the matrix products it takes part in."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            MatmulSpy.calls += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, MatmulSpy) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class TestPlan:

@@ -198,6 +198,16 @@ def test_mode_byte_is_the_index_in_modes(mode):
         deserialize_checkpoint(bytes(data))
 
 
+def test_cell_n_x_of_zero_is_the_cells_error():
+    cell = make_cell(5, (3, 3), (2, 2), 2, 2, seed=8)
+    data = bytearray(serialize_checkpoint(cell, make_head(4, cell.hidden_size, seed=9)))
+    at = len(serialize(cell.weight)) + 5  # after the CELL tag and mode byte
+    assert struct.unpack_from("<I", data, at)[0] == 5
+    struct.pack_into("<I", data, at, 0)
+    with pytest.raises(ShapeInconsistencyError, match="n_x must be >= 1, got 0$"):
+        deserialize_checkpoint(bytes(data))
+
+
 def test_checkpoint_missing_sections():
     cell = make_cell(5, (3, 3), (2, 2), 2, 2, seed=8)
     head = make_head(4, cell.hidden_size, seed=9)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
-from fdht.lstm import (GATE_ORDER, DenseLstmCell, FdhtLstmCell, Head,
-                       LstmState, _gate_backward, _gate_forward, bptt,
+from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell, FdhtLstmCell,
+                       Head, LstmState, _gate_backward, _gate_forward, bptt,
                        forward_sequence, make_cell, make_head, sigmoid,
                        softmax_cross_entropy, zero_grads)
 from oracles import (fd_param_dict, make_dense_cell, max_rel_error,
@@ -41,6 +41,14 @@ class TestMakeCell:
     def test_too_small_reports_minimum(self):
         with pytest.raises(ValueError, match="at least n_x \\+ hidden = 9"):
             make_cell(5, (2, 2), (2, 2), 1, 1, seed=0)
+
+    @pytest.mark.parametrize("n_x", [0, -2])
+    def test_n_x_below_one_rejected(self, n_x):
+        # with n_x = 0 the cell would step on an empty x; below 0 no x fits
+        with pytest.raises(ValueError, match=f"n_x must be >= 1, got {n_x}"):
+            make_cell(n_x, (3, 3), (2, 2), 2, 2)
+        with pytest.raises(ValueError, match=f"n_x must be >= 1, got {n_x}"):
+            DenseLstmCell(np.zeros((16, 9)), n_x=n_x)
 
     def test_forget_bias_one_rest_zero(self):
         cell = small_cell()
@@ -212,6 +220,24 @@ class TestPaddingNeutrality:
         x_big = np.concatenate([x, np.zeros(w_big.in_size - w.in_size)])
         y_big = htl_forward(w_big, x_big)
         assert np.max(np.abs(y - y_big)) <= 1e-12
+
+
+class TestDenseGateMap:
+    # the starts of TestRootFrames.test_backward_from_start, on the same
+    # (16, 17) weight as one dense matrix
+    @pytest.mark.parametrize("start", [0, 3 * 17, 256, 272])
+    def test_backward_from_start(self, start):
+        w = init_ht_weight((4, 4), (16, 17), 8, 8, 4, seed=7)
+        matrix = reconstruct_dense(w)
+        frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)})
+        rng = np.random.default_rng(18)
+        packed, dy = rng.normal(size=w.in_size), rng.normal(size=w.out_size)
+        got = frames.backward(frames.forward(packed)[1], dy, start)
+        want = (matrix.T @ dy)[start:]
+        assert got.shape == want.shape
+        if want.size:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(frames.grad, np.outer(dy, packed))
 
 
 class TestSequenceAndHead:
@@ -400,7 +426,9 @@ class TestBptt:
     def check_against_dense_cell(mode, lengths):
         # the synthetic geometry against a dense cell on the reconstructed
         # matrix; in input-only mode the recurrent matrix takes the dense
-        # columns that the HT map only ever sees as zeros
+        # columns that the HT map only ever sees as zeros. Both cells run
+        # with and without input gradients: without them (bptt's default)
+        # the gate maps compute only the h rows of their input cotangent.
         cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
         head = make_head(8, cell.hidden_size, seed=2)
         rng = np.random.default_rng(21)
@@ -413,34 +441,66 @@ class TestBptt:
             matrix[:, h_cols] = cell.recurrent
         dense = DenseLstmCell(matrix, cell.n_x, biases=cell.biases)
 
-        def run(c):
+        def run(c, input_grads):
             return bptt(c, head, batch, dropout_rate=0.25,
-                        rng=np.random.default_rng(3), return_input_grads=True)
+                        rng=np.random.default_rng(3), return_input_grads=input_grads)
 
         def rel(got, want):
             return np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want))
 
-        loss, grads, dx = run(cell)
-        d_loss, d_grads, d_dx = run(dense)
-        assert rel(loss, d_loss) <= 1e-9
-        # one dL/dx_t per step of every sequence, whatever their lengths
-        assert rel(np.concatenate(sum(dx, [])), np.concatenate(sum(d_dx, []))) <= 1e-9
-        for k, g in enumerate(GATE_ORDER):
-            assert rel(grads["biases"][k], d_grads["biases"][k]) <= 1e-9, g
-        for name in ("head.w", "head.b"):
-            assert rel(grads[name], d_grads[name]) <= 1e-9, name
-        dw = d_grads["w"]
-        if mode == "input-only":
-            assert rel(grads["recurrent"], dw[:, h_cols]) <= 1e-9
-            dw[:, h_cols] = 0.0
-        # reconstruction is linear in each factor, so for any direction V,
-        # <dL/dfactor_i, V> = <dL/dW, W(factor_i := V)>
-        for i in range(len(w.factors)):
-            direction = rng.normal(size=w.factors[i].shape)
-            factors = list(w.factors)
-            factors[i] = direction
-            wv = reconstruct_dense(HTWeight(w.tree, w.m_shape, w.n_shape, factors))
-            assert rel(np.vdot(grads[f"ht.{i}"], direction), np.vdot(dw, wv)) <= 1e-9
+        paths = {}
+        for input_grads in (True, False):
+            loss, grads, *dx = run(cell, input_grads)
+            d_loss, d_grads, *d_dx = run(dense, input_grads)
+            paths[input_grads] = grads
+            assert rel(loss, d_loss) <= 1e-9
+            if input_grads:
+                # one dL/dx_t per step of every sequence, whatever their lengths
+                assert rel(np.concatenate(sum(dx[0], [])),
+                           np.concatenate(sum(d_dx[0], []))) <= 1e-9
+            for k, g in enumerate(GATE_ORDER):
+                assert rel(grads["biases"][k], d_grads["biases"][k]) <= 1e-9, g
+            for name in ("head.w", "head.b"):
+                assert rel(grads[name], d_grads[name]) <= 1e-9, name
+            dw = d_grads["w"]
+            if mode == "input-only":
+                assert rel(grads["recurrent"], dw[:, h_cols]) <= 1e-9
+                dw[:, h_cols] = 0.0
+            # reconstruction is linear in each factor, so for any direction V,
+            # <dL/dfactor_i, V> = <dL/dW, W(factor_i := V)>
+            for i in range(len(w.factors)):
+                direction = rng.normal(size=w.factors[i].shape)
+                factors = list(w.factors)
+                factors[i] = direction
+                wv = reconstruct_dense(HTWeight(w.tree, w.m_shape, w.n_shape, factors))
+                assert rel(np.vdot(grads[f"ht.{i}"], direction), np.vdot(dw, wv)) <= 1e-9
+        # the two paths differ at most in the shape of the dh GEMM
+        for name, g in paths[True].items():
+            assert rel(paths[False][name], g) <= 1e-12, name
+
+    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
+    def test_default_bptt_asks_only_for_h_rows(self, mode, monkeypatch):
+        # without input gradients every step's backward starts at the h
+        # slice (full mode, dense too) or past the input (input-only)
+        cell = make_dense_cell(4, 4, seed=3) if mode == "dense" else small_cell(mode, seed=3)
+        head = make_head(3, cell.hidden_size, seed=0)
+        rng = np.random.default_rng(23)
+        batch = [([rng.normal(size=4) for _ in range(steps)], steps % 3)
+                 for steps in (2, 3)]
+        frames_type = type(cell.gate_map.prepare(zero_grads(cell, head)))
+        backward, starts = frames_type.backward, []
+
+        def spy(self, saved, dy, start=0):
+            starts.append(start)
+            return backward(self, saved, dy, start)
+
+        monkeypatch.setattr(frames_type, "backward", spy)
+        bptt(cell, head, batch)
+        want = cell.gate_map.in_size if mode == "input-only" else cell.n_x + cell.pad_len
+        assert starts == [want] * 5
+        starts.clear()
+        bptt(cell, head, batch, return_input_grads=True)
+        assert starts == [0] * 5
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_step_backward_into_plain_grad_dict(self, mode):

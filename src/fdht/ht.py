@@ -17,7 +17,7 @@ the live factors against it bitwise and rebuilds them on any difference.
 :class:`RootFrames` serves training, where one minibatch multiplies by
 the same factors many times: it builds the frames once as two matrices,
 so each product is two GEMMs, and it sums the weight cotangent of a
-whole sequence of products in one GEMM when the sequence ends.
+whole sequence of products when the sequence ends.
 :func:`reconstruct_dense` assembles the dense matrix explicitly and
 serves as the testing oracle.
 """
@@ -263,23 +263,24 @@ class RootFrames:
     Products come in sequences, each opened by ``begin(steps)``. Product
     k writes T' into slot k of a (steps, m_L, r_L n_R) block, and its
     ``backward`` writes dy as (m_L, g m_R) into slot k of a second block,
-    so the sequence's V cotangent, the sum of T'_k.T @ dy_k, is one GEMM
+    so the sequence's V cotangent, the sum of T'_k.T @ dy_k, is a GEMM
     with inner dimension steps * m_L, run when the sequence ends (the
     next ``begin``, or ``finish``). It is accumulated transposed, as
     ``dvt`` = the sum of dy_k.T @ T'_k, the faster orientation of that
     GEMM on OpenBLAS. Backward every product once before then. The next
-    sequence reuses the blocks unless its length differs.
+    sequence reuses the blocks unless its length differs. The frames
+    keep no child frame; ``finish`` rebuilds FR from the factors.
     """
 
     def __init__(self, w: HTWeight, sink):
         root = w.tree.root
         self.w, self.sink = w, sink
-        fl, self.fr = _node_frame(w, root.left), _node_frame(w, root.right)
+        fl, fr = _node_frame(w, root.left), _node_frame(w, root.right)
         rl, ml, nl = fl.shape
-        _, mr, nr = self.fr.shape
+        _, mr, nr = fr.shape
         self.shape = (root.rank, rl, ml, mr, nl, nr)
         self.u = fl.transpose(1, 0, 2).reshape(ml * rl, nl)
-        v = np.tensordot(w.factors[0], self.fr, axes=(2, 0))  # (g, a, iR, jR)
+        v = np.tensordot(w.factors[0], fr, axes=(2, 0))  # (g, a, iR, jR)
         self.v = v.transpose(1, 3, 0, 2).reshape(rl * nr, root.rank * mr)
         self.du = np.zeros_like(self.u)
         self.dvt = np.zeros((root.rank * mr, rl * nr))
@@ -323,11 +324,17 @@ class RootFrames:
         return (self.u[:, r0:].T @ dt).reshape(-1)[start - r0 * nr:]
 
     def _end_sequence(self):
-        """Add the V cotangent of the open sequence's products in one GEMM."""
+        """Add the V cotangent of the open sequence's products to ``dvt``,
+        one gate's m_R rows at a time when the whole product would be
+        larger than the sequence's T' block, else in one GEMM."""
         n, self.count = self.count, 0
         if n:
-            dy = self.dy_block[:n].reshape(-1, self.dvt.shape[0])
-            self.dvt += dy.T @ self.t_block[:n].reshape(-1, self.dvt.shape[1])
+            g, rl, ml, mr, nl, nr = self.shape
+            dy = self.dy_block[:n].reshape(-1, g * mr)
+            t = self.t_block[:n].reshape(-1, rl * nr)
+            rows = mr if g * mr > n * ml else g * mr
+            for r in range(0, g * mr, rows):
+                self.dvt[r:r + rows] += dy[:, r:r + rows].T @ t
 
     def finish(self):
         """End the open sequence and add the factor cotangents of
@@ -338,7 +345,8 @@ class RootFrames:
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root
         dv = self.dvt.T.reshape(rl, nr, g, mr)  # (a, jR, g, iR)
-        self.sink[0] += np.tensordot(dv, self.fr, axes=([3, 1], [1, 2])).transpose(1, 0, 2)
+        fr = _node_frame(self.w, root.right)
+        self.sink[0] += np.tensordot(dv, fr, axes=([3, 1], [1, 2])).transpose(1, 0, 2)
         d_fr = np.tensordot(self.w.factors[0], dv, axes=([0, 1], [2, 0]))  # (b, jR, iR)
         _frame_vjp(self.w, root.left, self.du.reshape(ml, rl, nl).transpose(1, 0, 2),
                    self.sink)

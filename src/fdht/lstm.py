@@ -11,7 +11,7 @@ differs between the paper's cell and its baseline:
   ``GATES``, so the leading output mode selects the gate. A single step
   runs the contraction plan; BPTT prepares the root-children frames once
   per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step,
-  with the weight-gradient GEMM of a whole sequence run once when it ends.
+  with the weight-gradient GEMMs of a whole sequence run when it ends.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix and
   serves as its own frame.
 
@@ -58,11 +58,15 @@ def make_head(classes: int, hidden_size: int, seed) -> Head:
 
 
 def sigmoid(z):
-    """Logistic function without overflow: with e = exp(-|z|) it is
-    1 / (1 + e) for z >= 0 and e / (1 + e) below, the same two IEEE
-    expressions as splitting z by sign, so the bits match that form."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """Logistic function without overflow, exp(min(z, 0)) / (1 + exp(-|z|)):
+    1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, the same two
+    IEEE expressions as splitting z by sign, so the bits match that form.
+    It runs in place in two buffers, one of them the result."""
+    d = np.abs(z)
+    np.exp(np.negative(d, out=d), out=d)
+    d += 1.0
+    s = np.minimum(z, 0.0)
+    return np.divide(np.exp(s, out=s), d, out=s)
 
 
 def softmax_cross_entropy(logits, label: int):
@@ -337,15 +341,15 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     frames of the current factors); sequences then run one at a time and
     its factor gradients are finished once at the end. Each sequence opens
     with ``frames.begin(steps)``, so the HT frames add the sequence's V
-    cotangent in one GEMM after its backward. Each step cache is dropped
-    as soon as its backward has run, so the caches are gone before that
-    GEMM and the peak memory does not grow with the batch. Unless
-    ``return_input_grads`` is set, each step's backward computes only the
-    h rows of the gate map's input cotangent (none in input-only mode).
-    Dropout, when enabled, is applied to the final hidden state before
-    the head (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
-    (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
-    example i.
+    cotangent after its backward, in at most one GEMM per gate. Each
+    step cache is dropped as soon as its backward has run, so the caches
+    are gone before those GEMMs and the peak memory does not grow with
+    the batch. Unless ``return_input_grads`` is set, each step's backward
+    computes only the h rows of the gate map's input cotangent (none in
+    input-only mode). Dropout, when enabled, is applied to the final
+    hidden state before the head (inverted scaling) and needs an
+    ``rng``. Returns (loss, grads) or (loss, grads, input_grads) where
+    input_grads[i][t] is dL/dx_t for example i.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")

@@ -23,6 +23,8 @@ REFERENCE_GEOMETRIES = {
     "ucf11-cnn": ((4, 8, 8, 8), (8, 8, 8, 8), 9, 6),
     "hmdb51-cnn": ((4, 8, 8, 8), (8, 8, 8, 8), 14, 12),
 }
+# m_R > m_L, so short sequences add the V cotangent one gate at a time
+SPLIT_GEOMETRY = ((2, 8), (16, 17), 8, 8)
 # trees whose root children nest transfer tensors (d = 5 and 6)
 DEEP_GEOMETRIES = {
     "d5": ((2, 3, 2, 2, 3), (3, 2, 3, 2, 2), 2, 3),
@@ -321,34 +323,86 @@ class TestRootFrames:
             assert abs(np.vdot(both[i], direction) - want) <= 1e-12 * abs(want)
 
     def test_sequence_dv_is_sum_of_products(self):
-        # the V cotangent of a sequence, one stacked GEMM when it ends,
-        # against the per-product sum of T'_k.T @ dy_k; the second sequence
-        # is longer, so the blocks are reallocated between the two
-        w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=6)
+        # the V cotangent of a sequence, added when it ends, against the
+        # per-product sum of T'_k.T @ dy_k; the second sequence is longer,
+        # so the blocks are reallocated between the two. With m_L = 6 and
+        # m_R = 2 the whole product (8 rows) is smaller than a T' block
+        # (3 or 5 times 6 rows) and runs as one GEMM; SPLIT_GEOMETRY has
+        # m_L = 2 and m_R = 8, so it runs one gate's 8 rows at a time.
+        for m, n, leaf, internal in (((2, 3, 2), (3, 2, 4), 2, 3), SPLIT_GEOMETRY):
+            w = init_ht_weight(m, n, leaf, internal, 4, seed=6)
+            frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
+            g, rl, ml, mr, nl, nr = frames.shape
+            rng = np.random.default_rng(14)
+            want = np.zeros_like(frames.dvt.T)
+
+            def sequence(steps):
+                xs = rng.normal(size=(steps, w.in_size))
+                saved = [frames.forward(x)[1] for x in xs]
+                for x, s in zip(xs[::-1], saved[::-1]):
+                    dy = rng.normal(size=w.out_size)
+                    frames.backward(s, dy)
+                    t = (frames.u @ x.reshape(nl, nr)).reshape(ml, rl * nr)
+                    want[...] += t.T @ dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, -1)
+
+            def rel():
+                return np.max(np.abs(frames.dvt.T - want)) / np.max(np.abs(want))
+
+            frames.begin(3)
+            sequence(3)
+            frames.begin(5)  # ends the first sequence
+            assert rel() <= 1e-12
+            sequence(5)
+            frames.finish()
+            assert rel() <= 1e-12
+
+    def test_end_of_sequence_allocates_one_gate_block(self):
+        # At SPLIT_GEOMETRY, g m_R = 32 rows of V cotangent against a T'
+        # block of 3 m_L = 6 rows, so the sequence's product is added one
+        # gate's m_R = 8 rows at a time: the only array made is one
+        # (m_R, r_L n_R) = (8, 136) block, 8,704 bytes, against 34,816 for
+        # the whole product. The slack of 2,048 bytes covers the views and
+        # the loop's Python objects (1,104 bytes measured), and stays below
+        # a second gate block.
+        m, n, leaf, internal = SPLIT_GEOMETRY
+        w = init_ht_weight(m, n, leaf, internal, 4, seed=8)
         frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
         g, rl, ml, mr, nl, nr = frames.shape
-        rng = np.random.default_rng(14)
-        want = np.zeros_like(frames.dvt.T)
+        rng = np.random.default_rng(19)
 
-        def sequence(steps):
-            xs = rng.normal(size=(steps, w.in_size))
-            saved = [frames.forward(x)[1] for x in xs]
-            for x, s in zip(xs[::-1], saved[::-1]):
-                dy = rng.normal(size=w.out_size)
-                frames.backward(s, dy)
-                t = (frames.u @ x.reshape(nl, nr)).reshape(ml, rl * nr)
-                want[...] += t.T @ dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, -1)
+        def sequence():
+            frames.begin(3)  # ends the open sequence; same length, no new blocks
+            saved = [frames.forward(x)[1] for x in rng.normal(size=(3, w.in_size))]
+            for s in saved[::-1]:
+                frames.backward(s, rng.normal(size=w.out_size), w.in_size)
 
-        def rel():
-            return np.max(np.abs(frames.dvt.T - want)) / np.max(np.abs(want))
+        sequence()
+        sequence()  # warm: the first end of a sequence ran outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            frames.begin(3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        gate_block = mr * rl * nr * 8
+        assert gate_block == 8704
+        assert peak <= gate_block + 2048
 
-        frames.begin(3)
-        sequence(3)
-        frames.begin(5)  # ends the first sequence
-        assert rel() <= 1e-12
-        sequence(5)
-        frames.finish()
-        assert rel() <= 1e-12
+    def test_prepared_frames_hold_no_child_frame(self):
+        # A prepared RootFrames holds U (m_L r_L, n_L) and its cotangent
+        # dU, V (r_L n_R, g m_R) and its transposed cotangent dvt, the
+        # (steps, m_L, r_L n_R) T' block and the (steps, m_L, g m_R) dy
+        # block, and no other array: finish rebuilds FR from the factors.
+        m, n, leaf, internal = REFERENCE_GEOMETRIES["hmdb51-cnn"]
+        w = init_ht_weight(m, n, leaf, internal, 4, seed=9)
+        frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
+        frames.begin(6)
+        g, rl, ml, mr, nl, nr = frames.shape
+        held = sum(a.nbytes for a in vars(frames).values() if isinstance(a, np.ndarray))
+        u, v = ml * rl * nl, rl * nr * g * mr
+        assert held == 8 * (2 * u + 2 * v + 6 * ml * rl * nr + 6 * ml * g * mr)
 
     # at (16, 17): 0, a row boundary, 256 = 15 * 17 + 1 (the synthetic
     # cell's n_x + pad, mid-row) and the input length

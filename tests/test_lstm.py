@@ -180,22 +180,29 @@ class TestGateStage:
     @pytest.mark.parametrize("scale", [30.0, 745.0, 1e4])
     def test_matches_per_gate_oracle_bitwise(self, h, scale):
         # every other pre-activation sits at +scale or -scale, deep in a
-        # tail; at h = 1 that puts gate u at +scale and gate o at -scale
+        # tail; at h = 1 that puts gate u at +scale and gate o at -scale.
+        # A second block cycles 0.0, -0.0, inf and -inf through the gate
+        # rows (each row meets all four from h = 4 on) over a bias of
+        # -0.0, so that z + bias keeps the sign of a zero.
         rng = np.random.default_rng([h, int(scale)])
         z = rng.normal(scale=3.0, size=4 * h)
         z[1::2] = scale * np.tile([1.0, -1.0], h)
         bias = rng.normal(size=(4, h))
         c_prev, dh, dc = rng.normal(size=(3, h))
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            state, gates = _gate_forward(z, bias, c_prev)
-            dz, dc_prev = _gate_backward(gates, dh, dc)
-            want_h, want_c, want_gates = per_gate_forward(
-                z, dict(zip("fuco", bias)), c_prev)
-            want_dz, want_dc_prev = per_gate_backward(want_gates, dh, dc)
-        assert np.array_equal(state.h, want_h)
-        assert np.array_equal(state.c, want_c)
-        assert np.array_equal(dz.reshape(-1), want_dz)
-        assert np.array_equal(dc_prev, want_dc_prev)
+        special = np.resize([0.0, -0.0, np.inf, -np.inf], 4 * h)
+        for pre, b in ((z, bias), (special, np.full((4, h), -0.0))):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                state, gates = _gate_forward(pre, b, c_prev)
+                dz, dc_prev = _gate_backward(gates, dh, dc)
+                want_h, want_c, want_gates = per_gate_forward(
+                    pre, dict(zip("fuco", b)), c_prev)
+                want_dz, want_dc_prev = per_gate_backward(want_gates, dh, dc)
+            assert gates[0].tobytes() == np.stack(want_gates[:4]).tobytes()
+            assert np.array_equal(state.h, want_h)
+            assert np.array_equal(state.c, want_c)
+            assert np.array_equal(dz.reshape(-1), want_dz)
+            assert np.array_equal(dc_prev, want_dc_prev)
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
     def test_sigmoid_saturates_exactly(self):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -422,14 +429,21 @@ class TestBptt:
         # each change of length reallocates the frames' sequence blocks
         self.check_against_dense_cell(mode, [2, 5, 3])
 
+    @pytest.mark.parametrize("mode", ["full", "input-only"])
+    def test_split_dv_matches_dense_cell(self, mode):
+        # m_L = 2 and m_R = 8: every sequence's V cotangent is added one
+        # gate's m_R rows at a time
+        self.check_against_dense_cell(mode, [6, 3, 6], m_shape=(2, 8))
+
     @staticmethod
-    def check_against_dense_cell(mode, lengths):
-        # the synthetic geometry against a dense cell on the reconstructed
-        # matrix; in input-only mode the recurrent matrix takes the dense
-        # columns that the HT map only ever sees as zeros. Both cells run
-        # with and without input gradients: without them (bptt's default)
-        # the gate maps compute only the h rows of their input cotangent.
-        cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
+    def check_against_dense_cell(mode, lengths, m_shape=(4, 4)):
+        # the synthetic geometry (or another m_shape with the same 16
+        # hidden units) against a dense cell on the reconstructed matrix;
+        # in input-only mode the recurrent matrix takes the dense columns
+        # that the HT map only ever sees as zeros. Both cells run with and
+        # without input gradients: without them (bptt's default) the gate
+        # maps compute only the h rows of their input cotangent.
+        cell = make_cell(256, (16, 17), m_shape, 8, 8, mode=mode, seed=1)
         head = make_head(8, cell.hidden_size, seed=2)
         rng = np.random.default_rng(21)
         batch = [([rng.normal(size=256) / 16 for _ in range(steps)], i % 8)

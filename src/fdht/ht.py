@@ -17,7 +17,8 @@ the live factors against it bitwise and rebuilds them on any difference.
 :class:`RootFrames` serves training, where one minibatch multiplies by
 the same factors many times: it builds the frames once as two matrices,
 so each product is two GEMMs, and it sums the weight cotangent of a
-whole sequence of products when the sequence ends.
+whole sequence of products when the sequence ends. Without gradient
+buffers it serves evaluation, one block of inputs at a time.
 :func:`reconstruct_dense` assembles the dense matrix explicitly and
 serves as the testing oracle.
 """
@@ -253,12 +254,15 @@ class RootFrames:
         Y = T' @ V    V[(a, jR), (g, iR)] = sum_b root[g, a, b] FR[b, iR, jR]
 
     with T' the (m_L, r_L n_R) reshape of T and Y the output as
-    (m_L, g, m_R). ``backward`` accumulates the cotangent of U and, per
-    sequence, that of V; ``finish`` takes them back through the frame
-    build into ``sink``, one array per factor. U and V are built from the
-    factors at construction and ``finish`` reads the factors again, so
-    keep them unchanged until ``finish`` and build new frames after every
-    update.
+    (m_L, g, m_R). ``forward`` and ``product`` return Y as a gate-major
+    view, (g, m_L, m_R), and copy nothing into that order themselves.
+    ``backward`` accumulates the cotangent of U and, per sequence, that
+    of V; ``finish`` takes them back through the frame build into
+    ``sink``, one array per factor. U and V are built from the factors at
+    construction and ``finish`` reads the factors again, so keep them
+    unchanged until ``finish`` and build new frames after every update.
+    Frames built without a ``sink`` hold no gradient buffers and serve
+    only ``product``.
 
     Products come in sequences, each opened by ``begin(steps)``. Product
     k writes T' into slot k of a (steps, m_L, r_L n_R) block, and its
@@ -272,7 +276,7 @@ class RootFrames:
     keep no child frame; ``finish`` rebuilds FR from the factors.
     """
 
-    def __init__(self, w: HTWeight, sink):
+    def __init__(self, w: HTWeight, sink=None):
         root = w.tree.root
         self.w, self.sink = w, sink
         fl, fr = _node_frame(w, root.left), _node_frame(w, root.right)
@@ -282,6 +286,8 @@ class RootFrames:
         self.u = fl.transpose(1, 0, 2).reshape(ml * rl, nl)
         v = np.tensordot(w.factors[0], fr, axes=(2, 0))  # (g, a, iR, jR)
         self.v = v.transpose(1, 3, 0, 2).reshape(rl * nr, root.rank * mr)
+        if sink is None:
+            return
         self.du = np.zeros_like(self.u)
         self.dvt = np.zeros((root.rank * mr, rl * nr))
         # per-sequence blocks of T' and of dy, and the products run so far
@@ -299,13 +305,22 @@ class RootFrames:
             self.dy_block = np.empty((steps, ml, g, mr))
 
     def forward(self, x):
-        """``W @ x`` gate-major, and what ``backward`` needs."""
+        """``W @ x`` as a (g, m_L, m_R) view, and what ``backward`` needs.
+        ``x`` is kept, so leave it unchanged until its ``backward``."""
         g, rl, ml, mr, nl, nr = self.shape
         k, self.count = self.count, self.count + 1
-        t = self.t_block[k]
-        np.matmul(self.u, x.reshape(nl, nr), out=t.reshape(ml * rl, nr))
-        y = (t @ self.v).reshape(ml, g, mr).transpose(1, 0, 2)
-        return y.reshape(-1), (x, k)
+        t, x = self.t_block[k], x.reshape(nl, nr)
+        np.matmul(self.u, x, out=t.reshape(ml * rl, nr))
+        return (t @ self.v).reshape(ml, g, mr).transpose(1, 0, 2), (x, k)
+
+    def product(self, x):
+        """``W @ x`` for a (B, N) block of inputs as a (g, B, m_L, m_R)
+        view, with no backward bookkeeping."""
+        g, rl, ml, mr, nl, nr = self.shape
+        b = len(x)
+        t = np.matmul(self.u, x.reshape(b, nl, nr))  # (B, m_L r_L, n_R)
+        y = t.reshape(b * ml, rl * nr) @ self.v
+        return y.reshape(b, ml, g, mr).transpose(2, 0, 1, 3)
 
     def backward(self, saved, dy, start=0):
         """Accumulate the U cotangent of one product and keep its ``dy``
@@ -317,7 +332,7 @@ class RootFrames:
         slot = self.dy_block[k]
         slot[...] = dy.reshape(g, ml, mr).transpose(1, 0, 2)
         dt = (slot.reshape(ml, g * mr) @ self.v.T).reshape(ml * rl, nr)
-        self.du += dt @ x.reshape(nl, nr).T
+        self.du += dt @ x.T
         r0 = start // nr
         if r0 == nl:
             return np.empty(0)

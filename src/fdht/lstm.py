@@ -3,8 +3,9 @@
 One cell class owns the LSTM: it concatenates the input vector, zero
 padding and previous hidden state to the map's input length, applies a
 *gate map* once per time step, and splits the 4H pre-activations
-gate-major in the order f, u, c, o. The gate map is the only part that
-differs between the paper's cell and its baseline:
+gate-major in the order f, u, c, o. A sequence is packed once into a
+(steps, N) block, so a step writes only its h slice. The gate map is the
+only part that differs between the paper's cell and its baseline:
 
 - ``HtGateMap`` (``FdhtLstmCell``) stores the stacked input-to-hidden and
   hidden-to-hidden matrices of all four gates in HT form with root rank
@@ -12,8 +13,14 @@ differs between the paper's cell and its baseline:
   runs the contraction plan; BPTT prepares the root-children frames once
   per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step,
   with the weight-gradient GEMMs of a whole sequence run when it ends.
-- ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix and
-  serves as its own frame.
+- ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
+  prepared for BPTT (``DenseFrames``) it also runs its weight-gradient
+  GEMM once per sequence.
+
+Each gate map returns its pre-activations gate-major in its own layout,
+with no copy of its own; the gate stage reshapes them to its (4, H) block.
+``forward_split`` runs a whole evaluation split as one (B, N) block per
+time step.
 
 In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
 recurrent matrix owned by the cell supplies the hidden-to-hidden terms.
@@ -23,14 +30,12 @@ one block named ``biases`` in ``params()`` and in every gradient dict.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ht import HTWeight, RootFrames, init_ht_weight, output_from_tape, run_plan
-from .tensor import vectorize
 
 MODES = ("full", "input-only")
 GATE_ORDER = ("f", "u", "c", "o")
@@ -73,8 +78,8 @@ def softmax_cross_entropy(logits, label: int):
     """Mean-ready loss and dL/dlogits for one example."""
     if not 0 <= label < logits.size:
         raise ValueError(f"label {label} out of range for {logits.size} classes")
-    shifted = logits - np.max(logits)
-    log_z = np.log(np.sum(np.exp(shifted)))
+    shifted = logits - logits.max()
+    log_z = np.log(np.exp(shifted).sum())
     loss = log_z - shifted[label]
     dlogits = np.exp(shifted - log_z)
     dlogits[label] -= 1.0
@@ -83,8 +88,9 @@ def softmax_cross_entropy(logits, label: int):
 
 class HtGateMap:
     """Gate map stored in HT form. One vector at a time (``forward``) it
-    runs the contraction plan; for training, ``prepare`` builds the
-    root-children frames once and every step is two GEMMs."""
+    runs the contraction plan; ``prepare`` builds the root-children frames
+    once, for training or for a split's ``product``, and every product is
+    two GEMMs."""
 
     def __init__(self, weight: HTWeight):
         if weight.root_rank != GATES:
@@ -98,19 +104,19 @@ class HtGateMap:
 
     def forward(self, packed):
         tape = run_plan(self.weight, packed.reshape(self.weight.n_shape))
-        return vectorize(output_from_tape(self.weight, tape)), tape
+        return output_from_tape(self.weight, tape), tape
 
-    def prepare(self, grads) -> RootFrames:
+    def prepare(self, grads=None) -> RootFrames:
         """Frames of the current factors, whose ``finish`` adds the factor
-        gradients to ``grads``."""
+        gradients to ``grads``; without ``grads``, for ``product`` only."""
+        if grads is None:
+            return RootFrames(self.weight)
         return RootFrames(self.weight, [grads[name] for name in self.params()])
 
 
 class DenseGateMap:
-    """Gate map as one explicit (4H x N) matrix. It is its own frame:
-    ``prepare`` returns a copy whose ``grad`` is ``grads["w"]`` itself, so
-    ``backward`` accumulates straight into it and ``begin`` and ``finish``
-    have nothing to do."""
+    """Gate map as one explicit (4H x N) matrix, which serves ``product``
+    itself."""
 
     def __init__(self, w):
         self.weight = np.asarray(w, dtype=np.float64)
@@ -124,22 +130,57 @@ class DenseGateMap:
         return {"w": self.weight}
 
     def forward(self, packed):
-        return self.weight @ packed, packed
+        return (self.weight @ packed).reshape(GATES, -1), None
 
-    def prepare(self, grads) -> DenseGateMap:
-        frame = copy.copy(self)
-        frame.grad = grads["w"]
-        return frame
+    def product(self, x):
+        """``W @ x`` for a (B, N) block of inputs as a (g, B, H) view."""
+        return (x @ self.weight.T).reshape(len(x), GATES, -1).transpose(1, 0, 2)
+
+    def prepare(self, grads=None):
+        """Frames whose ``finish`` adds the weight gradient to
+        ``grads["w"]``; without ``grads``, the map itself."""
+        return self if grads is None else DenseFrames(self.weight, grads["w"])
+
+
+class DenseFrames(DenseGateMap):
+    """A dense gate map prepared for BPTT. Product k of a sequence opened
+    by ``begin(steps)`` keeps its input in row k of a (steps, N) block and
+    its ``backward`` keeps dz in row k of a (steps, 4H) block, so the
+    sequence's weight gradient is one GEMM, added to ``grad`` when the
+    sequence ends (the next ``begin``, or ``finish``)."""
+
+    def __init__(self, w, grad):
+        super().__init__(w)
+        self.grad = grad
+        self.x_block = np.empty((0, self.in_size))
+        self.dz_block = np.empty((0, self.weight.shape[0]))
+        self.count = 0
 
     def begin(self, steps: int):
-        pass
+        self._end_sequence()
+        if len(self.x_block) != steps:
+            self.x_block = np.empty((steps, self.in_size))
+            self.dz_block = np.empty((steps, self.weight.shape[0]))
 
-    def backward(self, packed, dz, start=0):
-        self.grad += np.outer(dz, packed)
-        return self.weight[:, start:].T @ dz
+    def forward(self, packed):
+        k, self.count = self.count, self.count + 1
+        self.x_block[k] = packed
+        return super().forward(packed)[0], k
+
+    def backward(self, k, dz, start=0):
+        """Keep ``dz`` for the sequence's weight gradient; returns
+        ``(W.T @ dz)[start:]``."""
+        self.dz_block[k] = dz.reshape(-1)
+        return self.weight[:, start:].T @ self.dz_block[k]
+
+    def _end_sequence(self):
+        n, self.count = self.count, 0
+        if n:
+            self.grad += self.dz_block[:n].T @ self.x_block[:n]
 
     def finish(self):
-        pass
+        self._end_sequence()
+        self.x_block = self.dz_block = None
 
 
 class FdhtLstmCell:
@@ -159,6 +200,7 @@ class FdhtLstmCell:
         self.n_x = int(n_x)
         self.hidden_size = h = self.gate_map.hidden_size
         self.pad_len = pad_length(self.n_x, h, self.gate_map.in_size)
+        self.h_start = self.n_x + self.pad_len
         if biases is None:
             biases = np.zeros((GATES, h))
             biases[0] = 1.0  # forget gate
@@ -194,46 +236,52 @@ class FdhtLstmCell:
     def step_cached(self, x, state: LstmState):
         """One recurrence step through the gate map's own forward (the
         plan for HT). Returns the new state and the step's cache."""
-        return self.step_frames(self.gate_map, x, state)
+        block = self.pack(np.asarray(x, dtype=np.float64)[np.newaxis])
+        return self.step_packed(self.gate_map, block[0], state)
 
-    def step_frames(self, frames, x, state: LstmState):
-        """One recurrence step: pack, apply ``frames.forward``, gate,
-        update. Returns the new state and the cache ``step_backward``
-        needs when ``frames`` came from ``gate_map.prepare``. Only the
-        recurrent matrix reads h_prev from it: in full mode the packed
-        input holds h."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.size != self.n_x:
-            raise ValueError(f"input has length {x.size}, expected {self.n_x}")
-        packed = np.empty(self.gate_map.in_size)
-        packed[: self.n_x] = x
-        packed[self.n_x: self.n_x + self.pad_len] = 0.0
-        packed[self.n_x + self.pad_len:] = state.h if self.recurrent is None else 0.0
+    def pack(self, xs) -> np.ndarray:
+        """The (steps, N) block of a sequence's packed inputs: its frames,
+        then zeros over the pad and the h slice. ``check_frames`` rejects
+        a sequence that is not (steps, n_x)."""
+        xs = check_frames(xs, self.n_x)
+        block = np.empty((len(xs), self.gate_map.in_size))
+        block[:, : self.n_x] = xs
+        block[:, self.n_x:] = 0.0
+        return block
+
+    def step_packed(self, frames, packed, state: LstmState):
+        """One recurrence step on a row of ``pack``: write h into its h
+        slice (full mode), apply ``frames.forward``, gate, update. Returns
+        the new state and the cache ``step_backward`` needs when
+        ``frames`` came from ``gate_map.prepare``, a tuple (map, gates,
+        h_prev); only the recurrent matrix reads h_prev, since in full
+        mode the packed row holds h."""
+        if self.recurrent is None:
+            packed[self.h_start:] = state.h
         z, saved = frames.forward(packed)
         if self.recurrent is not None:
-            z = z + self.recurrent @ state.h
+            z = z + (self.recurrent @ state.h).reshape(z.shape)
         new_state, gates = _gate_forward(z, self.biases, state.c)
-        h_prev = None if self.recurrent is None else state.h
-        return new_state, {"map": saved, "gates": gates, "h_prev": h_prev}
+        return new_state, (saved, gates, None if self.recurrent is None else state.h)
 
     def step_backward(self, frames, cache, dh, dc, grads, need_dx=True):
-        """Accumulate the gradients of one ``step_frames(frames, ...)``
+        """Accumulate the gradients of one ``step_packed(frames, ...)``
         step: biases and recurrent matrix into ``grads``, the gate map into
         ``frames``. Returns (dh_prev, dc_prev, dx), dx None unless
         ``need_dx``: the gate map then computes its input cotangent only
         from the h slice on (full mode) or not at all (input-only)."""
-        dz, dc_prev = _gate_backward(cache["gates"], dh, dc)
+        saved, gates, h_prev = cache
+        dz, dc_prev = _gate_backward(gates, dh, dc)
         grads["biases"] += dz
-        dz = dz.reshape(-1)
-        h_start = self.n_x + self.pad_len
-        start = (0 if need_dx else h_start if self.recurrent is None
+        start = (0 if need_dx else self.h_start if self.recurrent is None
                  else self.gate_map.in_size)
-        d_packed = frames.backward(cache["map"], dz, start)
+        d_packed = frames.backward(saved, dz, start)
         dx = d_packed[: self.n_x] if need_dx else None
         if self.recurrent is None:
-            dh_prev = d_packed[h_start - start:]
+            dh_prev = d_packed[self.h_start - start:]
         else:
-            grads["recurrent"] += np.outer(dz, cache["h_prev"])
+            dz = dz.reshape(-1)
+            grads["recurrent"] += dz[:, None] * h_prev
             dh_prev = self.recurrent.T @ dz
         return dh_prev, dc_prev, dx
 
@@ -249,9 +297,13 @@ class DenseLstmCell(FdhtLstmCell):
 
 
 def _gate_forward(z, bias, c_prev):
-    """Gates of one step on the stacked (4, H) block: one bias add, the
-    sigmoid over all four rows, then tanh over the candidate row. The
-    cache is (act, c_prev, tanh_c), act holding f, u, c_in, o."""
+    """Gates of one step on the stacked (4, ..., H) block: one bias add,
+    the sigmoid over all four rows, then tanh over the candidate row. ``z``
+    is gate-major in the gate map's own layout and ``bias`` is (4, H), or
+    a (4, B, H) view for a batch. Reshaping ``z`` to ``bias`` copies it
+    only when that layout is strided; a ufunc reading the strided layout
+    costs more than that copy. The cache is (act, c_prev, tanh_c), act
+    holding f, u, c_in, o."""
     a = z.reshape(bias.shape) + bias
     act = sigmoid(a)
     act[2] = np.tanh(a[2])
@@ -280,6 +332,33 @@ def _gate_backward(gates, dh, dc):
     q[2] = 1.0 - c_in ** 2
     dz *= q
     return dz, dc_total * f
+
+
+def check_frames(xs, n_x: int, ndim: int = 2) -> np.ndarray:
+    """``xs`` as a float64 array: a sequence of frames (``ndim`` 2) or a
+    split of equal-length sequences (3), each frame a vector of ``n_x``
+    numbers. Anything else is a one-line ValueError, that of the first
+    sequence or frame at fault: an empty sequence, or a frame that is not
+    a vector (a 1-D or 3-D sequence) or has the wrong length."""
+    try:
+        a = np.asarray(xs, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        a = None
+    if a is not None and a.ndim == ndim and a.shape[-1] == n_x and a.size:
+        return a
+    if len(xs) == 0:
+        raise ValueError("cannot run an empty " + ("sequence" if ndim == 2 else "split"))
+    for x in xs:
+        if ndim == 3:
+            check_frames(x, n_x)
+            continue
+        shape = np.shape(x)
+        if len(shape) != 1:
+            raise ValueError(f"input has shape {shape}, expected ({n_x},)")
+        if shape[0] != n_x:
+            raise ValueError(f"input has length {shape[0]}, expected {n_x}")
+    raise ValueError("sequences of a split must have the same number of frames"
+                     if ndim == 3 else "frames must hold numbers")
 
 
 def check_mode(mode: str):
@@ -324,6 +403,30 @@ def forward_sequence(cell, head: Head, xs) -> np.ndarray:
     return head.w @ state.h + head.b
 
 
+def forward_split(cell, head: Head, xs) -> np.ndarray:
+    """``forward_sequence`` over a split of equal-length sequences, the
+    (B, steps, n_x) ``xs``, as one (B, N) block per time step: each block
+    runs through the gate map's frames (``product``, no backward
+    bookkeeping), the gate stage on (4, B, H) and the head on (B, H).
+    Returns the (B, classes) logits."""
+    xs = check_frames(xs, cell.n_x, ndim=3)
+    count, h = len(xs), cell.hidden_size
+    frames = cell.gate_map.prepare()
+    block = np.zeros((count, cell.gate_map.in_size))
+    bias = np.broadcast_to(cell.biases[:, None], (GATES, count, h))
+    state = LstmState(np.zeros((count, h)), np.zeros((count, h)))
+    for t in range(xs.shape[1]):
+        block[:, : cell.n_x] = xs[:, t]
+        if cell.recurrent is None:
+            block[:, cell.h_start:] = state.h
+        z = frames.product(block)
+        if cell.recurrent is not None:
+            r = (state.h @ cell.recurrent.T).reshape(count, GATES, h)
+            z = z + r.transpose(1, 0, 2).reshape(z.shape)
+        state, _ = _gate_forward(z, bias, state.c)
+    return state.h @ head.w.T + head.b
+
+
 def zero_grads(cell, head: Head) -> dict[str, np.ndarray]:
     """Zero gradients named as ``cell.params()`` plus the head."""
     grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
@@ -341,15 +444,18 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     frames of the current factors); sequences then run one at a time and
     its factor gradients are finished once at the end. Each sequence opens
     with ``frames.begin(steps)``, so the HT frames add the sequence's V
-    cotangent after its backward, in at most one GEMM per gate. Each
-    step cache is dropped as soon as its backward has run, so the caches
-    are gone before those GEMMs and the peak memory does not grow with
-    the batch. Unless ``return_input_grads`` is set, each step's backward
-    computes only the h rows of the gate map's input cotangent (none in
-    input-only mode). Dropout, when enabled, is applied to the final
-    hidden state before the head (inverted scaling) and needs an
-    ``rng``. Returns (loss, grads) or (loss, grads, input_grads) where
-    input_grads[i][t] is dL/dx_t for example i.
+    cotangent after its backward, in at most one GEMM per gate, and the
+    dense frames its weight gradient in one GEMM. It is then packed once
+    (``cell.pack``): each step writes only its h slice, and its cache
+    keeps a view of its own row. Each step cache is dropped as soon as its
+    backward has run, so the caches are gone before those GEMMs and the
+    peak memory does not grow with the batch. Unless
+    ``return_input_grads`` is set, each step's backward computes only the
+    h rows of the gate map's input cotangent (none in input-only mode).
+    Dropout, when enabled, is applied to the final hidden state before the
+    head (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
+    (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
+    example i.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -360,14 +466,12 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     total_loss = 0.0
     all_input_grads = []
     for xs, label in batch:
-        if len(xs) == 0:
-            raise ValueError("cannot run an empty sequence")
-        frames.begin(len(xs))
+        frames.begin(len(xs))  # ends the last sequence before this one is packed
+        block = cell.pack(xs)
         state = cell.init_state()
-        caches = []
-        for x in xs:
-            state, cache = cell.step_frames(frames, x, state)
-            caches.append(cache)
+        caches = [None] * len(block)
+        for t, packed in enumerate(block):
+            state, caches[t] = cell.step_packed(frames, packed, state)
         h_final = state.h
         if dropout_rate > 0:
             mask = (rng.random(h_final.size) >= dropout_rate) / (1.0 - dropout_rate)
@@ -379,17 +483,18 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         loss, dlogits = softmax_cross_entropy(logits, label)
         total_loss += loss
 
-        grads["head.w"] += np.outer(dlogits, h_used)
+        grads["head.w"] += dlogits[:, None] * h_used
         grads["head.b"] += dlogits
         dh = head.w.T @ dlogits
         if mask is not None:
             dh = dh * mask
-        dc = np.zeros_like(dh)
-        input_grads = [None] * len(xs)
-        for t in range(len(xs) - 1, -1, -1):
+        dc = np.zeros(dh.size)
+        input_grads = [None] * len(block)
+        for t in range(len(block) - 1, -1, -1):
             dh, dc, input_grads[t] = cell.step_backward(
                 frames, caches[t], dh, dc, grads, need_dx=return_input_grads)
             caches[t] = None
+        del block, packed  # before the next sequence packs its own
         if return_input_grads:
             all_input_grads.append(input_grads)
     frames.finish()

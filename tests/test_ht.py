@@ -282,7 +282,7 @@ class TestRootFrames:
         frames = RootFrames(w, sink)
         frames.begin(2)  # this product and the adjoint identity's
         y, saved = frames.forward(x)
-        assert np.max(np.abs(y - forward(x))) <= 1e-10
+        assert np.max(np.abs(y.reshape(-1) - forward(x))) <= 1e-10
 
         u = rng.normal(size=w.out_size)
         assert adjoint_error(lambda v: frames.forward(v)[0],

@@ -136,7 +136,7 @@ class TestStep:
         state = cell.init_state()
         for _ in range(5):
             state, cache = cell.step_cached(rng.normal(size=4), state)
-            act, _, tanh_c = cache["gates"]
+            _, (act, _, tanh_c), _ = cache
             f, u, c_in, o = act
             for gate in (f, u, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
@@ -239,12 +239,43 @@ class TestDenseGateMap:
         frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)})
         rng = np.random.default_rng(18)
         packed, dy = rng.normal(size=w.in_size), rng.normal(size=w.out_size)
+        frames.begin(1)
         got = frames.backward(frames.forward(packed)[1], dy, start)
+        frames.finish()
         want = (matrix.T @ dy)[start:]
         assert got.shape == want.shape
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(frames.grad, np.outer(dy, packed))
+
+    def test_sequence_gradient_is_sum_of_outer_products(self):
+        # one GEMM per sequence against the per-step outer products, over
+        # sequences whose lengths reallocate the blocks and then reuse them
+        rng = np.random.default_rng(24)
+        matrix = rng.normal(size=(16, 9))
+        frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)})
+        want = np.zeros_like(matrix)
+        for steps in (3, 5, 5):
+            frames.begin(steps)
+            xs = rng.normal(size=(steps, 9))
+            saved = [frames.forward(x)[1] for x in xs]
+            for x, k in zip(xs[::-1], saved[::-1]):
+                dz = rng.normal(size=16)
+                frames.backward(k, dz)
+                want += np.outer(dz, x)
+        frames.finish()
+        assert np.max(np.abs(frames.grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# (sequence, message) pairs for n_x = 4: each is rejected where a sequence
+# is packed, with the message the per-step path gives
+BAD_SEQUENCES = {
+    "wrong-length": ([np.ones(5)] * 2, "input has length 5, expected 4"),
+    "ragged": ([np.ones(4), np.ones(5)], "input has length 5, expected 4"),
+    "1-d": (np.ones(4), r"input has shape \(\), expected \(4,\)"),
+    "3-d": (np.ones((2, 2, 2)), r"input has shape \(2, 2\), expected \(4,\)"),
+    "empty": ([], "cannot run an empty sequence"),
+}
 
 
 class TestSequenceAndHead:
@@ -413,12 +444,15 @@ class TestBptt:
         assert peak(batch) <= peak(batch[:2]) + 1024
 
     def test_bad_sequences_rejected(self):
-        for cell in (small_cell(), make_dense_cell(4, 4, seed=0)):
+        # one line, the same from bptt's packing as from the per-step path
+        for cell in (small_cell(), small_cell("input-only"), make_dense_cell(4, 4, seed=0)):
             head = make_head(3, cell.hidden_size, seed=0)
-            with pytest.raises(ValueError, match="length 5, expected 4"):
-                bptt(cell, head, [([np.ones(4), np.ones(5)], 0)])
-            with pytest.raises(ValueError, match="empty sequence"):
-                bptt(cell, head, [([np.ones(4)], 0), ([], 1)])
+            for xs, message in BAD_SEQUENCES.values():
+                for run in (lambda: bptt(cell, head, [([np.ones(4)], 0), (xs, 1)]),
+                            lambda: forward_sequence(cell, head, xs)):
+                    with pytest.raises(ValueError, match=message) as exc:
+                        run()
+                    assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("mode", ["full", "input-only"])
     def test_matches_dense_cell(self, mode):
@@ -532,8 +566,8 @@ class TestBptt:
             frames = cell.gate_map.prepare(grads)
             frames.begin(len(xs))
             state, caches = cell.init_state(), []
-            for x in xs:
-                state, cache = cell.step_frames(frames, x, state)
+            for packed in cell.pack(xs):
+                state, cache = cell.step_packed(frames, packed, state)
                 caches.append(cache)
             g_h, g_c = dh, np.zeros(4)
             for cache in reversed(caches):

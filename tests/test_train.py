@@ -1,12 +1,14 @@
 """Optimizer behavior, synthetic task properties, training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fdht.lstm import make_cell, make_head
-from fdht.train import (AdamState, SyntheticTask, TrainConfig, TrainingError,
+from fdht.lstm import forward_sequence, forward_split, make_cell, make_head
+from fdht.train import (AdamState, Dataset, SyntheticTask, TrainConfig, TrainingError,
                         adam_step, evaluate, generate_task, history_csv, train)
-from oracles import nearest_template_accuracy
+from oracles import make_dense_cell, nearest_template_accuracy
 
 
 class TestAdam:
@@ -155,3 +157,70 @@ class TestTrainLoop:
         assert lines[0] == "epoch,train_loss,train_acc,test_acc"
         assert len(lines) == 3
         assert lines[1].startswith("0,")
+
+
+@pytest.fixture(scope="module", params=["full", "input-only", "dense"])
+def noisy_model(request):
+    """A synthetic-geometry cell trained for 2 epochs at noise 3.0, where
+    test accuracy stays below 1.0, so a wrong prediction would show."""
+    task = SyntheticTask(noise=3.0)
+    train_data, test_data = generate_task(task)
+    if request.param == "dense":
+        cell = make_dense_cell(256, 16, seed=1)
+    else:
+        cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=request.param, seed=1)
+    head = make_head(task.classes, cell.hidden_size, seed=2)
+    train(cell, head, train_data, test_data, TrainConfig(epochs=2, seed=3))
+    return cell, head, test_data
+
+
+class TestEvaluateSplit:
+    def test_logits_match_forward_sequence(self, noisy_model):
+        cell, head, data = noisy_model
+        got = forward_split(cell, head, data.xs)
+        want = np.array([forward_sequence(cell, head, xs) for xs in data.xs])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+        per_sequence = np.mean(np.argmax(want, axis=1) == data.labels)
+        assert evaluate(cell, head, data) == per_sequence < 1.0
+
+    def test_split_of_one_sequence(self, noisy_model):
+        cell, head, data = noisy_model
+        got = forward_split(cell, head, data.xs[:1])
+        want = forward_sequence(cell, head, data.xs[0])
+        assert got.shape == (1, head.b.size)
+        assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_peak_memory_flat_in_frames(self, noisy_model):
+        # one (B, N) block per time step, reused: eight times the frames
+        # may not raise the peak by more than a few small objects
+        cell, head, data = noisy_model
+
+        def peak(frames):
+            split = Dataset(np.repeat(data.xs[:, :1], frames, axis=1), data.labels)
+            evaluate(cell, head, split)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                evaluate(cell, head, split)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) <= peak(2) + 1024
+
+    @pytest.mark.parametrize("xs, message", [
+        (np.ones((3, 2, 5)), "input has length 5, expected 4"),
+        ([[np.ones(4), np.ones(5)], [np.ones(4), np.ones(4)]], "input has length 5, expected 4"),
+        (np.ones((3, 4)), r"input has shape \(\), expected \(4,\)"),
+        (np.ones((3, 2, 2, 2)), r"input has shape \(2, 2\), expected \(4,\)"),
+        (np.ones((3, 0, 4)), "cannot run an empty sequence"),
+        (np.ones((0, 2, 4)), "cannot run an empty split"),
+        ([np.ones((2, 4)), np.ones((3, 4))], "same number of frames"),
+    ], ids=["wrong-length", "ragged-frames", "1-d", "3-d", "empty-sequence",
+            "empty-split", "ragged-split"])
+    def test_bad_split_rejected(self, xs, message):
+        cell = make_cell(4, (3, 3), (2, 2), 2, 2, seed=9)
+        head = make_head(3, cell.hidden_size, seed=0)
+        with pytest.raises(ValueError, match=message) as exc:
+            evaluate(cell, head, Dataset(xs, np.zeros(len(xs), dtype=np.int64)))
+        assert "\n" not in str(exc.value)

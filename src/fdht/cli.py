@@ -27,7 +27,8 @@ from .ht import (OracleSizeError, htl_forward, init_ht_weight, param_count_confi
                  reconstruct_dense)
 from .io import SIDECAR_SUFFIX, load_checkpoint, save_checkpoint
 from .lstm import GATES, make_cell, make_head
-from .train import TrainingError, evaluate, generate_task, history_csv, train
+from .train import (TrainingError, epoch_line, evaluate, generate_task, history_csv,
+                    train)
 
 GRADCHECK_TOL = 1e-4
 VERIFY_TOL = 1e-10
@@ -87,7 +88,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    """Train on the synthetic task; write a checkpoint and the metrics CSV."""
+    """Train on the synthetic task; write a checkpoint and the metrics CSV.
+    Each epoch prints one ``epoch_line`` to stderr as it ends."""
     m = cfg.model
     for path in (cfg.paths.checkpoint, cfg.paths.checkpoint + SIDECAR_SUFFIX,
                  cfg.paths.metrics):  # make each output's directory; none may be one
@@ -98,7 +100,8 @@ def cmd_train(cfg: RunConfig) -> int:
     cell = make_cell(m.n_x, m.n_shape, m.m_shape, m.leaf_rank, m.internal_rank,
                      m.mode, m.seed)
     head = make_head(cfg.task.classes, cell.hidden_size, (m.seed, 2))
-    history = train(cell, head, train_data, test_data, cfg.train)
+    history = train(cell, head, train_data, test_data, cfg.train,
+                    on_epoch=lambda rec: print(epoch_line(rec), file=sys.stderr, flush=True))
     save_checkpoint(cell, head, cfg.paths.checkpoint)
     with open(cfg.paths.metrics, "w") as fh:
         fh.write(history_csv(history))

@@ -264,16 +264,21 @@ class RootFrames:
     Frames built without a ``sink`` hold no gradient buffers and serve
     only ``product``.
 
-    Products come in sequences, each opened by ``begin(steps)``. Product
-    k writes T' into slot k of a (steps, m_L, r_L n_R) block, and its
-    ``backward`` writes dy as (m_L, g m_R) into slot k of a second block,
-    so the sequence's V cotangent, the sum of T'_k.T @ dy_k, is a GEMM
-    with inner dimension steps * m_L, run when the sequence ends (the
-    next ``begin``, or ``finish``). It is accumulated transposed, as
-    ``dvt`` = the sum of dy_k.T @ T'_k, the faster orientation of that
-    GEMM on OpenBLAS. Backward every product once before then. The next
-    sequence reuses the blocks unless its length differs. The frames
-    keep no child frame; ``finish`` rebuilds FR from the factors.
+    Products come in sequences, each opened by ``begin(block)`` over a
+    (steps, N) block of inputs, whose row k ``forward(x, k)`` multiplies,
+    and closed by ``end()``. ``begin`` prepares every row's GEMM operands
+    as views: X, the row as an n_L x n_R matrix, and its transpose, T as a
+    slot of a (steps, m_L, r_L n_R) block, and dy as a slot of a
+    (steps, m_L, g m_R) block, whose gate-major (g, m_L, m_R) view is
+    prepared too. Product k writes Y into its dy slot, which ``backward`` then
+    overwrites with dy, so the sequence's V cotangent, the sum of
+    T'_k.T @ dy_k, is a GEMM with inner dimension steps * m_L, run by
+    ``end``. It is accumulated transposed, as ``dvt`` = the sum of
+    dy_k.T @ T'_k, the faster orientation of that GEMM on OpenBLAS. Run
+    and backward every row once before then. The next sequence reuses the
+    blocks unless its length differs. The frames keep no child frame;
+    ``finish`` rebuilds FR from the factors. The per-product GEMMs are
+    ``np.dot`` calls: the same BLAS calls as ``@``, dispatched faster.
     """
 
     def __init__(self, w: HTWeight, sink=None):
@@ -281,37 +286,42 @@ class RootFrames:
         self.w, self.sink = w, sink
         fl, fr = _node_frame(w, root.left), _node_frame(w, root.right)
         rl, ml, nl = fl.shape
-        _, mr, nr = fr.shape
-        self.shape = (root.rank, rl, ml, mr, nl, nr)
+        rr, mr, nr = fr.shape
+        g = root.rank
+        self.shape = (g, rl, ml, mr, nl, nr)
         self.u = fl.transpose(1, 0, 2).reshape(ml * rl, nl)
-        v = np.tensordot(w.factors[0], fr, axes=(2, 0))  # (g, a, iR, jR)
-        self.v = v.transpose(1, 3, 0, 2).reshape(rl * nr, root.rank * mr)
+        # np.dot on the operands np.tensordot would form: its bits, without
+        # its Python wrapper
+        v = np.dot(w.factors[0].reshape(g * rl, rr), fr.reshape(rr, -1))  # (g a, iR jR)
+        self.v = v.reshape(g, rl, mr, nr).transpose(1, 3, 0, 2).reshape(rl * nr, g * mr)
         if sink is None:
             return
-        self.du = np.zeros_like(self.u)
-        self.dvt = np.zeros((root.rank * mr, rl * nr))
-        # per-sequence blocks of T' and of dy, and the products run so far
-        self.t_block = np.empty((0, ml, rl * nr))
-        self.dy_block = np.empty((0, ml, root.rank, mr))
-        self.count = 0
+        self.vt = self.v.T
+        self.du = np.zeros(self.u.shape)
+        self.dvt = np.zeros((g * mr, rl * nr))
+        self.t_block = self.dy_block = np.empty((0, ml, 0))
+        self.start = None  # that the prepared rows of U.T serve
 
-    def begin(self, steps: int):
-        """End the open sequence, if any, and open one of ``steps``
-        products."""
-        self._end_sequence()
-        if len(self.t_block) != steps:
-            g, rl, ml, mr, nl, nr = self.shape
-            self.t_block = np.empty((steps, ml, rl * nr))
-            self.dy_block = np.empty((steps, ml, g, mr))
-
-    def forward(self, x):
-        """``W @ x`` as a (g, m_L, m_R) view, and what ``backward`` needs.
-        ``x`` is kept, so leave it unchanged until its ``backward``."""
+    def begin(self, block):
+        """Open a sequence over the (steps, N) ``block``, which is read in
+        place: leave it unchanged until ``end``."""
         g, rl, ml, mr, nl, nr = self.shape
-        k, self.count = self.count, self.count + 1
-        t, x = self.t_block[k], x.reshape(nl, nr)
-        np.matmul(self.u, x, out=t.reshape(ml * rl, nr))
-        return (t @ self.v).reshape(ml, g, mr).transpose(1, 0, 2), (x, k)
+        steps = len(block)
+        if len(self.t_block) != steps:
+            self.t_block = np.empty((steps, ml, rl * nr))  # T' = T as (m_L, r_L n_R)
+            self.dy_block = np.empty((steps, ml, g * mr))
+            self.ts = self.t_block.reshape(steps, ml * rl, nr)
+            self.dys = self.dy_block.reshape(steps, ml, g, mr).transpose(0, 2, 1, 3)
+        self.xs = block.reshape(steps, nl, nr)
+        self.xts = self.xs.transpose(0, 2, 1)
+
+    def forward(self, x, k):
+        """``W @ x`` for row k of the open sequence as a (g, m_L, m_R)
+        view, which the row's ``backward`` overwrites. ``x`` is read
+        through the views ``begin`` prepared for that row."""
+        np.dot(self.u, self.xs[k], out=self.ts[k])
+        np.dot(self.t_block[k], self.v, out=self.dy_block[k])
+        return self.dys[k]
 
     def product(self, x):
         """``W @ x`` for a (B, N) block of inputs as a (g, B, m_L, m_R)
@@ -322,50 +332,56 @@ class RootFrames:
         y = t.reshape(b * ml, rl * nr) @ self.v
         return y.reshape(b, ml, g, mr).transpose(2, 0, 1, 3)
 
-    def backward(self, saved, dy, start=0):
-        """Accumulate the U cotangent of one product and keep its ``dy``
-        for the sequence's V cotangent; returns ``(W.T @ dy)[start:]``.
-        Only the n_L-rows of X from ``start // n_R`` on are computed, and
-        none when ``start`` is the input length."""
-        x, k = saved
+    def backward(self, k, dy, start=0):
+        """Accumulate the U cotangent of product k and keep its ``dy``, g H
+        entries in gate order, for the sequence's V cotangent; returns
+        ``(W.T @ dy)[start:]``. Only the n_L-rows of X from ``start // n_R``
+        on are computed, and none when ``start`` is the input length."""
         g, rl, ml, mr, nl, nr = self.shape
-        slot = self.dy_block[k]
-        slot[...] = dy.reshape(g, ml, mr).transpose(1, 0, 2)
-        dt = (slot.reshape(ml, g * mr) @ self.v.T).reshape(ml * rl, nr)
-        self.du += dt @ x.T
-        r0 = start // nr
-        if r0 == nl:
+        slot = self.dys[k]
+        slot[...] = dy.reshape(slot.shape)
+        dt = np.dot(self.dy_block[k], self.vt).reshape(ml * rl, nr)
+        self.du += np.dot(dt, self.xts[k])
+        if start != self.start:  # prepared once per minibatch in bptt
+            r0 = start // nr
+            self.start, self.cut = start, start - r0 * nr
+            self.ut = self.u[:, r0:].T if r0 < nl else None
+        if self.ut is None:
             return np.empty(0)
-        return (self.u[:, r0:].T @ dt).reshape(-1)[start - r0 * nr:]
+        return np.dot(self.ut, dt).reshape(-1)[self.cut:]
 
-    def _end_sequence(self):
+    def end(self):
         """Add the V cotangent of the open sequence's products to ``dvt``,
         one gate's m_R rows at a time when the whole product would be
-        larger than the sequence's T' block, else in one GEMM."""
-        n, self.count = self.count, 0
-        if n:
-            g, rl, ml, mr, nl, nr = self.shape
-            dy = self.dy_block[:n].reshape(-1, g * mr)
-            t = self.t_block[:n].reshape(-1, rl * nr)
-            rows = mr if g * mr > n * ml else g * mr
-            for r in range(0, g * mr, rows):
-                self.dvt[r:r + rows] += dy[:, r:r + rows].T @ t
+        larger than the sequence's T' block, else in one GEMM, and let go
+        of the sequence's block."""
+        self.xs = self.xts = None
+        g, rl, ml, mr, nl, nr = self.shape
+        dy = self.dy_block.reshape(-1, g * mr)
+        t = self.t_block.reshape(-1, rl * nr)
+        rows = mr if g * mr > len(t) else g * mr
+        for r in range(0, g * mr, rows):
+            self.dvt[r:r + rows] += dy[:, r:r + rows].T @ t
 
     def finish(self):
-        """End the open sequence and add the factor cotangents of
-        everything accumulated to ``sink``. The sequence blocks are freed
-        first, so the frames take no more products."""
-        self._end_sequence()
-        self.t_block = self.dy_block = None
+        """Add the factor cotangents of every ended sequence to ``sink``.
+        The sequence blocks are freed first, so the frames take no more
+        products."""
+        self.t_block = self.dy_block = self.ts = self.dys = None
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root
+        fr = _node_frame(self.w, root.right)  # (b, iR, jR)
+        rr = fr.shape[0]
+        # np.tensordot's operands and np.dot, as in __init__
         dv = self.dvt.T.reshape(rl, nr, g, mr)  # (a, jR, g, iR)
-        fr = _node_frame(self.w, root.right)
-        self.sink[0] += np.tensordot(dv, fr, axes=([3, 1], [1, 2])).transpose(1, 0, 2)
-        d_fr = np.tensordot(self.w.factors[0], dv, axes=([0, 1], [2, 0]))  # (b, jR, iR)
+        d_root = np.dot(dv.transpose(0, 2, 3, 1).reshape(rl * g, mr * nr),
+                        fr.transpose(1, 2, 0).reshape(mr * nr, rr))
+        self.sink[0] += d_root.reshape(rl, g, rr).transpose(1, 0, 2)
+        d_fr = np.dot(self.w.factors[0].transpose(2, 0, 1).reshape(rr, g * rl),
+                      dv.transpose(2, 0, 1, 3).reshape(g * rl, nr * mr))
         _frame_vjp(self.w, root.left, self.du.reshape(ml, rl, nl).transpose(1, 0, 2),
                    self.sink)
-        _frame_vjp(self.w, root.right, d_fr.transpose(0, 2, 1), self.sink)
+        _frame_vjp(self.w, root.right, d_fr.reshape(rr, nr, mr).transpose(0, 2, 1), self.sink)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 One cell class owns the LSTM: it concatenates the input vector, zero
 padding and previous hidden state to the map's input length, applies a
 *gate map* once per time step, and splits the 4H pre-activations
-gate-major in the order f, u, c, o. A sequence is packed once into a
-(steps, N) block, so a step writes only its h slice. The gate map is the
+gate-major in the order f, u, c, o. A sequence gets its blocks once
+(``Sequence``): its packed (steps, N) inputs, whose h slices the steps
+write, and the gate stage's activations, cell states and tanh(c), which
+the steps write in place and the backward reads. The gate map is the
 only part that differs between the paper's cell and its baseline:
 
 - ``HtGateMap`` (``FdhtLstmCell``) stores the stacked input-to-hidden and
@@ -14,8 +16,8 @@ only part that differs between the paper's cell and its baseline:
   per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step,
   with the weight-gradient GEMMs of a whole sequence run when it ends.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
-  prepared for BPTT (``DenseFrames``) it also runs its weight-gradient
-  GEMM once per sequence.
+  prepared for BPTT (``DenseFrames``) it runs its weight-gradient GEMM
+  once per minibatch.
 
 Each gate map returns its pre-activations gate-major in its own layout,
 with no copy of its own; the gate stage reshapes them to its (4, H) block.
@@ -62,24 +64,28 @@ def make_head(classes: int, hidden_size: int, seed) -> Head:
     return Head(w, np.zeros(classes))
 
 
-def sigmoid(z):
+# 0-d operands: a ufunc takes them faster than a Python float, same bits
+_ZERO, _ONE = np.zeros(()), np.ones(())
+
+
+def sigmoid(z, out=None):
     """Logistic function without overflow, exp(min(z, 0)) / (1 + exp(-|z|)):
     1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, the same two
     IEEE expressions as splitting z by sign, so the bits match that form.
-    It runs in place in two buffers, one of them the result."""
+    It runs in place in two buffers, one of them the result ``out``."""
     d = np.abs(z)
-    np.exp(np.negative(d, out=d), out=d)
-    d += 1.0
-    s = np.minimum(z, 0.0)
-    return np.divide(np.exp(s, out=s), d, out=s)
+    np.exp(np.negative(d, d), d)
+    d += _ONE
+    s = np.minimum(z, _ZERO, out=out)
+    return np.divide(np.exp(s, s), d, s)
 
 
 def softmax_cross_entropy(logits, label: int):
     """Mean-ready loss and dL/dlogits for one example."""
     if not 0 <= label < logits.size:
         raise ValueError(f"label {label} out of range for {logits.size} classes")
-    shifted = logits - logits.max()
-    log_z = np.log(np.exp(shifted).sum())
+    shifted = logits - np.maximum.reduce(logits)
+    log_z = np.log(np.add.reduce(np.exp(shifted)))
     loss = log_z - shifted[label]
     dlogits = np.exp(shifted - log_z)
     dlogits[label] -= 1.0
@@ -102,9 +108,11 @@ class HtGateMap:
     def params(self) -> dict[str, np.ndarray]:
         return {f"ht.{i}": f for i, f in enumerate(self.weight.factors)}
 
-    def forward(self, packed):
-        tape = run_plan(self.weight, packed.reshape(self.weight.n_shape))
-        return output_from_tape(self.weight, tape), tape
+    def forward(self, packed, k=0):
+        """``W @ packed`` as (g, m_1..m_d); ``k``, a row of an open
+        sequence, matters only to prepared frames."""
+        return output_from_tape(self.weight, run_plan(self.weight,
+                                                      packed.reshape(self.weight.n_shape)))
 
     def prepare(self, grads=None) -> RootFrames:
         """Frames of the current factors, whose ``finish`` adds the factor
@@ -129,8 +137,9 @@ class DenseGateMap:
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.weight}
 
-    def forward(self, packed):
-        return (self.weight @ packed).reshape(GATES, -1), None
+    def forward(self, packed, k=0):
+        """``W @ packed`` as (g, H); ``k`` as for ``HtGateMap.forward``."""
+        return (self.weight @ packed).reshape(GATES, -1)
 
     def product(self, x):
         """``W @ x`` for a (B, N) block of inputs as a (g, B, H) view."""
@@ -143,44 +152,63 @@ class DenseGateMap:
 
 
 class DenseFrames(DenseGateMap):
-    """A dense gate map prepared for BPTT. Product k of a sequence opened
-    by ``begin(steps)`` keeps its input in row k of a (steps, N) block and
-    its ``backward`` keeps dz in row k of a (steps, 4H) block, so the
-    sequence's weight gradient is one GEMM, added to ``grad`` when the
-    sequence ends (the next ``begin``, or ``finish``)."""
+    """A dense gate map prepared for BPTT. It keeps every packed block that
+    ``begin`` opens and, in one (steps, 4H) block per sequence, the dz that
+    ``backward`` gets for each of its rows, so the minibatch's weight
+    gradient is one GEMM, added to ``grad`` by ``finish``."""
 
     def __init__(self, w, grad):
         super().__init__(w)
         self.grad = grad
-        self.x_block = np.empty((0, self.in_size))
-        self.dz_block = np.empty((0, self.weight.shape[0]))
-        self.count = 0
+        self.x_blocks, self.dz_blocks = [], []
 
-    def begin(self, steps: int):
-        self._end_sequence()
-        if len(self.x_block) != steps:
-            self.x_block = np.empty((steps, self.in_size))
-            self.dz_block = np.empty((steps, self.weight.shape[0]))
+    def begin(self, block):
+        """Open a sequence over the packed (steps, N) ``block``, which is
+        kept until ``finish``: leave it unchanged."""
+        self.x_blocks.append(block)
+        self.dz_blocks.append(np.empty((len(block), self.weight.shape[0])))
 
-    def forward(self, packed):
-        k, self.count = self.count, self.count + 1
-        self.x_block[k] = packed
-        return super().forward(packed)[0], k
+    def end(self):
+        """Nothing to add per sequence: ``finish`` adds every one."""
 
     def backward(self, k, dz, start=0):
-        """Keep ``dz`` for the sequence's weight gradient; returns
+        """Keep ``dz`` of the open sequence's row ``k``; returns
         ``(W.T @ dz)[start:]``."""
-        self.dz_block[k] = dz.reshape(-1)
-        return self.weight[:, start:].T @ self.dz_block[k]
-
-    def _end_sequence(self):
-        n, self.count = self.count, 0
-        if n:
-            self.grad += self.dz_block[:n].T @ self.x_block[:n]
+        row = self.dz_blocks[-1][k]
+        row[...] = dz.reshape(-1)
+        return self.weight[:, start:].T @ row
 
     def finish(self):
-        self._end_sequence()
-        self.x_block = self.dz_block = None
+        dz, x = np.concatenate(self.dz_blocks), np.concatenate(self.x_blocks)
+        self.x_blocks = self.dz_blocks = None
+        self.grad += dz.T @ x
+
+
+class Sequence:
+    """The blocks of one sequence, allocated once and written in place by
+    its steps. ``packed`` is the (steps, N) block of ``FdhtLstmCell.pack``.
+    Step t writes its activations f, u, c_in, o into ``act[t]``, its cell
+    state into ``c[t + 1]`` (``c[0]`` is the initial one), tanh of that
+    into ``tanh_c[t]`` and its hidden state into ``h[t + 1]``. In full mode
+    ``h[t]`` is the h slice of packed row t, where the gate map reads it,
+    and the last hidden state is a vector of its own; in input-only mode
+    ``h`` is a (steps + 1, H) block, which the recurrent matrix reads.
+    ``state`` sets ``h[0]`` and ``c[0]``, zero without it."""
+
+    def __init__(self, cell, xs, state=None):
+        self.packed = cell.pack(xs)
+        steps, h = self.packed.shape[0], cell.hidden_size
+        self.act = np.empty((steps, GATES, h))
+        self.c = np.zeros((steps + 1, h))
+        self.tanh_c = np.empty((steps, h))
+        if cell.recurrent is None:
+            self.h = list(self.packed[:, cell.h_start:])
+            self.h.append(np.empty(h))
+        else:
+            self.h = np.zeros((steps + 1, h))
+        if state is not None:
+            self.h[0][...] = state.h
+            self.c[0] = state.c
 
 
 class FdhtLstmCell:
@@ -235,9 +263,11 @@ class FdhtLstmCell:
 
     def step_cached(self, x, state: LstmState):
         """One recurrence step through the gate map's own forward (the
-        plan for HT). Returns the new state and the step's cache."""
-        block = self.pack(np.asarray(x, dtype=np.float64)[np.newaxis])
-        return self.step_packed(self.gate_map, block[0], state)
+        plan for HT). Returns the new state and the step's one-step
+        ``Sequence``."""
+        seq = Sequence(self, np.asarray(x, dtype=np.float64)[np.newaxis], state)
+        self.step_packed(self.gate_map, seq, 0)
+        return LstmState(seq.h[1], seq.c[1]), seq
 
     def pack(self, xs) -> np.ndarray:
         """The (steps, N) block of a sequence's packed inputs: its frames,
@@ -249,39 +279,35 @@ class FdhtLstmCell:
         block[:, self.n_x:] = 0.0
         return block
 
-    def step_packed(self, frames, packed, state: LstmState):
-        """One recurrence step on a row of ``pack``: write h into its h
-        slice (full mode), apply ``frames.forward``, gate, update. Returns
-        the new state and the cache ``step_backward`` needs when
-        ``frames`` came from ``gate_map.prepare``, a tuple (map, gates,
-        h_prev); only the recurrent matrix reads h_prev, since in full
-        mode the packed row holds h."""
-        if self.recurrent is None:
-            packed[self.h_start:] = state.h
-        z, saved = frames.forward(packed)
+    def step_packed(self, frames, seq: Sequence, t: int):
+        """Step t of ``seq``: apply ``frames.forward`` to its packed row
+        (whose h slice, in full mode, step t - 1 wrote), gate and update,
+        all written into ``seq``. ``frames`` is the gate map, or, for
+        ``step_backward``, what its ``prepare`` returned with ``seq.packed``
+        opened by ``begin``."""
+        z = frames.forward(seq.packed[t], t)
         if self.recurrent is not None:
-            z = z + (self.recurrent @ state.h).reshape(z.shape)
-        new_state, gates = _gate_forward(z, self.biases, state.c)
-        return new_state, (saved, gates, None if self.recurrent is None else state.h)
+            z = z + (self.recurrent @ seq.h[t]).reshape(z.shape)
+        _gate_forward(z, self.biases, seq.c[t], seq.act[t], seq.c[t + 1],
+                      seq.tanh_c[t], seq.h[t + 1])
 
-    def step_backward(self, frames, cache, dh, dc, grads, need_dx=True):
-        """Accumulate the gradients of one ``step_packed(frames, ...)``
-        step: biases and recurrent matrix into ``grads``, the gate map into
-        ``frames``. Returns (dh_prev, dc_prev, dx), dx None unless
-        ``need_dx``: the gate map then computes its input cotangent only
-        from the h slice on (full mode) or not at all (input-only)."""
-        saved, gates, h_prev = cache
-        dz, dc_prev = _gate_backward(gates, dh, dc)
+    def step_backward(self, frames, seq: Sequence, t: int, dh, dc, grads, need_dx=True):
+        """Accumulate the gradients of step t of ``seq``: biases and
+        recurrent matrix into ``grads``, the gate map into ``frames``.
+        Returns (dh_prev, dc_prev, dx), dx None unless ``need_dx``: the
+        gate map then computes its input cotangent only from the h slice
+        on (full mode) or not at all (input-only)."""
+        dz, dc_prev = _gate_backward(seq.act[t], seq.c[t], seq.tanh_c[t], dh, dc)
         grads["biases"] += dz
         start = (0 if need_dx else self.h_start if self.recurrent is None
                  else self.gate_map.in_size)
-        d_packed = frames.backward(saved, dz, start)
+        d_packed = frames.backward(t, dz, start)
         dx = d_packed[: self.n_x] if need_dx else None
         if self.recurrent is None:
             dh_prev = d_packed[self.h_start - start:]
         else:
             dz = dz.reshape(-1)
-            grads["recurrent"] += dz[:, None] * h_prev
+            grads["recurrent"] += dz[:, None] * seq.h[t]
             dh_prev = self.recurrent.T @ dz
         return dh_prev, dc_prev, dx
 
@@ -296,40 +322,44 @@ class DenseLstmCell(FdhtLstmCell):
         super().__init__(w, n_x, biases=biases)
 
 
-def _gate_forward(z, bias, c_prev):
+def _gate_forward(z, bias, c_prev, act, c, tanh_c, h):
     """Gates of one step on the stacked (4, ..., H) block: one bias add,
-    the sigmoid over all four rows, then tanh over the candidate row. ``z``
-    is gate-major in the gate map's own layout and ``bias`` is (4, H), or
-    a (4, B, H) view for a batch. Reshaping ``z`` to ``bias`` copies it
-    only when that layout is strided; a ufunc reading the strided layout
-    costs more than that copy. The cache is (act, c_prev, tanh_c), act
-    holding f, u, c_in, o."""
+    the sigmoid over all four rows, then tanh over the candidate row,
+    written into ``act`` (f, u, c_in, o), then the cell state ``c``,
+    ``tanh_c`` and ``h``. ``z`` is gate-major in the gate map's own layout
+    and ``bias`` is (4, H), or a (4, B, H) view for a batch. Reshaping
+    ``z`` to ``bias`` copies it only when that layout is strided; a ufunc
+    reading the strided layout costs more than that copy."""
     a = z.reshape(bias.shape) + bias
-    act = sigmoid(a)
-    act[2] = np.tanh(a[2])
+    sigmoid(a, act)
+    np.tanh(a[2], act[2])
     f, u, c_in, o = act
-    c = f * c_prev + u * c_in
-    tanh_c = np.tanh(c)
-    return LstmState(o * tanh_c, c), (act, c_prev, tanh_c)
+    np.multiply(f, c_prev, c)
+    c += u * c_in
+    np.multiply(o, np.tanh(c, tanh_c), h)
 
 
-def _gate_backward(gates, dh, dc):
-    """Returns the (4, H) pre-activation gradient and dc_prev. Each gate
-    row is (upstream * p) * q with p = act and q = 1 - act, except the
-    candidate row, where p = 1 and q = 1 - c_in**2; keeping that order of
-    products gives the bits of the per-gate formulas."""
-    act, c_prev, tanh_c = gates
+def _gate_backward(act, c_prev, tanh_c, dh, dc):
+    """Returns the (4, H) pre-activation gradient and dc_prev of a step
+    that ``_gate_forward`` ran. Each gate row is (upstream * p) * q with
+    p = act and q = 1 - act, except the candidate row, where p = 1 and
+    q = 1 - c_in**2; keeping that order of products gives the bits of the
+    per-gate formulas."""
     f, u, c_in, o = act
-    dc_total = dc + dh * o * (1.0 - tanh_c ** 2)
-    up = np.empty_like(act)
-    np.multiply(dc_total, c_prev, out=up[0])
-    np.multiply(dc_total, c_in, out=up[1])
-    np.multiply(dc_total, u, out=up[2])
-    np.multiply(dh, tanh_c, out=up[3])
+    dc_total = np.square(tanh_c)
+    np.subtract(_ONE, dc_total, dc_total)
+    dc_total *= dh * o
+    dc_total += dc
+    up = np.empty(act.shape)
+    np.multiply(dc_total, c_prev, up[0])
+    np.multiply(dc_total, c_in, up[1])
+    np.multiply(dc_total, u, up[2])
+    np.multiply(dh, tanh_c, up[3])
     dz = up * act
     dz[2] = up[2]
-    q = 1.0 - act
-    q[2] = 1.0 - c_in ** 2
+    q = np.subtract(_ONE, act)
+    q_c = q[2]
+    np.subtract(_ONE, np.square(c_in, q_c), q_c)
     dz *= q
     return dz, dc_total * f
 
@@ -414,24 +444,25 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
     frames = cell.gate_map.prepare()
     block = np.zeros((count, cell.gate_map.in_size))
     bias = np.broadcast_to(cell.biases[:, None], (GATES, count, h))
-    state = LstmState(np.zeros((count, h)), np.zeros((count, h)))
+    act = np.empty((GATES, count, h))
+    hs, c, tanh_c = np.zeros((count, h)), np.zeros((count, h)), np.empty((count, h))
     for t in range(xs.shape[1]):
         block[:, : cell.n_x] = xs[:, t]
         if cell.recurrent is None:
-            block[:, cell.h_start:] = state.h
+            block[:, cell.h_start:] = hs
         z = frames.product(block)
         if cell.recurrent is not None:
-            r = (state.h @ cell.recurrent.T).reshape(count, GATES, h)
+            r = (hs @ cell.recurrent.T).reshape(count, GATES, h)
             z = z + r.transpose(1, 0, 2).reshape(z.shape)
-        state, _ = _gate_forward(z, bias, state.c)
-    return state.h @ head.w.T + head.b
+        _gate_forward(z, bias, c, act, c, tanh_c, hs)
+    return hs @ head.w.T + head.b
 
 
 def zero_grads(cell, head: Head) -> dict[str, np.ndarray]:
     """Zero gradients named as ``cell.params()`` plus the head."""
-    grads = {k: np.zeros_like(v) for k, v in cell.params().items()}
-    grads["head.w"] = np.zeros_like(head.w)
-    grads["head.b"] = np.zeros_like(head.b)
+    grads = {k: np.zeros(v.shape) for k, v in cell.params().items()}
+    grads["head.w"] = np.zeros(head.w.shape)
+    grads["head.b"] = np.zeros(head.b.shape)
     return grads
 
 
@@ -442,20 +473,20 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
 
     The gate map is prepared once for the batch (for HT, the root-children
     frames of the current factors); sequences then run one at a time and
-    its factor gradients are finished once at the end. Each sequence opens
-    with ``frames.begin(steps)``, so the HT frames add the sequence's V
-    cotangent after its backward, in at most one GEMM per gate, and the
-    dense frames its weight gradient in one GEMM. It is then packed once
-    (``cell.pack``): each step writes only its h slice, and its cache
-    keeps a view of its own row. Each step cache is dropped as soon as its
-    backward has run, so the caches are gone before those GEMMs and the
-    peak memory does not grow with the batch. Unless
-    ``return_input_grads`` is set, each step's backward computes only the
-    h rows of the gate map's input cotangent (none in input-only mode).
-    Dropout, when enabled, is applied to the final hidden state before the
-    head (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
-    (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
-    example i.
+    its factor gradients are finished once at the end. Each sequence is
+    packed and given its gate-stage blocks once (``Sequence``), and the
+    frames open it with ``begin`` and close it with ``end``, where the HT
+    frames add its V cotangent in at most one GEMM per gate. The dense
+    frames keep every sequence's packed block and dz rows and add the
+    weight gradient in one GEMM in ``finish``. Steps write into the
+    sequence's blocks and keep no cache of their own. A sequence's blocks
+    are dropped when its backward is done, before ``end``, so the peak
+    memory does not grow with the batch. Unless ``return_input_grads`` is
+    set, each step's backward computes only the h rows of the gate map's
+    input cotangent (none in input-only mode). Dropout, when enabled, is
+    applied to the final hidden state before the head (inverted scaling)
+    and needs an ``rng``. Returns (loss, grads) or (loss, grads,
+    input_grads) where input_grads[i][t] is dL/dx_t for example i.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -463,38 +494,35 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         raise ValueError("dropout needs an rng")
     grads = zero_grads(cell, head)
     frames = cell.gate_map.prepare(grads)
+    grad_w, grad_b = grads["head.w"], grads["head.b"]
     total_loss = 0.0
     all_input_grads = []
     for xs, label in batch:
-        frames.begin(len(xs))  # ends the last sequence before this one is packed
-        block = cell.pack(xs)
-        state = cell.init_state()
-        caches = [None] * len(block)
-        for t, packed in enumerate(block):
-            state, caches[t] = cell.step_packed(frames, packed, state)
-        h_final = state.h
+        seq = Sequence(cell, xs)
+        frames.begin(seq.packed)
+        steps = len(seq.packed)
+        for t in range(steps):
+            cell.step_packed(frames, seq, t)
+        h_used = seq.h[steps]
         if dropout_rate > 0:
-            mask = (rng.random(h_final.size) >= dropout_rate) / (1.0 - dropout_rate)
-            h_used = h_final * mask
-        else:
-            mask = None
-            h_used = h_final
+            mask = (rng.random(h_used.size) >= dropout_rate) / (1.0 - dropout_rate)
+            h_used = h_used * mask
         logits = head.w @ h_used + head.b
         loss, dlogits = softmax_cross_entropy(logits, label)
         total_loss += loss
 
-        grads["head.w"] += dlogits[:, None] * h_used
-        grads["head.b"] += dlogits
+        grad_w += dlogits[:, None] * h_used
+        grad_b += dlogits
         dh = head.w.T @ dlogits
-        if mask is not None:
+        if dropout_rate > 0:
             dh = dh * mask
         dc = np.zeros(dh.size)
-        input_grads = [None] * len(block)
-        for t in range(len(block) - 1, -1, -1):
+        input_grads = [None] * steps
+        for t in range(steps - 1, -1, -1):
             dh, dc, input_grads[t] = cell.step_backward(
-                frames, caches[t], dh, dc, grads, need_dx=return_input_grads)
-            caches[t] = None
-        del block, packed  # before the next sequence packs its own
+                frames, seq, t, dh, dc, grads, need_dx=return_input_grads)
+        del seq
+        frames.end()  # with the sequence's blocks gone, before the next allocates its own
         if return_input_grads:
             all_input_grads.append(input_grads)
     frames.finish()

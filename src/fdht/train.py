@@ -4,6 +4,8 @@ cells, the classifier head and the optimizer together."""
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,15 +169,18 @@ class EpochRecord:
     train_loss: float
     train_acc: float
     test_acc: float
+    wall_s: float  # the epoch's minibatches and both evaluations
+    grad_norm: dict[str, float]  # per parameter block, mean over minibatches
 
 
 def train(cell, head: Head, train_data: Dataset, test_data: Dataset,
-          config: TrainConfig) -> list[EpochRecord]:
+          config: TrainConfig, on_epoch=None) -> list[EpochRecord]:
     """Minibatch ADAM training; deterministic given config.seed.
 
     Dropout acts on the final hidden state before the head, during
-    training only. One history record per epoch; epochs=0 returns an
-    empty history and leaves all parameters untouched. A ``TrainingError``
+    training only. One history record per epoch, also passed to
+    ``on_epoch`` as soon as its epoch ends; epochs=0 returns an empty
+    history and leaves all parameters untouched. A ``TrainingError``
     names its 0-based epoch and minibatch.
     """
     params = dict(cell.params())
@@ -185,9 +190,11 @@ def train(cell, head: Head, train_data: Dataset, test_data: Dataset,
     rng = np.random.default_rng(config.seed)
     history = []
     for epoch in range(config.epochs):
+        start_s = time.perf_counter()
         order = rng.permutation(len(train_data))
         loss_sum = 0.0
         batch_count = 0
+        norm_sums = dict.fromkeys(params, 0.0)
         for start in range(0, len(order), config.batch_size):
             idx = order[start: start + config.batch_size]
             batch = [(train_data.xs[i], int(train_data.labels[i])) for i in idx]
@@ -197,15 +204,31 @@ def train(cell, head: Head, train_data: Dataset, test_data: Dataset,
                 adam_step(params, grads, state, config)
             except TrainingError as exc:
                 raise TrainingError(f"epoch {epoch} minibatch {batch_count}: {exc}") from exc
+            for name in norm_sums:  # adam_step has checked that they are finite
+                norm_sums[name] += math.sqrt(np.vdot(grads[name], grads[name]))
             loss_sum += loss
             batch_count += 1
-        history.append(EpochRecord(
+        record = EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / batch_count,
             train_acc=evaluate(cell, head, train_data),
             test_acc=evaluate(cell, head, test_data),
-        ))
+            wall_s=time.perf_counter() - start_s,
+            grad_norm={name: s / batch_count for name, s in norm_sums.items()},
+        )
+        history.append(record)
+        if on_epoch is not None:
+            on_epoch(record)
     return history
+
+
+def epoch_line(rec: EpochRecord) -> str:
+    """One machine-parsable line of space-separated key=value fields: the
+    epoch, its wall time, its mean minibatch loss and, per parameter block,
+    its mean gradient norm."""
+    fields = [f"epoch={rec.epoch}", f"wall_s={rec.wall_s:.6f}", f"loss={rec.train_loss:.6f}"]
+    fields += [f"grad_norm.{name}={norm:.6e}" for name, norm in rec.grad_norm.items()]
+    return " ".join(fields)
 
 
 def history_csv(history) -> str:

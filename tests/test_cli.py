@@ -1,6 +1,7 @@
 """CLI commands end to end: outputs, exit codes, config round-trips."""
 
 import configparser
+import math
 import os
 import re
 import subprocess
@@ -525,6 +526,31 @@ class TestTrainEval:
             outs.append((tmp_path / f"{run}.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("mode", ["full", "input-only"])
+    def test_train_prints_one_line_per_epoch(self, capsys, tmp_path, mode):
+        # stderr gets one space-separated key=value line per epoch; its
+        # loss is the CSV's train_loss, and every parameter block has a
+        # finite, positive mean gradient norm
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_MODEL.replace("seed = 3\n", f"seed = 3\nmode = {mode}\n", 1)
+                        + f"\n[paths]\ncheckpoint = {tmp_path}/m.fdht\n"
+                        f"metrics = {tmp_path}/metrics.csv\n")
+        code, _, err = run_cli(capsys, "train", "--config", str(path))
+        assert code == 0
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        lines = err.splitlines()
+        assert len(lines) == len(rows) == 3
+        blocks = {"ht.0", "ht.1", "ht.2", "biases", "head.w", "head.b"}
+        if mode == "input-only":
+            blocks.add("recurrent")
+        for epoch, (line, row) in enumerate(zip(lines, rows)):
+            values = dict(pair.split("=", 1) for pair in line.split(" "))
+            assert values.pop("epoch") == str(epoch)
+            assert float(values.pop("wall_s")) > 0.0
+            assert values.pop("loss") == row.split(",")[1]
+            assert {key.removeprefix("grad_norm.") for key in values} == blocks
+            assert all(0.0 < float(v) < math.inf for v in values.values())
+
     def test_eval_untrained_checkpoint_near_chance(self, capsys, tmp_path):
         # train 0 epochs: the checkpoint is the raw initialization
         cfg_text = SMALL_MODEL.replace("epochs = 3", "epochs = 0") + (
@@ -616,7 +642,9 @@ class TestTrainEval:
         code, _, err = run_cli(capsys, "train", "--config",
                                small_run(tmp_path, tmp_path / "c.fdht",
                                          tmp_path / "m.csv", epochs=1))
-        assert code == 1 and err.count("\n") == 1, err
+        lines = err.splitlines()  # the one epoch's line, then the error's
+        assert code == 1 and err.count("\n") == len(lines) == 2, err
+        assert lines[0].startswith("epoch=0 ") and lines[1].startswith("error: validation: ")
         assert (tmp_path / "c.fdht").exists()
 
     def test_seed_override_changes_results(self, capsys, tmp_path):

@@ -280,20 +280,20 @@ class TestRootFrames:
         x = rng.normal(size=w.in_size)
         sink = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, sink)
-        frames.begin(2)  # this product and the adjoint identity's
-        y, saved = frames.forward(x)
+        y = run_sequence(frames, x[np.newaxis])[0].copy()  # backward overwrites the view
         assert np.max(np.abs(y.reshape(-1) - forward(x))) <= 1e-10
 
         u = rng.normal(size=w.out_size)
-        assert adjoint_error(lambda v: frames.forward(v)[0],
-                             lambda dy: frames.backward(saved, dy), x, u) <= 1e-12
+        assert adjoint_error(lambda v: run_sequence(frames, v[np.newaxis])[0],
+                             lambda dy: frames.backward(0, dy), x, u) <= 1e-12
+        frames.end()
 
         # gradients of 0.5 |W x|^2 through the frames, one direction per factor
         sink = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, sink)
-        frames.begin(1)
-        _, saved = frames.forward(x)
-        dx = frames.backward(saved, y)
+        run_sequence(frames, x[np.newaxis])
+        dx = frames.backward(0, y)
+        frames.end()
         frames.finish()
 
         def loss():
@@ -306,13 +306,14 @@ class TestRootFrames:
         # two products accumulate the gradients of a sum of two losses
         w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=5)
         rng = np.random.default_rng(13)
-        xs = [rng.normal(size=w.in_size) for _ in range(2)]
+        xs = rng.normal(size=(2, w.in_size))
         us = [rng.normal(size=w.out_size) for _ in range(2)]
         both = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, both)
-        frames.begin(len(xs))
-        for x, u in zip(xs, us):
-            frames.backward(frames.forward(x)[1], u)
+        run_sequence(frames, xs)
+        for k, u in enumerate(us):
+            frames.backward(k, u)
+        frames.end()
         frames.finish()
         for i in range(len(w.factors)):
             direction = rng.normal(size=w.factors[i].shape)
@@ -338,19 +339,18 @@ class TestRootFrames:
 
             def sequence(steps):
                 xs = rng.normal(size=(steps, w.in_size))
-                saved = [frames.forward(x)[1] for x in xs]
-                for x, s in zip(xs[::-1], saved[::-1]):
+                run_sequence(frames, xs)
+                for k in range(steps - 1, -1, -1):
                     dy = rng.normal(size=w.out_size)
-                    frames.backward(s, dy)
-                    t = (frames.u @ x.reshape(nl, nr)).reshape(ml, rl * nr)
+                    frames.backward(k, dy)
+                    t = (frames.u @ xs[k].reshape(nl, nr)).reshape(ml, rl * nr)
                     want[...] += t.T @ dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, -1)
+                frames.end()
 
             def rel():
                 return np.max(np.abs(frames.dvt.T - want)) / np.max(np.abs(want))
 
-            frames.begin(3)
             sequence(3)
-            frames.begin(5)  # ends the first sequence
             assert rel() <= 1e-12
             sequence(5)
             frames.finish()
@@ -370,19 +370,19 @@ class TestRootFrames:
         g, rl, ml, mr, nl, nr = frames.shape
         rng = np.random.default_rng(19)
 
-        def sequence():
-            frames.begin(3)  # ends the open sequence; same length, no new blocks
-            saved = [frames.forward(x)[1] for x in rng.normal(size=(3, w.in_size))]
-            for s in saved[::-1]:
-                frames.backward(s, rng.normal(size=w.out_size), w.in_size)
+        def sequence():  # the same length, so no new blocks
+            run_sequence(frames, rng.normal(size=(3, w.in_size)))
+            for k in range(2, -1, -1):
+                frames.backward(k, rng.normal(size=w.out_size), w.in_size)
 
         sequence()
-        sequence()  # warm: the first end of a sequence ran outside the measurement
+        frames.end()  # warm: the first end of a sequence runs outside the measurement
+        sequence()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            frames.begin(3)
+            frames.end()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -394,13 +394,19 @@ class TestRootFrames:
         # A prepared RootFrames holds U (m_L r_L, n_L) and its cotangent
         # dU, V (r_L n_R, g m_R) and its transposed cotangent dvt, the
         # (steps, m_L, r_L n_R) T' block and the (steps, m_L, g m_R) dy
-        # block, and no other array: finish rebuilds FR from the factors.
+        # block, and no other array of its own: finish rebuilds FR from
+        # the factors. Every other array it holds is a view of those or of
+        # the open sequence's block.
         m, n, leaf, internal = REFERENCE_GEOMETRIES["hmdb51-cnn"]
         w = init_ht_weight(m, n, leaf, internal, 4, seed=9)
         frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
-        frames.begin(6)
+        block = np.zeros((6, w.in_size))
+        frames.begin(block)
         g, rl, ml, mr, nl, nr = frames.shape
-        held = sum(a.nbytes for a in vars(frames).values() if isinstance(a, np.ndarray))
+        arrays = [a for a in vars(frames).values() if isinstance(a, np.ndarray)]
+        owners = {id(o): o for o in (a if a.base is None else a.base for a in arrays)}
+        assert id(block) in owners
+        held = sum(o.nbytes for o in owners.values() if o is not block)
         u, v = ml * rl * nl, rl * nr * g * mr
         assert held == 8 * (2 * u + 2 * v + 6 * ml * rl * nr + 6 * ml * g * mr)
 
@@ -415,10 +421,9 @@ class TestRootFrames:
         frames.u = frames.u.view(MatmulSpy)
         rng = np.random.default_rng(18)
         dy = rng.normal(size=w.out_size)
-        frames.begin(1)
-        _, saved = frames.forward(rng.normal(size=w.in_size))
+        run_sequence(frames, rng.normal(size=(1, w.in_size)))
         MatmulSpy.calls = 0
-        got = frames.backward(saved, dy, start)
+        got = frames.backward(0, dy, start)
         want = (reconstruct_dense(w).T @ dy)[start:]
         assert got.shape == want.shape
         assert MatmulSpy.calls == (start < w.in_size)
@@ -426,8 +431,16 @@ class TestRootFrames:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def run_sequence(frames, xs):
+    """Open a sequence over the (steps, N) ``xs`` and run its products;
+    returns their outputs, each a (g, m_L, m_R) view."""
+    frames.begin(xs)
+    return [frames.forward(x, k) for k, x in enumerate(xs)]
+
+
 class MatmulSpy(np.ndarray):
-    """An array view that counts the matrix products it takes part in."""
+    """An array view that counts the matrix products (``np.matmul`` or
+    ``np.dot``) it takes part in."""
 
     calls = 0
 
@@ -436,6 +449,12 @@ class MatmulSpy(np.ndarray):
             MatmulSpy.calls += 1
         inputs = [a.view(np.ndarray) if isinstance(a, MatmulSpy) else a for a in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.dot:
+            MatmulSpy.calls += 1
+        args = [a.view(np.ndarray) if isinstance(a, MatmulSpy) else a for a in args]
+        return func(*args, **kwargs)
 
 
 class TestPlan:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
-from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell, FdhtLstmCell,
-                       Head, LstmState, _gate_backward, _gate_forward, bptt,
-                       forward_sequence, make_cell, make_head, sigmoid,
-                       softmax_cross_entropy, zero_grads)
+from fdht.lstm import (GATE_ORDER, DenseFrames, DenseGateMap, DenseLstmCell,
+                       FdhtLstmCell, Head, LstmState, Sequence, _gate_backward,
+                       _gate_forward, bptt, forward_sequence, make_cell, make_head,
+                       sigmoid, softmax_cross_entropy, zero_grads)
 from oracles import (fd_param_dict, make_dense_cell, max_rel_error,
                      per_gate_backward, per_gate_forward)
 
@@ -135,8 +135,8 @@ class TestStep:
         cell = small_cell(seed=8)
         state = cell.init_state()
         for _ in range(5):
-            state, cache = cell.step_cached(rng.normal(size=4), state)
-            _, (act, _, tanh_c), _ = cache
+            state, seq = cell.step_cached(rng.normal(size=4), state)
+            (act,), (tanh_c,) = seq.act, seq.tanh_c
             f, u, c_in, o = act
             for gate in (f, u, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
@@ -192,14 +192,16 @@ class TestGateStage:
         special = np.resize([0.0, -0.0, np.inf, -np.inf], 4 * h)
         for pre, b in ((z, bias), (special, np.full((4, h), -0.0))):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                state, gates = _gate_forward(pre, b, c_prev)
-                dz, dc_prev = _gate_backward(gates, dh, dc)
+                act, c, tanh_c, h_new = np.empty((4, h)), np.empty(h), np.empty(h), np.empty(h)
+                _gate_forward(pre, b, c_prev, act, c, tanh_c, h_new)
+                dz, dc_prev = _gate_backward(act, c_prev, tanh_c, dh, dc)
                 want_h, want_c, want_gates = per_gate_forward(
                     pre, dict(zip("fuco", b)), c_prev)
                 want_dz, want_dc_prev = per_gate_backward(want_gates, dh, dc)
-            assert gates[0].tobytes() == np.stack(want_gates[:4]).tobytes()
-            assert np.array_equal(state.h, want_h)
-            assert np.array_equal(state.c, want_c)
+            assert act.tobytes() == np.stack(want_gates[:4]).tobytes()
+            assert tanh_c.tobytes() == want_gates[5].tobytes()
+            assert np.array_equal(h_new, want_h)
+            assert np.array_equal(c, want_c)
             assert np.array_equal(dz.reshape(-1), want_dz)
             assert np.array_equal(dc_prev, want_dc_prev)
         assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
@@ -238,33 +240,72 @@ class TestDenseGateMap:
         matrix = reconstruct_dense(w)
         frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)})
         rng = np.random.default_rng(18)
-        packed, dy = rng.normal(size=w.in_size), rng.normal(size=w.out_size)
-        frames.begin(1)
-        got = frames.backward(frames.forward(packed)[1], dy, start)
+        packed, dy = rng.normal(size=(1, w.in_size)), rng.normal(size=(4, w.out_size // 4))
+        frames.begin(packed)
+        frames.forward(packed[0], 0)
+        got = frames.backward(0, dy, start)
+        frames.end()
         frames.finish()
-        want = (matrix.T @ dy)[start:]
+        want = (matrix.T @ dy.reshape(-1))[start:]
         assert got.shape == want.shape
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(frames.grad, np.outer(dy, packed))
 
     def test_sequence_gradient_is_sum_of_outer_products(self):
-        # one GEMM per sequence against the per-step outer products, over
-        # sequences whose lengths reallocate the blocks and then reuse them
+        # one GEMM per minibatch against the per-step outer products, over
+        # sequences of different lengths
         rng = np.random.default_rng(24)
         matrix = rng.normal(size=(16, 9))
         frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)})
         want = np.zeros_like(matrix)
         for steps in (3, 5, 5):
-            frames.begin(steps)
             xs = rng.normal(size=(steps, 9))
-            saved = [frames.forward(x)[1] for x in xs]
-            for x, k in zip(xs[::-1], saved[::-1]):
-                dz = rng.normal(size=16)
+            frames.begin(xs)
+            for k, x in enumerate(xs):
+                frames.forward(x, k)
+            for k in range(steps - 1, -1, -1):
+                dz = rng.normal(size=(4, 4))
                 frames.backward(k, dz)
-                want += np.outer(dz, x)
+                want += np.outer(dz, xs[k])
+            frames.end()
         frames.finish()
         assert np.max(np.abs(frames.grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_minibatch_gradient_is_one_gemm(self, monkeypatch):
+        # The dense frames add the weight gradient once, in finish, from
+        # every sequence's packed rows and dz rows: grads["w"] is still
+        # zero when finish starts, and the minibatch's peak holds the
+        # gradient, at most one (4H, N) product beside it, the kept rows
+        # twice (the blocks and finish's concatenation of them) and a slack
+        # for Python objects, well below a second (4H, N) array.
+        h, n_x, steps, count = 64, 960, 3, 8
+        rng = np.random.default_rng(27)
+        cell = DenseLstmCell(rng.normal(size=(4 * h, n_x + h)) / 32, n_x)
+        head = make_head(3, h, seed=0)
+        batch = [(rng.normal(size=(steps, n_x)), i % 3) for i in range(count)]
+        finish = DenseFrames.finish
+        at_finish = []
+
+        def spy(self):
+            at_finish.append(not self.grad.any())
+            finish(self)
+
+        monkeypatch.setattr(DenseFrames, "finish", spy)
+        bptt(cell, head, batch)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bptt(cell, head, batch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert at_finish == [True, True]
+        matrix = 4 * h * (n_x + h) * 8
+        rows = 2 * count * steps * (n_x + h + 4 * h) * 8
+        assert matrix == 2_097_152
+        assert peak <= 2 * matrix + rows + 64 * 1024
 
 
 # (sequence, message) pairs for n_x = 4: each is rejected where a sequence
@@ -527,6 +568,31 @@ class TestBptt:
             assert rel(paths[False][name], g) <= 1e-12, name
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
+    def test_one_step_call_per_step(self, mode, monkeypatch):
+        # bptt steps through step_packed and step_backward, and
+        # forward_sequence through step_cached, once per frame each, so a
+        # span around one of them (perfbench's lstm.step_backward) times
+        # the real per-step work
+        cell = make_dense_cell(4, 4, seed=3) if mode == "dense" else small_cell(mode, seed=3)
+        head = make_head(3, cell.hidden_size, seed=0)
+        rng = np.random.default_rng(26)
+        lengths = (2, 3, 1)
+        batch = [(rng.normal(size=(steps, 4)), steps % 3) for steps in lengths]
+        calls = {}
+        for name in ("step_packed", "step_backward", "step_cached"):
+            def spy(self, *args, _name=name, _method=getattr(FdhtLstmCell, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(FdhtLstmCell, name, spy)
+        for input_grads in (False, True):
+            calls.clear()
+            bptt(cell, head, batch, return_input_grads=input_grads)
+            assert calls == {"step_packed": sum(lengths), "step_backward": sum(lengths)}
+        calls.clear()
+        forward_sequence(cell, head, batch[1][0])
+        assert calls == {"step_cached": 3, "step_packed": 3}
+
+    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_default_bptt_asks_only_for_h_rows(self, mode, monkeypatch):
         # without input gradients every step's backward starts at the h
         # slice (full mode, dense too) or past the input (input-only)
@@ -538,9 +604,9 @@ class TestBptt:
         frames_type = type(cell.gate_map.prepare(zero_grads(cell, head)))
         backward, starts = frames_type.backward, []
 
-        def spy(self, saved, dy, start=0):
+        def spy(self, k, dy, start=0):
             starts.append(start)
-            return backward(self, saved, dy, start)
+            return backward(self, k, dy, start)
 
         monkeypatch.setattr(frames_type, "backward", spy)
         bptt(cell, head, batch)
@@ -564,14 +630,14 @@ class TestBptt:
 
         def accumulate(grads):
             frames = cell.gate_map.prepare(grads)
-            frames.begin(len(xs))
-            state, caches = cell.init_state(), []
-            for packed in cell.pack(xs):
-                state, cache = cell.step_packed(frames, packed, state)
-                caches.append(cache)
+            seq = Sequence(cell, xs)
+            frames.begin(seq.packed)
+            for t in range(len(xs)):
+                cell.step_packed(frames, seq, t)
             g_h, g_c = dh, np.zeros(4)
-            for cache in reversed(caches):
-                g_h, g_c, _ = cell.step_backward(frames, cache, g_h, g_c, grads)
+            for t in reversed(range(len(xs))):
+                g_h, g_c, _ = cell.step_backward(frames, seq, t, g_h, g_c, grads)
+            frames.end()
             frames.finish()
             return grads
 

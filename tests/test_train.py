@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdht.lstm import forward_sequence, forward_split, make_cell, make_head
+from fdht.ht import RootFrames
+from fdht.lstm import bptt, forward_sequence, forward_split, make_cell, make_head
 from fdht.train import (AdamState, Dataset, SyntheticTask, TrainConfig, TrainingError,
                         adam_step, evaluate, generate_task, history_csv, train)
 from oracles import make_dense_cell, nearest_template_accuracy
@@ -224,3 +225,50 @@ class TestEvaluateSplit:
         with pytest.raises(ValueError, match=message) as exc:
             evaluate(cell, head, Dataset(xs, np.zeros(len(xs), dtype=np.int64)))
         assert "\n" not in str(exc.value)
+
+
+class TestMinibatchMemory:
+    # One bptt + adam_step minibatch holds, at its peak, the frames'
+    # buffers, the gradient dict, one sequence's blocks and the step
+    # backward's temporaries. A sequence's blocks go when its backward is
+    # done, so a batch needs no more than its largest sequence; blocks
+    # kept one sequence longer would exceed the bound at either geometry.
+    @pytest.mark.parametrize("geometry", ["synthetic", "hmdb51-cnn"])
+    def test_peak_holds_one_sequence(self, geometry):
+        n_x, n, m, leaf, internal, count = {
+            "synthetic": (256, (16, 17), (4, 4), 8, 8, 16),
+            "hmdb51-cnn": (2048, (8, 8, 8, 8), (4, 8, 8, 8), 14, 12, 4)}[geometry]
+        cell = make_cell(n_x, n, m, leaf, internal, seed=1)
+        head = make_head(8, cell.hidden_size, seed=2)
+        rng = np.random.default_rng(28)
+        steps = 6
+        batch = [(rng.normal(size=(steps, n_x)) / n_x ** 0.5, i % 8) for i in range(count)]
+        params = {**cell.params(), "head.w": head.w, "head.b": head.b}
+        config, adam = TrainConfig(), AdamState()
+
+        def minibatch():
+            _, grads = bptt(cell, head, batch, dropout_rate=0.25, rng=np.random.default_rng(3))
+            adam_step(params, grads, adam, config)
+
+        minibatch()  # ADAM's moments exist from here on, as in every later minibatch
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            minibatch()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        g, rl, ml, mr, nl, nr = RootFrames(cell.weight).shape
+        h, size = cell.hidden_size, cell.gate_map.in_size
+        entries = {
+            "frames": 2 * ml * rl * nl + 2 * rl * nr * g * mr + steps * ml * (rl * nr + g * mr),
+            "gradients": sum(p.size for p in params.values()),
+            # packed rows, act, c (with the initial state), tanh(c), last h
+            "sequence": steps * size + steps * 4 * h + (steps + 1) * h + steps * h + h,
+            # dt and the dU product, and three (4, H) gate-stage arrays
+            "step backward": ml * rl * (nr + nl) + 3 * 4 * h,
+        }
+        objects = 16 * 1024  # Python objects: views, tuples, the sequence
+        assert peak <= 8 * sum(entries.values()) + objects
+        assert 8 * entries["sequence"] > objects

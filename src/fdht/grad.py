@@ -18,6 +18,7 @@ from .tensor import contract_vjp, tensorize, vectorize
 # Finite-difference entries whose analytic/numeric difference is at most
 # this count as exact (the absolute floor of acceptance criterion 4).
 ABS_FLOOR = 1e-8
+FD_STEP = 1e-5  # the central-difference step
 
 
 @dataclass(eq=False)
@@ -72,16 +73,14 @@ def _rel_error(analytic: float, numeric: float) -> float:
     return diff / max(abs(analytic), abs(numeric))
 
 
-def finite_diff_check(w: HTWeight, x, loss, step: float = 1e-5, *, loss_grad) -> float:
+def finite_diff_check(w: HTWeight, x, loss, *, loss_grad) -> float:
     """Worst relative discrepancy between htl_backward and central finite
-    differences, over every factor coordinate and every input coordinate.
+    differences (step ``FD_STEP``) over every factor and input coordinate.
 
     ``loss`` maps the layer output y to a scalar and ``loss_grad`` maps y
     to dL/dy. Entries whose analytic/numeric difference is at most
     ``ABS_FLOOR`` count as exact (zero error).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     dL_dy = np.asarray(loss_grad(htl_forward(w, x)), dtype=np.float64).reshape(-1)
     analytic = htl_backward(w, x, dL_dy)
@@ -91,10 +90,10 @@ def finite_diff_check(w: HTWeight, x, loss, step: float = 1e-5, *, loss_grad) ->
         flat, a_flat = arr.reshape(-1), grad.reshape(-1)
         for ci in range(flat.size):
             orig = flat[ci]
-            flat[ci] = orig + step
+            flat[ci] = orig + FD_STEP
             lp = loss(htl_forward(w, x))
-            flat[ci] = orig - step
+            flat[ci] = orig - FD_STEP
             lm = loss(htl_forward(w, x))
             flat[ci] = orig
-            worst = max(worst, _rel_error(a_flat[ci], (lp - lm) / (2 * step)))
+            worst = max(worst, _rel_error(a_flat[ci], (lp - lm) / (2 * FD_STEP)))
     return worst

@@ -424,11 +424,10 @@ def make_cell(n_x, n_shape, m_shape, leaf_rank, internal_rank,
 
 def forward_sequence(cell, head: Head, xs) -> np.ndarray:
     """Run the cell over a sequence from the zero state and return the
-    classifier logits on the final hidden state."""
-    if len(xs) == 0:
-        raise ValueError("cannot run an empty sequence")
+    classifier logits on the final hidden state; ``check_frames`` rejects
+    a sequence that is not (steps, n_x)."""
     state = cell.init_state()
-    for x in xs:
+    for x in check_frames(xs, cell.n_x):
         state = cell.step(x, state)
     return head.w @ state.h + head.b
 

@@ -1,10 +1,12 @@
 """Dense multiway arrays and the pairwise tensor contraction primitive.
 
 Tensors are plain ``numpy.ndarray`` objects in float64, laid out in
-lexicographic (C) order with the last index varying fastest. Every other
-module builds on the three operations here: ``contract``, ``tensorize``
-and ``vectorize``. Mode indices in this API are 0-based; written-out
-formulas elsewhere use the conventional 1-based numbering.
+lexicographic (C) order with the last index varying fastest. ``fdht.grad``
+runs ``contract_vjp`` over the plan's tape; the kernels in ``fdht.ht``
+call ``np.tensordot`` and ``np.dot`` themselves, and only the benchmark
+and the tests call the checked ``contract``. Mode indices in this API are
+0-based; written-out formulas elsewhere use the conventional 1-based
+numbering.
 """
 
 from __future__ import annotations
@@ -91,25 +93,11 @@ def contract_vjp(g, a, b, a_modes, b_modes):
     b_free = [ax for ax in range(b.ndim) if ax not in b_modes]
     na_free = len(a_free)
 
-    # d/da: contract g against b over b's free modes. The trailing axes of
-    # the raw result are b's contracted modes in b-axis order; route each
-    # back to its paired position in a.
-    ga_raw = np.tensordot(g, b, axes=(list(range(na_free, g.ndim)), b_free))
-    sorted_b = sorted(b_modes)
-    src = [0] * a.ndim
-    for i, ax in enumerate(a_free):
-        src[ax] = i
-    for k, ax in enumerate(a_modes):
-        src[ax] = na_free + sorted_b.index(b_modes[k])
-    ga = ga_raw.transpose(src)
-
-    # d/db: contract a against g over a's free modes.
-    gb_raw = np.tensordot(a, g, axes=(a_free, list(range(na_free))))
-    sorted_a = sorted(a_modes)
-    src = [0] * b.ndim
-    for k, ax in enumerate(b_modes):
-        src[ax] = sorted_a.index(a_modes[k])
-    for i, ax in enumerate(b_free):
-        src[ax] = len(a_modes) + i
-    gb = gb_raw.transpose(src)
+    # Each raw tensordot result holds the operand's free axes, then the
+    # axes paired with the other operand's summed ones, in that operand's
+    # axis order; argsort inverts that axis map.
+    ga = np.tensordot(g, b, axes=(list(range(na_free, g.ndim)), b_free))
+    ga = ga.transpose(np.argsort(a_free + [ax for _, ax in sorted(zip(b_modes, a_modes))]))
+    gb = np.tensordot(a, g, axes=(a_free, list(range(na_free))))
+    gb = gb.transpose(np.argsort([bx for _, bx in sorted(zip(a_modes, b_modes))] + b_free))
     return ga, gb

@@ -100,7 +100,8 @@ def generate_task(task: SyntheticTask):
 
     Class c's clean sequence interpolates from a base template to a
     drifted one across the frames; every sample adds fresh Gaussian noise
-    scaled by ``task.noise``.
+    scaled by ``task.noise``. A noise that overflows the samples is a
+    ValueError naming ``[task] noise``.
     """
     rng = np.random.default_rng(task.seed)
     clean = _clean_sequences(task, rng)
@@ -110,16 +111,16 @@ def generate_task(task: SyntheticTask):
     sigma = task.noise / task.frame_dim ** 0.5
 
     def sample_split(per_class):
-        count = per_class * task.classes
-        xs = np.empty((count, task.frames, task.frame_dim))
-        labels = np.empty(count, dtype=np.int64)
-        i = 0
-        for c in range(task.classes):
-            for _ in range(per_class):
-                xs[i] = clean[c] + sigma * rng.normal(size=clean[c].shape)
-                labels[i] = c
-                i += 1
-        return Dataset(xs, labels)
+        # one draw in (class, sample) order; each entry is clean + sigma * noise
+        xs = rng.normal(size=(task.classes, per_class, task.frames, task.frame_dim))
+        try:
+            with np.errstate(over="raise"):
+                xs *= sigma
+        except FloatingPointError:
+            raise ValueError(f"[task] noise = {task.noise!r} overflows the samples") from None
+        xs += clean[:, None]
+        return Dataset(xs.reshape(-1, task.frames, task.frame_dim),
+                       np.repeat(np.arange(task.classes, dtype=np.int64), per_class))
 
     return sample_split(task.train_per_class), sample_split(task.test_per_class)
 
@@ -136,30 +137,35 @@ def adam_step(params: dict[str, np.ndarray], grads, state: AdamState,
     """In-place ADAM update with bias correction; the L2 term
     l2_coeff * theta is added to each gradient before the moment update."""
     state.t += 1
-    t = state.t
+    c = config
+    # the step's scalars, once per call, as 0-d operands (a ufunc takes
+    # them faster than a Python float, same bits)
+    l2, beta1, beta2, lr, eps, m_in, v_in, m_corr, v_corr = map(np.array, (
+        c.l2_coeff, c.beta1, c.beta2, c.learning_rate, c.eps, 1.0 - c.beta1,
+        1.0 - c.beta2, 1.0 - c.beta1 ** state.t, 1.0 - c.beta2 ** state.t))
     for name, theta in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient in parameter block '{name}'")
-        g = g + config.l2_coeff * theta
+        g = g + l2 * theta
         if name not in state.m:
             state.m[name] = np.zeros_like(theta)
             state.v[name] = np.zeros_like(theta)
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1 ** t)
-        v_hat = v / (1.0 - config.beta2 ** t)
-        theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        m *= beta1
+        m += m_in * g
+        v *= beta2
+        v += v_in * g * g
+        theta -= lr * (m / m_corr) / (np.sqrt(v / v_corr) + eps)
 
 
 def evaluate(cell, head: Head, data: Dataset) -> float:
     """Test-time accuracy; deterministic, no dropout. The whole split runs
-    as one batch (``forward_split``)."""
+    as one batch (``forward_split``); a non-finite logit is a TrainingError."""
     logits = forward_split(cell, head, data.xs)
+    if not np.isfinite(logits).all():
+        raise TrainingError("non-finite logits: the model overflows on this split")
     return int(np.sum(np.argmax(logits, axis=1) == data.labels)) / len(data)
 
 

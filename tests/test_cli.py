@@ -496,6 +496,15 @@ class TestGradcheckVerify:
         assert not (tmp_path / "h.fdht").exists()
 
 
+NOISE_OVERFLOW = VALIDATION + "[task] noise = 1.7e+308 overflows the samples\n"
+OVERFLOW_CASES = {
+    "train-noise": (1, NOISE_OVERFLOW),
+    "eval-noise": (1, NOISE_OVERFLOW),
+    "eval-scaled-checkpoint": (
+        2, "error: runtime: non-finite logits: the model overflows on this split\n"),
+}
+
+
 class TestTrainEval:
     def test_train_then_eval(self, capsys, tmp_path):
         cfg_text = SMALL_MODEL + (
@@ -608,6 +617,27 @@ class TestTrainEval:
         assert re.fullmatch(r"error: runtime: epoch 0 minibatch \d+: non-finite "
                             r"gradient in parameter block 'ht\.0'\n", err), err
         assert not (tmp_path / "nan.fdht").exists()
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+    @pytest.mark.parametrize("case", OVERFLOW_CASES)
+    def test_overflowing_finite_input_is_one_line(self, capsys, tmp_path, case):
+        # finite values that the parser and the checkpoint reader accept:
+        # a noise whose samples overflow, factors whose logits do
+        code, err = OVERFLOW_CASES[case]
+        checkpoint, metrics = tmp_path / "c.fdht", tmp_path / "m.csv"
+        if case.startswith("eval"):
+            cell = make_cell(6, (4, 3), (2, 2), 2, 2, seed=3)
+            if case == "eval-scaled-checkpoint":
+                for f in cell.weight.factors:
+                    f *= 1e306
+            save_checkpoint(cell, make_head(3, cell.hidden_size, 0), checkpoint)
+        text = SMALL_MODEL if case.endswith("checkpoint") else SMALL_MODEL.replace(
+            "noise = 0.4", "noise = 1.7e308")
+        path = write_config(tmp_path, text + f"\n[paths]\ncheckpoint = {checkpoint}\n"
+                                             f"metrics = {metrics}\n")
+        before = sorted(tmp_path.iterdir())
+        assert run_cli(capsys, case.split("-")[0], "--config", path) == (code, "", err)
+        assert sorted(tmp_path.iterdir()) == before  # no checkpoint, sidecar or metrics
 
     @pytest.mark.parametrize("bad", ["metrics-directory", "checkpoint-directory",
                                      "metrics-parent-is-file", "sidecar-directory"])

@@ -45,8 +45,7 @@ def test_rank1_all_ones_weight_finite_difference():
     x = np.ones(4)
     e1 = np.zeros(w.out_size)
     e1[0] = 1.0
-    err = finite_diff_check(w, x, lambda y: float(y[0]), step=1e-5,
-                            loss_grad=lambda y: e1)
+    err = finite_diff_check(w, x, lambda y: float(y[0]), loss_grad=lambda y: e1)
     assert err <= 1e-6
 
 
@@ -55,7 +54,7 @@ def test_random_configs_match_finite_differences():
     for _ in range(20):
         w = random_small_weight(rng, d_choices=(2, 3), max_len=3, max_rank=2)
         x = rng.normal(size=w.in_size)
-        err = finite_diff_check(w, x, quad_loss, step=1e-5, loss_grad=lambda y: y)
+        err = finite_diff_check(w, x, quad_loss, loss_grad=lambda y: y)
         assert err <= 1e-4
 
 
@@ -77,8 +76,7 @@ def test_zero_weight_zero_input_reports_zero():
     w = init_ht_weight((2, 2), (2, 2), 2, 2, 2, seed=0)
     for f in w.factors:
         f[:] = 0.0
-    err = finite_diff_check(w, np.zeros(w.in_size), quad_loss,
-                            step=1e-5, loss_grad=lambda y: y)
+    err = finite_diff_check(w, np.zeros(w.in_size), quad_loss, loss_grad=lambda y: y)
     assert err == 0.0
 
 
@@ -93,14 +91,8 @@ def test_corrupted_gradient_is_detected(monkeypatch):
         return bad
 
     monkeypatch.setattr(fdht.grad, "htl_backward", corrupted_backward)
-    err = finite_diff_check(w, x, quad_loss, step=1e-5, loss_grad=lambda y: y)
+    err = finite_diff_check(w, x, quad_loss, loss_grad=lambda y: y)
     assert err >= 0.1
-
-
-def test_step_must_be_positive():
-    w = init_ht_weight((2, 2), (2, 2), 1, 1, 1, seed=0)
-    with pytest.raises(ValueError, match="positive"):
-        finite_diff_check(w, np.ones(4), quad_loss, step=0.0, loss_grad=lambda y: y)
 
 
 def test_cotangent_linearity():

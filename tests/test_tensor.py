@@ -149,6 +149,58 @@ def test_contract_vjp_multi_axis_order():
     assert gb.shape == b.shape
 
 
+def random_pairing(rng, lengths, summed=None, ndims=(1, 4)):
+    """Shapes and mode lists of a random contraction: ``summed`` pairs
+    (random when None) of a's and b's modes, in random order, every mode
+    length drawn from ``lengths``."""
+    na, nb = (int(n) for n in rng.integers(ndims[0], ndims[1] + 1, size=2))
+    if summed is None:
+        summed = int(rng.integers(0, min(na, nb) + 1))
+    a_modes = rng.permutation(na)[:summed].tolist()
+    b_modes = rng.permutation(nb)[:summed].tolist()
+    a_shape = rng.choice(lengths, size=na).tolist()
+    b_shape = rng.choice(lengths, size=nb).tolist()
+    for ax, bx in zip(a_modes, b_modes):
+        b_shape[bx] = a_shape[ax]
+    return a_shape, b_shape, a_modes, b_modes
+
+
+def strided(rng, shape):
+    """A non-contiguous operand: every other entry of a reversed-axis
+    array, seen in ``shape``'s axis order."""
+    base = rng.normal(size=[2 * n for n in reversed(shape)])
+    return base[tuple(slice(None, None, 2) for _ in shape)].T
+
+
+PAIRINGS = {
+    "random": lambda rng: random_pairing(rng, (1, 2, 3, 4)),
+    "outer-product": lambda rng: random_pairing(rng, (1, 2, 3), summed=0),
+    "scalar": lambda rng: random_pairing(rng, (1, 2, 3), summed=3, ndims=(3, 3)),
+    # one length everywhere: a mis-routed cotangent still has the right shape
+    "repeated-lengths": lambda rng: random_pairing(rng, (2,)),
+}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_contract_vjp_is_the_adjoint(pairing, layout):
+    # <g, contract(da, b)> = <ga, da> and <g, contract(a, db)> = <gb, db>,
+    # relative to the sum of the absolute terms
+    rng = np.random.default_rng([list(PAIRINGS).index(pairing), int(layout == "strided")])
+    make = strided if layout == "strided" else (lambda r, shape: r.normal(size=shape))
+    for _ in range(100):
+        a_shape, b_shape, a_modes, b_modes = PAIRINGS[pairing](rng)
+        a, b = make(rng, a_shape), make(rng, b_shape)
+        g = rng.normal(size=contract(a, b, a_modes, b_modes).shape)
+        ga, gb = contract_vjp(g, a, b, a_modes, b_modes)
+        da, db = rng.normal(size=a.shape), rng.normal(size=b.shape)
+        for grad, delta, x, y in ((ga, da, da, b), (gb, db, a, db)):
+            assert grad.shape == delta.shape
+            lhs = np.vdot(g, contract(x, y, a_modes, b_modes))
+            scale = np.vdot(abs(g), contract(abs(x), abs(y), a_modes, b_modes))
+            assert abs(lhs - np.vdot(grad, delta)) <= 1e-12 * scale
+
+
 def test_tensorize_row_major():
     t = tensorize([1, 2, 3, 4, 5, 6], (2, 3))
     np.testing.assert_array_equal(t, [[1, 2, 3], [4, 5, 6]])

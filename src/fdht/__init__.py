@@ -12,7 +12,7 @@ from .io import (deserialize_checkpoint, load_checkpoint, save_checkpoint,
                  serialize, serialize_checkpoint)
 from .lstm import (DenseGateMap, DenseLstmCell, FdhtLstmCell, Head, HtGateMap,
                    LstmState, bptt, forward_sequence, make_cell, make_head)
-from .tensor import contract, contract_vjp, tensorize, vectorize
+from .tensor import contract, contract_vjp
 from .train import (AdamState, EpochRecord, SyntheticTask, TrainConfig,
                     TrainingError, adam_step, evaluate, generate_task,
                     history_csv, train)

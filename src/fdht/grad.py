@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ht import HTWeight, htl_forward, run_plan
-from .tensor import contract_vjp, tensorize, vectorize
+from .tensor import contract_vjp
 
 # Finite-difference entries whose analytic/numeric difference is at most
 # this count as exact (the absolute floor of acceptance criterion 4).
@@ -48,7 +48,7 @@ def backward_from_tape(w: HTWeight, values, dL_dy) -> HTGradients:
         cot[s.a], cot[s.b] = contract_vjp(cot.pop(("t", k)), values[s.a], values[s.b],
                                           list(s.a_axes), list(s.b_axes))
     return HTGradients([cot[("f", i)] for i in range(len(w.factors))],
-                       vectorize(cot[("x",)]))
+                       cot[("x",)].reshape(-1))
 
 
 def htl_backward(w: HTWeight, x, dL_dy) -> HTGradients:
@@ -62,7 +62,7 @@ def htl_backward(w: HTWeight, x, dL_dy) -> HTGradients:
         raise ValueError(
             f"output cotangent has length {dL_dy.size}, expected {w.out_size}"
         )
-    values = run_plan(w, tensorize(x, w.n_shape))
+    values = run_plan(w, x.reshape(w.n_shape))
     return backward_from_tape(w, values, dL_dy)
 
 

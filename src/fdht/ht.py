@@ -31,8 +31,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import tensorize, vectorize
-
 
 # Largest dense matrix, in entries, that reconstruct_dense will build.
 ORACLE_ELEMENT_CAP = 10**8
@@ -388,7 +386,7 @@ class RootFrames:
 # Fast forward kernel
 
 # A plan is a list of contraction steps over value slots. Slots:
-#   ("x",)       the tensorized input
+#   ("x",)       the input as an n_shape tensor
 #   ("f", i)     factor of node i
 #   ("t", k)     output of step k
 # Each step contracts slot a with slot b over the given axis lists, and
@@ -462,27 +460,27 @@ def run_plan(w: HTWeight, x_tensor: np.ndarray) -> dict:
     factor and every intermediate (the tape reused by the backward pass).
 
     The values of the weight-only steps come from :func:`_weight_steps`
-    and are read-only; only the per-input steps run on every call.
+    and are read-only; only the last two steps, the per-input ones, run
+    on every call.
     """
     steps, _ = w.plan
     values = {("f", i): f for i, f in enumerate(w.factors)}
     values[("x",)] = x_tensor
-    kept = _weight_steps(w)
-    values.update(kept)
-    for k, s in enumerate(steps):
-        if ("t", k) not in kept:
-            values[("t", k)] = np.tensordot(values[s.a], values[s.b],
-                                            axes=(list(s.a_axes), list(s.b_axes)))
+    values.update(_weight_steps(w))
+    for k, s in enumerate(steps[-2:], len(steps) - 2):
+        values[("t", k)] = np.tensordot(values[s.a], values[s.b],
+                                        axes=(list(s.a_axes), list(s.b_axes)))
     return values
 
 
 def _weight_steps(w: HTWeight) -> dict:
-    """Tape values of the plan's weight-only steps, kept on ``w`` with a
-    private snapshot of the factors they came from. They are reused while
-    every live factor has the snapshot's dtype, shape and bytes, and
-    recomputed from a fresh snapshot on any difference. Each value that a
-    per-input step reads is stored in the order ``np.tensordot`` reads
-    it, so that step runs one GEMM with no operand copy."""
+    """Tape values of the plan's weight-only steps, all but its last two
+    (:func:`build_plan`), kept on ``w`` with a private snapshot of the
+    factors they came from: reused while every live factor has the
+    snapshot's dtype, shape and bytes, recomputed from a fresh snapshot
+    on any difference. The last two steps' ``a``, FL (a leaf factor, left
+    as it is, at d = 2) and V, are stored in the order ``np.tensordot``
+    reads them, so each of those steps is one GEMM with no operand copy."""
     kept = w._weight_steps
     if (kept is not None and len(kept[0]) == len(w.factors)
             and all(map(_same_bits, w.factors, kept[0]))):
@@ -490,16 +488,12 @@ def _weight_steps(w: HTWeight) -> dict:
     steps, _ = w.plan
     snapshot = [np.array(f) for f in w.factors]
     values = {("f", i): f for i, f in enumerate(snapshot)}
-    per_input = {("x",)}
-    for k, s in enumerate(steps):
-        if s.a in per_input or s.b in per_input:
-            per_input.add(("t", k))
-            for slot, summed, left in ((s.a, s.a_axes, True), (s.b, s.b_axes, False)):
-                if slot[0] == "t" and slot not in per_input:
-                    values[slot] = _read_order(values[slot], summed, left)
-        else:
-            values[("t", k)] = np.tensordot(values[s.a], values[s.b],
-                                            axes=(list(s.a_axes), list(s.b_axes)))
+    for k, s in enumerate(steps[:-2]):
+        values[("t", k)] = np.tensordot(values[s.a], values[s.b],
+                                        axes=(list(s.a_axes), list(s.b_axes)))
+    for s in steps[-2:]:
+        if s.a[0] == "t":
+            values[s.a] = _read_order(values[s.a], s.a_axes)
     kept = {slot: v for slot, v in values.items() if slot[0] == "t"}
     for v in kept.values():
         v.flags.writeable = False
@@ -507,11 +501,10 @@ def _weight_steps(w: HTWeight) -> dict:
     return kept
 
 
-def _read_order(a, summed, left):
-    """A copy of ``a`` stored with its free axes then its ``summed`` axes
-    (``left``) or summed then free, returned as a view with a's shape."""
-    free = [ax for ax in range(a.ndim) if ax not in summed]
-    order = free + list(summed) if left else list(summed) + free
+def _read_order(a, summed):
+    """A copy of ``a`` stored with its free axes then its ``summed`` axes,
+    returned as a view with a's shape."""
+    order = [ax for ax in range(a.ndim) if ax not in summed] + list(summed)
     return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
 
 
@@ -534,12 +527,11 @@ def output_from_tape(w: HTWeight, values: dict) -> np.ndarray:
 def htl_forward(w: HTWeight, x) -> np.ndarray:
     """Matrix-vector product reconstruct_dense(w) @ x computed in HT form.
 
-    The input is tensorized to n_shape, run through the schedule of
+    The input is reshaped to n_shape, run through the schedule of
     :func:`build_plan`, and the resulting (g, m_1..m_d) tensor is
-    vectorized with the gate (root rank) index slowest.
+    flattened with the gate (root rank) index slowest.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != w.in_size:
         raise ValueError(f"input has length {x.size}, expected {w.in_size}")
-    values = run_plan(w, tensorize(x, w.n_shape))
-    return vectorize(output_from_tape(w, values))
+    return output_from_tape(w, run_plan(w, x.reshape(w.n_shape))).reshape(-1)

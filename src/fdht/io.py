@@ -57,10 +57,13 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def need(self, n: int):
         if self.pos + n > len(self.data):
             raise TruncatedError(f"stream truncated: needed {n} bytes at offset "
                                  f"{self.pos}, have {len(self.data) - self.pos}")
+
+    def take(self, n: int) -> bytes:
+        self.need(n)
         out = self.data[self.pos: self.pos + n]
         self.pos += n
         return out
@@ -118,6 +121,7 @@ def _read_weight(r: _Reader) -> HTWeight:
     g = r.u32()
     m_shape = tuple(r.u32s(d))
     n_shape = tuple(r.u32s(d))
+    r.need(4 + 12 * (2 * d - 1))  # node count, then a rank and an entry per node
     try:
         tree = build_dim_tree(d, 1, 1, 1)
     except ValueError as exc:

@@ -457,12 +457,14 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
     return hs @ head.w.T + head.b
 
 
+def model_params(cell, head: Head) -> dict[str, np.ndarray]:
+    """Every parameter block by name: ``cell.params()``, then the head's."""
+    return {**cell.params(), "head.w": head.w, "head.b": head.b}
+
+
 def zero_grads(cell, head: Head) -> dict[str, np.ndarray]:
-    """Zero gradients named as ``cell.params()`` plus the head."""
-    grads = {k: np.zeros(v.shape) for k, v in cell.params().items()}
-    grads["head.w"] = np.zeros(head.w.shape)
-    grads["head.b"] = np.zeros(head.b.shape)
-    return grads
+    """Zero gradients named and ordered as ``model_params``."""
+    return {k: np.zeros(v.shape) for k, v in model_params(cell, head).items()}
 
 
 def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,

@@ -1,7 +1,8 @@
-"""Dense multiway arrays and the pairwise tensor contraction primitive.
+"""The pairwise tensor contraction primitive and its VJP.
 
 Tensors are plain ``numpy.ndarray`` objects in float64, laid out in
-lexicographic (C) order with the last index varying fastest. ``fdht.grad``
+lexicographic (C) order with the last index varying fastest, so a flat
+vector becomes a tensor and back by ``reshape`` alone. ``fdht.grad``
 runs ``contract_vjp`` over the plan's tape; the kernels in ``fdht.ht``
 call ``np.tensordot`` and ``np.dot`` themselves, and only the benchmark
 and the tests call the checked ``contract``. Mode indices in this API are
@@ -11,33 +12,7 @@ numbering.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-
-def tensorize(v, shape) -> np.ndarray:
-    """Reshape a flat vector into a tensor of the given mode lengths.
-
-    The flat data is interpreted lexicographically (last index fastest),
-    so ``tensorize([1,2,3,4,5,6], (2,3))`` has rows [1,2,3] and [4,5,6].
-    """
-    v = np.asarray(v, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0 or any(s < 1 for s in shape):
-        raise ValueError(f"invalid tensor shape {shape}: modes must be >= 1")
-    n = math.prod(shape)
-    if v.size != n:
-        raise ValueError(
-            f"cannot tensorize vector of length {v.size} to shape {shape} "
-            f"(needs {n} entries)"
-        )
-    return v.reshape(shape)
-
-
-def vectorize(t) -> np.ndarray:
-    """Flatten a tensor to a vector; inverse of :func:`tensorize`."""
-    return np.asarray(t, dtype=np.float64).reshape(-1)
 
 
 def _check_axes(name, ndim, axes):

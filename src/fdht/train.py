@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lstm import Head, bptt, forward_split
+from .lstm import Head, bptt, forward_split, model_params
 
 
 class TrainingError(RuntimeError):
@@ -189,9 +189,7 @@ def train(cell, head: Head, train_data: Dataset, test_data: Dataset,
     history and leaves all parameters untouched. A ``TrainingError``
     names its 0-based epoch and minibatch.
     """
-    params = dict(cell.params())
-    params["head.w"] = head.w
-    params["head.b"] = head.b
+    params = model_params(cell, head)
     state = AdamState()
     rng = np.random.default_rng(config.seed)
     history = []

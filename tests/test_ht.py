@@ -513,6 +513,26 @@ def weight_only_slots(w):
     return slots
 
 
+PLAN_GEOMETRIES = {
+    "synthetic": ((4, 4), (16, 17), 8, 8),  # d = 2: FL is a leaf factor
+    "d3": ((2, 3, 2), (3, 2, 4), 2, 3),
+    **REFERENCE_GEOMETRIES,
+    **DEEP_GEOMETRIES,
+}
+
+
+@pytest.mark.parametrize("name", list(PLAN_GEOMETRIES))
+def test_plan_ends_with_its_two_per_input_steps(name):
+    # run_plan's cache takes every step but the last two as weight-only:
+    # T = FL x reads the input, then Y = V T reads T.
+    m, n, leaf, internal = PLAN_GEOMETRIES[name]
+    w = init_ht_weight(m, n, leaf, internal, 4, seed=24)
+    steps, _ = build_plan(w)
+    assert weight_only_slots(w) == [("t", k) for k in range(len(steps) - 2)]
+    assert steps[-2].b == ("x",)
+    assert steps[-1].b == ("t", len(steps) - 2)
+
+
 class TestPlanCache:
     # run_plan keeps the weight-only step values between calls; every tape
     # must still equal the uncached step-by-step tape bit for bit.

@@ -118,6 +118,17 @@ def test_tree_below_two_modes_is_the_trees_error(d):
         deserialize_checkpoint(header + bytes(8 * 32))
 
 
+def test_huge_mode_count_is_truncation_before_any_tree(monkeypatch):
+    # d = 1,000,000 and both shapes, then nothing: the bytes left cannot
+    # hold a 2M-node tree, so the reader raises before building one.
+    d = 1_000_000
+    header = MAGIC + struct.pack("<H2I", VERSION, d, 4) + bytes(8 * d)
+    assert len(header) == 8_000_014
+    monkeypatch.setattr("fdht.io.build_dim_tree", lambda *args: pytest.fail("tree built"))
+    with pytest.raises(TruncatedError, match="needed 23999992 bytes at offset 8000014, have 0"):
+        deserialize_checkpoint(header)
+
+
 def test_oversized_ranks_are_truncation():
     # d=2: the ranks of the two leaves sit after the root rank at offset 34.
     # (2^32-1)^2 entries per factor overflow a fixed-width integer size.

@@ -1,18 +1,18 @@
-"""Tensor core: contraction and reshaping."""
+"""Tensor core: the pairwise contraction and its VJP."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdht.tensor import contract, contract_vjp, tensorize, vectorize
+from fdht.tensor import contract, contract_vjp
 from oracles import loop_contract
 
 
 def test_contract_worked_example():
     # 1x2x2 against 2x1x2 over (last, first): entry (0,0,0,0) = 1*5 + 2*7
-    a = tensorize([1, 2, 3, 4], (1, 2, 2))
-    b = tensorize([5, 6, 7, 8], (2, 1, 2))
+    a = np.reshape([1.0, 2, 3, 4], (1, 2, 2))
+    b = np.reshape([5.0, 6, 7, 8], (2, 1, 2))
     c = contract(a, b, [2], [0])
     assert c.shape == (1, 2, 1, 2)
     assert c[0, 0, 0, 0] == 19
@@ -199,33 +199,3 @@ def test_contract_vjp_is_the_adjoint(pairing, layout):
             lhs = np.vdot(g, contract(x, y, a_modes, b_modes))
             scale = np.vdot(abs(g), contract(abs(x), abs(y), a_modes, b_modes))
             assert abs(lhs - np.vdot(grad, delta)) <= 1e-12 * scale
-
-
-def test_tensorize_row_major():
-    t = tensorize([1, 2, 3, 4, 5, 6], (2, 3))
-    np.testing.assert_array_equal(t, [[1, 2, 3], [4, 5, 6]])
-
-
-def test_tensorize_length_mismatch():
-    with pytest.raises(ValueError, match="length 5"):
-        tensorize(np.arange(5), (2, 3))
-
-
-def test_vectorize_row_major():
-    np.testing.assert_array_equal(vectorize([[1, 2], [3, 4]]), [1, 2, 3, 4])
-    assert vectorize([[7.0]]).shape == (1,)
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(0, 2**31))
-def test_round_trip_is_identity(shape, seed):
-    v = np.random.default_rng(seed).normal(size=int(np.prod(shape)))
-    out = vectorize(tensorize(v, shape))
-    assert out.tobytes() == v.tobytes()
-
-
-def test_round_trip_ucf11_shape():
-    v = np.random.default_rng(11).normal(size=61440)
-    out = vectorize(tensorize(v, (16, 16, 16, 15)))
-    assert out.tobytes() == v.tobytes()
-

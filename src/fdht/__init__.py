@@ -3,7 +3,7 @@ HT LSTM: exact forward kernel without dense-weight materialization,
 reverse-mode gradients for all factors, exact parameter accounting, and a
 desk-scale training harness."""
 
-from .complexity import FactorizationSpec, emit_rank_sweep, scheme_params
+from .complexity import emit_rank_sweep, scheme_params
 from .grad import HTGradients, finite_diff_check, htl_backward
 from .ht import (DimNode, DimTree, HTWeight, OracleSizeError, build_dim_tree,
                  factor_shapes, htl_forward, init_ht_weight, param_count_config,

@@ -24,12 +24,12 @@ from .complexity import compression_ratio, dense_lstm_params, emit_rank_sweep
 from .config import (ConfigError, RunConfig, apply_seed_override, emit_config,
                      load_config)
 from .grad import finite_diff_check
-from .ht import (OracleSizeError, htl_forward, init_ht_weight, param_count_config,
-                 reconstruct_dense)
+from .ht import (OracleSizeError, RootFrames, htl_forward, init_ht_weight,
+                 param_count_config, reconstruct_dense)
 from .io import SIDECAR_SUFFIX, load_checkpoint, save_checkpoint
 from .lstm import GATES, make_cell, make_head
-from .train import (TrainingError, epoch_line, evaluate, generate_task, history_csv,
-                    train)
+from .train import (TrainingError, epoch_line, evaluate, generate_task,
+                    generate_test_split, history_csv, train)
 
 GRADCHECK_TOL = 1e-4
 VERIFY_TOL = 1e-10
@@ -75,14 +75,17 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Check the HT kernel against the dense reconstruction (exit 1 above 1e-10)."""
+    """Check the HT kernels (the plan, and the frames that train and eval
+    run) against the dense reconstruction (exit 1 above 1e-10)."""
     w = _model_weight(cfg)
     dense = reconstruct_dense(w)
-    rng = np.random.default_rng(cfg.model.seed)
+    xs = np.random.default_rng(cfg.model.seed).normal(size=(5, w.in_size))
+    ys = np.moveaxis(RootFrames(w).product(xs), 1, 0).reshape(len(xs), -1)
     err = 0.0
-    for _ in range(5):
-        x = rng.normal(size=w.in_size)
-        err = max(err, float(np.max(np.abs(htl_forward(w, x) - dense @ x))))
+    for x, y in zip(xs, ys):
+        ref = dense @ x
+        err = max(err, float(np.max(np.abs(htl_forward(w, x) - ref))),
+                  float(np.max(np.abs(y - ref))))
     print(f"verify max_abs_error = {err:.3e} (tolerance {VERIFY_TOL:.0e})")
     return 0 if err <= VERIFY_TOL else 1
 
@@ -123,8 +126,7 @@ def cmd_eval(cfg: RunConfig) -> int:
                                ("classes", head.b.size, cfg.task.classes)):
         if saved != wanted:
             raise ConfigError(f"checkpoint {key}={saved} does not match config {key}={wanted}")
-    _, test_data = generate_task(cfg.task)
-    acc = evaluate(cell, head, test_data)
+    acc = evaluate(cell, head, generate_test_split(cfg.task))
     print(f"test_acc = {acc:.6f}")
     return 0
 

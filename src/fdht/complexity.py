@@ -9,7 +9,6 @@ rank-sweep comparison plots.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 from .ht import param_count_config
 from .lstm import GATES
@@ -17,27 +16,7 @@ from .lstm import GATES
 SCHEMES = ("tt", "tr", "bt", "ht")
 
 
-@dataclass(frozen=True)
-class FactorizationSpec:
-    m_shape: tuple[int, ...]
-    n_shape: tuple[int, ...]
-    rank: int
-    scheme: str
-
-    def __post_init__(self):
-        if len(self.m_shape) != len(self.n_shape) or len(self.m_shape) == 0:
-            raise ValueError("m_shape and n_shape must be non-empty and equal length")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-
-    @property
-    def d(self) -> int:
-        return len(self.m_shape)
-
-
-def scheme_params(spec: FactorizationSpec) -> int:
+def scheme_params(m_shape, n_shape, rank: int, scheme: str) -> int:
     """Exact parameter count for one scheme at one uniform rank.
 
     tt: cores r_{k-1} x m_k x n_k x r_k with border ranks fixed at 1.
@@ -46,16 +25,22 @@ def scheme_params(spec: FactorizationSpec) -> int:
     ht: 3-way leaf frames r x m_k x n_k, internal transfer tensors r^3,
         root rank 1 (the scheme-fair setting for comparisons).
     """
-    d, r = spec.d, spec.rank
-    mn = [m * n for m, n in zip(spec.m_shape, spec.n_shape)]
-    if spec.scheme == "tt":
+    if len(m_shape) != len(n_shape) or len(m_shape) == 0:
+        raise ValueError("m_shape and n_shape must be non-empty and equal length")
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    d, r = len(m_shape), rank
+    mn = [m * n for m, n in zip(m_shape, n_shape)]
+    if scheme == "tt":
         ranks = [1] + [r] * (d - 1) + [1]
         return sum(ranks[k] * mn[k] * ranks[k + 1] for k in range(d))
-    if spec.scheme == "tr":
+    if scheme == "tr":
         return sum(r * mnk * r for mnk in mn)
-    if spec.scheme == "bt":
+    if scheme == "bt":
         return sum(r * mnk for mnk in mn) + r ** d
-    return param_count_config(spec.m_shape, spec.n_shape, r, r, 1)
+    return param_count_config(m_shape, n_shape, r, r, 1)
 
 
 def dense_lstm_params(n_x: int, hidden: int) -> tuple[int, int]:
@@ -80,9 +65,6 @@ def emit_rank_sweep(m_shape, n_shape, r_range) -> str:
     out = io.StringIO()
     out.write("rank,tt,tr,bt,ht\n")
     for r in r_range:
-        counts = [
-            scheme_params(FactorizationSpec(tuple(m_shape), tuple(n_shape), r, s))
-            for s in SCHEMES
-        ]
+        counts = [scheme_params(m_shape, n_shape, r, s) for s in SCHEMES]
         out.write(f"{r}," + ",".join(str(c) for c in counts) + "\n")
     return out.getvalue()

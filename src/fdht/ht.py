@@ -107,7 +107,7 @@ class HTWeight:
     tree: DimTree
     m_shape: tuple[int, ...]
     n_shape: tuple[int, ...]
-    factors: list[np.ndarray]
+    factors: list[np.ndarray] = field(repr=False)
     # (factor snapshot, weight-only tape values), kept by run_plan
     _weight_steps: tuple | None = field(default=None, init=False, repr=False)
 
@@ -126,12 +126,6 @@ class HTWeight:
                     f"factor for node {i} (modes {node.lo}..{node.hi - 1}) has "
                     f"shape {f.shape}, expected {want}"
                 )
-
-    def __repr__(self):
-        ranks = [n.rank for n in self.tree.nodes]
-        return (f"HTWeight(d={self.tree.d}, g={self.root_rank}, "
-                f"m_shape={self.m_shape}, n_shape={self.n_shape}, "
-                f"ranks={ranks})")
 
     @property
     def root_rank(self) -> int:

@@ -186,7 +186,9 @@ class DenseFrames(DenseGateMap):
 
 class Sequence:
     """The blocks of one sequence, allocated once and written in place by
-    its steps. ``packed`` is the (steps, N) block of ``FdhtLstmCell.pack``.
+    its steps. ``packed`` is the (steps, N) block of the packed inputs:
+    the frames of ``xs``, then zeros over the pad and the h slice;
+    ``check_frames`` rejects a sequence that is not (steps, n_x).
     Step t writes its activations f, u, c_in, o into ``act[t]``, its cell
     state into ``c[t + 1]`` (``c[0]`` is the initial one), tanh of that
     into ``tanh_c[t]`` and its hidden state into ``h[t + 1]``. In full mode
@@ -196,8 +198,11 @@ class Sequence:
     ``state`` sets ``h[0]`` and ``c[0]``, zero without it."""
 
     def __init__(self, cell, xs, state=None):
-        self.packed = cell.pack(xs)
-        steps, h = self.packed.shape[0], cell.hidden_size
+        xs = check_frames(xs, cell.n_x)
+        steps, h = len(xs), cell.hidden_size
+        self.packed = np.empty((steps, cell.gate_map.in_size))
+        self.packed[:, : cell.n_x] = xs
+        self.packed[:, cell.n_x:] = 0.0
         self.act = np.empty((steps, GATES, h))
         self.c = np.zeros((steps + 1, h))
         self.tanh_c = np.empty((steps, h))
@@ -269,16 +274,6 @@ class FdhtLstmCell:
         self.step_packed(self.gate_map, seq, 0)
         return LstmState(seq.h[1], seq.c[1]), seq
 
-    def pack(self, xs) -> np.ndarray:
-        """The (steps, N) block of a sequence's packed inputs: its frames,
-        then zeros over the pad and the h slice. ``check_frames`` rejects
-        a sequence that is not (steps, n_x)."""
-        xs = check_frames(xs, self.n_x)
-        block = np.empty((len(xs), self.gate_map.in_size))
-        block[:, : self.n_x] = xs
-        block[:, self.n_x:] = 0.0
-        return block
-
     def step_packed(self, frames, seq: Sequence, t: int):
         """Step t of ``seq``: apply ``frames.forward`` to its packed row
         (whose h slice, in full mode, step t - 1 wrote), gate and update,
@@ -317,9 +312,6 @@ class DenseLstmCell(FdhtLstmCell):
     both as the training baseline and as the trajectory oracle vehicle."""
 
     gate_map_type = DenseGateMap
-
-    def __init__(self, w: np.ndarray, n_x: int, biases=None):
-        super().__init__(w, n_x, biases=biases)
 
 
 def _gate_forward(z, bias, c_prev, act, c, tanh_c, h):

@@ -95,14 +95,10 @@ def _clean_sequences(task: SyntheticTask, rng) -> np.ndarray:
     return (1.0 - t_frac) * base[:, None, :] + t_frac * drift[:, None, :]
 
 
-def generate_task(task: SyntheticTask):
-    """Deterministic class-balanced train/test datasets.
-
-    Class c's clean sequence interpolates from a base template to a
-    drifted one across the frames; every sample adds fresh Gaussian noise
-    scaled by ``task.noise``. A noise that overflows the samples is a
-    ValueError naming ``[task] noise``.
-    """
+def _split_sampler(task: SyntheticTask):
+    """The task's generator and a function drawing one class-balanced
+    split from it, after the clean sequences. A noise that overflows the
+    samples is a ValueError naming ``[task] noise``."""
     rng = np.random.default_rng(task.seed)
     clean = _clean_sequences(task, rng)
 
@@ -122,7 +118,29 @@ def generate_task(task: SyntheticTask):
         return Dataset(xs.reshape(-1, task.frames, task.frame_dim),
                        np.repeat(np.arange(task.classes, dtype=np.int64), per_class))
 
+    return rng, sample_split
+
+
+def generate_task(task: SyntheticTask):
+    """Deterministic class-balanced train/test datasets.
+
+    Class c's clean sequence interpolates from a base template to a
+    drifted one across the frames; every sample adds fresh Gaussian noise
+    scaled by ``task.noise``. The test split's draws follow the train
+    split's in one generator stream.
+    """
+    _, sample_split = _split_sampler(task)
     return sample_split(task.train_per_class), sample_split(task.test_per_class)
+
+
+def generate_test_split(task: SyntheticTask) -> Dataset:
+    """``generate_task(task)[1]`` without holding the train split: its
+    noise is drawn one sample at a time and dropped, which leaves the
+    stream, and so the test split, bit-identical."""
+    rng, sample_split = _split_sampler(task)
+    for _ in range(task.classes * task.train_per_class):
+        rng.normal(size=(task.frames, task.frame_dim))
+    return sample_split(task.test_per_class)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 
 from fdht.cli import main as cli_main
-from fdht.complexity import FactorizationSpec, emit_rank_sweep, scheme_params
+from fdht.complexity import emit_rank_sweep, scheme_params
 from fdht.grad import finite_diff_check
 from fdht.ht import htl_forward, init_ht_weight, param_count_config, reconstruct_dense
 from fdht.lstm import (DenseLstmCell, bptt, forward_sequence, make_cell,
@@ -209,7 +209,7 @@ def test_criterion_6_no_materialization():
 
 
 def test_criterion_7a_ht_formula_reference_point():
-    got = scheme_params(FactorizationSpec(FIG5_M, FIG5_N, 2, "ht"))
+    got = scheme_params(FIG5_M, FIG5_N, 2, "ht")
     report("7a", got == 316, f"HT exact count at r=2 is {got} (expected 316)")
 
 
@@ -258,7 +258,7 @@ def test_criterion_7b_rank_sweep_ordering_chain():
 def test_criterion_7c_fewest_parameters_claim():
     # the comparison's substantive claim, true from r=2 on
     for r in range(2, 17):
-        c = {s: scheme_params(FactorizationSpec(FIG5_M, FIG5_N, r, s))
+        c = {s: scheme_params(FIG5_M, FIG5_N, r, s)
              for s in ("tt", "tr", "bt", "ht")}
         if c["ht"] > min(c["tt"], c["tr"], c["bt"]):
             report("7c", False, f"HT not minimal at r={r}: {c}")

@@ -18,7 +18,7 @@ from fdht import cli
 from fdht.cli import _COMMANDS, main
 from fdht.config import (CompareConfig, ConfigError, ModelConfig, PathsConfig,
                          RunConfig, emit_config, load_config, parse_config)
-from fdht.ht import param_count_config
+from fdht.ht import RootFrames, param_count_config
 from fdht.io import save_checkpoint
 from fdht.lstm import make_cell, make_head
 from fdht.train import SyntheticTask, TrainConfig
@@ -474,6 +474,13 @@ class TestGradcheckVerify:
         code, out, _ = run_cli(capsys, "verify", "--config", small_config)
         assert code == 0
         assert "max_abs_error" in out
+
+    def test_verify_checks_the_frames(self, capsys, small_config, monkeypatch):
+        product = RootFrames.product
+        monkeypatch.setattr(RootFrames, "product", lambda self, x: product(self, x) + 1e-6)
+        code, out, _ = run_cli(capsys, "verify", "--config", small_config)
+        assert code == 1
+        assert out == "verify max_abs_error = 1.000e-06 (tolerance 1e-10)\n"
 
     def test_verify_over_oracle_cap(self, capsys, tmp_path):
         path = tmp_path / "big.ini"

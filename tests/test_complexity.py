@@ -3,21 +3,19 @@
 import numpy as np
 import pytest
 
-from fdht.complexity import (FactorizationSpec, compression_ratio,
-                             emit_rank_sweep, scheme_params)
+from fdht.complexity import compression_ratio, emit_rank_sweep, scheme_params
 
 FIG5_M = (4, 4, 2, 4, 2)
 FIG5_N = (8, 10, 10, 9, 8)
 
 
 def counts_at(r, m=FIG5_M, n=FIG5_N):
-    return {s: scheme_params(FactorizationSpec(m, n, r, s)) for s in
+    return {s: scheme_params(m, n, r, s) for s in
             ("tt", "tr", "bt", "ht")}
 
 
 def test_tt_smallest_case():
-    spec = FactorizationSpec((1, 1), (1, 1), 1, "tt")
-    assert scheme_params(spec) == 2
+    assert scheme_params((1, 1), (1, 1), 1, "tt") == 2
 
 
 def test_ht_rank2_reference_value():
@@ -62,7 +60,7 @@ def test_ht_balanced_tree_closed_form():
         m = tuple(int(x) for x in rng.integers(1, 5, size=d))
         n = tuple(int(x) for x in rng.integers(1, 5, size=d))
         r = int(rng.integers(1, 9))
-        assert scheme_params(FactorizationSpec(m, n, r, "ht")) == closed_form(m, n, r)
+        assert scheme_params(m, n, r, "ht") == closed_form(m, n, r)
     for r in range(1, 17):  # criterion 7b's form at the Fig. 5 shapes
         assert closed_form(FIG5_M, FIG5_N, r) == 144 * r + 3 * r ** 3 + r ** 2
         assert counts_at(r)["ht"] == closed_form(FIG5_M, FIG5_N, r)
@@ -80,13 +78,13 @@ def test_asymptotic_rank_scaling():
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="scheme"):
-        FactorizationSpec((2,), (2,), 1, "cp")
+        scheme_params((2,), (2,), 1, "cp")
     with pytest.raises(ValueError, match="rank"):
-        FactorizationSpec((2,), (2,), 0, "tt")
+        scheme_params((2,), (2,), 0, "tt")
     with pytest.raises(ValueError, match="length"):
-        FactorizationSpec((2, 2), (2,), 1, "tt")
+        scheme_params((2, 2), (2,), 1, "tt")
     with pytest.raises(ValueError, match="d >= 2"):
-        scheme_params(FactorizationSpec((1,), (1,), 3, "ht"))
+        scheme_params((1,), (1,), 3, "ht")
 
 
 def test_compression_ratio_rounds_to_nearest_half_up():

@@ -139,6 +139,8 @@ class TestInit:
         bad[1] = np.zeros((3, 2, 2))
         with pytest.raises(ValueError, match="expected"):
             HTWeight(w.tree, w.m_shape, w.n_shape, bad)
+        with pytest.raises(ValueError, match="^expected 3 factors, got 2$"):
+            HTWeight(w.tree, w.m_shape, w.n_shape, w.factors[:-1])
 
     @pytest.mark.parametrize("m,n", [((0, 2, 2), (2, 2, 2)), ((2, 2, 2), (2, 2, 0))],
                              ids=["m", "n"])

@@ -226,8 +226,21 @@ def test_checkpoint_missing_sections():
     weight_len = len(serialize(cell.weight))
     with pytest.raises(FormatError, match="CELL"):
         deserialize_checkpoint(data[:weight_len] + b"XXXX" + data[weight_len + 4:])
+    head_at = u32_field_offsets(cell)[-1] - 4
+    with pytest.raises(FormatError, match="^missing HEAD section in checkpoint$"):
+        deserialize_checkpoint(data[:head_at] + b"XXXX" + data[head_at + 4:])
     with pytest.raises(TruncatedError):
         deserialize_checkpoint(data[:-4])
+
+
+def test_head_of_zero_classes_rejected():
+    cell = make_cell(5, (3, 3), (2, 2), 2, 2, seed=8)
+    data = bytearray(serialize_checkpoint(cell, make_head(4, cell.hidden_size, seed=9)))
+    at = u32_field_offsets(cell)[-1]
+    assert struct.unpack_from("<I", data, at)[0] == 4
+    struct.pack_into("<I", data, at, 0)
+    with pytest.raises(ShapeInconsistencyError, match="^head must have at least one class$"):
+        deserialize_checkpoint(bytes(data))
 
 
 def u32_field_offsets(cell):

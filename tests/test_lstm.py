@@ -61,6 +61,10 @@ class TestMakeCell:
         with pytest.raises(ValueError, match="root rank 4"):
             FdhtLstmCell(w, n_x=4)
 
+    def test_dense_rows_must_be_a_multiple_of_four(self):
+        with pytest.raises(ValueError, match="weight rows must be a multiple of 4, got 15$"):
+            DenseLstmCell(np.zeros((15, 9)), 4)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError, match=r"mode must be one of .*, got 'bogus'"):
             small_cell(mode="bogus")

@@ -11,7 +11,8 @@ from fdht.config import load_config
 from fdht.ht import RootFrames
 from fdht.lstm import bptt, forward_sequence, forward_split, make_cell, make_head
 from fdht.train import (AdamState, Dataset, SyntheticTask, TrainConfig, TrainingError,
-                        adam_step, evaluate, generate_task, history_csv, train)
+                        adam_step, evaluate, generate_task, generate_test_split,
+                        history_csv, train)
 from oracles import make_dense_cell, nearest_template_accuracy
 
 
@@ -96,10 +97,11 @@ class TestSyntheticTask:
     def test_splits_match_pinned_digests(self, task, digests):
         # SHA-256 of each split's xs bytes then labels bytes, as first
         # drawn sample by sample: a change of the draw order or of the
-        # arithmetic on an entry changes them
+        # arithmetic on an entry changes them; generate_test_split must
+        # give the test split's bytes
         got = tuple(hashlib.sha256(d.xs.tobytes() + d.labels.tobytes()).hexdigest()
-                    for d in generate_task(task))
-        assert got == digests
+                    for d in (*generate_task(task), generate_test_split(task)))
+        assert got == digests + digests[1:]
 
     def test_pinned_tasks_are_the_shipped_ones(self):
         configs = Path(__file__).resolve().parent.parent / "configs"
@@ -107,8 +109,10 @@ class TestSyntheticTask:
         assert load_config(configs / "gradcheck-small.ini").task == SyntheticTask(frame_dim=6)
 
     def test_overflowing_noise_names_the_key(self):
-        with pytest.raises(ValueError, match=r"^\[task\] noise = 1\.7e\+308 overflows"):
-            generate_task(SyntheticTask(classes=2, frames=1, frame_dim=4, noise=1.7e308))
+        task = SyntheticTask(classes=2, frames=1, frame_dim=4, noise=1.7e308)
+        for generate in (generate_task, generate_test_split):
+            with pytest.raises(ValueError, match=r"^\[task\] noise = 1\.7e\+308 overflows"):
+                generate(task)
 
     def test_noiseless_nearest_template_is_perfect(self):
         task = SyntheticTask(classes=4, frames=3, frame_dim=32, noise=0.0,

@@ -16,13 +16,13 @@ only part that differs between the paper's cell and its baseline:
   per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step,
   with the weight-gradient GEMMs of a whole sequence run when it ends.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
-  prepared for BPTT (``DenseFrames``) it runs its weight-gradient GEMM
-  once per minibatch.
+  prepared for BPTT, with a gradient buffer, it runs its weight-gradient
+  GEMM once per minibatch.
 
 Each gate map returns its pre-activations gate-major in its own layout,
 with no copy of its own; the gate stage reshapes them to its (4, H) block.
-``forward_split`` runs a whole evaluation split as one (B, N) block per
-time step.
+``forward_split`` runs an evaluation split in blocks of sequences, each
+as one (b, N) block per time step.
 
 In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
 recurrent matrix owned by the cell supplies the hidden-to-hidden terms.
@@ -42,6 +42,7 @@ from .ht import HTWeight, RootFrames, init_ht_weight, output_from_tape, run_plan
 MODES = ("full", "input-only")
 GATE_ORDER = ("f", "u", "c", "o")
 GATES = len(GATE_ORDER)  # the HT root rank: one output slice per gate
+SPLIT_BLOCK_BYTES = 2 << 20  # forward_split's block budget: a synthetic split is one block
 
 
 @dataclass(eq=False)
@@ -108,7 +109,7 @@ class HtGateMap:
     def params(self) -> dict[str, np.ndarray]:
         return {f"ht.{i}": f for i, f in enumerate(self.weight.factors)}
 
-    def forward(self, packed, k=0):
+    def forward(self, packed, k):
         """``W @ packed`` as (g, m_1..m_d); ``k``, a row of an open
         sequence, matters only to prepared frames."""
         return output_from_tape(self.weight, run_plan(self.weight,
@@ -123,21 +124,27 @@ class HtGateMap:
 
 
 class DenseGateMap:
-    """Gate map as one explicit (4H x N) matrix, which serves ``product``
-    itself."""
+    """Gate map as one explicit (4H x N) matrix, which serves ``product``.
+    With a gradient buffer ``grad``, which only ``prepare`` passes, it
+    also serves BPTT: it keeps every packed block that ``begin`` opens
+    and, in one (steps, 4H) block per sequence, the dz that ``backward``
+    gets for each of its rows, so the minibatch's weight gradient is one
+    GEMM, added to ``grad`` by ``finish``."""
 
-    def __init__(self, w):
+    def __init__(self, w, grad=None):
         self.weight = np.asarray(w, dtype=np.float64)
         if self.weight.shape[0] % GATES:
             raise ValueError(
                 f"weight rows must be a multiple of {GATES}, got {self.weight.shape[0]}")
         self.in_size = self.weight.shape[1]
         self.hidden_size = self.weight.shape[0] // GATES
+        self.grad = grad
+        self.x_blocks, self.dz_blocks = [], []
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.weight}
 
-    def forward(self, packed, k=0):
+    def forward(self, packed, k):
         """``W @ packed`` as (g, H); ``k`` as for ``HtGateMap.forward``."""
         return (self.weight @ packed).reshape(GATES, -1)
 
@@ -146,21 +153,9 @@ class DenseGateMap:
         return (x @ self.weight.T).reshape(len(x), GATES, -1).transpose(1, 0, 2)
 
     def prepare(self, grads=None):
-        """Frames whose ``finish`` adds the weight gradient to
-        ``grads["w"]``; without ``grads``, the map itself."""
-        return self if grads is None else DenseFrames(self.weight, grads["w"])
-
-
-class DenseFrames(DenseGateMap):
-    """A dense gate map prepared for BPTT. It keeps every packed block that
-    ``begin`` opens and, in one (steps, 4H) block per sequence, the dz that
-    ``backward`` gets for each of its rows, so the minibatch's weight
-    gradient is one GEMM, added to ``grad`` by ``finish``."""
-
-    def __init__(self, w, grad):
-        super().__init__(w)
-        self.grad = grad
-        self.x_blocks, self.dz_blocks = [], []
+        """The map over the same weight whose ``finish`` adds the weight
+        gradient to ``grads["w"]``; without ``grads``, the map itself."""
+        return self if grads is None else DenseGateMap(self.weight, grads["w"])
 
     def begin(self, block):
         """Open a sequence over the packed (steps, N) ``block``, which is
@@ -426,27 +421,33 @@ def forward_sequence(cell, head: Head, xs) -> np.ndarray:
 
 def forward_split(cell, head: Head, xs) -> np.ndarray:
     """``forward_sequence`` over a split of equal-length sequences, the
-    (B, steps, n_x) ``xs``, as one (B, N) block per time step: each block
-    runs through the gate map's frames (``product``, no backward
-    bookkeeping), the gate stage on (4, B, H) and the head on (B, H).
-    Returns the (B, classes) logits."""
+    (B, steps, n_x) ``xs``, in blocks of the most sequences whose packed
+    inputs and gate outputs, 8 (N + 4H) bytes each, fit ``SPLIT_BLOCK_BYTES``.
+    Each block runs as one (b, N) block per time step through the gate
+    map's frames, prepared once (``product``, no backward bookkeeping),
+    the gate stage on (4, b, H) and the head on (b, H); in full mode the
+    hidden state stays in the block's h slice. Returns (B, classes) logits."""
     xs = check_frames(xs, cell.n_x, ndim=3)
-    count, h = len(xs), cell.hidden_size
+    size, h = cell.gate_map.in_size, cell.hidden_size
     frames = cell.gate_map.prepare()
-    block = np.zeros((count, cell.gate_map.in_size))
-    bias = np.broadcast_to(cell.biases[:, None], (GATES, count, h))
-    act = np.empty((GATES, count, h))
-    hs, c, tanh_c = np.zeros((count, h)), np.zeros((count, h)), np.empty((count, h))
-    for t in range(xs.shape[1]):
-        block[:, : cell.n_x] = xs[:, t]
-        if cell.recurrent is None:
-            block[:, cell.h_start:] = hs
-        z = frames.product(block)
-        if cell.recurrent is not None:
-            r = (hs @ cell.recurrent.T).reshape(count, GATES, h)
-            z = z + r.transpose(1, 0, 2).reshape(z.shape)
-        _gate_forward(z, bias, c, act, c, tanh_c, hs)
-    return hs @ head.w.T + head.b
+    rows = max(1, SPLIT_BLOCK_BYTES // (8 * (size + GATES * h)))
+    logits = np.empty((len(xs), head.b.size))
+    for first in range(0, len(xs), rows):
+        part = xs[first:first + rows]
+        count = len(part)
+        block = np.zeros((count, size))
+        hs = block[:, cell.h_start:] if cell.recurrent is None else np.zeros((count, h))
+        bias = np.broadcast_to(cell.biases[:, None], (GATES, count, h))
+        act, c, tanh_c = np.empty((GATES, count, h)), np.zeros((count, h)), np.empty((count, h))
+        for t in range(xs.shape[1]):
+            block[:, : cell.n_x] = part[:, t]
+            z = frames.product(block)
+            if cell.recurrent is not None:
+                r = (hs @ cell.recurrent.T).reshape(count, GATES, h)
+                z = z + r.transpose(1, 0, 2).reshape(z.shape)
+            _gate_forward(z, bias, c, act, c, tanh_c, hs)
+        logits[first:first + count] = hs @ head.w.T + head.b
+    return logits
 
 
 def model_params(cell, head: Head) -> dict[str, np.ndarray]:

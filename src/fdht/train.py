@@ -13,6 +13,9 @@ import numpy as np
 from .lstm import Head, bptt, forward_split, model_params
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # ADAM's constants, Kingma & Ba's defaults
+
+
 class TrainingError(RuntimeError):
     pass
 
@@ -26,9 +29,6 @@ def check_seed(seed: int):
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     l2_coeff: float = 0.001
     dropout_rate: float = 0.25
     batch_size: int = 16
@@ -42,12 +42,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        # adam_step divides by 1 - beta**t and by sqrt(v_hat) + eps
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
         if not self.l2_coeff >= 0:
             raise ValueError("l2_coeff must be >= 0")
         check_seed(self.seed)
@@ -155,12 +149,11 @@ def adam_step(params: dict[str, np.ndarray], grads, state: AdamState,
     """In-place ADAM update with bias correction; the L2 term
     l2_coeff * theta is added to each gradient before the moment update."""
     state.t += 1
-    c = config
     # the step's scalars, once per call, as 0-d operands (a ufunc takes
     # them faster than a Python float, same bits)
     l2, beta1, beta2, lr, eps, m_in, v_in, m_corr, v_corr = map(np.array, (
-        c.l2_coeff, c.beta1, c.beta2, c.learning_rate, c.eps, 1.0 - c.beta1,
-        1.0 - c.beta2, 1.0 - c.beta1 ** state.t, 1.0 - c.beta2 ** state.t))
+        config.l2_coeff, BETA1, BETA2, config.learning_rate, EPS, 1.0 - BETA1,
+        1.0 - BETA2, 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t))
     for name, theta in params.items():
         g = grads[name]
         if not np.isfinite(g).all():

@@ -42,10 +42,7 @@ def test_rank1_all_ones_weight_finite_difference():
     w = init_ht_weight((2, 2), (2, 2), 1, 1, 1, seed=0)
     for f in w.factors:
         f[:] = 1.0
-    x = np.ones(4)
-    e1 = np.zeros(w.out_size)
-    e1[0] = 1.0
-    err = finite_diff_check(w, x, lambda y: float(y[0]), loss_grad=lambda y: e1)
+    err = finite_diff_check(w, np.ones(4))
     assert err <= 1e-6
 
 
@@ -54,7 +51,7 @@ def test_random_configs_match_finite_differences():
     for _ in range(20):
         w = random_small_weight(rng, d_choices=(2, 3), max_len=3, max_rank=2)
         x = rng.normal(size=w.in_size)
-        err = finite_diff_check(w, x, quad_loss, loss_grad=lambda y: y)
+        err = finite_diff_check(w, x)
         assert err <= 1e-4
 
 
@@ -76,7 +73,7 @@ def test_zero_weight_zero_input_reports_zero():
     w = init_ht_weight((2, 2), (2, 2), 2, 2, 2, seed=0)
     for f in w.factors:
         f[:] = 0.0
-    err = finite_diff_check(w, np.zeros(w.in_size), quad_loss, loss_grad=lambda y: y)
+    err = finite_diff_check(w, np.zeros(w.in_size))
     assert err == 0.0
 
 
@@ -91,7 +88,7 @@ def test_corrupted_gradient_is_detected(monkeypatch):
         return bad
 
     monkeypatch.setattr(fdht.grad, "htl_backward", corrupted_backward)
-    err = finite_diff_check(w, x, quad_loss, loss_grad=lambda y: y)
+    err = finite_diff_check(w, x)
     assert err >= 0.1
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
-from fdht.lstm import (GATE_ORDER, DenseFrames, DenseGateMap, DenseLstmCell,
+from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell,
                        FdhtLstmCell, Head, LstmState, Sequence, _gate_backward,
                        _gate_forward, bptt, forward_sequence, make_cell, make_head,
                        sigmoid, softmax_cross_entropy, zero_grads)
@@ -277,9 +277,9 @@ class TestDenseGateMap:
         assert np.max(np.abs(frames.grad - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_minibatch_gradient_is_one_gemm(self, monkeypatch):
-        # The dense frames add the weight gradient once, in finish, from
-        # every sequence's packed rows and dz rows: grads["w"] is still
-        # zero when finish starts, and the minibatch's peak holds the
+        # The dense map prepared for BPTT adds the weight gradient once, in
+        # finish, from every sequence's packed rows and dz rows: grads["w"]
+        # is still zero when finish starts, and the minibatch's peak holds the
         # gradient, at most one (4H, N) product beside it, the kept rows
         # twice (the blocks and finish's concatenation of them) and a slack
         # for Python objects, well below a second (4H, N) array.
@@ -288,14 +288,14 @@ class TestDenseGateMap:
         cell = DenseLstmCell(rng.normal(size=(4 * h, n_x + h)) / 32, n_x)
         head = make_head(3, h, seed=0)
         batch = [(rng.normal(size=(steps, n_x)), i % 3) for i in range(count)]
-        finish = DenseFrames.finish
+        finish = DenseGateMap.finish
         at_finish = []
 
         def spy(self):
             at_finish.append(not self.grad.any())
             finish(self)
 
-        monkeypatch.setattr(DenseFrames, "finish", spy)
+        monkeypatch.setattr(DenseGateMap, "finish", spy)
         bptt(cell, head, batch)  # warm caches outside the measurement
         tracemalloc.start()
         try:

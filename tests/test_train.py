@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fdht.lstm
 from fdht.config import load_config
 from fdht.ht import RootFrames
 from fdht.lstm import bptt, forward_sequence, forward_split, make_cell, make_head
@@ -244,6 +245,47 @@ class TestEvaluateSplit:
                 tracemalloc.stop()
 
         assert peak(16) <= peak(2) + 1024
+
+    def test_blocks_match_one_block(self, noisy_model, monkeypatch):
+        # the default budget runs the 160 sequences as one block; one of
+        # 30 sequences runs them in 6, with the same logits
+        cell, head, data = noisy_model
+        frames_type = type(cell.gate_map.prepare())
+        product, rows = frames_type.product, []
+
+        def spy(frames, x):
+            rows.append(len(x))
+            return product(frames, x)
+
+        monkeypatch.setattr(frames_type, "product", spy)
+        one = forward_split(cell, head, data.xs)
+        steps = data.xs.shape[1]
+        assert rows == [len(data)] * steps
+        rows.clear()
+        per_row = 8 * (cell.gate_map.in_size + 4 * cell.hidden_size)
+        monkeypatch.setattr(fdht.lstm, "SPLIT_BLOCK_BYTES", 31 * per_row - 1)
+        got = forward_split(cell, head, data.xs)
+        assert rows == [30] * 5 * steps + [10] * steps
+        assert np.max(np.abs(got - one)) <= 1e-12 * np.max(np.abs(one))
+        assert np.array_equal(np.argmax(got, axis=1), np.argmax(one, axis=1))
+
+    @pytest.mark.parametrize("config, count", [("ucf11-direct", 32), ("hmdb51-cnn", 64)])
+    def test_reference_split_peak_is_bounded(self, config, count):
+        # the split runs in blocks of SPLIT_BLOCK_BYTES, so the peak does not
+        # grow with it; one block of the whole split would hold 29.0 and
+        # 30.7 MiB
+        m = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{config}.ini").model
+        cell = make_cell(m.n_x, m.n_shape, m.m_shape, m.leaf_rank, m.internal_rank, seed=1)
+        head = make_head(8, cell.hidden_size, seed=2)
+        xs = np.random.default_rng(29).normal(size=(count, 2, m.n_x)) / m.n_x ** 0.5
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            forward_split(cell, head, xs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     @pytest.mark.parametrize("xs, message", [
         (np.ones((3, 2, 5)), "input has length 5, expected 4"),

@@ -4,7 +4,7 @@ reverse-mode gradients for all factors, exact parameter accounting, and a
 desk-scale training harness."""
 
 from .complexity import emit_rank_sweep, scheme_params
-from .grad import HTGradients, finite_diff_check, htl_backward
+from .grad import finite_diff_check, htl_backward
 from .ht import (DimNode, DimTree, HTWeight, OracleSizeError, build_dim_tree,
                  factor_shapes, htl_forward, init_ht_weight, param_count_config,
                  reconstruct_dense)

@@ -57,10 +57,8 @@ def cmd_params(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    """Print the TT/TR/BT/HT parameter counts over [compare] ranks as CSV."""
-    c = cfg.compare
-    sys.stdout.write(emit_rank_sweep(cfg.model.m_shape, cfg.model.n_shape,
-                                     range(c.rank_min, c.rank_max + 1)))
+    """Print the TT/TR/BT/HT parameter counts at ranks 1..16 as CSV."""
+    sys.stdout.write(emit_rank_sweep(cfg.model.m_shape, cfg.model.n_shape))
     return 0
 
 

@@ -14,6 +14,7 @@ from .ht import param_count_config
 from .lstm import GATES
 
 SCHEMES = ("tt", "tr", "bt", "ht")
+SWEEP_RANKS = range(1, 17)  # the ranks `fdht compare` sweeps
 
 
 def scheme_params(m_shape, n_shape, rank: int, scheme: str) -> int:
@@ -56,15 +57,12 @@ def compression_ratio(dense_params: int, compressed_params: int) -> int:
     return (2 * dense_params + compressed_params) // (2 * compressed_params)
 
 
-def emit_rank_sweep(m_shape, n_shape, r_range) -> str:
-    """CSV with one row per rank and one integer column per scheme, in the
-    fixed order tt, tr, bt, ht."""
-    r_range = list(r_range)
-    if not r_range:
-        raise ValueError("rank range must be non-empty")
+def emit_rank_sweep(m_shape, n_shape) -> str:
+    """CSV with one row per rank of ``SWEEP_RANKS`` and one integer column
+    per scheme, in the fixed order tt, tr, bt, ht."""
     out = io.StringIO()
     out.write("rank,tt,tr,bt,ht\n")
-    for r in r_range:
+    for r in SWEEP_RANKS:
         counts = [scheme_params(m_shape, n_shape, r, s) for s in SCHEMES]
         out.write(f"{r}," + ",".join(str(c) for c in counts) + "\n")
     return out.getvalue()

@@ -1,6 +1,6 @@
 """Run configuration: an INI-style file with model / train / task /
-compare / paths sections, strict about unknown keys, and echoable in a
-form that re-parses to the identical configuration."""
+paths sections, strict about unknown keys, and echoable in a form that
+re-parses to the identical configuration."""
 
 from __future__ import annotations
 
@@ -49,16 +49,6 @@ class ModelConfig:
 
 
 @dataclass
-class CompareConfig:
-    rank_min: int = 1
-    rank_max: int = 16
-
-    def __post_init__(self):
-        if not 1 <= self.rank_min <= self.rank_max:
-            raise ValueError("needs 1 <= rank_min <= rank_max")
-
-
-@dataclass
 class PathsConfig:
     checkpoint: str = "checkpoint.fdht"
     metrics: str = "metrics.csv"
@@ -74,7 +64,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     task: SyntheticTask = field(default_factory=SyntheticTask)
-    compare: CompareConfig = field(default_factory=CompareConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
 

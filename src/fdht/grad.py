@@ -8,8 +8,6 @@ every leaf frame, every transfer tensor and the input vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ht import HTWeight, htl_forward, run_plan
@@ -21,20 +19,13 @@ ABS_FLOOR = 1e-8
 FD_STEP = 1e-5  # the central-difference step
 
 
-@dataclass(eq=False)
-class HTGradients:
-    """Gradient buffers mirroring an HTWeight: one array per tree node
-    (preorder, same shapes as the factors) plus the input gradient."""
-
-    factors: list[np.ndarray]
-    input: np.ndarray
-
-
-def backward_from_tape(w: HTWeight, values, dL_dy) -> HTGradients:
+def backward_from_tape(w: HTWeight, values, dL_dy):
     """Reverse sweep over recorded forward intermediates.
 
     ``values`` is the slot dict produced by :func:`fdht.ht.run_plan`;
     ``dL_dy`` is the cotangent of the flattened gate-major output.
+    Returns ``(factor_grads, input_grad)``: one array per tree node
+    (preorder, same shapes as the factors), then the flat input gradient.
     """
     steps, out_perm = w.plan
     last = ("t", len(steps) - 1)
@@ -47,13 +38,13 @@ def backward_from_tape(w: HTWeight, values, dL_dy) -> HTGradients:
         s = steps[k]
         cot[s.a], cot[s.b] = contract_vjp(cot.pop(("t", k)), values[s.a], values[s.b],
                                           list(s.a_axes), list(s.b_axes))
-    return HTGradients([cot[("f", i)] for i in range(len(w.factors))],
-                       cot[("x",)].reshape(-1))
+    return [cot[("f", i)] for i in range(len(w.factors))], cot[("x",)].reshape(-1)
 
 
-def htl_backward(w: HTWeight, x, dL_dy) -> HTGradients:
+def htl_backward(w: HTWeight, x, dL_dy):
     """Gradients of a scalar loss with output-cotangent ``dL_dy`` with
-    respect to every factor of ``w`` and the input ``x``."""
+    respect to every factor of ``w`` and the input ``x``, as
+    ``(factor_grads, input_grad)`` (see :func:`backward_from_tape`)."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != w.in_size:
         raise ValueError(f"input has length {x.size}, expected {w.in_size}")
@@ -80,14 +71,14 @@ def finite_diff_check(w: HTWeight, x) -> float:
     whose analytic/numeric difference is at most ``ABS_FLOOR`` count as
     exact (zero error)."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    analytic = htl_backward(w, x, htl_forward(w, x))
+    factor_grads, input_grad = htl_backward(w, x, htl_forward(w, x))
 
     def loss():
         y = htl_forward(w, x)
         return 0.5 * float(y @ y)
 
     worst = 0.0
-    for arr, grad in zip([*w.factors, x], [*analytic.factors, analytic.input]):
+    for arr, grad in zip([*w.factors, x], [*factor_grads, input_grad]):
         flat, a_flat = arr.reshape(-1), grad.reshape(-1)
         for ci in range(flat.size):
             orig = flat[ci]

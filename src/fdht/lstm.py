@@ -422,7 +422,8 @@ def forward_sequence(cell, head: Head, xs) -> np.ndarray:
 def forward_split(cell, head: Head, xs) -> np.ndarray:
     """``forward_sequence`` over a split of equal-length sequences, the
     (B, steps, n_x) ``xs``, in blocks of the most sequences whose packed
-    inputs and gate outputs, 8 (N + 4H) bytes each, fit ``SPLIT_BLOCK_BYTES``.
+    inputs and gate outputs, 8 (N + 4H) bytes each, fit ``SPLIT_BLOCK_BYTES``,
+    or in input-only mode the recurrent matrix's bytes if that is larger.
     Each block runs as one (b, N) block per time step through the gate
     map's frames, prepared once (``product``, no backward bookkeeping),
     the gate stage on (4, b, H) and the head on (b, H); in full mode the
@@ -430,7 +431,9 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
     xs = check_frames(xs, cell.n_x, ndim=3)
     size, h = cell.gate_map.in_size, cell.hidden_size
     frames = cell.gate_map.prepare()
-    rows = max(1, SPLIT_BLOCK_BYTES // (8 * (size + GATES * h)))
+    # an input-only step reads the whole recurrent matrix once per block
+    budget = max(SPLIT_BLOCK_BYTES, 0 if cell.recurrent is None else cell.recurrent.nbytes)
+    rows = max(1, budget // (8 * (size + GATES * h)))
     logits = np.empty((len(xs), head.b.size))
     for first in range(0, len(xs), rows):
         part = xs[first:first + rows]

@@ -232,7 +232,7 @@ def test_criterion_7b_rank_sweep_ordering_chain():
     # HT's three cubic terms put it 3 above BT (148 vs 145), and from r=5
     # BT's r^5 core exceeds TR's 144 r^2.
     ranks = range(1, 17)
-    lines = emit_rank_sweep(FIG5_M, FIG5_N, ranks).splitlines()
+    lines = emit_rank_sweep(FIG5_M, FIG5_N).splitlines()
     header, rows = lines[0], lines[1:]
     columns = header.split(",")[1:]
     expected = {r: _fig5_closed_forms(r) for r in ranks}
@@ -301,7 +301,7 @@ def _learning_run():
         last = r["history"][-1]
         paired.append(f"{name},{r['params']},{last.train_acc:.6f},{last.test_acc:.6f}")
     csvs["mode-comparison.csv"] = "\n".join(paired) + "\n"
-    csvs["rank-sweep.csv"] = emit_rank_sweep(FIG5_M, FIG5_N, range(1, 17))
+    csvs["rank-sweep.csv"] = emit_rank_sweep(FIG5_M, FIG5_N)
     return results, csvs
 
 

@@ -1,6 +1,7 @@
 """CLI commands end to end: outputs, exit codes, config round-trips."""
 
 import configparser
+import hashlib
 import math
 import os
 import re
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from fdht import cli
 from fdht.cli import _COMMANDS, main
-from fdht.config import (CompareConfig, ConfigError, ModelConfig, PathsConfig,
-                         RunConfig, emit_config, load_config, parse_config)
+from fdht.config import (ConfigError, ModelConfig, PathsConfig, RunConfig, emit_config,
+                         load_config, parse_config)
 from fdht.ht import RootFrames, param_count_config
 from fdht.io import save_checkpoint
 from fdht.lstm import make_cell, make_head
@@ -67,9 +68,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key 'foo'"):
             parse_config("[model]\nfoo = 1\n")
 
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config section"):
-            parse_config("[optimizer]\nlr = 1\n")
+    def test_unknown_section_rejected(self, capsys, tmp_path):
+        # [compare] too: `fdht compare` sweeps the fixed ranks 1..16
+        path = tmp_path / "unknown.ini"
+        for section, key in (("optimizer", "lr"), ("compare", "rank_min")):
+            text = f"[{section}]\n{key} = 1\n"
+            with pytest.raises(ConfigError, match=rf"^unknown config section \[{section}\]$"):
+                parse_config(text)
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "compare", "--config", str(path))
+            assert (code, out) == (1, "")
+            assert err == f"error: validation: unknown config section [{section}]\n"
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match=r"\[train\] epochs"):
@@ -88,9 +97,6 @@ class TestConfigParsing:
         ("[train]\nbatch_size = 0\n", "train batch_size must be >= 1 and epochs >= 0"),
         ("[train]\nepochs = -1\n", "train batch_size must be >= 1 and epochs >= 0"),
         ("[task]\nclasses = 1\n", "task needs classes >= 2"),
-        ("[compare]\nrank_min = 0\n", "compare needs 1 <= rank_min <= rank_max"),
-        ("[compare]\nrank_min = 5\nrank_max = 4\n",
-         "compare needs 1 <= rank_min <= rank_max"),
         ("[model]\nmode = hidden-only\n",
          "model mode must be one of ('full', 'input-only'), got 'hidden-only'"),
         ("[model]\nn_shape = 16,17,1\n",
@@ -103,7 +109,7 @@ class TestConfigParsing:
          "model ranks must be >= 1, got leaf_rank=8, internal_rank=0, root_rank=4"),
         ("[task]\nframe_dim = 255\n", "task frame_dim=255 must equal model n_x=256"),
     ], ids=["dropout-one", "dropout-negative", "learning-rate", "l2-coeff", "batch-size",
-            "epochs", "classes", "rank-min", "rank-order", "mode",
+            "epochs", "classes", "mode",
             "shape-lengths-differ", "shape-length-one", "leaf-rank",
             "internal-rank", "frame-dim"])
     def test_range_rules(self, text, message):
@@ -227,13 +233,11 @@ class TestOwnersMessages:
         (SyntheticTask, "task", {"seed": -3}),
         (SyntheticTask, "task", {"classes": 1}),
         (SyntheticTask, "task", {"test_per_class": 0}),
-        (CompareConfig, "compare", {"rank_min": 0}),
-        (CompareConfig, "compare", {"rank_min": 3, "rank_max": 2}),
         (PathsConfig, "paths", {"checkpoint": ""}),
         (PathsConfig, "paths", {"metrics": ""}),
     ], ids=["model-mode", "model-packing", "model-n-x", "model-seed", "train-seed",
-            "task-seed", "task-classes", "task-per-class", "compare-rank-min",
-            "compare-order", "paths-checkpoint", "paths-metrics"])
+            "task-seed", "task-classes", "task-per-class", "paths-checkpoint",
+            "paths-metrics"])
     def test_section_owner_rejects(self, owner, section, values):
         # the dataclass rejects the values when built directly, and the INI
         # text holding them reports that message after its section
@@ -452,7 +456,15 @@ class TestCompare:
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "rank,tt,tr,bt,ht"
-        assert len(lines) == 17  # default rank range 1..16
+        assert len(lines) == 17  # ranks 1..16
+
+    def test_rank_sweep_config_bytes(self, capsys):
+        # the scheme comparison of criterion 7, pinned byte for byte
+        code, out, _ = run_cli(capsys, "compare", "--config", str(CONFIGS / "rank-sweep.ini"))
+        lines = out.splitlines()
+        assert (code, len(lines), lines[1]) == (0, 17, "1,144,144,145,148")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fda9490dcdd776974a385e17ad4940490c5a3a7217d234f4aad1003fe333e0cc")
 
     def test_deterministic(self, capsys, small_config):
         _, out1, _ = run_cli(capsys, "compare", "--config", small_config)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdht.grad
-from fdht.grad import HTGradients, finite_diff_check, htl_backward
+from fdht.grad import finite_diff_check, htl_backward
 from fdht.ht import build_plan, htl_forward, init_ht_weight, reconstruct_dense
 from oracles import directional_derivative_error, max_rel_error, random_small_weight
 
@@ -33,9 +33,9 @@ def test_plan_consumes_every_slot_exactly_once(d, leaf, internal, root):
 def test_zero_cotangent_gives_zero_gradients():
     w = init_ht_weight((2, 2), (3, 2), 2, 2, 2, seed=0)
     x = np.random.default_rng(0).normal(size=w.in_size)
-    g = htl_backward(w, x, np.zeros(w.out_size))
-    assert all(np.all(f == 0.0) for f in g.factors)
-    assert np.all(g.input == 0.0)
+    factor_grads, input_grad = htl_backward(w, x, np.zeros(w.out_size))
+    assert all(np.all(f == 0.0) for f in factor_grads)
+    assert np.all(input_grad == 0.0)
 
 
 def test_rank1_all_ones_weight_finite_difference():
@@ -63,8 +63,8 @@ def test_deep_tree_gradients_along_random_directions(d):
     n = tuple(int(v) for v in rng.integers(2, 4, size=d))
     w = init_ht_weight(m, n, 2, 3, 3, seed=d)
     x = rng.normal(size=w.in_size)
-    grads = htl_backward(w, x, htl_forward(w, x))
-    for arr, grad in zip([*w.factors, x], [*grads.factors, grads.input]):
+    factor_grads, input_grad = htl_backward(w, x, htl_forward(w, x))
+    for arr, grad in zip([*w.factors, x], [*factor_grads, input_grad]):
         assert directional_derivative_error(
             lambda: quad_loss(htl_forward(w, x)), arr, grad, rng) <= 1e-4
 
@@ -82,10 +82,10 @@ def test_corrupted_gradient_is_detected(monkeypatch):
     x = np.random.default_rng(5).normal(size=w.in_size)
 
     def corrupted_backward(w, x, dL_dy):
-        g = htl_backward(w, x, dL_dy)
-        bad = HTGradients([f.copy() for f in g.factors], g.input.copy())
-        bad.factors[0].reshape(-1)[0] += 1.0
-        return bad
+        factor_grads, input_grad = htl_backward(w, x, dL_dy)
+        bad = [f.copy() for f in factor_grads]
+        bad[0].reshape(-1)[0] += 1.0
+        return bad, input_grad.copy()
 
     monkeypatch.setattr(fdht.grad, "htl_backward", corrupted_backward)
     err = finite_diff_check(w, x)
@@ -97,12 +97,12 @@ def test_cotangent_linearity():
     w = random_small_weight(rng)
     x = rng.normal(size=w.in_size)
     u = rng.normal(size=w.out_size)
-    g1 = htl_backward(w, x, u)
-    g2 = htl_backward(w, x, 3.25 * u)
-    for a, b in zip(g1.factors, g2.factors):
+    factors1, input1 = htl_backward(w, x, u)
+    factors2, input2 = htl_backward(w, x, 3.25 * u)
+    for a, b in zip(factors1, factors2):
         assert np.max(np.abs(3.25 * a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
-    assert np.max(np.abs(3.25 * g1.input - g2.input)) <= 1e-10 * max(
-        1.0, np.max(np.abs(g2.input)))
+    assert np.max(np.abs(3.25 * input1 - input2)) <= 1e-10 * max(
+        1.0, np.max(np.abs(input2)))
 
 
 def test_input_gradient_is_transpose_action():
@@ -111,19 +111,20 @@ def test_input_gradient_is_transpose_action():
         w = random_small_weight(rng)
         x = rng.normal(size=w.in_size)
         dy = rng.normal(size=w.out_size)
-        g = htl_backward(w, x, dy)
+        _, input_grad = htl_backward(w, x, dy)
         want = reconstruct_dense(w).T @ dy
-        assert np.max(np.abs(g.input - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(input_grad - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def test_gradient_buffers_mirror_weight_shapes():
     rng = np.random.default_rng(23)
     w = random_small_weight(rng)
-    g = htl_backward(w, rng.normal(size=w.in_size), rng.normal(size=w.out_size))
-    assert len(g.factors) == len(w.factors)
-    for gf, f in zip(g.factors, w.factors):
+    factor_grads, input_grad = htl_backward(w, rng.normal(size=w.in_size),
+                                            rng.normal(size=w.out_size))
+    assert len(factor_grads) == len(w.factors)
+    for gf, f in zip(factor_grads, w.factors):
         assert gf.shape == f.shape
-    assert g.input.shape == (w.in_size,)
+    assert input_grad.shape == (w.in_size,)
 
 
 def test_backward_shape_errors():
@@ -139,11 +140,11 @@ def test_determinism_fixed_reduction_order():
     w = random_small_weight(rng)
     x = rng.normal(size=w.in_size)
     dy = rng.normal(size=w.out_size)
-    g1 = htl_backward(w, x, dy)
-    g2 = htl_backward(w, x, dy)
-    for a, b in zip(g1.factors, g2.factors):
+    factors1, input1 = htl_backward(w, x, dy)
+    factors2, input2 = htl_backward(w, x, dy)
+    for a, b in zip(factors1, factors2):
         assert a.tobytes() == b.tobytes()
-    assert g1.input.tobytes() == g2.input.tobytes()
+    assert input1.tobytes() == input2.tobytes()
 
 
 def test_every_coordinate_against_fd_oracle():
@@ -152,7 +153,7 @@ def test_every_coordinate_against_fd_oracle():
     w = init_ht_weight((2, 2, 2), (2, 2, 2), 2, 2, 2, seed=9)
     x = rng.normal(size=w.in_size)
     dy = rng.normal(size=w.out_size)
-    analytic = htl_backward(w, x, dy)
+    factor_grads, _ = htl_backward(w, x, dy)
 
     def loss():
         return float(np.dot(dy, htl_forward(w, x)))
@@ -169,4 +170,4 @@ def test_every_coordinate_against_fd_oracle():
             lm = loss()
             flat[i] = orig
             num[i] = (lp - lm) / (2 * step)
-        assert max_rel_error(analytic.factors[fi], num) <= 1e-4
+        assert max_rel_error(factor_grads[fi], num) <= 1e-4

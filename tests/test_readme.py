@@ -4,7 +4,8 @@ import configparser
 import re
 from pathlib import Path
 
-from fdht.config import RunConfig, emit_config
+from fdht.cli import _COMMANDS
+from fdht.config import RunConfig, emit_config, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +22,15 @@ def test_config_keys_sentence_names_every_emitted_key():
     emitted = configparser.ConfigParser(interpolation=None)
     emitted.read_string(emit_config(RunConfig()))
     assert listed == {s: list(emitted[s]) for s in emitted.sections()}
+
+
+def test_cli_examples_name_real_commands_and_configs():
+    # each `fdht <command> --config <path>` example in the CLI section runs
+    # a command the parser knows on a shipped config that loads
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"^fdht ([\w-]+) +--config (\S+)", section, re.MULTILINE)
+    assert examples
+    for command, path in examples:
+        assert command in _COMMANDS, command
+        load_config(README.parent / path)
+    assert {command for command, _ in examples} == set(_COMMANDS)

@@ -246,11 +246,10 @@ class TestEvaluateSplit:
 
         assert peak(16) <= peak(2) + 1024
 
-    def test_blocks_match_one_block(self, noisy_model, monkeypatch):
-        # the default budget runs the 160 sequences as one block; one of
-        # 30 sequences runs them in 6, with the same logits
-        cell, head, data = noisy_model
-        frames_type = type(cell.gate_map.prepare())
+    @pytest.fixture
+    def rows(self, noisy_model, monkeypatch):
+        """The row count of every block product that ``forward_split`` runs."""
+        frames_type = type(noisy_model[0].gate_map.prepare())
         product, rows = frames_type.product, []
 
         def spy(frames, x):
@@ -258,6 +257,12 @@ class TestEvaluateSplit:
             return product(frames, x)
 
         monkeypatch.setattr(frames_type, "product", spy)
+        return rows
+
+    def test_blocks_match_one_block(self, noisy_model, monkeypatch, rows):
+        # the default budget runs the 160 sequences as one block; one of
+        # 30 sequences runs them in 6, with the same logits
+        cell, head, data = noisy_model
         one = forward_split(cell, head, data.xs)
         steps = data.xs.shape[1]
         assert rows == [len(data)] * steps
@@ -268,6 +273,26 @@ class TestEvaluateSplit:
         assert rows == [30] * 5 * steps + [10] * steps
         assert np.max(np.abs(got - one)) <= 1e-12 * np.max(np.abs(one))
         assert np.array_equal(np.argmax(got, axis=1), np.argmax(one, axis=1))
+
+    def test_input_only_block_holds_the_recurrent_matrix(self, noisy_model, monkeypatch,
+                                                         rows):
+        # each input-only step reads the whole (4H x H) recurrent matrix once
+        # per block, so a block is budgeted at least that matrix's bytes;
+        # full mode keeps SPLIT_BLOCK_BYTES, here one sequence a block
+        cell, head, data = noisy_model
+        one = forward_split(cell, head, data.xs)
+        rows.clear()
+        per_row = 8 * (cell.gate_map.in_size + 4 * cell.hidden_size)
+        monkeypatch.setattr(fdht.lstm, "SPLIT_BLOCK_BYTES", per_row)
+        got = forward_split(cell, head, data.xs)
+        if cell.recurrent is None:
+            size = 1
+        else:
+            assert cell.recurrent.nbytes > per_row
+            size = cell.recurrent.nbytes // per_row
+        sizes = [min(size, len(data) - first) for first in range(0, len(data), size)]
+        assert rows == [b for b in sizes for _ in range(data.xs.shape[1])]
+        assert np.max(np.abs(got - one)) <= 1e-12 * np.max(np.abs(one))
 
     @pytest.mark.parametrize("config, count", [("ucf11-direct", 32), ("hmdb51-cnn", 64)])
     def test_reference_split_peak_is_bounded(self, config, count):

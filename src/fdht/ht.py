@@ -12,8 +12,10 @@ children, never materializing the dense matrix. The matrix-vector kernel
 (:func:`htl_forward`) runs a schedule of pairwise contractions whose
 weight-only steps build those frames from the factors and whose last two
 steps read the input. The weight keeps the weight-only values between
-calls, with a snapshot of the factors they came from; every call checks
-the live factors against it bitwise and rebuilds them on any difference.
+calls, with a snapshot of the factors they came from: their dtypes and
+shapes and one flat copy of their bytes. A call whose live factors match
+it, checked with one compare of the bytes, runs only the last two steps,
+as two GEMMs on operands prepared once; any difference rebuilds them.
 :class:`RootFrames` serves training, where one minibatch multiplies by
 the same factors many times: it builds the frames once as two matrices,
 so each product is two GEMMs, and it sums the weight cotangent of a
@@ -108,7 +110,8 @@ class HTWeight:
     m_shape: tuple[int, ...]
     n_shape: tuple[int, ...]
     factors: list[np.ndarray] = field(repr=False)
-    # (factor snapshot, weight-only tape values), kept by run_plan
+    # (factor dtypes and shapes, factor bytes, (weight-only tape values, FL
+    # and V as 2-D GEMM operands, T's shape, Y's axis order of T, Y's shape))
     _weight_steps: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -454,62 +457,67 @@ def run_plan(w: HTWeight, x_tensor: np.ndarray) -> dict:
     factor and every intermediate (the tape reused by the backward pass).
 
     The values of the weight-only steps come from :func:`_weight_steps`
-    and are read-only; only the last two steps, the per-input ones, run
-    on every call.
+    and are read-only. Only the last two steps, the per-input ones, run
+    on every call, each as one ``np.dot`` on the 2-D operands that
+    ``np.tensordot`` would form, reshaped as ``np.tensordot`` returns it.
     """
-    steps, _ = w.plan
+    kept, fl, v, t_shape, t_axes, y_shape = _weight_steps(w)
+    k = len(w.plan[0]) - 1
     values = {("f", i): f for i, f in enumerate(w.factors)}
     values[("x",)] = x_tensor
-    values.update(_weight_steps(w))
-    for k, s in enumerate(steps[-2:], len(steps) - 2):
-        values[("t", k)] = np.tensordot(values[s.a], values[s.b],
-                                        axes=(list(s.a_axes), list(s.b_axes)))
+    values.update(kept)
+    t = values[("t", k - 1)] = np.dot(fl, x_tensor.reshape(fl.shape[1], -1)).reshape(t_shape)
+    values[("t", k)] = np.dot(v, t.transpose(t_axes).reshape(v.shape[1], -1)).reshape(y_shape)
     return values
 
 
-def _weight_steps(w: HTWeight) -> dict:
+def _weight_steps(w: HTWeight) -> tuple:
     """Tape values of the plan's weight-only steps, all but its last two
-    (:func:`build_plan`), kept on ``w`` with a private snapshot of the
-    factors they came from: reused while every live factor has the
-    snapshot's dtype, shape and bytes, recomputed from a fresh snapshot
-    on any difference. The last two steps' ``a``, FL (a leaf factor, left
-    as it is, at d = 2) and V, are stored in the order ``np.tensordot``
-    reads them, so each of those steps is one GEMM with no operand copy."""
-    kept = w._weight_steps
-    if (kept is not None and len(kept[0]) == len(w.factors)
-            and all(map(_same_bits, w.factors, kept[0]))):
-        return kept[1]
+    (:func:`build_plan`), then the 2-D weight operands of those two, ``T =
+    FL x`` and ``Y = V T``, T's shape, Y's axis order of T and Y's shape.
+    Kept on ``w`` with a private snapshot of the factors (dtypes, shapes
+    and the bytes of ``np.concatenate(factors, axis=None)``, which the
+    weight-only steps read as views), reused while the live factors match
+    it and rebuilt from a fresh one on any difference. FL (a leaf factor
+    at d = 2) and V are stored in the order ``np.tensordot`` reads them,
+    so their 2-D operands are views: each per-input step is one GEMM."""
+    kinds = [(f.dtype, f.shape) for f in w.factors]
+    flat = np.concatenate(w.factors, axis=None)
+    snapshot, kept = flat.tobytes(), w._weight_steps
+    if kept is not None and kept[0] == kinds and kept[1] == snapshot:
+        return kept[2]
     steps, _ = w.plan
-    snapshot = [np.array(f) for f in w.factors]
-    values = {("f", i): f for i, f in enumerate(snapshot)}
+    parts = np.split(np.frombuffer(snapshot, flat.dtype),
+                     np.cumsum([math.prod(shape) for _, shape in kinds])[:-1])
+    values = {("f", i): part.reshape(shape).astype(dtype, copy=False)
+              for i, (part, (dtype, shape)) in enumerate(zip(parts, kinds))}
     for k, s in enumerate(steps[:-2]):
         values[("t", k)] = np.tensordot(values[s.a], values[s.b],
                                         axes=(list(s.a_axes), list(s.b_axes)))
-    for s in steps[-2:]:
-        if s.a[0] == "t":
-            values[s.a] = _read_order(values[s.a], s.a_axes)
-    kept = {slot: v for slot, v in values.items() if slot[0] == "t"}
-    for v in kept.values():
-        v.flags.writeable = False
-    w._weight_steps = (snapshot, kept)
-    return kept
+    (fl, fl_free), (v, v_free) = (_read_order(values, s) for s in steps[-2:])
+    t_shape = fl_free + w.n_shape[len(steps[-2].b_axes):]
+    t_free = [ax for ax in range(len(t_shape)) if ax not in steps[-1].b_axes]
+    y_shape = v_free + tuple(t_shape[ax] for ax in t_free)
+    kept = {slot: val for slot, val in values.items() if slot[0] == "t"}
+    for a in (*kept.values(), fl, v):
+        a.flags.writeable = False
+    w._weight_steps = (kinds, snapshot, (kept, fl, v, t_shape,
+                                         list(steps[-1].b_axes) + t_free, y_shape))
+    return w._weight_steps[2]
 
 
-def _read_order(a, summed):
-    """A copy of ``a`` stored with its free axes then its ``summed`` axes,
-    returned as a view with a's shape."""
-    order = [ax for ax in range(a.ndim) if ax not in summed] + list(summed)
-    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
-
-
-def _same_bits(a, b) -> bool:
-    """Same dtype, shape and bytes, compared in place: 0.0 differs from
-    -0.0 and a NaN matches only its own bits. Item sizes with no unsigned
-    integer view never match."""
-    if a.dtype != b.dtype or a.shape != b.shape or a.itemsize not in (1, 2, 4, 8):
-        return False
-    bits = np.dtype(f"u{a.itemsize}")
-    return bool((a.view(bits) == b.view(bits)).all())
+def _read_order(values, s):
+    """``np.tensordot``'s 2-D operand ``a`` of step s and the shape of a's
+    free axes. The operand views ``a`` stored with its free axes then its
+    summed ones (a copy unless it is so already), which replaces a kept
+    value ``a`` in ``values`` as a view with a's shape."""
+    a = values[s.a]
+    order = [ax for ax in range(a.ndim) if ax not in s.a_axes] + list(s.a_axes)
+    stored = np.ascontiguousarray(a.transpose(order))
+    if s.a[0] == "t":
+        values[s.a] = stored.transpose(np.argsort(order))
+    free = stored.shape[:a.ndim - len(s.a_axes)]
+    return stored.reshape(math.prod(free), -1), free
 
 
 def output_from_tape(w: HTWeight, values: dict) -> np.ndarray:

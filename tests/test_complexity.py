@@ -111,8 +111,15 @@ class TestRankSweep:
                 assert cur[col] > prev[col]
 
     def test_round_trip_against_formulas(self):
-        csv = emit_rank_sweep(FIG5_M, FIG5_N)
-        for line in csv.strip().split("\n")[1:]:
-            r, tt, tr, bt, ht = map(int, line.split(","))
-            c = counts_at(r)
-            assert (tt, tr, bt, ht) == (c["tt"], c["tr"], c["bt"], c["ht"])
+        # each scheme's closed form written out at d = 4, the [model]
+        # shapes of configs/ucf11-direct.ini, independent of scheme_params
+        mn = [m * n for m, n in zip((4, 4, 4, 4), (16, 16, 16, 15))]
+        lines = emit_rank_sweep((4, 4, 4, 4), (16, 16, 16, 15)).strip().split("\n")
+        rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+        assert [row[0] for row in rows] == list(range(1, 17))
+        assert rows[0] == (1, 252, 252, 253, 255)
+        for r, tt, tr, bt, ht in rows:
+            assert tt == mn[0] * r + r * mn[1] * r + r * mn[2] * r + r * mn[3]
+            assert tr == r * r * sum(mn)
+            assert bt == r * sum(mn) + r ** 4
+            assert ht == r * sum(mn) + (4 - 2) * r ** 3 + r ** 2

@@ -538,9 +538,9 @@ def test_plan_ends_with_its_two_per_input_steps(name):
 class TestPlanCache:
     # run_plan keeps the weight-only step values between calls; every tape
     # must still equal the uncached step-by-step tape bit for bit.
-    @pytest.mark.parametrize("name", [*REFERENCE_GEOMETRIES, *DEEP_GEOMETRIES])
+    @pytest.mark.parametrize("name", list(PLAN_GEOMETRIES))
     def test_tape_and_gradients_equal_uncached_oracle(self, name):
-        m, n, leaf, internal = {**REFERENCE_GEOMETRIES, **DEEP_GEOMETRIES}[name]
+        m, n, leaf, internal = PLAN_GEOMETRIES[name]
         w = init_ht_weight(m, n, leaf, internal, 4, seed=16)
         rng = np.random.default_rng(17)
         for _ in range(2):  # the miss that fills the cache, then a hit
@@ -553,13 +553,15 @@ class TestPlanCache:
             ref, ref_x = backward_from_tape(w, want, dy)
             assert all(map(same_bits, [*got, got_x], [*ref, ref_x]))
 
-    @pytest.mark.parametrize("edit", ["adam", "perturb", "replace", "signed-zero"])
+    @pytest.mark.parametrize("edit", ["adam", "perturb", "replace", "signed-zero", "dtype"])
     def test_factor_edits_invalidate(self, edit):
         w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=18)
         rng = np.random.default_rng(19)
         x = rng.normal(size=w.n_shape)
         if edit == "signed-zero":
             w.factors[0][0, 0, 0] = 0.0
+        elif edit == "dtype":  # values a float32 holds, so the cast keeps them
+            w.factors[2][...] = w.factors[2].astype(np.float32)
         before = run_plan(w, x)
         if edit == "adam":
             params = {str(i): f for i, f in enumerate(w.factors)}
@@ -569,6 +571,8 @@ class TestPlanCache:
             w.factors[1].reshape(-1)[3] += 1e-5
         elif edit == "replace":
             w.factors[2] = rng.normal(size=w.factors[2].shape)
+        elif edit == "dtype":  # equal values, and np.concatenate upcasts them
+            w.factors[2] = w.factors[2].astype(np.float32)
         else:
             w.factors[0][0, 0, 0] = -0.0
         after, want = run_plan(w, x), uncached_plan_tape(w, x)

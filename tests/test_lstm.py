@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fdht.lstm
 from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
 from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell,
                        FdhtLstmCell, Head, LstmState, Sequence, _gate_backward,
@@ -595,6 +596,33 @@ class TestBptt:
         calls.clear()
         forward_sequence(cell, head, batch[1][0])
         assert calls == {"step_cached": 3, "step_packed": 3}
+
+    def test_one_run_plan_per_frame_and_no_tensordot_on_a_hit(self, monkeypatch):
+        # forward_sequence runs the plan once per frame; a call whose
+        # factors are unchanged runs two np.dot GEMMs and no np.tensordot
+        cell = make_cell(n_x=4, n_shape=(2, 3, 2), m_shape=(1, 2, 2), leaf_rank=2,
+                         internal_rank=3, seed=3)
+        head = make_head(3, cell.hidden_size, seed=0)
+        xs = np.random.default_rng(27).normal(size=(3, 4))
+        tensordots, per_call = [], []
+
+        def tensordot(*args, _f=np.tensordot, **kwargs):
+            tensordots.append(1)
+            return _f(*args, **kwargs)
+
+        def run_plan(*args, _f=fdht.lstm.run_plan):
+            before = len(tensordots)
+            tape = _f(*args)
+            per_call.append(len(tensordots) - before)
+            return tape
+
+        monkeypatch.setattr(np, "tensordot", tensordot)
+        monkeypatch.setattr(fdht.lstm, "run_plan", run_plan)
+        forward_sequence(cell, head, xs)
+        assert len(per_call) == 3 and per_call[1:] == [0, 0]  # a miss, then hits
+        per_call.clear()
+        forward_sequence(cell, head, xs)
+        assert per_call == [0, 0, 0]
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_default_bptt_asks_only_for_h_rows(self, mode, monkeypatch):

@@ -257,7 +257,8 @@ class RootFrames:
     construction and ``finish`` reads the factors again, so keep them
     unchanged until ``finish`` and build new frames after every update.
     Frames built without a ``sink`` hold no gradient buffers and serve
-    only ``product``.
+    only ``product``. ``backward`` returns the input cotangent from row
+    ``start`` on, for which the rows of U.T are prepared once.
 
     Products come in sequences, each opened by ``begin(block)`` over a
     (steps, N) block of inputs, whose row k ``forward(x, k)`` multiplies,
@@ -276,9 +277,9 @@ class RootFrames:
     ``np.dot`` calls: the same BLAS calls as ``@``, dispatched faster.
     """
 
-    def __init__(self, w: HTWeight, sink=None):
+    def __init__(self, w: HTWeight, sink=None, start=0):
         root = w.tree.root
-        self.w, self.sink = w, sink
+        self.w, self.sink, self.start = w, sink, start
         fl, fr = _node_frame(w, root.left), _node_frame(w, root.right)
         rl, ml, nl = fl.shape
         rr, mr, nr = fr.shape
@@ -295,7 +296,8 @@ class RootFrames:
         self.du = np.zeros(self.u.shape)
         self.dvt = np.zeros((g * mr, rl * nr))
         self.t_block = self.dy_block = np.empty((0, ml, 0))
-        self.start = None  # that the prepared rows of U.T serve
+        self.ut = self.u[:, start // nr:].T if start < nl * nr else None
+        self.cut = start % nr
 
     def begin(self, block):
         """Open a sequence over the (steps, N) ``block``, which is read in
@@ -327,20 +329,17 @@ class RootFrames:
         y = t.reshape(b * ml, rl * nr) @ self.v
         return y.reshape(b, ml, g, mr).transpose(2, 0, 1, 3)
 
-    def backward(self, k, dy, start=0):
+    def backward(self, k, dy):
         """Accumulate the U cotangent of product k and keep its ``dy``, g H
         entries in gate order, for the sequence's V cotangent; returns
-        ``(W.T @ dy)[start:]``. Only the n_L-rows of X from ``start // n_R``
-        on are computed, and none when ``start`` is the input length."""
+        ``(W.T @ dy)[start:]`` for the frames' ``start``. Only the n_L-rows
+        of X from ``start // n_R`` on are computed, and none when ``start``
+        is the input length."""
         g, rl, ml, mr, nl, nr = self.shape
         slot = self.dys[k]
         slot[...] = dy.reshape(slot.shape)
         dt = np.dot(self.dy_block[k], self.vt).reshape(ml * rl, nr)
         self.du += np.dot(dt, self.xts[k])
-        if start != self.start:  # prepared once per minibatch in bptt
-            r0 = start // nr
-            self.start, self.cut = start, start - r0 * nr
-            self.ut = self.u[:, r0:].T if r0 < nl else None
         if self.ut is None:
             return np.empty(0)
         return np.dot(self.ut, dt).reshape(-1)[self.cut:]

@@ -115,30 +115,30 @@ class HtGateMap:
         return output_from_tape(self.weight, run_plan(self.weight,
                                                       packed.reshape(self.weight.n_shape)))
 
-    def prepare(self, grads=None) -> RootFrames:
+    def prepare(self, grads=None, start=0) -> RootFrames:
         """Frames of the current factors, whose ``finish`` adds the factor
-        gradients to ``grads``; without ``grads``, for ``product`` only."""
-        if grads is None:
-            return RootFrames(self.weight)
-        return RootFrames(self.weight, [grads[name] for name in self.params()])
+        gradients to ``grads`` and whose ``backward`` returns the input
+        cotangent from row ``start`` on; without ``grads``, for ``product``."""
+        sink = None if grads is None else [grads[name] for name in self.params()]
+        return RootFrames(self.weight, sink, start)
 
 
 class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix, which serves ``product``.
-    With a gradient buffer ``grad``, which only ``prepare`` passes, it
-    also serves BPTT: it keeps every packed block that ``begin`` opens
-    and, in one (steps, 4H) block per sequence, the dz that ``backward``
-    gets for each of its rows, so the minibatch's weight gradient is one
-    GEMM, added to ``grad`` by ``finish``."""
+    With a gradient buffer ``grad`` and a ``start``, which only ``prepare``
+    passes, it also serves BPTT: it keeps every packed block that ``begin``
+    opens and, in one (steps, 4H) block per sequence, the dz that
+    ``backward`` gets for each row, so the minibatch's weight gradient is
+    one GEMM, added to ``grad`` by ``finish``."""
 
-    def __init__(self, w, grad=None):
+    def __init__(self, w, grad=None, start=0):
         self.weight = np.asarray(w, dtype=np.float64)
         if self.weight.shape[0] % GATES:
             raise ValueError(
                 f"weight rows must be a multiple of {GATES}, got {self.weight.shape[0]}")
         self.in_size = self.weight.shape[1]
         self.hidden_size = self.weight.shape[0] // GATES
-        self.grad = grad
+        self.grad, self.start = grad, start
         self.x_blocks, self.dz_blocks = [], []
 
     def params(self) -> dict[str, np.ndarray]:
@@ -152,10 +152,11 @@ class DenseGateMap:
         """``W @ x`` for a (B, N) block of inputs as a (g, B, H) view."""
         return (x @ self.weight.T).reshape(len(x), GATES, -1).transpose(1, 0, 2)
 
-    def prepare(self, grads=None):
+    def prepare(self, grads=None, start=0):
         """The map over the same weight whose ``finish`` adds the weight
-        gradient to ``grads["w"]``; without ``grads``, the map itself."""
-        return self if grads is None else DenseGateMap(self.weight, grads["w"])
+        gradient to ``grads["w"]`` and whose ``backward`` returns the input
+        cotangent from row ``start`` on; without ``grads``, the map itself."""
+        return self if grads is None else DenseGateMap(self.weight, grads["w"], start)
 
     def begin(self, block):
         """Open a sequence over the packed (steps, N) ``block``, which is
@@ -166,12 +167,12 @@ class DenseGateMap:
     def end(self):
         """Nothing to add per sequence: ``finish`` adds every one."""
 
-    def backward(self, k, dz, start=0):
+    def backward(self, k, dz):
         """Keep ``dz`` of the open sequence's row ``k``; returns
-        ``(W.T @ dz)[start:]``."""
+        ``(W.T @ dz)[start:]`` for the prepared ``start``."""
         row = self.dz_blocks[-1][k]
         row[...] = dz.reshape(-1)
-        return self.weight[:, start:].T @ row
+        return self.weight[:, self.start:].T @ row
 
     def finish(self):
         dz, x = np.concatenate(self.dz_blocks), np.concatenate(self.x_blocks)
@@ -259,15 +260,14 @@ class FdhtLstmCell:
         return p
 
     def step(self, x, state: LstmState) -> LstmState:
-        return self.step_cached(x, state)[0]
+        return self.step_cached(x, state)
 
-    def step_cached(self, x, state: LstmState):
+    def step_cached(self, x, state: LstmState) -> LstmState:
         """One recurrence step through the gate map's own forward (the
-        plan for HT). Returns the new state and the step's one-step
-        ``Sequence``."""
+        plan for HT), run on a one-step ``Sequence``."""
         seq = Sequence(self, np.asarray(x, dtype=np.float64)[np.newaxis], state)
         self.step_packed(self.gate_map, seq, 0)
-        return LstmState(seq.h[1], seq.c[1]), seq
+        return LstmState(seq.h[1], seq.c[1])
 
     def step_packed(self, frames, seq: Sequence, t: int):
         """Step t of ``seq``: apply ``frames.forward`` to its packed row
@@ -281,20 +281,17 @@ class FdhtLstmCell:
         _gate_forward(z, self.biases, seq.c[t], seq.act[t], seq.c[t + 1],
                       seq.tanh_c[t], seq.h[t + 1])
 
-    def step_backward(self, frames, seq: Sequence, t: int, dh, dc, grads, need_dx=True):
+    def step_backward(self, frames, seq: Sequence, t: int, dh, dc, grads):
         """Accumulate the gradients of step t of ``seq``: biases and
         recurrent matrix into ``grads``, the gate map into ``frames``.
-        Returns (dh_prev, dc_prev, dx), dx None unless ``need_dx``: the
-        gate map then computes its input cotangent only from the h slice
-        on (full mode) or not at all (input-only)."""
+        Returns (dh_prev, dc_prev, dx), the input cotangent read from the
+        row ``frames.start`` that ``prepare`` fixed: dx is None unless it is 0."""
         dz, dc_prev = _gate_backward(seq.act[t], seq.c[t], seq.tanh_c[t], dh, dc)
         grads["biases"] += dz
-        start = (0 if need_dx else self.h_start if self.recurrent is None
-                 else self.gate_map.in_size)
-        d_packed = frames.backward(t, dz, start)
-        dx = d_packed[: self.n_x] if need_dx else None
+        d_packed = frames.backward(t, dz)
+        dx = None if frames.start else d_packed[: self.n_x]
         if self.recurrent is None:
-            dh_prev = d_packed[self.h_start - start:]
+            dh_prev = d_packed[self.h_start - frames.start:]
         else:
             dz = dz.reshape(-1)
             grads["recurrent"] += dz[:, None] * seq.h[t]
@@ -478,9 +475,9 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     weight gradient in one GEMM in ``finish``. Steps write into the
     sequence's blocks and keep no cache of their own. A sequence's blocks
     are dropped when its backward is done, before ``end``, so the peak
-    memory does not grow with the batch. Unless ``return_input_grads`` is
-    set, each step's backward computes only the h rows of the gate map's
-    input cotangent (none in input-only mode). Dropout, when enabled, is
+    memory does not grow with the batch. The frames' input cotangent starts
+    at row 0 with ``return_input_grads``, else at the h slice (full mode)
+    or past the input (input-only: no rows). Dropout, when enabled, is
     applied to the final hidden state before the head (inverted scaling)
     and needs an ``rng``. Returns (loss, grads) or (loss, grads,
     input_grads) where input_grads[i][t] is dL/dx_t for example i.
@@ -490,7 +487,9 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     if dropout_rate > 0 and rng is None:
         raise ValueError("dropout needs an rng")
     grads = zero_grads(cell, head)
-    frames = cell.gate_map.prepare(grads)
+    start = (0 if return_input_grads else cell.h_start if cell.recurrent is None
+             else cell.gate_map.in_size)
+    frames = cell.gate_map.prepare(grads, start)
     grad_w, grad_b = grads["head.w"], grads["head.b"]
     total_loss = 0.0
     all_input_grads = []
@@ -516,8 +515,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         dc = np.zeros(dh.size)
         input_grads = [None] * steps
         for t in range(steps - 1, -1, -1):
-            dh, dc, input_grads[t] = cell.step_backward(
-                frames, seq, t, dh, dc, grads, need_dx=return_input_grads)
+            dh, dc, input_grads[t] = cell.step_backward(frames, seq, t, dh, dc, grads)
         del seq
         frames.end()  # with the sequence's blocks gone, before the next allocates its own
         if return_input_grads:

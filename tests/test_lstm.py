@@ -138,10 +138,10 @@ class TestStep:
     def test_gate_ranges(self):
         rng = np.random.default_rng(16)
         cell = small_cell(seed=8)
-        state = cell.init_state()
-        for _ in range(5):
-            state, seq = cell.step_cached(rng.normal(size=4), state)
-            (act,), (tanh_c,) = seq.act, seq.tanh_c
+        seq = Sequence(cell, rng.normal(size=(5, 4)))
+        for t in range(5):
+            cell.step_packed(cell.gate_map, seq, t)
+        for act, tanh_c in zip(seq.act, seq.tanh_c):
             f, u, c_in, o = act
             for gate in (f, u, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
@@ -238,17 +238,17 @@ class TestPaddingNeutrality:
 
 class TestDenseGateMap:
     # the starts of TestRootFrames.test_backward_from_start, on the same
-    # (16, 17) weight as one dense matrix
+    # (16, 17) weight as one dense matrix, prepared with that start
     @pytest.mark.parametrize("start", [0, 3 * 17, 256, 272])
     def test_backward_from_start(self, start):
         w = init_ht_weight((4, 4), (16, 17), 8, 8, 4, seed=7)
         matrix = reconstruct_dense(w)
-        frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)})
+        frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)}, start)
         rng = np.random.default_rng(18)
         packed, dy = rng.normal(size=(1, w.in_size)), rng.normal(size=(4, w.out_size // 4))
         frames.begin(packed)
         frames.forward(packed[0], 0)
-        got = frames.backward(0, dy, start)
+        got = frames.backward(0, dy)
         frames.end()
         frames.finish()
         want = (matrix.T @ dy.reshape(-1))[start:]
@@ -626,27 +626,28 @@ class TestBptt:
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_default_bptt_asks_only_for_h_rows(self, mode, monkeypatch):
-        # without input gradients every step's backward starts at the h
-        # slice (full mode, dense too) or past the input (input-only)
+        # each bptt prepares the gate map once: without input gradients its
+        # backward starts at the h slice (full mode, dense too) or past the
+        # input (input-only), with them at row 0
         cell = make_dense_cell(4, 4, seed=3) if mode == "dense" else small_cell(mode, seed=3)
         head = make_head(3, cell.hidden_size, seed=0)
         rng = np.random.default_rng(23)
         batch = [([rng.normal(size=4) for _ in range(steps)], steps % 3)
                  for steps in (2, 3)]
-        frames_type = type(cell.gate_map.prepare(zero_grads(cell, head)))
-        backward, starts = frames_type.backward, []
+        map_type = type(cell.gate_map)
+        prepare, starts = map_type.prepare, []
 
-        def spy(self, k, dy, start=0):
+        def spy(self, grads=None, start=0):
             starts.append(start)
-            return backward(self, k, dy, start)
+            return prepare(self, grads, start)
 
-        monkeypatch.setattr(frames_type, "backward", spy)
+        monkeypatch.setattr(map_type, "prepare", spy)
         bptt(cell, head, batch)
         want = cell.gate_map.in_size if mode == "input-only" else cell.n_x + cell.pad_len
-        assert starts == [want] * 5
+        assert starts == [want]
         starts.clear()
         bptt(cell, head, batch, return_input_grads=True)
-        assert starts == [0] * 5
+        assert starts == [0]
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_step_backward_into_plain_grad_dict(self, mode):

@@ -301,7 +301,11 @@ class RootFrames:
 
     def begin(self, block):
         """Open a sequence over the (steps, N) ``block``, which is read in
-        place: leave it unchanged until ``end``."""
+        place: leave it unchanged until ``end``. Returns the dy block's
+        memory as (steps, g, m_L m_R) rows, one per product, to store
+        into: row k holds Y (laid out as dy, not as this view) from
+        ``forward(x, k)`` on, is the caller's once it has read Y, and is
+        overwritten by ``backward(k, dy)``."""
         g, rl, ml, mr, nl, nr = self.shape
         steps = len(block)
         if len(self.t_block) != steps:
@@ -311,6 +315,7 @@ class RootFrames:
             self.dys = self.dy_block.reshape(steps, ml, g, mr).transpose(0, 2, 1, 3)
         self.xs = block.reshape(steps, nl, nr)
         self.xts = self.xs.transpose(0, 2, 1)
+        return self.dy_block.reshape(steps, g, ml * mr)
 
     def forward(self, x, k):
         """``W @ x`` for row k of the open sequence as a (g, m_L, m_R)
@@ -359,9 +364,11 @@ class RootFrames:
 
     def finish(self):
         """Add the factor cotangents of every ended sequence to ``sink``.
-        The sequence blocks are freed first, so the frames take no more
-        products."""
+        The sequence blocks, U, V and the U.T rows are freed first, so the
+        frames take no more products; the projection reads only dU,
+        ``dvt`` and the factors."""
         self.t_block = self.dy_block = self.ts = self.dys = None
+        self.u = self.v = self.vt = self.ut = None
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root
         fr = _node_frame(self.w, root.right)  # (b, iR, jR)

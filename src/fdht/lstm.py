@@ -160,9 +160,12 @@ class DenseGateMap:
 
     def begin(self, block):
         """Open a sequence over the packed (steps, N) ``block``, which is
-        kept until ``finish``: leave it unchanged."""
+        kept until ``finish``: leave it unchanged. Returns the sequence's
+        dz block as (steps, g, H) rows: row k is the caller's until
+        ``backward(k, dz)`` writes dz into it."""
         self.x_blocks.append(block)
         self.dz_blocks.append(np.empty((len(block), self.weight.shape[0])))
+        return self.dz_blocks[-1].reshape(len(block), GATES, -1)
 
     def end(self):
         """Nothing to add per sequence: ``finish`` adds every one."""
@@ -187,19 +190,24 @@ class Sequence:
     ``check_frames`` rejects a sequence that is not (steps, n_x).
     Step t writes its activations f, u, c_in, o into ``act[t]``, its cell
     state into ``c[t + 1]`` (``c[0]`` is the initial one), tanh of that
-    into ``tanh_c[t]`` and its hidden state into ``h[t + 1]``. In full mode
-    ``h[t]`` is the h slice of packed row t, where the gate map reads it,
-    and the last hidden state is a vector of its own; in input-only mode
-    ``h`` is a (steps + 1, H) block, which the recurrent matrix reads.
-    ``state`` sets ``h[0]`` and ``c[0]``, zero without it."""
+    into ``tanh_c[t]`` and its hidden state into ``h[t + 1]``. With
+    ``frames``, prepared for BPTT, they open the sequence (``begin``) and
+    ``act`` is the block of 4H rows that ``begin`` returns: row t holds the
+    gate map's output, then the activations, then, once the step's
+    backward has read them, its dz. Else ``act`` is a block of its own.
+    In full mode ``h[t]`` is the h slice of packed row t, where the gate
+    map reads it, and the last hidden state is a vector of its own; in
+    input-only mode ``h`` is a (steps + 1, H) block, which the recurrent
+    matrix reads. ``state`` sets ``h[0]`` and ``c[0]``, zero without it."""
 
-    def __init__(self, cell, xs, state=None):
+    def __init__(self, cell, xs, state=None, frames=None):
         xs = check_frames(xs, cell.n_x)
         steps, h = len(xs), cell.hidden_size
         self.packed = np.empty((steps, cell.gate_map.in_size))
         self.packed[:, : cell.n_x] = xs
         self.packed[:, cell.n_x:] = 0.0
-        self.act = np.empty((steps, GATES, h))
+        self.act = (np.empty((steps, GATES, h)) if frames is None
+                    else frames.begin(self.packed))
         self.c = np.zeros((steps + 1, h))
         self.tanh_c = np.empty((steps, h))
         if cell.recurrent is None:
@@ -273,8 +281,8 @@ class FdhtLstmCell:
         """Step t of ``seq``: apply ``frames.forward`` to its packed row
         (whose h slice, in full mode, step t - 1 wrote), gate and update,
         all written into ``seq``. ``frames`` is the gate map, or, for
-        ``step_backward``, what its ``prepare`` returned with ``seq.packed``
-        opened by ``begin``."""
+        ``step_backward``, what its ``prepare`` returned, which opened
+        ``seq``."""
         z = frames.forward(seq.packed[t], t)
         if self.recurrent is not None:
             z = z + (self.recurrent @ seq.h[t]).reshape(z.shape)
@@ -285,7 +293,9 @@ class FdhtLstmCell:
         """Accumulate the gradients of step t of ``seq``: biases and
         recurrent matrix into ``grads``, the gate map into ``frames``.
         Returns (dh_prev, dc_prev, dx), the input cotangent read from the
-        row ``frames.start`` that ``prepare`` fixed: dx is None unless it is 0."""
+        row ``frames.start`` that ``prepare`` fixed: dx is None unless it is 0.
+        The gate stage reads ``seq.act[t]`` before ``frames.backward``
+        writes dz over it (a row of the frames' own, opened by ``begin``)."""
         dz, dc_prev = _gate_backward(seq.act[t], seq.c[t], seq.tanh_c[t], dh, dc)
         grads["biases"] += dz
         d_packed = frames.backward(t, dz)
@@ -313,7 +323,9 @@ def _gate_forward(z, bias, c_prev, act, c, tanh_c, h):
     ``tanh_c`` and ``h``. ``z`` is gate-major in the gate map's own layout
     and ``bias`` is (4, H), or a (4, B, H) view for a batch. Reshaping
     ``z`` to ``bias`` copies it only when that layout is strided; a ufunc
-    reading the strided layout costs more than that copy."""
+    reading the strided layout costs more than that copy. ``z`` is read
+    whole into the biased pre-activations before ``act`` is written, so
+    the two may share memory, as in BPTT's rows."""
     a = z.reshape(bias.shape) + bias
     sigmoid(a, act)
     np.tanh(a[2], act[2])
@@ -378,6 +390,12 @@ def check_frames(xs, n_x: int, ndim: int = 2) -> np.ndarray:
 def check_mode(mode: str):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def check_dropout(rate: float):
+    """The dropout rule of ``bptt`` and ``TrainConfig``: a rate in [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("dropout_rate must be in [0, 1)")
 
 
 def pad_length(n_x: int, hidden: int, in_size: int) -> int:
@@ -473,17 +491,23 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     frames add its V cotangent in at most one GEMM per gate. The dense
     frames keep every sequence's packed block and dz rows and add the
     weight gradient in one GEMM in ``finish``. Steps write into the
-    sequence's blocks and keep no cache of their own. A sequence's blocks
-    are dropped when its backward is done, before ``end``, so the peak
-    memory does not grow with the batch. The frames' input cotangent starts
-    at row 0 with ``return_input_grads``, else at the h slice (full mode)
-    or past the input (input-only: no rows). Dropout, when enabled, is
-    applied to the final hidden state before the head (inverted scaling)
-    and needs an ``rng``. Returns (loss, grads) or (loss, grads,
-    input_grads) where input_grads[i][t] is dL/dx_t for example i.
+    sequence's blocks and keep no cache of their own. Step t's activations
+    live in the frames' 4H row t, between the gate map's output and the
+    step's dz: the gate stage reads the output into its biased
+    pre-activations before it writes them, and the step's backward reads
+    them before the frames write dz. A sequence's blocks are dropped when
+    its backward is done, before ``end``, so the peak memory does not grow
+    with the batch. The frames' input cotangent starts at row 0 with
+    ``return_input_grads``, else at the h slice (full mode) or past the
+    input (input-only: no rows). A ``dropout_rate`` outside [0, 1) is a
+    ValueError; dropout, when enabled, is applied to the final hidden state
+    before the head (inverted scaling) and needs an ``rng``. Returns
+    (loss, grads) or (loss, grads, input_grads) where input_grads[i][t] is
+    dL/dx_t for example i.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
+    check_dropout(dropout_rate)
     if dropout_rate > 0 and rng is None:
         raise ValueError("dropout needs an rng")
     grads = zero_grads(cell, head)
@@ -494,8 +518,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     total_loss = 0.0
     all_input_grads = []
     for xs, label in batch:
-        seq = Sequence(cell, xs)
-        frames.begin(seq.packed)
+        seq = Sequence(cell, xs, frames=frames)
         steps = len(seq.packed)
         for t in range(steps):
             cell.step_packed(frames, seq, t)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lstm import Head, bptt, forward_split, model_params
+from .lstm import Head, bptt, check_dropout, forward_split, model_params
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # ADAM's constants, Kingma & Ba's defaults
@@ -36,8 +36,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        check_dropout(self.dropout_rate)
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if not self.learning_rate > 0:

@@ -663,8 +663,7 @@ class TestBptt:
 
         def accumulate(grads):
             frames = cell.gate_map.prepare(grads)
-            seq = Sequence(cell, xs)
-            frames.begin(seq.packed)
+            seq = Sequence(cell, xs, frames=frames)
             for t in range(len(xs)):
                 cell.step_packed(frames, seq, t)
             g_h, g_c = dh, np.zeros(4)

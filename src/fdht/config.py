@@ -78,8 +78,8 @@ def _parse_value(raw: str, target_type, section: str, key: str):
         if target_type is str:
             return raw
         if target_type is not float:
-            # tuple[int, ...]: comma separated
-            return tuple(int(p) for p in raw.split(",") if p.strip() != "")
+            # tuple[int, ...]: comma separated, no empty item; "" is ()
+            return tuple(int(p) for p in raw.split(",")) if raw else ()
         value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {raw!r}: cannot parse as "

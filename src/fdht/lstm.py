@@ -17,7 +17,7 @@ only part that differs between the paper's cell and its baseline:
   with the weight-gradient GEMMs of a whole sequence run when it ends.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
   prepared for BPTT, with a gradient buffer, it runs its weight-gradient
-  GEMM once per minibatch.
+  GEMMs once per minibatch.
 
 Each gate map returns its pre-activations gate-major in its own layout,
 with no copy of its own; the gate stage reshapes them to its (4, H) block.
@@ -25,7 +25,9 @@ with no copy of its own; the gate stage reshapes them to its (4, H) block.
 as one (b, N) block per time step.
 
 In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
-recurrent matrix owned by the cell supplies the hidden-to-hidden terms.
+recurrent matrix owned by the cell supplies the hidden-to-hidden terms;
+in BPTT a ``DenseGateMap`` over each sequence's h rows computes its
+gradient, in GEMMs once per sequence.
 The cell's bias is one (4, H) array ``biases``, rows f, u, c, o, held as
 one block named ``biases`` in ``params()`` and in every gradient dict.
 """
@@ -125,11 +127,12 @@ class HtGateMap:
 
 class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix, which serves ``product``.
-    With a gradient buffer ``grad`` and a ``start``, which only ``prepare``
-    passes, it also serves BPTT: it keeps every packed block that ``begin``
-    opens and, in one (steps, 4H) block per sequence, the dz that
-    ``backward`` gets for each row, so the minibatch's weight gradient is
-    one GEMM, added to ``grad`` by ``finish``."""
+    With a gradient buffer ``grad`` and a ``start`` it also serves BPTT:
+    it keeps every input block that ``begin`` opens and, in one
+    (steps, 4H) block per sequence, the dz that ``backward`` gets for each
+    row, so ``finish`` adds the weight gradient in one GEMM per gate.
+    ``prepare`` makes one per minibatch (the dense cell), ``Sequence`` one
+    per sequence over its h rows (the input-only recurrent matrix)."""
 
     def __init__(self, w, grad=None, start=0):
         self.weight = np.asarray(w, dtype=np.float64)
@@ -159,10 +162,10 @@ class DenseGateMap:
         return self if grads is None else DenseGateMap(self.weight, grads["w"], start)
 
     def begin(self, block):
-        """Open a sequence over the packed (steps, N) ``block``, which is
-        kept until ``finish``: leave it unchanged. Returns the sequence's
-        dz block as (steps, g, H) rows: row k is the caller's until
-        ``backward(k, dz)`` writes dz into it."""
+        """Open a sequence over the (steps, N) input ``block``, which is
+        read in place at ``finish``: leave each row unchanged once its
+        product ran. Returns the sequence's dz block as (steps, g, H) rows:
+        row k is the caller's until ``backward(k, dz)`` writes dz into it."""
         self.x_blocks.append(block)
         self.dz_blocks.append(np.empty((len(block), self.weight.shape[0])))
         return self.dz_blocks[-1].reshape(len(block), GATES, -1)
@@ -178,9 +181,12 @@ class DenseGateMap:
         return self.weight[:, self.start:].T @ row
 
     def finish(self):
+        """Add ``dz.T @ x`` over every kept row to ``grad``, one gate's H
+        rows at a time, so no (4H x N) product sits beside ``grad``."""
         dz, x = np.concatenate(self.dz_blocks), np.concatenate(self.x_blocks)
         self.x_blocks = self.dz_blocks = None
-        self.grad += dz.T @ x
+        for r in range(0, len(self.grad), self.hidden_size):
+            self.grad[r:r + self.hidden_size] += dz[:, r:r + self.hidden_size].T @ x
 
 
 class Sequence:
@@ -198,9 +204,12 @@ class Sequence:
     In full mode ``h[t]`` is the h slice of packed row t, where the gate
     map reads it, and the last hidden state is a vector of its own; in
     input-only mode ``h`` is a (steps + 1, H) block, which the recurrent
-    matrix reads. ``state`` sets ``h[0]`` and ``c[0]``, zero without it."""
+    matrix reads, and with ``grads`` (BPTT) ``recurrent`` is that
+    matrix's ``DenseGateMap``, opened over ``h[:steps]`` with
+    ``grads["recurrent"]``. ``state`` sets ``h[0]`` and ``c[0]``, zero
+    without it."""
 
-    def __init__(self, cell, xs, state=None, frames=None):
+    def __init__(self, cell, xs, state=None, frames=None, grads=None):
         xs = check_frames(xs, cell.n_x)
         steps, h = len(xs), cell.hidden_size
         self.packed = np.empty((steps, cell.gate_map.in_size))
@@ -215,6 +224,9 @@ class Sequence:
             self.h.append(np.empty(h))
         else:
             self.h = np.zeros((steps + 1, h))
+            if grads is not None:
+                self.recurrent = DenseGateMap(cell.recurrent, grads["recurrent"])
+                self.recurrent.begin(self.h[:steps])
         if state is not None:
             self.h[0][...] = state.h
             self.c[0] = state.c
@@ -226,7 +238,8 @@ class FdhtLstmCell:
     Without ``recurrent`` (mode "full") the gate map consumes
     [x | zeros(pad_len) | h]. With a dense (4H x H) ``recurrent`` matrix
     (mode "input-only") the gate map consumes only [x | zeros], and that
-    matrix supplies the hidden-to-hidden terms, one H x H block per gate.
+    matrix supplies the hidden-to-hidden terms, one H x H block per gate,
+    and in BPTT each ``Sequence``'s ``recurrent`` map computes its gradient.
     """
 
     gate_map_type = HtGateMap
@@ -290,22 +303,19 @@ class FdhtLstmCell:
                       seq.tanh_c[t], seq.h[t + 1])
 
     def step_backward(self, frames, seq: Sequence, t: int, dh, dc, grads):
-        """Accumulate the gradients of step t of ``seq``: biases and
-        recurrent matrix into ``grads``, the gate map into ``frames``.
+        """Accumulate the gradients of step t of ``seq``: biases into
+        ``grads``, the gate map into ``frames`` and, in input-only mode, the
+        recurrent matrix into ``seq.recurrent``, which then gives dh_prev.
         Returns (dh_prev, dc_prev, dx), the input cotangent read from the
-        row ``frames.start`` that ``prepare`` fixed: dx is None unless it is 0.
-        The gate stage reads ``seq.act[t]`` before ``frames.backward``
+        row ``frames.start`` that ``prepare`` fixed: dx is None unless it is
+        0. The gate stage reads ``seq.act[t]`` before ``frames.backward``
         writes dz over it (a row of the frames' own, opened by ``begin``)."""
         dz, dc_prev = _gate_backward(seq.act[t], seq.c[t], seq.tanh_c[t], dh, dc)
         grads["biases"] += dz
         d_packed = frames.backward(t, dz)
         dx = None if frames.start else d_packed[: self.n_x]
-        if self.recurrent is None:
-            dh_prev = d_packed[self.h_start - frames.start:]
-        else:
-            dz = dz.reshape(-1)
-            grads["recurrent"] += dz[:, None] * seq.h[t]
-            dh_prev = self.recurrent.T @ dz
+        dh_prev = (d_packed[self.h_start - frames.start:] if self.recurrent is None
+                   else seq.recurrent.backward(t, dz))
         return dh_prev, dc_prev, dx
 
 
@@ -442,10 +452,12 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
     Each block runs as one (b, N) block per time step through the gate
     map's frames, prepared once (``product``, no backward bookkeeping),
     the gate stage on (4, b, H) and the head on (b, H); in full mode the
-    hidden state stays in the block's h slice. Returns (B, classes) logits."""
+    hidden state stays in the block's h slice, in input-only mode the
+    recurrent map's ``product`` reads it. Returns (B, classes) logits."""
     xs = check_frames(xs, cell.n_x, ndim=3)
     size, h = cell.gate_map.in_size, cell.hidden_size
     frames = cell.gate_map.prepare()
+    recurrent = None if cell.recurrent is None else DenseGateMap(cell.recurrent)
     # an input-only step reads the whole recurrent matrix once per block
     budget = max(SPLIT_BLOCK_BYTES, 0 if cell.recurrent is None else cell.recurrent.nbytes)
     rows = max(1, budget // (8 * (size + GATES * h)))
@@ -460,9 +472,8 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
         for t in range(xs.shape[1]):
             block[:, : cell.n_x] = part[:, t]
             z = frames.product(block)
-            if cell.recurrent is not None:
-                r = (hs @ cell.recurrent.T).reshape(count, GATES, h)
-                z = z + r.transpose(1, 0, 2).reshape(z.shape)
+            if recurrent is not None:
+                z = z + recurrent.product(hs).reshape(z.shape)
             _gate_forward(z, bias, c, act, c, tanh_c, hs)
         logits[first:first + count] = hs @ head.w.T + head.b
     return logits
@@ -484,13 +495,14 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     and its gradients with respect to every cell, bias and head parameter.
 
     The gate map is prepared once for the batch (for HT, the root-children
-    frames of the current factors); sequences then run one at a time and
-    its factor gradients are finished once at the end. Each sequence is
-    packed and given its gate-stage blocks once (``Sequence``), and the
-    frames open it with ``begin`` and close it with ``end``, where the HT
-    frames add its V cotangent in at most one GEMM per gate. The dense
-    frames keep every sequence's packed block and dz rows and add the
-    weight gradient in one GEMM in ``finish``. Steps write into the
+    frames of the current factors); sequences then run one at a time and its
+    factor gradients are finished once at the end. Each sequence is packed
+    and given its gate-stage blocks once (``Sequence``), and the frames open
+    it with ``begin`` and close it with ``end``, where the HT frames add its
+    V cotangent in at most one GEMM per gate. The dense frames keep every
+    sequence's packed block and dz rows and add the weight gradient in one
+    GEMM per gate in ``finish``; in input-only mode each sequence's own
+    recurrent map does so once its backward is done. Steps write into the
     sequence's blocks and keep no cache of their own. Step t's activations
     live in the frames' 4H row t, between the gate map's output and the
     step's dz: the gate stage reads the output into its biased
@@ -501,9 +513,9 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     ``return_input_grads``, else at the h slice (full mode) or past the
     input (input-only: no rows). A ``dropout_rate`` outside [0, 1) is a
     ValueError; dropout, when enabled, is applied to the final hidden state
-    before the head (inverted scaling) and needs an ``rng``. Returns
-    (loss, grads) or (loss, grads, input_grads) where input_grads[i][t] is
-    dL/dx_t for example i.
+    before the head (inverted scaling) and needs an ``rng``. Returns (loss,
+    grads) or (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t
+    for example i.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -518,7 +530,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     total_loss = 0.0
     all_input_grads = []
     for xs, label in batch:
-        seq = Sequence(cell, xs, frames=frames)
+        seq = Sequence(cell, xs, frames=frames, grads=grads)
         steps = len(seq.packed)
         for t in range(steps):
             cell.step_packed(frames, seq, t)
@@ -530,7 +542,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         loss, dlogits = softmax_cross_entropy(logits, label)
         total_loss += loss
 
-        grad_w += dlogits[:, None] * h_used
+        grad_w += np.multiply.outer(dlogits, h_used)
         grad_b += dlogits
         dh = head.w.T @ dlogits
         if dropout_rate > 0:
@@ -539,6 +551,8 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         input_grads = [None] * steps
         for t in range(steps - 1, -1, -1):
             dh, dc, input_grads[t] = cell.step_backward(frames, seq, t, dh, dc, grads)
+        if cell.recurrent is not None:
+            seq.recurrent.finish()
         del seq
         frames.end()  # with the sequence's blocks gone, before the next allocates its own
         if return_input_grads:

@@ -96,7 +96,7 @@ class TestConfigParsing:
         ("[train]\nl2_coeff = -1e-3\n", "train l2_coeff must be >= 0"),
         ("[train]\nbatch_size = 0\n", "train batch_size must be >= 1 and epochs >= 0"),
         ("[train]\nepochs = -1\n", "train batch_size must be >= 1 and epochs >= 0"),
-        ("[task]\nclasses = 1\n", "task needs classes >= 2"),
+        ("[task]\nclasses = 1\n", "task needs classes >= 2, frames >= 1, frame_dim >= 1"),
         ("[model]\nmode = hidden-only\n",
          "model mode must be one of ('full', 'input-only'), got 'hidden-only'"),
         ("[model]\nn_shape = 16,17,1\n",
@@ -108,13 +108,20 @@ class TestConfigParsing:
         ("[model]\ninternal_rank = 0\n",
          "model ranks must be >= 1, got leaf_rank=8, internal_rank=0, root_rank=4"),
         ("[task]\nframe_dim = 255\n", "task frame_dim=255 must equal model n_x=256"),
+        ("[model]\nn_shape = 16,,17\n",
+         "[model] n_shape = '16,,17': cannot parse as <class 'tuple'>"),
+        ("[model]\nm_shape = 4,4,\n",
+         "[model] m_shape = '4,4,': cannot parse as <class 'tuple'>"),
     ], ids=["dropout-one", "dropout-negative", "learning-rate", "l2-coeff", "batch-size",
             "epochs", "classes", "mode",
             "shape-lengths-differ", "shape-length-one", "leaf-rank",
-            "internal-rank", "frame-dim"])
-    def test_range_rules(self, text, message):
+            "internal-rank", "frame-dim", "shape-empty-item", "shape-trailing-comma"])
+    def test_range_rules(self, capsys, tmp_path, text, message):
+        # the same one line from parse_config and, with exit 1, from the CLI
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
+        code, out, err = run_cli(capsys, "params", "--config", write_config(tmp_path, text))
+        assert (code, out, err) == (1, "", VALIDATION + message + "\n")
 
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\nbogus = 5\n",

@@ -281,9 +281,9 @@ class TestDenseGateMap:
         # The dense map prepared for BPTT adds the weight gradient once, in
         # finish, from every sequence's packed rows and dz rows: grads["w"]
         # is still zero when finish starts, and the minibatch's peak holds the
-        # gradient, at most one (4H, N) product beside it, the kept rows
-        # twice (the blocks and finish's concatenation of them) and a slack
-        # for Python objects, well below a second (4H, N) array.
+        # gradient, at most one gate's (H, N) product beside it, the kept
+        # rows twice (the blocks and finish's concatenation of them) and a
+        # slack for Python objects, well below a (4H, N) product.
         h, n_x, steps, count = 64, 960, 3, 8
         rng = np.random.default_rng(27)
         cell = DenseLstmCell(rng.normal(size=(4 * h, n_x + h)) / 32, n_x)
@@ -310,7 +310,7 @@ class TestDenseGateMap:
         matrix = 4 * h * (n_x + h) * 8
         rows = 2 * count * steps * (n_x + h + 4 * h) * 8
         assert matrix == 2_097_152
-        assert peak <= 2 * matrix + rows + 64 * 1024
+        assert peak <= matrix + matrix // 4 + rows + 64 * 1024
 
 
 # (sequence, message) pairs for n_x = 4: each is rejected where a sequence
@@ -489,6 +489,50 @@ class TestBptt:
 
         assert peak(batch) <= peak(batch[:2]) + 1024
 
+    def test_input_only_recurrent_gradient_is_one_gemm_per_sequence(self, monkeypatch):
+        # Each sequence opens a DenseGateMap over its h rows, whose finish
+        # adds the recurrent gradient one gate's (H, H) product at a time.
+        # At H = 64 a (4H, H) array, 128 KiB, is large against the slack for
+        # Python objects, so the peak is bounded by the gradient dict, the
+        # frames, one sequence's blocks, its dz and h rows twice (kept, then
+        # concatenated by finish) and one (H, H) gate block: a (4H, H)
+        # product per step breaks the bound.
+        n_x, steps, count = 8, 6, 8
+        cell = make_cell(n_x, (8, 9), (8, 8), 2, 2, mode="input-only", seed=1)
+        head = make_head(3, cell.hidden_size, seed=2)
+        h, n = cell.hidden_size, cell.gate_map.in_size
+        rng = np.random.default_rng(5)
+        batch = [(rng.normal(size=(steps, n_x)), i % 3) for i in range(count)]
+        finish, finished = DenseGateMap.finish, []
+
+        def spy(self):
+            finished.append(self.grad.shape)
+            finish(self)
+
+        monkeypatch.setattr(DenseGateMap, "finish", spy)
+        grads = zero_grads(cell, head)
+        bptt(cell, head, batch)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            frames = cell.gate_map.prepare(grads, n)
+            frames.begin(np.zeros((steps, n)))
+            frame_bytes = tracemalloc.get_traced_memory()[0] - base
+            del frames
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bptt(cell, head, batch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(g.nbytes for g in grads.values())
+        sequence = 8 * (steps * n + (3 * steps + 2) * h)  # packed, c, tanh_c and h
+        rows = 2 * 8 * steps * (4 * h + h)
+        gate = 8 * h * h
+        assert 8 * 4 * h * h == 131_072 and frame_bytes > 0
+        assert peak <= grad_bytes + frame_bytes + sequence + rows + gate + 64 * 1024
+        assert finished == [(4 * h, h)] * (2 * count)
+
     def test_bad_sequences_rejected(self):
         # one line, the same from bptt's packing as from the per-step path
         for cell in (small_cell(), small_cell("input-only"), make_dense_cell(4, 4, seed=0)):
@@ -662,13 +706,17 @@ class TestBptt:
         xs, dh = rng.normal(size=(3, 4)), rng.normal(size=4)
 
         def accumulate(grads):
+            # as bptt runs a sequence: in input-only mode it opens the
+            # recurrent map over grads["recurrent"] and finishes it
             frames = cell.gate_map.prepare(grads)
-            seq = Sequence(cell, xs, frames=frames)
+            seq = Sequence(cell, xs, frames=frames, grads=grads)
             for t in range(len(xs)):
                 cell.step_packed(frames, seq, t)
             g_h, g_c = dh, np.zeros(4)
             for t in reversed(range(len(xs))):
                 g_h, g_c, _ = cell.step_backward(frames, seq, t, g_h, g_c, grads)
+            if mode == "input-only":
+                seq.recurrent.finish()
             frames.end()
             frames.finish()
             return grads
@@ -680,6 +728,7 @@ class TestBptt:
         want = accumulate(zero_grads(cell, head))
         assert got.keys() == want.keys()
         assert np.any(want["biases"] != 0.0)
+        assert mode != "input-only" or np.any(want["recurrent"] != 0.0)
         for name in want:
             assert np.array_equal(got[name], want[name]), name
 

@@ -70,6 +70,10 @@ class RunConfig:
 _SECTIONS = tuple(f.name for f in fields(RunConfig))
 
 
+# what a value of each field type must look like, as error messages say it
+_EXPECTED = {int: "an integer", float: "a number", tuple: "comma-separated integers"}
+
+
 def _parse_value(raw: str, target_type, section: str, key: str):
     raw = raw.strip()
     try:
@@ -82,8 +86,8 @@ def _parse_value(raw: str, target_type, section: str, key: str):
             return tuple(int(p) for p in raw.split(",")) if raw else ()
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: cannot parse as "
-                          f"{target_type}") from None
+        raise ConfigError(f"[{section}] {key} = {raw!r}: expected "
+                          f"{_EXPECTED[target_type]}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} = {raw!r}: must be finite")
     return value

@@ -292,6 +292,7 @@ class RootFrames:
         self.v = v.reshape(g, rl, mr, nr).transpose(1, 3, 0, 2).reshape(rl * nr, g * mr)
         if sink is None:
             return
+        del fl, fr, v  # free the child frames and V's product before the gradients
         self.vt = self.v.T
         self.du = np.zeros(self.u.shape)
         self.dvt = np.zeros((g * mr, rl * nr))

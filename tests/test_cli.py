@@ -109,13 +109,16 @@ class TestConfigParsing:
          "model ranks must be >= 1, got leaf_rank=8, internal_rank=0, root_rank=4"),
         ("[task]\nframe_dim = 255\n", "task frame_dim=255 must equal model n_x=256"),
         ("[model]\nn_shape = 16,,17\n",
-         "[model] n_shape = '16,,17': cannot parse as <class 'tuple'>"),
+         "[model] n_shape = '16,,17': expected comma-separated integers"),
         ("[model]\nm_shape = 4,4,\n",
-         "[model] m_shape = '4,4,': cannot parse as <class 'tuple'>"),
+         "[model] m_shape = '4,4,': expected comma-separated integers"),
+        ("[train]\nepochs = soon\n", "[train] epochs = 'soon': expected an integer"),
+        ("[task]\nnoise = loud\n", "[task] noise = 'loud': expected a number"),
     ], ids=["dropout-one", "dropout-negative", "learning-rate", "l2-coeff", "batch-size",
             "epochs", "classes", "mode",
             "shape-lengths-differ", "shape-length-one", "leaf-rank",
-            "internal-rank", "frame-dim", "shape-empty-item", "shape-trailing-comma"])
+            "internal-rank", "frame-dim", "shape-empty-item", "shape-trailing-comma",
+            "int-not-a-number", "float-not-a-number"])
     def test_range_rules(self, capsys, tmp_path, text, message):
         # the same one line from parse_config and, with exit 1, from the CLI
         with pytest.raises(ConfigError, match=re.escape(message)):

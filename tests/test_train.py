@@ -117,6 +117,45 @@ class TestSyntheticTask:
                     for d in (*generate_task(task), generate_test_split(task)))
         assert got == digests + digests[1:]
 
+    def test_draws_through_the_fill_loop(self, monkeypatch):
+        # standard_normal fills its output in one loop; normal(0, 1) runs
+        # the loc/scale path over the same draws, slower
+        default_rng, calls = np.random.default_rng, []
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        task = SyntheticTask(classes=3, frames=2, frame_dim=5, train_per_class=4)
+        generate_task(task)
+        generate_test_split(task)
+        assert set(calls) == {"standard_normal"}
+
+    def test_test_split_peak_holds_no_train_sample(self):
+        # generate_test_split draws the train split's noise one sample at
+        # a time into one buffer: at its peak it holds the test split, the
+        # clean sequences and that buffer. The slack is numpy's ufunc
+        # buffer, which the broadcast `xs += clean` fills, and 4 KiB of
+        # Python objects; the train split would add 3.9 MB
+        task = SyntheticTask()
+        generate_test_split(task)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            test = generate_test_split(task)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        sample = 8 * task.frames * task.frame_dim
+        held = test.xs.nbytes + test.labels.nbytes + task.classes * sample + sample
+        assert peak <= held + 8 * np.getbufsize() + 4096
+
     def test_pinned_tasks_are_the_shipped_ones(self):
         configs = Path(__file__).resolve().parent.parent / "configs"
         assert load_config(configs / "synthetic.ini").task == SyntheticTask()
@@ -392,3 +431,23 @@ class TestMinibatchMemory:
         objects = 12 * 1024  # Python objects: views, tuples, the sequence
         assert peak <= 8 * sum(entries.values()) + objects
         assert 8 * entries["sequence"] > objects
+
+    def test_prepare_peak_holds_the_frames_and_one_v(self):
+        # Training frames hold U, V and their cotangents. Building them
+        # makes the child frames and V's untransposed product, which must
+        # go before the cotangents are allocated to keep the peak within
+        # one V of what the frames hold: kept, they read 5.44 MiB against
+        # this 4.88 MiB bound at hmdb51-cnn
+        cell = make_cell(2048, (8, 8, 8, 8), (4, 8, 8, 8), 14, 12, seed=1)
+        grads = {name: np.zeros(p.shape) for name, p in cell.params().items()}
+        cell.gate_map.prepare(grads)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            frames = cell.gate_map.prepare(grads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (frames.u, frames.du, frames.v, frames.dvt))
+        assert peak <= held + frames.v.nbytes

@@ -273,8 +273,13 @@ class RootFrames:
     dy_k.T @ T'_k, the faster orientation of that GEMM on OpenBLAS. Run
     and backward every row once before then. The next sequence reuses the
     blocks unless its length differs. The frames keep no child frame;
-    ``finish`` rebuilds FR from the factors. The per-product GEMMs are
-    ``np.dot`` calls: the same BLAS calls as ``@``, dispatched faster.
+    ``finish`` rebuilds FR from the factors. Each GEMM of ``forward`` and
+    ``backward`` is a bound ``ndarray.dot``: the BLAS call of ``np.dot``
+    and ``@``, so the same bits, without the dispatch of either. ``dot``
+    copies an operand that is neither C- nor F-contiguous; of these only
+    the U.T rows can be one, when they are more than one and fewer than
+    all. ``end`` keeps ``@``, which reads its strided column slices in
+    place.
     """
 
     def __init__(self, w: HTWeight, sink=None, start=0):
@@ -322,8 +327,8 @@ class RootFrames:
         """``W @ x`` for row k of the open sequence as a (g, m_L, m_R)
         view, which the row's ``backward`` overwrites. ``x`` is read
         through the views ``begin`` prepared for that row."""
-        np.dot(self.u, self.xs[k], out=self.ts[k])
-        np.dot(self.t_block[k], self.v, out=self.dy_block[k])
+        self.u.dot(self.xs[k], out=self.ts[k])
+        self.t_block[k].dot(self.v, out=self.dy_block[k])
         return self.dys[k]
 
     def product(self, x):
@@ -344,11 +349,11 @@ class RootFrames:
         g, rl, ml, mr, nl, nr = self.shape
         slot = self.dys[k]
         slot[...] = dy.reshape(slot.shape)
-        dt = np.dot(self.dy_block[k], self.vt).reshape(ml * rl, nr)
-        self.du += np.dot(dt, self.xts[k])
+        dt = self.dy_block[k].dot(self.vt).reshape(ml * rl, nr)
+        self.du += dt.dot(self.xts[k])
         if self.ut is None:
             return np.empty(0)
-        return np.dot(self.ut, dt).reshape(-1)[self.cut:]
+        return self.ut.dot(dt).reshape(-1)[self.cut:]
 
     def end(self):
         """Add the V cotangent of the open sequence's products to ``dvt``,

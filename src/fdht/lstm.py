@@ -149,7 +149,7 @@ class DenseGateMap:
 
     def forward(self, packed, k):
         """``W @ packed`` as (g, H); ``k`` as for ``HtGateMap.forward``."""
-        return (self.weight @ packed).reshape(GATES, -1)
+        return self.weight.dot(packed).reshape(GATES, -1)
 
     def product(self, x):
         """``W @ x`` for a (B, N) block of inputs as a (g, B, H) view."""
@@ -298,7 +298,7 @@ class FdhtLstmCell:
         ``seq``."""
         z = frames.forward(seq.packed[t], t)
         if self.recurrent is not None:
-            z = z + (self.recurrent @ seq.h[t]).reshape(z.shape)
+            z = z + self.recurrent.dot(seq.h[t]).reshape(z.shape)
         _gate_forward(z, self.biases, seq.c[t], seq.act[t], seq.c[t + 1],
                       seq.tanh_c[t], seq.h[t + 1])
 
@@ -538,13 +538,13 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         if dropout_rate > 0:
             mask = (rng.random(h_used.size) >= dropout_rate) / (1.0 - dropout_rate)
             h_used = h_used * mask
-        logits = head.w @ h_used + head.b
+        logits = head.w.dot(h_used) + head.b
         loss, dlogits = softmax_cross_entropy(logits, label)
         total_loss += loss
 
         grad_w += np.multiply.outer(dlogits, h_used)
         grad_b += dlogits
-        dh = head.w.T @ dlogits
+        dh = dlogits.dot(head.w)
         if dropout_rate > 0:
             dh = dh * mask
         dc = np.zeros(dh.size)

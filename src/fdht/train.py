@@ -62,6 +62,8 @@ class SyntheticTask:
     def __post_init__(self):
         if self.classes < 2 or self.frames < 1 or self.frame_dim < 1:
             raise ValueError("needs classes >= 2, frames >= 1, frame_dim >= 1")
+        if self.noise < 0:
+            raise ValueError("noise must be >= 0")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("train_per_class and test_per_class must be >= 1")
         check_seed(self.seed)
@@ -156,7 +158,7 @@ def adam_step(params: dict[str, np.ndarray], grads, state: AdamState,
         1.0 - BETA2, 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t))
     for name, theta in params.items():
         g = grads[name]
-        if not np.isfinite(g).all():
+        if not np.logical_and.reduce(np.isfinite(g), axis=None):
             raise TrainingError(f"non-finite gradient in parameter block '{name}'")
         g = g + l2 * theta
         if name not in state.m:

@@ -97,6 +97,7 @@ class TestConfigParsing:
         ("[train]\nbatch_size = 0\n", "train batch_size must be >= 1 and epochs >= 0"),
         ("[train]\nepochs = -1\n", "train batch_size must be >= 1 and epochs >= 0"),
         ("[task]\nclasses = 1\n", "task needs classes >= 2, frames >= 1, frame_dim >= 1"),
+        ("[task]\nnoise = -1\n", "task noise must be >= 0"),
         ("[model]\nmode = hidden-only\n",
          "model mode must be one of ('full', 'input-only'), got 'hidden-only'"),
         ("[model]\nn_shape = 16,17,1\n",
@@ -115,7 +116,7 @@ class TestConfigParsing:
         ("[train]\nepochs = soon\n", "[train] epochs = 'soon': expected an integer"),
         ("[task]\nnoise = loud\n", "[task] noise = 'loud': expected a number"),
     ], ids=["dropout-one", "dropout-negative", "learning-rate", "l2-coeff", "batch-size",
-            "epochs", "classes", "mode",
+            "epochs", "classes", "noise", "mode",
             "shape-lengths-differ", "shape-length-one", "leaf-rank",
             "internal-rank", "frame-dim", "shape-empty-item", "shape-trailing-comma",
             "int-not-a-number", "float-not-a-number"])

@@ -641,6 +641,29 @@ class TestBptt:
         forward_sequence(cell, head, batch[1][0])
         assert calls == {"step_cached": 3, "step_packed": 3}
 
+    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
+    def test_np_dot_calls_do_not_grow_with_steps(self, mode, monkeypatch):
+        # the GEMMs of every step and of the head are bound ndarray.dot (or
+        # @) calls, which skip np.dot's Python-level dispatch: a minibatch
+        # calls np.dot only to build the HT frames (once) and to finish
+        # them (twice), whatever its number of steps
+        cell = make_dense_cell(4, 4, seed=3) if mode == "dense" else small_cell(mode, seed=3)
+        head = make_head(3, cell.hidden_size, seed=0)
+        rng = np.random.default_rng(28)
+        dot, calls = np.dot, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return dot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", spy)
+        for lengths in ((2, 3, 1), (5, 4, 6, 3)):
+            batch = [(rng.normal(size=(steps, 4)), steps % 3) for steps in lengths]
+            for input_grads in (False, True):
+                calls.clear()
+                bptt(cell, head, batch, return_input_grads=input_grads)
+                assert len(calls) == (0 if mode == "dense" else 3), (lengths, input_grads)
+
     def test_one_run_plan_per_frame_and_no_tensordot_on_a_hit(self, monkeypatch):
         # forward_sequence runs the plan once per frame; a call whose
         # factors are unchanged runs two np.dot GEMMs and no np.tensordot

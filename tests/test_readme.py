@@ -4,8 +4,12 @@ import configparser
 import re
 from pathlib import Path
 
+import numpy as np
+
 from fdht.cli import _COMMANDS
 from fdht.config import RunConfig, emit_config, load_config
+from fdht.ht import htl_forward, init_ht_weight
+from fdht.lstm import GATES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +38,27 @@ def test_cli_examples_name_real_commands_and_configs():
         assert command in _COMMANDS, command
         load_config(README.parent / path)
     assert {command for command, _ in examples} == set(_COMMANDS)
+
+
+def test_plan_cache_figures_match_the_cache():
+    # "The cost is resident memory ...: N bytes of array data at `config`
+    # (...), N at `config`, ..." against the arrays that HTWeight keeps
+    # after one htl_forward, each buffer counted once: the snapshot's
+    # bytes, which the factor views share, and every kept array's owner
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"The cost is resident memory(.*?)each buffer counted once", text)
+    listed = {name: int(figure.replace(",", "")) for figure, name in
+              re.findall(r"([\d,]+) (?:bytes of array data )?at `([\w-]+)`", sentence.group(1))}
+    assert len(listed) == 5
+    for name, figure in listed.items():
+        model = load_config(README.parent / "configs" / f"{name}.ini").model
+        w = init_ht_weight(model.m_shape, model.n_shape, model.leaf_rank,
+                           model.internal_rank, GATES, model.seed)
+        htl_forward(w, np.zeros(w.in_size))
+        _, snapshot, (kept, fl, v, *_) = w._weight_steps
+        buffers = {id(snapshot): len(snapshot)}
+        for a in (*kept.values(), fl, v):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers.setdefault(id(a if a.base is None else a.base), a.nbytes)
+        assert sum(buffers.values()) == figure, name

@@ -250,9 +250,9 @@ class RootFrames:
 
     with T' the (m_L, r_L n_R) reshape of T and Y the output as
     (m_L, g, m_R). ``forward`` and ``product`` return Y as a gate-major
-    view, (g, m_L, m_R), and copy nothing into that order themselves.
-    ``backward`` accumulates the cotangent of U and, per sequence, that
-    of V; ``finish`` takes them back through the frame build into
+    view, (g, ..., m_L, m_R), and copy nothing into that order themselves.
+    ``backward`` accumulates the cotangent of U and, per group, that of
+    V; ``finish`` takes them back through the frame build into
     ``sink``, one array per factor. U and V are built from the factors at
     construction and ``finish`` reads the factors again, so keep them
     unchanged until ``finish`` and build new frames after every update.
@@ -260,25 +260,28 @@ class RootFrames:
     only ``product``. ``backward`` returns the input cotangent from row
     ``start`` on, for which the rows of U.T are prepared once.
 
-    Products come in sequences, each opened by ``begin(block)`` over a
-    (steps, N) block of inputs, whose row k ``forward(x, k)`` multiplies,
-    and closed by ``end()``. ``begin`` prepares every row's GEMM operands
-    as views: X, the row as an n_L x n_R matrix, and its transpose, T as a
-    slot of a (steps, m_L, r_L n_R) block, and dy as a slot of a
-    (steps, m_L, g m_R) block, whose gate-major (g, m_L, m_R) view is
-    prepared too. Product k writes Y into its dy slot, which ``backward`` then
-    overwrites with dy, so the sequence's V cotangent, the sum of
-    T'_k.T @ dy_k, is a GEMM with inner dimension steps * m_L, run by
-    ``end``. It is accumulated transposed, as ``dvt`` = the sum of
-    dy_k.T @ T'_k, the faster orientation of that GEMM on OpenBLAS. Run
-    and backward every row once before then. The next sequence reuses the
-    blocks unless its length differs. The frames keep no child frame;
-    ``finish`` rebuilds FR from the factors. Each GEMM of ``forward`` and
-    ``backward`` is a bound ``ndarray.dot``: the BLAS call of ``np.dot``
-    and ``@``, so the same bits, without the dispatch of either. ``dot``
-    copies an operand that is neither C- nor F-contiguous; of these only
-    the U.T rows can be one, when they are more than one and fewer than
-    all. ``end`` keeps ``@``, which reads its strided column slices in
+    Products come in groups of k sequences that run in lockstep, each
+    opened by ``begin(block)`` over a (steps, k, N) block of inputs, whose
+    row t ``forward(x, t)`` multiplies, and closed by ``end()``. A row's T
+    for the whole group goes into one (k, m_L r_L, n_R) scratch through
+    one ``np.matmul``, and its Y, one GEMM with M = k m_L, into slot t of
+    a (steps, k m_L, g m_R) dy block, which ``backward`` then overwrites
+    with dy. ``backward`` writes dt, again one GEMM, into T's scratch,
+    adds the dU products one sequence at a time and runs the dh rows of
+    the group in one ``np.matmul``. No T' block is kept: ``end``
+    rebuilds each row's T' into the scratch and adds dy_t.T @ T'_t to
+    ``dvt``, the V cotangent held transposed (the faster orientation of
+    that GEMM on OpenBLAS), in blocks of whole gates of at most k m_L
+    rows. Run and backward every row once before then. ``begin``
+    prepares the views of every row (X, X^T, the dy slot and its
+    gate-major view) and those of ``end``; the next group reuses the
+    blocks unless its length or size differs. The frames keep no child
+    frame; ``finish`` rebuilds FR from the factors. The row GEMMs of
+    ``forward`` and ``backward`` are bound ``ndarray.dot`` calls: the BLAS
+    call of ``np.dot`` and ``@``, so the same bits, without the dispatch of
+    either; ``dot`` copies an operand that is neither C- nor F-contiguous,
+    so the products over a group's sequences or over strided operands
+    (T, the dh rows and ``end``'s) are ``np.matmul``, which reads them in
     place.
     """
 
@@ -301,35 +304,42 @@ class RootFrames:
         self.vt = self.v.T
         self.du = np.zeros(self.u.shape)
         self.dvt = np.zeros((g * mr, rl * nr))
-        self.t_block = self.dy_block = np.empty((0, ml, 0))
+        self.ts = np.empty((0, ml * rl, nr))
+        self.dy_block = np.empty((0, 0, g * mr))
         self.ut = self.u[:, start // nr:].T if start < nl * nr else None
         self.cut = start % nr
 
     def begin(self, block):
-        """Open a sequence over the (steps, N) ``block``, which is read in
-        place: leave it unchanged until ``end``. Returns the dy block's
-        memory as (steps, g, m_L m_R) rows, one per product, to store
-        into: row k holds Y (laid out as dy, not as this view) from
-        ``forward(x, k)`` on, is the caller's once it has read Y, and is
-        overwritten by ``backward(k, dy)``."""
+        """Open a group of k sequences over the (steps, k, N) ``block``,
+        which is read in place: leave it unchanged until ``end``. Returns
+        the dy block's memory as (steps, g, k, m_L m_R) rows, one per
+        product, to store into: row t holds Y (laid out as dy, not as this
+        view) from ``forward(x, t)`` on, is the caller's once it has read
+        Y, and is overwritten by ``backward(t, dy)``."""
         g, rl, ml, mr, nl, nr = self.shape
-        steps = len(block)
-        if len(self.t_block) != steps:
-            self.t_block = np.empty((steps, ml, rl * nr))  # T' = T as (m_L, r_L n_R)
-            self.dy_block = np.empty((steps, ml, g * mr))
-            self.ts = self.t_block.reshape(steps, ml * rl, nr)
-            self.dys = self.dy_block.reshape(steps, ml, g, mr).transpose(0, 2, 1, 3)
-        self.xs = block.reshape(steps, nl, nr)
-        self.xts = self.xs.transpose(0, 2, 1)
-        return self.dy_block.reshape(steps, g, ml * mr)
+        steps, k = block.shape[:2]
+        if len(self.ts) != k:
+            self.ts = np.empty((k, ml * rl, nr))  # T, then dt, for one row
+            self.tt = self.ts.reshape(k * ml, rl * nr)  # T' = T as (k m_L, r_L n_R)
+        if self.dy_block.shape[:2] != (steps, k * ml):
+            self.dy_block = self.dys = None  # the last group's rows go first
+            self.dy_block = np.empty((steps, k * ml, g * mr))
+            self.dys = self.dy_block.reshape(steps, k, ml, g, mr).transpose(0, 3, 1, 2, 4)
+        self.xs = block.reshape(steps, k, nl, nr)
+        self.xts = self.xs.transpose(0, 1, 3, 2)
+        # end's blocks of whole gates, each at most T' rows, or one gate
+        rows = max(mr, k * ml // mr * mr)
+        self.dv_blocks = [(self.dvt[r:r + rows], self.dy_block[:, :, r:r + rows].transpose(0, 2, 1))
+                          for r in range(0, g * mr, rows)]
+        return self.dy_block.reshape(steps, g, k, ml * mr)
 
-    def forward(self, x, k):
-        """``W @ x`` for row k of the open sequence as a (g, m_L, m_R)
-        view, which the row's ``backward`` overwrites. ``x`` is read
-        through the views ``begin`` prepared for that row."""
-        self.u.dot(self.xs[k], out=self.ts[k])
-        self.t_block[k].dot(self.v, out=self.dy_block[k])
-        return self.dys[k]
+    def forward(self, x, t):
+        """``W @ x`` for the (k, N) row t of the open group as a
+        (g, k, m_L, m_R) view, which the row's ``backward`` overwrites.
+        ``x`` is read through the views ``begin`` prepared for that row."""
+        np.matmul(self.u, self.xs[t], out=self.ts)
+        self.tt.dot(self.v, out=self.dy_block[t])
+        return self.dys[t]
 
     def product(self, x):
         """``W @ x`` for a (B, N) block of inputs as a (g, B, m_L, m_R)
@@ -340,40 +350,41 @@ class RootFrames:
         y = t.reshape(b * ml, rl * nr) @ self.v
         return y.reshape(b, ml, g, mr).transpose(2, 0, 1, 3)
 
-    def backward(self, k, dy):
-        """Accumulate the U cotangent of product k and keep its ``dy``, g H
-        entries in gate order, for the sequence's V cotangent; returns
-        ``(W.T @ dy)[start:]`` for the frames' ``start``. Only the n_L-rows
-        of X from ``start // n_R`` on are computed, and none when ``start``
-        is the input length."""
-        g, rl, ml, mr, nl, nr = self.shape
-        slot = self.dys[k]
+    def backward(self, t, dy):
+        """Accumulate the U cotangent of row t's products and keep its
+        (g, k, m_L, m_R) ``dy``, which may be that row's own memory, for
+        the group's V cotangent; returns ``(W.T @ dy)[start:]`` for the
+        frames' ``start``, one row per sequence. Only the n_L-rows of X
+        from ``start // n_R`` on are computed, and none when ``start`` is
+        the input length. dt is written into T's scratch."""
+        slot = self.dys[t]
         slot[...] = dy.reshape(slot.shape)
-        dt = self.dy_block[k].dot(self.vt).reshape(ml * rl, nr)
-        self.du += dt.dot(self.xts[k])
+        self.dy_block[t].dot(self.vt, out=self.tt)
+        for dt, xt in zip(self.ts, self.xts[t]):
+            self.du += dt.dot(xt)
         if self.ut is None:
-            return np.empty(0)
-        return self.ut.dot(dt).reshape(-1)[self.cut:]
+            return np.empty((len(self.ts), 0))
+        return np.matmul(self.ut, self.ts).reshape(len(self.ts), -1)[:, self.cut:]
 
     def end(self):
-        """Add the V cotangent of the open sequence's products to ``dvt``,
-        one gate's m_R rows at a time when the whole product would be
-        larger than the sequence's T' block, else in one GEMM, and let go
-        of the sequence's block."""
-        self.xs = self.xts = None
-        g, rl, ml, mr, nl, nr = self.shape
-        dy = self.dy_block.reshape(-1, g * mr)
-        t = self.t_block.reshape(-1, rl * nr)
-        rows = mr if g * mr > len(t) else g * mr
-        for r in range(0, g * mr, rows):
-            self.dvt[r:r + rows] += dy[:, r:r + rows].T @ t
+        """Add the V cotangent of the open group's products to ``dvt`` and
+        let go of the group's block. T' is not kept: each row's is rebuilt
+        into T's scratch, and its product with the row's dy is added in
+        the blocks ``begin`` prepared, whole gates of at most T's k m_L
+        rows, or one gate's m_R rows where a gate alone is larger, so no
+        temporary is larger than the scratch or one gate's block."""
+        for t, x in enumerate(self.xs):
+            np.matmul(self.u, x, out=self.ts)
+            for dvt, dyt in self.dv_blocks:
+                dvt += dyt[t] @ self.tt
+        self.xs = self.xts = self.dv_blocks = None
 
     def finish(self):
-        """Add the factor cotangents of every ended sequence to ``sink``.
-        The sequence blocks, U, V and the U.T rows are freed first, so the
+        """Add the factor cotangents of every ended group to ``sink``.
+        The group blocks, U, V and the U.T rows are freed first, so the
         frames take no more products; the projection reads only dU,
         ``dvt`` and the factors."""
-        self.t_block = self.dy_block = self.ts = self.dys = None
+        self.dy_block = self.dys = self.ts = self.tt = None
         self.u = self.v = self.vt = self.ut = None
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root

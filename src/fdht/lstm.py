@@ -3,31 +3,33 @@
 One cell class owns the LSTM: it concatenates the input vector, zero
 padding and previous hidden state to the map's input length, applies a
 *gate map* once per time step, and splits the 4H pre-activations
-gate-major in the order f, u, c, o. A sequence gets its blocks once
-(``Sequence``): its packed (steps, N) inputs, whose h slices the steps
-write, and the gate stage's activations, cell states and tanh(c), which
-the steps write in place and the backward reads. The gate map is the
-only part that differs between the paper's cell and its baseline:
+gate-major in the order f, u, c, o. A group of equal-length sequences,
+which step in lockstep, gets its blocks once (``Sequence``): its packed
+(steps, k, N) inputs, whose h slices the steps write, and the gate
+stage's activations, cell states and tanh(c), which the steps write in
+place and the backward reads. The gate map is the only part that
+differs between the paper's cell and its baseline:
 
 - ``HtGateMap`` (``FdhtLstmCell``) stores the stacked input-to-hidden and
   hidden-to-hidden matrices of all four gates in HT form with root rank
   ``GATES``, so the leading output mode selects the gate. A single step
   runs the contraction plan; BPTT prepares the root-children frames once
-  per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step,
-  with the weight-gradient GEMMs of a whole sequence run when it ends.
+  per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step of
+  a group, with the V cotangent's GEMMs run when the group ends.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
   prepared for BPTT, with a gradient buffer, it runs its weight-gradient
   GEMMs once per minibatch.
 
 Each gate map returns its pre-activations gate-major in its own layout,
-with no copy of its own; the gate stage reshapes them to its (4, H) block.
+with no copy of its own; the gate stage reshapes them to its (4, k, H)
+block.
 ``forward_split`` runs an evaluation split in blocks of sequences, each
 as one (b, N) block per time step.
 
 In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
 recurrent matrix owned by the cell supplies the hidden-to-hidden terms;
-in BPTT a ``DenseGateMap`` over each sequence's h rows computes its
-gradient, in GEMMs once per sequence.
+in BPTT a ``DenseGateMap`` over each group's h rows computes its
+gradient, in GEMMs once per group.
 The cell's bias is one (4, H) array ``biases``, rows f, u, c, o, held as
 one block named ``biases`` in ``params()`` and in every gradient dict.
 """
@@ -45,6 +47,12 @@ MODES = ("full", "input-only")
 GATE_ORDER = ("f", "u", "c", "o")
 GATES = len(GATE_ORDER)  # the HT root rank: one output slice per gate
 SPLIT_BLOCK_BYTES = 2 << 20  # forward_split's block budget: a synthetic split is one block
+# Sequences that one BPTT step serves at once. A group holds k sequences'
+# packed, gate-stage and dy blocks, paid for by the frames holding no T'
+# block (``RootFrames.end`` rebuilds it); a third sequence's blocks would
+# raise a minibatch's peak memory by more than 5% at both the synthetic
+# and the hmdb51-cnn geometry.
+GROUP = 2
 
 
 @dataclass(eq=False)
@@ -111,9 +119,9 @@ class HtGateMap:
     def params(self) -> dict[str, np.ndarray]:
         return {f"ht.{i}": f for i, f in enumerate(self.weight.factors)}
 
-    def forward(self, packed, k):
-        """``W @ packed`` as (g, m_1..m_d); ``k``, a row of an open
-        sequence, matters only to prepared frames."""
+    def forward(self, packed, t):
+        """``W @ packed`` as (g, m_1..m_d), for one (1, N) row; ``t``, a
+        row of an open group, matters only to prepared frames."""
         return output_from_tape(self.weight, run_plan(self.weight,
                                                       packed.reshape(self.weight.n_shape)))
 
@@ -129,10 +137,11 @@ class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix, which serves ``product``.
     With a gradient buffer ``grad`` and a ``start`` it also serves BPTT:
     it keeps every input block that ``begin`` opens and, in one
-    (steps, 4H) block per sequence, the dz that ``backward`` gets for each
-    row, so ``finish`` adds the weight gradient in one GEMM per gate.
-    ``prepare`` makes one per minibatch (the dense cell), ``Sequence`` one
-    per sequence over its h rows (the input-only recurrent matrix)."""
+    (steps, k, 4H) block per group of k sequences, the dz that
+    ``backward`` gets for each row, so ``finish`` adds the weight gradient
+    in one GEMM per gate. ``prepare`` makes one per minibatch (the dense
+    cell), ``Sequence`` one per group over its h rows (the input-only
+    recurrent matrix)."""
 
     def __init__(self, w, grad=None, start=0):
         self.weight = np.asarray(w, dtype=np.float64)
@@ -147,9 +156,10 @@ class DenseGateMap:
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.weight}
 
-    def forward(self, packed, k):
-        """``W @ packed`` as (g, H); ``k`` as for ``HtGateMap.forward``."""
-        return self.weight.dot(packed).reshape(GATES, -1)
+    def forward(self, packed, t):
+        """``W @ x`` for each of the (k, N) rows ``packed`` as a (g, k, H)
+        view; ``t`` as for ``HtGateMap.forward``."""
+        return packed.dot(self.weight.T).reshape(len(packed), GATES, -1).transpose(1, 0, 2)
 
     def product(self, x):
         """``W @ x`` for a (B, N) block of inputs as a (g, B, H) view."""
@@ -162,70 +172,83 @@ class DenseGateMap:
         return self if grads is None else DenseGateMap(self.weight, grads["w"], start)
 
     def begin(self, block):
-        """Open a sequence over the (steps, N) input ``block``, which is
+        """Open a group over the (steps, k, N) input ``block``, which is
         read in place at ``finish``: leave each row unchanged once its
-        product ran. Returns the sequence's dz block as (steps, g, H) rows:
-        row k is the caller's until ``backward(k, dz)`` writes dz into it."""
-        self.x_blocks.append(block)
-        self.dz_blocks.append(np.empty((len(block), self.weight.shape[0])))
-        return self.dz_blocks[-1].reshape(len(block), GATES, -1)
+        product ran. Returns the group's dz block as (steps, g, k, H) rows:
+        row t is the caller's until ``backward(t, dz)`` writes dz into it."""
+        steps, k, n = block.shape
+        self.x_blocks.append(block.reshape(-1, n))
+        self.dz_blocks.append(np.empty((steps, k, self.weight.shape[0])))
+        return self.dz_blocks[-1].reshape(steps, GATES, k, -1)
 
     def end(self):
-        """Nothing to add per sequence: ``finish`` adds every one."""
+        """Nothing to add per group: ``finish`` adds every one."""
 
-    def backward(self, k, dz):
-        """Keep ``dz`` of the open sequence's row ``k``; returns
-        ``(W.T @ dz)[start:]`` for the prepared ``start``."""
-        row = self.dz_blocks[-1][k]
-        row[...] = dz.reshape(-1)
-        return self.weight[:, self.start:].T @ row
+    def backward(self, t, dz):
+        """Keep the (g, k, H) ``dz`` of the open group's row t, which may
+        be that row's own memory; returns ``(dz.T @ W)[:, start:]``, one
+        row per sequence, for the prepared ``start``."""
+        row = self.dz_blocks[-1][t]
+        k = len(row)
+        row.reshape(k, GATES, -1).transpose(1, 0, 2)[...] = dz.reshape(GATES, k, -1)
+        return row @ self.weight[:, self.start:]
 
     def finish(self):
         """Add ``dz.T @ x`` over every kept row to ``grad``, one gate's H
         rows at a time, so no (4H x N) product sits beside ``grad``."""
-        dz, x = np.concatenate(self.dz_blocks), np.concatenate(self.x_blocks)
+        dz = np.concatenate([b.reshape(-1, len(self.grad)) for b in self.dz_blocks])
+        x = np.concatenate(self.x_blocks)
         self.x_blocks = self.dz_blocks = None
         for r in range(0, len(self.grad), self.hidden_size):
             self.grad[r:r + self.hidden_size] += dz[:, r:r + self.hidden_size].T @ x
 
 
 class Sequence:
-    """The blocks of one sequence, allocated once and written in place by
-    its steps. ``packed`` is the (steps, N) block of the packed inputs:
-    the frames of ``xs``, then zeros over the pad and the h slice;
-    ``check_frames`` rejects a sequence that is not (steps, n_x).
-    Step t writes its activations f, u, c_in, o into ``act[t]``, its cell
-    state into ``c[t + 1]`` (``c[0]`` is the initial one), tanh of that
-    into ``tanh_c[t]`` and its hidden state into ``h[t + 1]``. With
-    ``frames``, prepared for BPTT, they open the sequence (``begin``) and
-    ``act`` is the block of 4H rows that ``begin`` returns: row t holds the
-    gate map's output, then the activations, then, once the step's
+    """The blocks of a group of k equal-length sequences, allocated once
+    and written in place by its steps; each step serves all k. ``packed``
+    is the (steps, k, N) block of the packed inputs: the frames of each
+    of the k sequences ``xs``, then zeros over the pad and the h slice;
+    ``check_frames`` rejects a sequence that is not (steps, n_x). Step t
+    writes the group's activations f, u, c_in, o into ``act[t]``, one
+    contiguous (4, k, H) block, its cell states into ``c[t + 1]``
+    (``c[0]`` is the initial one), tanh of those into ``tanh_c[t]`` and
+    its hidden states into ``h[t + 1]``, each (k, H).
+    ``bias`` is the cell's biases tiled to (4, k, H), so the gate stage
+    runs on contiguous blocks (``bptt`` tiles them once per minibatch).
+    With ``frames``, prepared for BPTT, they open the group (``begin``)
+    and ``act`` is the block of rows that ``begin`` returns: row t holds
+    the gate map's output, then the activations, then, once the step's
     backward has read them, its dz. Else ``act`` is a block of its own.
     In full mode ``h[t]`` is the h slice of packed row t, where the gate
-    map reads it, and the last hidden state is a vector of its own; in
-    input-only mode ``h`` is a (steps + 1, H) block, which the recurrent
-    matrix reads, and with ``grads`` (BPTT) ``recurrent`` is that
-    matrix's ``DenseGateMap``, opened over ``h[:steps]`` with
-    ``grads["recurrent"]``. ``state`` sets ``h[0]`` and ``c[0]``, zero
-    without it."""
+    map reads it, and the last hidden states are a block of their own; in
+    input-only mode ``h`` is a (steps + 1, k, H) block, which
+    ``recurrent``, a ``DenseGateMap`` over the recurrent matrix, reads;
+    with ``grads`` (BPTT) that map is opened over ``h[:steps]`` with
+    ``grads["recurrent"]``. ``state`` sets every ``h[0]`` and ``c[0]``,
+    zero without it."""
 
-    def __init__(self, cell, xs, state=None, frames=None, grads=None):
-        xs = check_frames(xs, cell.n_x)
-        steps, h = len(xs), cell.hidden_size
-        self.packed = np.empty((steps, cell.gate_map.in_size))
-        self.packed[:, : cell.n_x] = xs
-        self.packed[:, cell.n_x:] = 0.0
-        self.act = (np.empty((steps, GATES, h)) if frames is None
+    def __init__(self, cell, xs, state=None, frames=None, grads=None, bias=None):
+        xs = [check_frames(x, cell.n_x) for x in xs]
+        k, steps, h = len(xs), len(xs[0]), cell.hidden_size
+        self.packed = np.empty((steps, k, cell.gate_map.in_size))
+        for j, x in enumerate(xs):
+            self.packed[:, j, : cell.n_x] = x
+        self.packed[:, :, cell.n_x:] = 0.0
+        if bias is None:  # a view for one sequence, as for every step of cell.step
+            bias = cell.biases[:, None] if k == 1 else np.repeat(cell.biases[:, None], k, 1)
+        self.bias = bias
+        self.act = (np.empty((steps, GATES, k, h)) if frames is None
                     else frames.begin(self.packed))
-        self.c = np.zeros((steps + 1, h))
-        self.tanh_c = np.empty((steps, h))
+        self.c = np.zeros((steps + 1, k, h))
+        self.tanh_c = np.empty((steps, k, h))
         if cell.recurrent is None:
-            self.h = list(self.packed[:, cell.h_start:])
-            self.h.append(np.empty(h))
+            self.h = list(self.packed[:, :, cell.h_start:])
+            self.h.append(np.empty((k, h)))
         else:
-            self.h = np.zeros((steps + 1, h))
+            self.h = np.zeros((steps + 1, k, h))
+            self.recurrent = DenseGateMap(cell.recurrent,
+                                          None if grads is None else grads["recurrent"])
             if grads is not None:
-                self.recurrent = DenseGateMap(cell.recurrent, grads["recurrent"])
                 self.recurrent.begin(self.h[:steps])
         if state is not None:
             self.h[0][...] = state.h
@@ -286,36 +309,41 @@ class FdhtLstmCell:
     def step_cached(self, x, state: LstmState) -> LstmState:
         """One recurrence step through the gate map's own forward (the
         plan for HT), run on a one-step ``Sequence``."""
-        seq = Sequence(self, np.asarray(x, dtype=np.float64)[np.newaxis], state)
+        seq = Sequence(self, [np.asarray(x, dtype=np.float64)[np.newaxis]], state)
         self.step_packed(self.gate_map, seq, 0)
-        return LstmState(seq.h[1], seq.c[1])
+        return LstmState(seq.h[1][0], seq.c[1][0])
 
     def step_packed(self, frames, seq: Sequence, t: int):
-        """Step t of ``seq``: apply ``frames.forward`` to its packed row
-        (whose h slice, in full mode, step t - 1 wrote), gate and update,
-        all written into ``seq``. ``frames`` is the gate map, or, for
-        ``step_backward``, what its ``prepare`` returned, which opened
-        ``seq``."""
+        """Step t of the group ``seq``: apply ``frames.forward`` to its
+        (k, N) packed row (whose h slices, in full mode, step t - 1 wrote),
+        gate and update, all written into ``seq``. ``frames`` is the gate
+        map, or, for ``step_backward``, what its ``prepare`` returned,
+        which opened ``seq``."""
         z = frames.forward(seq.packed[t], t)
         if self.recurrent is not None:
-            z = z + self.recurrent.dot(seq.h[t]).reshape(z.shape)
-        _gate_forward(z, self.biases, seq.c[t], seq.act[t], seq.c[t + 1],
+            z = z + seq.recurrent.forward(seq.h[t], t).reshape(z.shape)
+        _gate_forward(z, seq.bias, seq.c[t], seq.act[t], seq.c[t + 1],
                       seq.tanh_c[t], seq.h[t + 1])
 
     def step_backward(self, frames, seq: Sequence, t: int, dh, dc, grads):
-        """Accumulate the gradients of step t of ``seq``: biases into
-        ``grads``, the gate map into ``frames`` and, in input-only mode, the
-        recurrent matrix into ``seq.recurrent``, which then gives dh_prev.
-        Returns (dh_prev, dc_prev, dx), the input cotangent read from the
-        row ``frames.start`` that ``prepare`` fixed: dx is None unless it is
-        0. The gate stage reads ``seq.act[t]`` before ``frames.backward``
-        writes dz over it (a row of the frames' own, opened by ``begin``)."""
+        """Accumulate the gradients of step t of the group ``seq``, given
+        its (k, H) ``dh`` and ``dc``: biases into ``grads``, the gate map
+        into ``frames`` and, in input-only mode, the recurrent matrix into
+        ``seq.recurrent``, which then gives dh_prev. Returns (dh_prev,
+        dc_prev, dx), each with one row per sequence, dx the input
+        cotangent read from the row ``frames.start`` that ``prepare``
+        fixed: None unless it is 0. The gate stage reads ``seq.act[t]``,
+        a row of the frames' own opened by ``begin``, then writes dz over
+        it, so no dz of its own is alive while ``frames.backward`` moves
+        it into place and runs its GEMMs."""
         dz, dc_prev = _gate_backward(seq.act[t], seq.c[t], seq.tanh_c[t], dh, dc)
-        grads["biases"] += dz
+        grads["biases"] += np.add.reduce(dz, 1)
+        if self.recurrent is not None:  # before frames.backward moves dz in its row
+            dh_prev = seq.recurrent.backward(t, dz)
         d_packed = frames.backward(t, dz)
-        dx = None if frames.start else d_packed[: self.n_x]
-        dh_prev = (d_packed[self.h_start - frames.start:] if self.recurrent is None
-                   else seq.recurrent.backward(t, dz))
+        if self.recurrent is None:
+            dh_prev = d_packed[:, self.h_start - frames.start:]
+        dx = None if frames.start else d_packed[:, : self.n_x]
         return dh_prev, dc_prev, dx
 
 
@@ -331,7 +359,8 @@ def _gate_forward(z, bias, c_prev, act, c, tanh_c, h):
     the sigmoid over all four rows, then tanh over the candidate row,
     written into ``act`` (f, u, c_in, o), then the cell state ``c``,
     ``tanh_c`` and ``h``. ``z`` is gate-major in the gate map's own layout
-    and ``bias`` is (4, H), or a (4, B, H) view for a batch. Reshaping
+    and ``bias`` is (4, k, H), the cell's biases tiled over a group, or a
+    (4, B, H) broadcast view for a block of a split. Reshaping
     ``z`` to ``bias`` copies it only when that layout is strided; a ufunc
     reading the strided layout costs more than that copy. ``z`` is read
     whole into the biased pre-activations before ``act`` is written, so
@@ -346,11 +375,13 @@ def _gate_forward(z, bias, c_prev, act, c, tanh_c, h):
 
 
 def _gate_backward(act, c_prev, tanh_c, dh, dc):
-    """Returns the (4, H) pre-activation gradient and dc_prev of a step
-    that ``_gate_forward`` ran. Each gate row is (upstream * p) * q with
+    """Returns the (4, ..., H) pre-activation gradient dz and dc_prev of a
+    step that ``_gate_forward`` ran, with dz written over ``act``, which
+    is read in full before. Each gate row is (upstream * p) * q with
     p = act and q = 1 - act, except the candidate row, where p = 1 and
     q = 1 - c_in**2; keeping that order of products gives the bits of the
-    per-gate formulas."""
+    per-gate formulas. q is formed in ``act`` itself, so the stage holds
+    one (4, ..., H) block of its own, the upstream products."""
     f, u, c_in, o = act
     dc_total = np.square(tanh_c)
     np.subtract(_ONE, dc_total, dc_total)
@@ -361,13 +392,12 @@ def _gate_backward(act, c_prev, tanh_c, dh, dc):
     np.multiply(dc_total, c_in, up[1])
     np.multiply(dc_total, u, up[2])
     np.multiply(dh, tanh_c, up[3])
-    dz = up * act
-    dz[2] = up[2]
-    q = np.subtract(_ONE, act)
-    q_c = q[2]
-    np.subtract(_ONE, np.square(c_in, q_c), q_c)
-    dz *= q
-    return dz, dc_total * f
+    np.multiply(up[:2], act[:2], up[:2])
+    np.multiply(up[3], o, up[3])
+    dc_prev = dc_total * f
+    np.square(c_in, c_in)
+    np.subtract(_ONE, act, act)
+    return np.multiply(up, act, act), dc_prev
 
 
 def check_frames(xs, n_x: int, ndim: int = 2) -> np.ndarray:
@@ -495,27 +525,33 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     and its gradients with respect to every cell, bias and head parameter.
 
     The gate map is prepared once for the batch (for HT, the root-children
-    frames of the current factors); sequences then run one at a time and its
-    factor gradients are finished once at the end. Each sequence is packed
-    and given its gate-stage blocks once (``Sequence``), and the frames open
-    it with ``begin`` and close it with ``end``, where the HT frames add its
-    V cotangent in at most one GEMM per gate. The dense frames keep every
-    sequence's packed block and dz rows and add the weight gradient in one
-    GEMM per gate in ``finish``; in input-only mode each sequence's own
-    recurrent map does so once its backward is done. Steps write into the
-    sequence's blocks and keep no cache of their own. Step t's activations
-    live in the frames' 4H row t, between the gate map's output and the
-    step's dz: the gate stage reads the output into its biased
-    pre-activations before it writes them, and the step's backward reads
-    them before the frames write dz. A sequence's blocks are dropped when
-    its backward is done, before ``end``, so the peak memory does not grow
-    with the batch. The frames' input cotangent starts at row 0 with
-    ``return_input_grads``, else at the h slice (full mode) or past the
-    input (input-only: no rows). A ``dropout_rate`` outside [0, 1) is a
-    ValueError; dropout, when enabled, is applied to the final hidden state
-    before the head (inverted scaling) and needs an ``rng``. Returns (loss,
-    grads) or (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t
-    for example i.
+    frames of the current factors) and its factor gradients are finished
+    once at the end. The sequences run in lockstep groups of ``GROUP``
+    consecutive ones of equal length, in batch order, so that each forward
+    and backward step serves the whole group; a sequence whose neighbour
+    has another length, or the odd last one, is a group of one. Each group
+    is packed and given its gate-stage blocks once (``Sequence``), and the
+    frames open it with ``begin`` and close it with ``end``, where the HT
+    frames rebuild its T' one step at a time and add its V cotangent in
+    blocks of whole gates. The dense frames keep every group's packed block
+    and dz rows and add the weight gradient in one GEMM per gate in
+    ``finish``; in input-only mode each group's own recurrent map does so
+    once its backward is done. Steps write into the group's blocks and
+    keep no cache of their own. Step t's activations live in the frames'
+    row t, between the gate map's output and the step's dz: the gate stage
+    reads the output into its biased pre-activations before it writes
+    them, and the step's backward reads them before it writes dz over
+    them. A group's blocks are dropped when its backward is done, before
+    ``end``, so the peak memory does not grow with the batch. The head,
+    the loss and the dropout masks run per sequence in batch order, so a
+    sequence's loss and draws do not depend on its group. The frames'
+    input cotangent starts at row 0 with ``return_input_grads``, else at
+    the h slice (full mode) or past the input (input-only: no rows). A
+    ``dropout_rate`` outside [0, 1) is a ValueError; dropout, when
+    enabled, is applied to the final hidden state before the head
+    (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
+    (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
+    example i.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -526,42 +562,63 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     start = (0 if return_input_grads else cell.h_start if cell.recurrent is None
              else cell.gate_map.in_size)
     frames = cell.gate_map.prepare(grads, start)
-    grad_w, grad_b = grads["head.w"], grads["head.b"]
+    bias = np.repeat(cell.biases[:, None], GROUP, 1)
     total_loss = 0.0
     all_input_grads = []
-    for xs, label in batch:
-        seq = Sequence(cell, xs, frames=frames, grads=grads)
+
+    def run_group(first):
+        # runs the group that starts at batch[first] and returns its size;
+        # its blocks and temporaries go with this call's locals
+        nonlocal total_loss
+        group = [check_frames(batch[first][0], cell.n_x)]
+        for xs, _ in batch[first + 1:first + GROUP]:
+            xs = check_frames(xs, cell.n_x)
+            if len(xs) != len(group[0]):
+                break
+            group.append(xs)
+        k = len(group)
+        seq = Sequence(cell, group, frames=frames, grads=grads, bias=bias[:, :k])
+        group = xs = None  # the checked frames are packed now
         steps = len(seq.packed)
         for t in range(steps):
             cell.step_packed(frames, seq, t)
-        h_used = seq.h[steps]
-        if dropout_rate > 0:
-            mask = (rng.random(h_used.size) >= dropout_rate) / (1.0 - dropout_rate)
-            h_used = h_used * mask
-        logits = head.w.dot(h_used) + head.b
-        loss, dlogits = softmax_cross_entropy(logits, label)
-        total_loss += loss
-
-        grad_w += np.multiply.outer(dlogits, h_used)
-        grad_b += dlogits
-        dh = dlogits.dot(head.w)
-        if dropout_rate > 0:
-            dh = dh * mask
-        dc = np.zeros(dh.size)
-        input_grads = [None] * steps
+        dh = np.empty((k, cell.hidden_size))
+        for j, (_, label) in enumerate(batch[first:first + k]):
+            h_used = seq.h[steps][j]
+            if dropout_rate > 0:
+                mask = (rng.random(h_used.size) >= dropout_rate) / (1.0 - dropout_rate)
+                h_used = h_used * mask
+            logits = head.w.dot(h_used) + head.b
+            loss, dlogits = softmax_cross_entropy(logits, label)
+            total_loss += loss
+            grads["head.w"] += np.multiply.outer(dlogits, h_used)
+            grads["head.b"] += dlogits
+            dlogits.dot(head.w, out=dh[j])
+            if dropout_rate > 0:
+                dh[j] *= mask
+        dc = np.zeros(dh.shape)
+        input_grads = [[None] * steps for _ in range(k)]
         for t in range(steps - 1, -1, -1):
-            dh, dc, input_grads[t] = cell.step_backward(frames, seq, t, dh, dc, grads)
+            dh, dc, dx = cell.step_backward(frames, seq, t, dh, dc, grads)
+            if return_input_grads:
+                for j in range(k):
+                    input_grads[j][t] = dx[j]
         if cell.recurrent is not None:
             seq.recurrent.finish()
         del seq
-        frames.end()  # with the sequence's blocks gone, before the next allocates its own
+        frames.end()  # with the group's blocks gone, before the next allocates its own
         if return_input_grads:
-            all_input_grads.append(input_grads)
+            all_input_grads.extend(input_grads)
+        return k
+
+    first = 0
+    while first < len(batch):
+        first += run_group(first)
     frames.finish()
 
     b = float(len(batch))
-    for k in grads:
-        grads[k] /= b
+    for name in grads:
+        grads[name] /= b
     loss = total_loss / b
     if return_input_grads:
         return loss, grads, [[g / b for g in seq] for seq in all_input_grads]

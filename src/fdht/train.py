@@ -200,8 +200,11 @@ def train(cell, head: Head, train_data: Dataset, test_data: Dataset,
     training only. One history record per epoch, also passed to
     ``on_epoch`` as soon as its epoch ends; epochs=0 returns an empty
     history and leaves all parameters untouched. A ``TrainingError``
-    names its 0-based epoch and minibatch.
+    names its 0-based epoch and minibatch; an empty train split is a
+    ValueError, raised before anything is drawn.
     """
+    if len(train_data) == 0:
+        raise ValueError("cannot train on an empty train split")
     params = model_params(cell, head)
     state = AdamState()
     rng = np.random.default_rng(config.seed)

@@ -359,13 +359,13 @@ class TestRootFrames:
             assert rel() <= 1e-12
 
     def test_end_of_sequence_allocates_one_gate_block(self):
-        # At SPLIT_GEOMETRY, g m_R = 32 rows of V cotangent against a T'
-        # block of 3 m_L = 6 rows, so the sequence's product is added one
-        # gate's m_R = 8 rows at a time: the only array made is one
+        # At SPLIT_GEOMETRY, g m_R = 32 rows of V cotangent against a
+        # rebuilt T' of one row's m_L = 2 rows, so the sequence's product is
+        # added one gate's m_R = 8 rows at a time: the only array made is one
         # (m_R, r_L n_R) = (8, 136) block, 8,704 bytes, against 34,816 for
-        # the whole product. The slack of 2,048 bytes covers the views and
-        # the loop's Python objects (1,104 bytes measured), and stays below
-        # a second gate block.
+        # the whole product; T' is rebuilt into the forward's T scratch.
+        # The slack of 2,048 bytes covers the views and the loop's Python
+        # objects, and stays below a second gate block.
         m, n, leaf, internal = SPLIT_GEOMETRY
         w = init_ht_weight(m, n, leaf, internal, 4, seed=8)
         frames = RootFrames(w, [np.zeros_like(f) for f in w.factors], w.in_size)
@@ -395,14 +395,15 @@ class TestRootFrames:
     def test_prepared_frames_hold_no_child_frame(self):
         # A prepared RootFrames holds U (m_L r_L, n_L) and its cotangent
         # dU, V (r_L n_R, g m_R) and its transposed cotangent dvt, the
-        # (steps, m_L, r_L n_R) T' block and the (steps, m_L, g m_R) dy
-        # block, and no other array of its own: finish rebuilds FR from
-        # the factors. Every other array it holds is a view of those or of
-        # the open sequence's block.
+        # (k, m_L r_L, n_R) T scratch of one row of the open group and its
+        # (steps, k m_L, g m_R) dy block, and no other array of its own: no
+        # T' block (end rebuilds T'), and finish rebuilds FR from the
+        # factors. Every other array it holds is a view of those or of the
+        # open group's block.
         m, n, leaf, internal = REFERENCE_GEOMETRIES["hmdb51-cnn"]
         w = init_ht_weight(m, n, leaf, internal, 4, seed=9)
         frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
-        block = np.zeros((6, w.in_size))
+        block = np.zeros((6, 2, w.in_size))
         frames.begin(block)
         g, rl, ml, mr, nl, nr = frames.shape
         arrays = [a for a in vars(frames).values() if isinstance(a, np.ndarray)]
@@ -410,7 +411,7 @@ class TestRootFrames:
         assert id(block) in owners
         held = sum(o.nbytes for o in owners.values() if o is not block)
         u, v = ml * rl * nl, rl * nr * g * mr
-        assert held == 8 * (2 * u + 2 * v + 6 * ml * rl * nr + 6 * ml * g * mr)
+        assert held == 8 * (2 * u + 2 * v + 2 * ml * rl * nr + 6 * 2 * ml * g * mr)
 
     # at (16, 17): 0, a row boundary, 256 = 15 * 17 + 1 (the synthetic
     # cell's n_x + pad, mid-row) and the input length
@@ -433,16 +434,17 @@ class TestRootFrames:
         run_sequence(frames, rng.normal(size=(1, w.in_size)))
         got = frames.backward(0, dy)
         want = (reconstruct_dense(w).T @ dy)[start:]
-        assert got.shape == want.shape
+        assert got.shape == (1, want.size)
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def run_sequence(frames, xs):
-    """Open a sequence over the (steps, N) ``xs`` and run its products;
-    returns their outputs, each a (g, m_L, m_R) view."""
-    frames.begin(xs)
-    return [frames.forward(x, k) for k, x in enumerate(xs)]
+    """Open a group of one sequence over the (steps, N) ``xs`` and run its
+    products; returns their outputs, each a (g, 1, m_L, m_R) view."""
+    block = xs[:, np.newaxis]
+    frames.begin(block)
+    return [frames.forward(x, k) for k, x in enumerate(block)]
 
 
 class TestPlan:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fdht.lstm
-from fdht.ht import HTWeight, htl_forward, init_ht_weight, reconstruct_dense
+from fdht.ht import HTWeight, RootFrames, htl_forward, init_ht_weight, reconstruct_dense
 from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell,
                        FdhtLstmCell, Head, LstmState, Sequence, _gate_backward,
                        _gate_forward, bptt, forward_sequence, make_cell, make_head,
@@ -138,7 +138,7 @@ class TestStep:
     def test_gate_ranges(self):
         rng = np.random.default_rng(16)
         cell = small_cell(seed=8)
-        seq = Sequence(cell, rng.normal(size=(5, 4)))
+        seq = Sequence(cell, [rng.normal(size=(5, 4))])
         for t in range(5):
             cell.step_packed(cell.gate_map, seq, t)
         for act, tanh_c in zip(seq.act, seq.tanh_c):
@@ -199,11 +199,13 @@ class TestGateStage:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 act, c, tanh_c, h_new = np.empty((4, h)), np.empty(h), np.empty(h), np.empty(h)
                 _gate_forward(pre, b, c_prev, act, c, tanh_c, h_new)
+                gates = act.copy()
                 dz, dc_prev = _gate_backward(act, c_prev, tanh_c, dh, dc)
                 want_h, want_c, want_gates = per_gate_forward(
                     pre, dict(zip("fuco", b)), c_prev)
                 want_dz, want_dc_prev = per_gate_backward(want_gates, dh, dc)
-            assert act.tobytes() == np.stack(want_gates[:4]).tobytes()
+            assert dz is act  # written over the activations, as in BPTT's rows
+            assert gates.tobytes() == np.stack(want_gates[:4]).tobytes()
             assert tanh_c.tobytes() == want_gates[5].tobytes()
             assert np.array_equal(h_new, want_h)
             assert np.array_equal(c, want_c)
@@ -246,33 +248,35 @@ class TestDenseGateMap:
         frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)}, start)
         rng = np.random.default_rng(18)
         packed, dy = rng.normal(size=(1, w.in_size)), rng.normal(size=(4, w.out_size // 4))
-        frames.begin(packed)
-        frames.forward(packed[0], 0)
+        block = packed[:, np.newaxis]  # one row of a group of one
+        frames.begin(block)
+        frames.forward(block[0], 0)
         got = frames.backward(0, dy)
         frames.end()
         frames.finish()
         want = (matrix.T @ dy.reshape(-1))[start:]
-        assert got.shape == want.shape
+        assert got.shape == (1, want.size)
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(frames.grad, np.outer(dy, packed))
 
     def test_sequence_gradient_is_sum_of_outer_products(self):
         # one GEMM per minibatch against the per-step outer products, over
-        # sequences of different lengths
+        # groups of different lengths and sizes
         rng = np.random.default_rng(24)
         matrix = rng.normal(size=(16, 9))
         frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)})
         want = np.zeros_like(matrix)
-        for steps in (3, 5, 5):
-            xs = rng.normal(size=(steps, 9))
+        for steps, k in ((3, 2), (5, 1), (5, 2)):
+            xs = rng.normal(size=(steps, k, 9))
             frames.begin(xs)
-            for k, x in enumerate(xs):
-                frames.forward(x, k)
-            for k in range(steps - 1, -1, -1):
-                dz = rng.normal(size=(4, 4))
-                frames.backward(k, dz)
-                want += np.outer(dz, xs[k])
+            for t, x in enumerate(xs):
+                frames.forward(x, t)
+            for t in range(steps - 1, -1, -1):
+                dz = rng.normal(size=(4, k, 4))
+                frames.backward(t, dz)
+                for j in range(k):
+                    want += np.outer(dz[:, j], xs[t, j])
             frames.end()
         frames.finish()
         assert np.max(np.abs(frames.grad - want)) <= 1e-12 * np.max(np.abs(want))
@@ -448,7 +452,8 @@ class TestBptt:
 
     def test_input_grads_not_kept_unless_requested(self):
         # each dx is a view of its step's whole packed-input gradient, so
-        # holding it for every sequence grows the peak with the batch
+        # holding it for every sequence grows the peak with the batch;
+        # against one group (two sequences), as bptt runs them
         cell = make_cell(4000, (64, 64), (2, 2), 2, 2, seed=0)
         head = make_head(3, cell.hidden_size, seed=1)
         rng = np.random.default_rng(4)
@@ -465,13 +470,14 @@ class TestBptt:
                 tracemalloc.stop()
 
         one_sequence = 4 * cell.gate_map.in_size * 8
-        assert peak(batch) - peak(batch[:1]) <= one_sequence
+        assert peak(batch) - peak(batch[:2]) <= one_sequence
 
     @pytest.mark.parametrize("mode", ["full", "input-only"])
     def test_peak_memory_flat_in_batch_size(self, mode):
         # step caches are dropped as backward uses them and the frames'
-        # sequence blocks are reused, so eight times the sequences may not
-        # raise the peak by more than a few small objects
+        # group blocks are reused, so eight times the sequences (eight
+        # groups against one) may not raise the peak by more than a few
+        # small objects
         cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
         head = make_head(8, cell.hidden_size, seed=2)
         rng = np.random.default_rng(5)
@@ -489,14 +495,14 @@ class TestBptt:
 
         assert peak(batch) <= peak(batch[:2]) + 1024
 
-    def test_input_only_recurrent_gradient_is_one_gemm_per_sequence(self, monkeypatch):
-        # Each sequence opens a DenseGateMap over its h rows, whose finish
-        # adds the recurrent gradient one gate's (H, H) product at a time.
-        # At H = 64 a (4H, H) array, 128 KiB, is large against the slack for
-        # Python objects, so the peak is bounded by the gradient dict, the
-        # frames, one sequence's blocks, its dz and h rows twice (kept, then
-        # concatenated by finish) and one (H, H) gate block: a (4H, H)
-        # product per step breaks the bound.
+    def test_input_only_recurrent_gradient_is_one_gemm_per_group(self, monkeypatch):
+        # Each group of two sequences opens a DenseGateMap over its h rows,
+        # whose finish adds the recurrent gradient one gate's (H, H) product
+        # at a time. At H = 64 a (4H, H) array, 128 KiB, is large against
+        # the slack for Python objects, so the peak is bounded by the
+        # gradient dict, the frames, one group's blocks, its dz and h rows
+        # twice (kept, then concatenated by finish) and one (H, H) gate
+        # block: a (4H, H) product per step breaks the bound.
         n_x, steps, count = 8, 6, 8
         cell = make_cell(n_x, (8, 9), (8, 8), 2, 2, mode="input-only", seed=1)
         head = make_head(3, cell.hidden_size, seed=2)
@@ -516,7 +522,7 @@ class TestBptt:
         try:
             base = tracemalloc.get_traced_memory()[0]
             frames = cell.gate_map.prepare(grads, n)
-            frames.begin(np.zeros((steps, n)))
+            frames.begin(np.zeros((steps, 2, n)))
             frame_bytes = tracemalloc.get_traced_memory()[0] - base
             del frames
             base = tracemalloc.get_traced_memory()[0]
@@ -526,12 +532,12 @@ class TestBptt:
         finally:
             tracemalloc.stop()
         grad_bytes = sum(g.nbytes for g in grads.values())
-        sequence = 8 * (steps * n + (3 * steps + 2) * h)  # packed, c, tanh_c and h
-        rows = 2 * 8 * steps * (4 * h + h)
+        group = 2 * 8 * (steps * n + (3 * steps + 2) * h)  # packed, c, tanh_c and h
+        rows = 2 * 2 * 8 * steps * (4 * h + h)
         gate = 8 * h * h
         assert 8 * 4 * h * h == 131_072 and frame_bytes > 0
-        assert peak <= grad_bytes + frame_bytes + sequence + rows + gate + 64 * 1024
-        assert finished == [(4 * h, h)] * (2 * count)
+        assert peak <= grad_bytes + frame_bytes + group + rows + gate + 64 * 1024
+        assert finished == [(4 * h, h)] * count  # count / 2 groups, in each of two bptt
 
     def test_bad_sequences_rejected(self):
         # one line, the same from bptt's packing as from the per-step path
@@ -618,14 +624,15 @@ class TestBptt:
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_one_step_call_per_step(self, mode, monkeypatch):
-        # bptt steps through step_packed and step_backward, and
-        # forward_sequence through step_cached, once per frame each, so a
-        # span around one of them (perfbench's lstm.step_backward) times
-        # the real per-step work
+        # bptt steps through step_packed and step_backward once per step of
+        # each group (the two sequences of length 2 are one group), and
+        # forward_sequence through step_cached once per frame, so a span
+        # around one of them (perfbench's lstm.step_backward) times the
+        # real per-step work
         cell = make_dense_cell(4, 4, seed=3) if mode == "dense" else small_cell(mode, seed=3)
         head = make_head(3, cell.hidden_size, seed=0)
         rng = np.random.default_rng(26)
-        lengths = (2, 3, 1)
+        lengths = (2, 2, 3, 1)
         batch = [(rng.normal(size=(steps, 4)), steps % 3) for steps in lengths]
         calls = {}
         for name in ("step_packed", "step_backward", "step_cached"):
@@ -636,10 +643,61 @@ class TestBptt:
         for input_grads in (False, True):
             calls.clear()
             bptt(cell, head, batch, return_input_grads=input_grads)
-            assert calls == {"step_packed": sum(lengths), "step_backward": sum(lengths)}
+            assert calls == {"step_packed": 6, "step_backward": 6}
         calls.clear()
-        forward_sequence(cell, head, batch[1][0])
+        forward_sequence(cell, head, batch[2][0])
         assert calls == {"step_cached": 3, "step_packed": 3}
+
+    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
+    @pytest.mark.parametrize("lengths", [(6, 6, 4, 6, 6, 5), (6, 6, 6)])
+    def test_groups_equal_one_sequence_batches(self, mode, lengths):
+        # bptt runs consecutive equal-length sequences in lockstep pairs (a
+        # change of length or the odd last one runs alone); the mean over
+        # one-sequence batches, drawing their dropout masks from one
+        # generator in batch order, is the same loss, gradients and input
+        # gradients at the synthetic geometry
+        cell = make_cell(256, (16, 17), (4, 4), 8, 8,
+                         mode="full" if mode == "dense" else mode, seed=1)
+        if mode == "dense":
+            cell = DenseLstmCell(reconstruct_dense(cell.weight), cell.n_x, biases=cell.biases)
+        head = make_head(8, cell.hidden_size, seed=2)
+        rng = np.random.default_rng(29)
+        batch = [(rng.normal(size=(steps, 256)) / 16, i % 8) for i, steps in enumerate(lengths)]
+        b = len(batch)
+
+        def rel(got, want):
+            return np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want))
+
+        for input_grads in (False, True):
+            loss, grads, *dx = bptt(cell, head, batch, dropout_rate=0.25,
+                                    rng=np.random.default_rng(4), return_input_grads=input_grads)
+            draws = np.random.default_rng(4)
+            singles = [bptt(cell, head, [example], dropout_rate=0.25, rng=draws,
+                            return_input_grads=input_grads) for example in batch]
+            assert rel(loss, sum(one[0] for one in singles) / b) <= 1e-12
+            for name, g in grads.items():
+                assert rel(g, sum(one[1][name] for one in singles) / b) <= 1e-12, name
+            if input_grads:
+                for got, one in zip(dx[0], singles):
+                    assert rel(np.array(got), np.array(one[2][0]) / b) <= 1e-12
+
+    def test_each_frames_forward_serves_a_pair(self, monkeypatch):
+        # a 16-sequence, 6-step minibatch runs as 8 lockstep pairs: 48
+        # products of the prepared frames, each over two packed rows; a
+        # sequence at a time would make 96
+        cell = make_cell(256, (16, 17), (4, 4), 8, 8, seed=1)
+        head = make_head(8, cell.hidden_size, seed=2)
+        rng = np.random.default_rng(30)
+        batch = [(rng.normal(size=(6, 256)) / 16, i % 8) for i in range(16)]
+        forward, rows = RootFrames.forward, []
+
+        def spy(self, x, t):
+            rows.append(len(x))
+            return forward(self, x, t)
+
+        monkeypatch.setattr(RootFrames, "forward", spy)
+        bptt(cell, head, batch)
+        assert rows == [2] * 48
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_np_dot_calls_do_not_grow_with_steps(self, mode, monkeypatch):
@@ -726,17 +784,17 @@ class TestBptt:
             cell = small_cell(mode=mode, seed=3)
         head = make_head(3, cell.hidden_size, seed=0)
         rng = np.random.default_rng(22)
-        xs, dh = rng.normal(size=(3, 4)), rng.normal(size=4)
+        xs, dh = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4))
 
         def accumulate(grads):
-            # as bptt runs a sequence: in input-only mode it opens the
-            # recurrent map over grads["recurrent"] and finishes it
+            # as bptt runs a group of two sequences: in input-only mode it
+            # opens the recurrent map over grads["recurrent"] and finishes it
             frames = cell.gate_map.prepare(grads)
-            seq = Sequence(cell, xs, frames=frames, grads=grads)
-            for t in range(len(xs)):
+            seq = Sequence(cell, list(xs), frames=frames, grads=grads)
+            for t in range(3):
                 cell.step_packed(frames, seq, t)
-            g_h, g_c = dh, np.zeros(4)
-            for t in reversed(range(len(xs))):
+            g_h, g_c = dh, np.zeros((2, 4))
+            for t in reversed(range(3)):
                 g_h, g_c, _ = cell.step_backward(frames, seq, t, g_h, g_c, grads)
             if mode == "input-only":
                 seq.recurrent.finish()

@@ -8,7 +8,7 @@ import numpy as np
 
 from fdht.cli import _COMMANDS
 from fdht.config import RunConfig, emit_config, load_config
-from fdht.ht import htl_forward, init_ht_weight
+from fdht.ht import RootFrames, htl_forward, init_ht_weight
 from fdht.lstm import GATES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -62,3 +62,24 @@ def test_plan_cache_figures_match_the_cache():
                 a = a.base
             buffers.setdefault(id(a if a.base is None else a.base), a.nbytes)
         assert sum(buffers.values()) == figure, name
+
+
+def test_minibatch_inventory_figures_match_the_frames():
+    # "The frames hold N MiB: V N MiB, `dvt` N MiB, a group's dy rows N MiB
+    # (...), the T scratch N MiB, U N MiB, dU N MiB." against the arrays of
+    # training frames at `hmdb51-cnn` with a group of two six-step
+    # sequences open
+    text = " ".join(README.read_text().split())
+    total, listed = re.search(r"The frames hold ([\d.]+) MiB: (.*?)\. One sequence", text).groups()
+    figures = dict(re.fullmatch(r"(.+) ([\d.]+) MiB", part).groups()
+                   for part in re.sub(r" \([^)]*\)", "", listed).split(", "))
+    model = load_config(README.parent / "configs" / "hmdb51-cnn.ini").model
+    w = init_ht_weight(model.m_shape, model.n_shape, model.leaf_rank,
+                       model.internal_rank, GATES, model.seed)
+    frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
+    frames.begin(np.zeros((6, 2, w.in_size)))
+    arrays = {"V": frames.v, "`dvt`": frames.dvt, "a group's dy rows": frames.dy_block,
+              "the T scratch": frames.ts, "U": frames.u, "dU": frames.du}
+    assert {name: float(f) for name, f in figures.items()} == {
+        name: a.nbytes / 2**20 for name, a in arrays.items()}
+    assert float(total) == sum(a.nbytes for a in arrays.values()) / 2**20

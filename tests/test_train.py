@@ -208,6 +208,18 @@ class TestTrainLoop:
         for k, v in cell.params().items():
             assert v.tobytes() == before[k].tobytes()
 
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_empty_train_split_is_a_value_error(self, epochs):
+        # named before any draw, where it was a ZeroDivisionError from the
+        # epoch's mean loss over no minibatches
+        cell, head, tr, te, cfg = self.small_setup(epochs=epochs)
+        empty = Dataset(tr.xs[:0], tr.labels[:0])
+        before = {k: v.copy() for k, v in cell.params().items()}
+        with pytest.raises(ValueError, match="^cannot train on an empty train split$"):
+            train(cell, head, empty, te, cfg)
+        for k, v in cell.params().items():
+            assert v.tobytes() == before[k].tobytes()
+
     def test_deterministic_history(self):
         h1 = train(*self.small_setup(epochs=3)[:4],
                    TrainConfig(epochs=3, seed=3, batch_size=4))
@@ -391,7 +403,10 @@ class TestMinibatchMemory:
     # A step's activations live in the frames' dy rows, which "frames"
     # counts, so "sequence" holds no activation block: a block of its own
     # (steps * 4 * H) would exceed the bound at hmdb51-cnn. The slack for
-    # Python objects stays under one synthetic sequence's blocks.
+    # Python objects stays under one synthetic sequence's blocks. The bound
+    # is that of one sequence at a time with its T' block: bptt runs
+    # lockstep pairs and keeps no T' block, whose bytes pay for the second
+    # sequence's blocks.
     @pytest.mark.parametrize("geometry", ["synthetic", "hmdb51-cnn"])
     def test_peak_holds_one_sequence(self, geometry):
         n_x, n, m, leaf, internal, count = {

@@ -41,18 +41,26 @@ def _model_weight(cfg: RunConfig):
 
 
 def cmd_params(cfg: RunConfig) -> int:
-    """Print the HT and dense LSTM parameter counts and the compression ratio."""
+    """Print the HT and dense LSTM parameter counts and the compression
+    ratio; in input-only mode also the mode, the dense recurrent matrix's
+    4H x H weights and the weights in all, which the ratio is taken over."""
     m = cfg.model
     ht = param_count_config(m.m_shape, m.n_shape, m.leaf_rank, m.internal_rank, GATES)
-    dense_weights, dense_total = dense_lstm_params(m.n_x, math.prod(m.m_shape))
-    ratio = compression_ratio(dense_weights, ht)
+    hidden = math.prod(m.m_shape)
+    dense_weights, dense_total = dense_lstm_params(m.n_x, hidden)
     print(f"model: n_x={m.n_x} n_shape={','.join(map(str, m.n_shape))} "
           f"m_shape={','.join(map(str, m.m_shape))} "
           f"leaf_rank={m.leaf_rank} internal_rank={m.internal_rank} gates={GATES}")
     print(f"ht_params = {ht:,}")
+    weights = ht
+    if m.mode == "input-only":
+        weights += GATES * hidden * hidden
+        print(f"mode = {m.mode}")
+        print(f"recurrent_params = {GATES * hidden * hidden:,}")
+        print(f"weight_params = {weights:,}")
     print(f"dense_weight_params = {dense_weights:,}")
     print(f"dense_total_params = {dense_total:,}")
-    print(f"compression_ratio = {ratio:,}")
+    print(f"compression_ratio = {compression_ratio(dense_weights, weights):,}")
     return 0
 
 

@@ -18,8 +18,9 @@ it, checked with one compare of the bytes, runs only the last two steps,
 as two GEMMs on operands prepared once; any difference rebuilds them.
 :class:`RootFrames` serves training, where one minibatch multiplies by
 the same factors many times: it builds the frames once as two matrices,
-so each product is two GEMMs, and it sums the weight cotangent of a
-whole sequence of products when the sequence ends. Without gradient
+so each product is two GEMMs, and it accumulates the cotangents of those
+two matrices product by product and takes them back to the factors once,
+when the minibatch ends. Without gradient
 buffers it serves evaluation, one block of inputs at a time.
 :func:`reconstruct_dense` assembles the dense matrix explicitly and
 serves as the testing oracle.
@@ -251,38 +252,39 @@ class RootFrames:
     with T' the (m_L, r_L n_R) reshape of T and Y the output as
     (m_L, g, m_R). ``forward`` and ``product`` return Y as a gate-major
     view, (g, ..., m_L, m_R), and copy nothing into that order themselves.
-    ``backward`` accumulates the cotangent of U and, per group, that of
-    V; ``finish`` takes them back through the frame build into
-    ``sink``, one array per factor. U and V are built from the factors at
-    construction and ``finish`` reads the factors again, so keep them
-    unchanged until ``finish`` and build new frames after every update.
+    ``backward`` accumulates the cotangents of U and V; ``finish`` takes
+    them back through the frame build into ``sink``, one array per factor.
+    U and V are built from the factors at construction and ``finish``
+    reads the factors again, so keep them unchanged until ``finish`` and
+    build new frames after every update.
     Frames built without a ``sink`` hold no gradient buffers and serve
     only ``product``. ``backward`` returns the input cotangent from row
     ``start`` on, for which the rows of U.T are prepared once.
 
     Products come in groups of k sequences that run in lockstep, each
-    opened by ``begin(block)`` over a (steps, k, N) block of inputs, whose
-    row t ``forward(x, t)`` multiplies, and closed by ``end()``. A row's T
-    for the whole group goes into one (k, m_L r_L, n_R) scratch through
-    one ``np.matmul``, and its Y, one GEMM with M = k m_L, into slot t of
-    a (steps, k m_L, g m_R) dy block, which ``backward`` then overwrites
-    with dy. ``backward`` writes dt, again one GEMM, into T's scratch,
-    adds the dU products one sequence at a time and runs the dh rows of
-    the group in one ``np.matmul``. No T' block is kept: ``end``
-    rebuilds each row's T' into the scratch and adds dy_t.T @ T'_t to
-    ``dvt``, the V cotangent held transposed (the faster orientation of
-    that GEMM on OpenBLAS), in blocks of whole gates of at most k m_L
-    rows. Run and backward every row once before then. ``begin``
-    prepares the views of every row (X, X^T, the dy slot and its
-    gate-major view) and those of ``end``; the next group reuses the
-    blocks unless its length or size differs. The frames keep no child
-    frame; ``finish`` rebuilds FR from the factors. The row GEMMs of
-    ``forward`` and ``backward`` are bound ``ndarray.dot`` calls: the BLAS
-    call of ``np.dot`` and ``@``, so the same bits, without the dispatch of
-    either; ``dot`` copies an operand that is neither C- nor F-contiguous,
-    so the products over a group's sequences or over strided operands
-    (T, the dh rows and ``end``'s) are ``np.matmul``, which reads them in
-    place.
+    opened by ``begin(row, steps)`` over the group's (k, N) input row and
+    closed by ``end()``. The row is read in place by every ``forward(x,
+    t)`` and ``backward(t, dy)``, so the caller fills it with row t's
+    inputs before each. A row's T for the whole group goes into one
+    (k, m_L r_L, n_R) scratch through one ``np.matmul``, and its Y, one
+    GEMM with M = k m_L, into slot t of a (steps, k m_L, g m_R) dy block,
+    which ``backward`` then overwrites with dy. No T' is kept: ``backward``
+    rebuilds row t's T into the scratch, adds dy_t.T @ T'_t to ``dvt``,
+    the V cotangent held transposed (the faster orientation of that GEMM
+    on OpenBLAS), one gate's m_R rows at a time, then writes dt, again one
+    GEMM, over the scratch, adds the dU products one sequence at a time
+    and runs the dh rows of the group in one ``np.matmul``. ``begin``
+    prepares the views of the row (X and X^T) and, when the group's
+    length or size differs from the last one's, new blocks with their
+    views (each dy slot, its gate-major view and its per-gate view, which
+    the dV product reads against ``dvt``'s gate blocks). The frames keep
+    no child frame; ``finish`` rebuilds FR from the factors. The row
+    GEMMs of ``forward`` and ``backward`` are bound ``ndarray.dot`` calls:
+    the BLAS call of ``np.dot`` and ``@``, so the same bits, without the
+    dispatch of either; ``dot`` copies an operand that is neither C- nor
+    F-contiguous, so the products over a group's sequences or over
+    strided operands (T, the dh rows and the dV blocks) are
+    ``np.matmul``, which reads them in place.
     """
 
     def __init__(self, w: HTWeight, sink=None, start=0):
@@ -304,40 +306,40 @@ class RootFrames:
         self.vt = self.v.T
         self.du = np.zeros(self.u.shape)
         self.dvt = np.zeros((g * mr, rl * nr))
+        self.dvg = self.dvt.reshape(g, mr, rl * nr)  # dvt's gate blocks
         self.ts = np.empty((0, ml * rl, nr))
         self.dy_block = np.empty((0, 0, g * mr))
         self.ut = self.u[:, start // nr:].T if start < nl * nr else None
         self.cut = start % nr
 
-    def begin(self, block):
-        """Open a group of k sequences over the (steps, k, N) ``block``,
-        which is read in place: leave it unchanged until ``end``. Returns
-        the dy block's memory as (steps, g, k, m_L m_R) rows, one per
-        product, to store into: row t holds Y (laid out as dy, not as this
-        view) from ``forward(x, t)`` on, is the caller's once it has read
-        Y, and is overwritten by ``backward(t, dy)``."""
+    def begin(self, row, steps):
+        """Open a group of k sequences of ``steps`` products over the
+        (k, N) ``row``, which is read in place: fill it with row t's
+        inputs before ``forward(x, t)`` and again before ``backward(t,
+        dy)``. Returns the dy block's memory as (steps, g, k, m_L m_R)
+        rows, one per product, to store into: row t holds Y (laid out as
+        dy, not as this view) from ``forward(x, t)`` on, is the caller's
+        once it has read Y, and is overwritten by ``backward(t, dy)``."""
         g, rl, ml, mr, nl, nr = self.shape
-        steps, k = block.shape[:2]
+        k = len(row)
         if len(self.ts) != k:
             self.ts = np.empty((k, ml * rl, nr))  # T, then dt, for one row
             self.tt = self.ts.reshape(k * ml, rl * nr)  # T' = T as (k m_L, r_L n_R)
         if self.dy_block.shape[:2] != (steps, k * ml):
-            self.dy_block = self.dys = None  # the last group's rows go first
+            self.dy_block = self.dys = self.dyg = None  # the last group's rows go first
             self.dy_block = np.empty((steps, k * ml, g * mr))
             self.dys = self.dy_block.reshape(steps, k, ml, g, mr).transpose(0, 3, 1, 2, 4)
-        self.xs = block.reshape(steps, k, nl, nr)
-        self.xts = self.xs.transpose(0, 1, 3, 2)
-        # end's blocks of whole gates, each at most T' rows, or one gate
-        rows = max(mr, k * ml // mr * mr)
-        self.dv_blocks = [(self.dvt[r:r + rows], self.dy_block[:, :, r:r + rows].transpose(0, 2, 1))
-                          for r in range(0, g * mr, rows)]
+            self.dyg = self.dy_block.reshape(steps, k * ml, g, mr).transpose(0, 2, 3, 1)
+        self.x = row.reshape(k, nl, nr)
+        self.xt = self.x.transpose(0, 2, 1)
         return self.dy_block.reshape(steps, g, k, ml * mr)
 
     def forward(self, x, t):
         """``W @ x`` for the (k, N) row t of the open group as a
         (g, k, m_L, m_R) view, which the row's ``backward`` overwrites.
-        ``x`` is read through the views ``begin`` prepared for that row."""
-        np.matmul(self.u, self.xs[t], out=self.ts)
+        ``x`` is the group's row, read through the views ``begin``
+        prepared."""
+        np.matmul(self.u, self.x, out=self.ts)
         self.tt.dot(self.v, out=self.dy_block[t])
         return self.dys[t]
 
@@ -351,40 +353,40 @@ class RootFrames:
         return y.reshape(b, ml, g, mr).transpose(2, 0, 1, 3)
 
     def backward(self, t, dy):
-        """Accumulate the U cotangent of row t's products and keep its
-        (g, k, m_L, m_R) ``dy``, which may be that row's own memory, for
-        the group's V cotangent; returns ``(W.T @ dy)[start:]`` for the
-        frames' ``start``, one row per sequence. Only the n_L-rows of X
-        from ``start // n_R`` on are computed, and none when ``start`` is
-        the input length. dt is written into T's scratch."""
+        """Accumulate the U and V cotangents of row t's products, given
+        its (g, k, m_L, m_R) ``dy``, which may be that row's own memory,
+        with the group's row holding row t's inputs again; returns
+        ``(W.T @ dy)[start:]`` for the frames' ``start``, one row per
+        sequence. In order: dy into the row's dy slot, T rebuilt into the
+        scratch (the forward's ``np.matmul`` again, so the same bits),
+        dy.T @ T' added to ``dvt`` one gate's m_R rows at a time, so no
+        temporary is larger than one gate's block, dt written over the
+        scratch, then dU and the dh rows. Only the n_L-rows of X from
+        ``start // n_R`` on are computed, and none when ``start`` is the
+        input length."""
         slot = self.dys[t]
         slot[...] = dy.reshape(slot.shape)
+        np.matmul(self.u, self.x, out=self.ts)
+        for dvt, dyt in zip(self.dvg, self.dyg[t]):
+            dvt += dyt @ self.tt
         self.dy_block[t].dot(self.vt, out=self.tt)
-        for dt, xt in zip(self.ts, self.xts[t]):
+        for dt, xt in zip(self.ts, self.xt):
             self.du += dt.dot(xt)
         if self.ut is None:
             return np.empty((len(self.ts), 0))
         return np.matmul(self.ut, self.ts).reshape(len(self.ts), -1)[:, self.cut:]
 
     def end(self):
-        """Add the V cotangent of the open group's products to ``dvt`` and
-        let go of the group's block. T' is not kept: each row's is rebuilt
-        into T's scratch, and its product with the row's dy is added in
-        the blocks ``begin`` prepared, whole gates of at most T's k m_L
-        rows, or one gate's m_R rows where a gate alone is larger, so no
-        temporary is larger than the scratch or one gate's block."""
-        for t, x in enumerate(self.xs):
-            np.matmul(self.u, x, out=self.ts)
-            for dvt, dyt in self.dv_blocks:
-                dvt += dyt[t] @ self.tt
-        self.xs = self.xts = self.dv_blocks = None
+        """Let go of the open group's row, once every product of the group
+        has run forward and backward."""
+        self.x = self.xt = None
 
     def finish(self):
         """Add the factor cotangents of every ended group to ``sink``.
         The group blocks, U, V and the U.T rows are freed first, so the
         frames take no more products; the projection reads only dU,
         ``dvt`` and the factors."""
-        self.dy_block = self.dys = self.ts = self.tt = None
+        self.dy_block = self.dys = self.dyg = self.ts = self.tt = None
         self.u = self.v = self.vt = self.ut = None
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root

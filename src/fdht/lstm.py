@@ -4,18 +4,19 @@ One cell class owns the LSTM: it concatenates the input vector, zero
 padding and previous hidden state to the map's input length, applies a
 *gate map* once per time step, and splits the 4H pre-activations
 gate-major in the order f, u, c, o. A group of equal-length sequences,
-which step in lockstep, gets its blocks once (``Sequence``): its packed
-(steps, k, N) inputs, whose h slices the steps write, and the gate
-stage's activations, cell states and tanh(c), which the steps write in
-place and the backward reads. The gate map is the only part that
-differs between the paper's cell and its baseline:
+which step in lockstep, gets its blocks once (``Sequence``): one (k, N)
+input row, which each step fills from the sequences' frames before its
+forward and its backward, and the gate stage's activations, cell states
+and tanh(c), which the steps write in place and the backward reads. The
+gate map is the only part that differs between the paper's cell and its
+baseline:
 
 - ``HtGateMap`` (``FdhtLstmCell``) stores the stacked input-to-hidden and
   hidden-to-hidden matrices of all four gates in HT form with root rank
   ``GATES``, so the leading output mode selects the gate. A single step
   runs the contraction plan; BPTT prepares the root-children frames once
   per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step of
-  a group, with the V cotangent's GEMMs run when the group ends.
+  a group.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
   prepared for BPTT, with a gradient buffer, it runs its weight-gradient
   GEMMs once per minibatch.
@@ -28,7 +29,7 @@ as one (b, N) block per time step.
 
 In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
 recurrent matrix owned by the cell supplies the hidden-to-hidden terms;
-in BPTT a ``DenseGateMap`` over each group's h rows computes its
+in BPTT a ``DenseGateMap`` over each group's h block computes its
 gradient, in GEMMs once per group.
 The cell's bias is one (4, H) array ``biases``, rows f, u, c, o, held as
 one block named ``biases`` in ``params()`` and in every gradient dict.
@@ -47,12 +48,24 @@ MODES = ("full", "input-only")
 GATE_ORDER = ("f", "u", "c", "o")
 GATES = len(GATE_ORDER)  # the HT root rank: one output slice per gate
 SPLIT_BLOCK_BYTES = 2 << 20  # forward_split's block budget: a synthetic split is one block
-# Sequences that one BPTT step serves at once. A group holds k sequences'
-# packed, gate-stage and dy blocks, paid for by the frames holding no T'
-# block (``RootFrames.end`` rebuilds it); a third sequence's blocks would
-# raise a minibatch's peak memory by more than 5% at both the synthetic
-# and the hmdb51-cnn geometry.
-GROUP = 2
+# A BPTT group's byte budget. A group of k equal-length sequences holds,
+# per sequence, its input row, the prepared frames' row scratch (HT's T),
+# their dy rows (which also hold the activations), its cell states and
+# its tanh(c) (``group_size``). More sequences a step cut the
+# interpreter's calls per sequence, which set a step's time at small
+# shapes (4 at synthetic, where a group of 4 keeps a minibatch's peak
+# memory at that of pairs), and only raise the peak where a step's GEMMs
+# set its time (2 at hmdb51-cnn and ucf11-direct).
+GROUP_BYTES = 48 << 10
+
+
+def group_size(cell, steps: int) -> int:
+    """Most sequences of ``steps`` frames that one BPTT group runs: as
+    many as fit ``GROUP_BYTES`` at 8 (N + scratch + 4H steps +
+    H (2 steps + 1)) bytes each, at least 2."""
+    per_sequence = (cell.gate_map.in_size + cell.gate_map.row_scratch
+                    + (6 * steps + 1) * cell.hidden_size)
+    return max(2, GROUP_BYTES // (8 * per_sequence))
 
 
 @dataclass(eq=False)
@@ -115,6 +128,10 @@ class HtGateMap:
         self.weight = weight
         self.in_size = weight.in_size
         self.hidden_size = math.prod(weight.m_shape)
+        left = weight.tree.nodes[weight.tree.root.left]  # modes 0 .. left.hi - 1
+        # entries of the prepared frames' T per sequence, (m_L r_L, n_R)
+        self.row_scratch = (math.prod(weight.m_shape[:left.hi]) * left.rank
+                            * math.prod(weight.n_shape[left.hi:]))
 
     def params(self) -> dict[str, np.ndarray]:
         return {f"ht.{i}": f for i, f in enumerate(self.weight.factors)}
@@ -136,12 +153,14 @@ class HtGateMap:
 class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix, which serves ``product``.
     With a gradient buffer ``grad`` and a ``start`` it also serves BPTT:
-    it keeps every input block that ``begin`` opens and, in one
-    (steps, k, 4H) block per group of k sequences, the dz that
-    ``backward`` gets for each row, so ``finish`` adds the weight gradient
-    in one GEMM per gate. ``prepare`` makes one per minibatch (the dense
-    cell), ``Sequence`` one per group over its h rows (the input-only
-    recurrent matrix)."""
+    ``backward`` keeps, in one (steps, k, N) and one (steps, k, 4H) block
+    per group of k sequences, a copy of the group's input row and the dz
+    it gets for each step, so ``finish`` adds the weight gradient in one
+    GEMM per gate. ``prepare`` makes one per minibatch (the dense cell),
+    ``Sequence`` one per group over its h block (the input-only recurrent
+    matrix)."""
+
+    row_scratch = 0  # no per-sequence scratch beside the rows it keeps
 
     def __init__(self, w, grad=None, start=0):
         self.weight = np.asarray(w, dtype=np.float64)
@@ -171,23 +190,27 @@ class DenseGateMap:
         cotangent from row ``start`` on; without ``grads``, the map itself."""
         return self if grads is None else DenseGateMap(self.weight, grads["w"], start)
 
-    def begin(self, block):
-        """Open a group over the (steps, k, N) input ``block``, which is
-        read in place at ``finish``: leave each row unchanged once its
-        product ran. Returns the group's dz block as (steps, g, k, H) rows:
+    def begin(self, row, steps):
+        """Open a group of ``steps`` products over the (k, N) input
+        ``row``, which ``backward(t, dz)`` copies, so it must hold row t's
+        inputs then. Returns the group's dz block as (steps, g, k, H) rows:
         row t is the caller's until ``backward(t, dz)`` writes dz into it."""
-        steps, k, n = block.shape
-        self.x_blocks.append(block.reshape(-1, n))
+        k, n = row.shape
+        self.row = row
+        self.x_blocks.append(np.empty((steps, k, n)))
         self.dz_blocks.append(np.empty((steps, k, self.weight.shape[0])))
         return self.dz_blocks[-1].reshape(steps, GATES, k, -1)
 
     def end(self):
-        """Nothing to add per group: ``finish`` adds every one."""
+        """Let go of the group's row: ``finish`` adds every group's gradient."""
+        self.row = None
 
     def backward(self, t, dz):
-        """Keep the (g, k, H) ``dz`` of the open group's row t, which may
-        be that row's own memory; returns ``(dz.T @ W)[:, start:]``, one
-        row per sequence, for the prepared ``start``."""
+        """Keep a copy of the group's row and the (g, k, H) ``dz`` of its
+        row t, which may be that row's own memory; returns
+        ``(dz.T @ W)[:, start:]``, one row per sequence, for the prepared
+        ``start``."""
+        self.x_blocks[-1][t] = self.row
         row = self.dz_blocks[-1][t]
         k = len(row)
         row.reshape(k, GATES, -1).transpose(1, 0, 2)[...] = dz.reshape(GATES, k, -1)
@@ -197,7 +220,7 @@ class DenseGateMap:
         """Add ``dz.T @ x`` over every kept row to ``grad``, one gate's H
         rows at a time, so no (4H x N) product sits beside ``grad``."""
         dz = np.concatenate([b.reshape(-1, len(self.grad)) for b in self.dz_blocks])
-        x = np.concatenate(self.x_blocks)
+        x = np.concatenate([b.reshape(-1, self.in_size) for b in self.x_blocks])
         self.x_blocks = self.dz_blocks = None
         for r in range(0, len(self.grad), self.hidden_size):
             self.grad[r:r + self.hidden_size] += dz[:, r:r + self.hidden_size].T @ x
@@ -205,54 +228,62 @@ class DenseGateMap:
 
 class Sequence:
     """The blocks of a group of k equal-length sequences, allocated once
-    and written in place by its steps; each step serves all k. ``packed``
-    is the (steps, k, N) block of the packed inputs: the frames of each
-    of the k sequences ``xs``, then zeros over the pad and the h slice;
-    ``check_frames`` rejects a sequence that is not (steps, n_x). Step t
-    writes the group's activations f, u, c_in, o into ``act[t]``, one
-    contiguous (4, k, H) block, its cell states into ``c[t + 1]``
-    (``c[0]`` is the initial one), tanh of those into ``tanh_c[t]`` and
-    its hidden states into ``h[t + 1]``, each (k, H).
-    ``bias`` is the cell's biases tiled to (4, k, H), so the gate stage
-    runs on contiguous blocks (``bptt`` tiles them once per minibatch).
-    With ``frames``, prepared for BPTT, they open the group (``begin``)
-    and ``act`` is the block of rows that ``begin`` returns: row t holds
-    the gate map's output, then the activations, then, once the step's
-    backward has read them, its dz. Else ``act`` is a block of its own.
-    In full mode ``h[t]`` is the h slice of packed row t, where the gate
-    map reads it, and the last hidden states are a block of their own; in
-    input-only mode ``h`` is a (steps + 1, k, H) block, which
-    ``recurrent``, a ``DenseGateMap`` over the recurrent matrix, reads;
-    with ``grads`` (BPTT) that map is opened over ``h[:steps]`` with
-    ``grads["recurrent"]``. ``state`` sets every ``h[0]`` and ``c[0]``,
-    zero without it."""
+    and written in place by its steps; each step serves all k. ``row`` is
+    the group's (k, N) packed input row: the frames of each of the k
+    sequences ``xs``, then zeros over the pad and the h slice. The frames
+    are read in place (``check_frames`` rejects a sequence that is not
+    (steps, n_x)): ``fill(t)`` writes step t's into the row's x slices
+    before the step's forward and again before its backward. Step t writes
+    the group's activations f, u, c_in, o into ``act[t]``, one contiguous
+    (4, k, H) block, its cell states into ``c[t + 1]`` (``c[0]`` is the
+    initial one), tanh of those into ``tanh_c[t]`` and its hidden states
+    into ``h``, the (k, H) block the next step reads: in full mode the
+    row's h slice, where the gate map reads it, in input-only mode a block
+    of its own, which ``recurrent``, a ``DenseGateMap`` over the recurrent
+    matrix, reads. Before step t's backward, ``fill(t, backward=True)``
+    also writes h_t back into ``h``: o_{t-1} tanh(c_{t-1}) from
+    ``act[t - 1]`` and ``tanh_c[t - 1]``, the forward's own product, so the
+    same bits, or the initial state at t = 0. With ``frames``, prepared
+    for BPTT, they open the group over the row (``begin``) and ``act`` is
+    the block of rows that ``begin`` returns: row t holds the gate map's
+    output, then the activations, then, once the step's backward has read
+    them, its dz. Else ``act`` is a block of its own. With ``grads``
+    (BPTT) the recurrent map is opened over ``h`` with
+    ``grads["recurrent"]``. ``state`` sets the initial ``h`` and
+    ``c[0]``, zero without it."""
 
-    def __init__(self, cell, xs, state=None, frames=None, grads=None, bias=None):
-        xs = [check_frames(x, cell.n_x) for x in xs]
-        k, steps, h = len(xs), len(xs[0]), cell.hidden_size
-        self.packed = np.empty((steps, k, cell.gate_map.in_size))
-        for j, x in enumerate(xs):
-            self.packed[:, j, : cell.n_x] = x
-        self.packed[:, :, cell.n_x:] = 0.0
-        if bias is None:  # a view for one sequence, as for every step of cell.step
-            bias = cell.biases[:, None] if k == 1 else np.repeat(cell.biases[:, None], k, 1)
-        self.bias = bias
+    def __init__(self, cell, xs, state=None, frames=None, grads=None):
+        self.xs = [check_frames(x, cell.n_x) for x in xs]
+        k, steps, h = len(xs), len(self.xs[0]), cell.hidden_size
+        self.row = np.zeros((k, cell.gate_map.in_size))
+        self.x_rows = self.row[:, : cell.n_x]
         self.act = (np.empty((steps, GATES, k, h)) if frames is None
-                    else frames.begin(self.packed))
+                    else frames.begin(self.row, steps))
         self.c = np.zeros((steps + 1, k, h))
         self.tanh_c = np.empty((steps, k, h))
         if cell.recurrent is None:
-            self.h = list(self.packed[:, :, cell.h_start:])
-            self.h.append(np.empty((k, h)))
+            self.h = self.row[:, cell.h_start:]
         else:
-            self.h = np.zeros((steps + 1, k, h))
+            self.h = np.zeros((k, h))
             self.recurrent = DenseGateMap(cell.recurrent,
                                           None if grads is None else grads["recurrent"])
             if grads is not None:
-                self.recurrent.begin(self.h[:steps])
+                self.recurrent.begin(self.h, steps)
+        self.h0 = 0.0
         if state is not None:
-            self.h[0][...] = state.h
+            self.h[...] = self.h0 = state.h
             self.c[0] = state.c
+
+    def fill(self, t, backward=False):
+        """Write step t's frames into the row's x slices and, with
+        ``backward``, h_t into ``h``."""
+        for j, x in enumerate(self.xs):
+            self.x_rows[j] = x[t]
+        if backward:
+            if t:
+                np.multiply(self.act[t - 1][3], self.tanh_c[t - 1], self.h)
+            else:
+                self.h[...] = self.h0
 
 
 class FdhtLstmCell:
@@ -311,31 +342,35 @@ class FdhtLstmCell:
         plan for HT), run on a one-step ``Sequence``."""
         seq = Sequence(self, [np.asarray(x, dtype=np.float64)[np.newaxis]], state)
         self.step_packed(self.gate_map, seq, 0)
-        return LstmState(seq.h[1][0], seq.c[1][0])
+        return LstmState(seq.h[0].copy(), seq.c[1][0])  # not a view that holds the row
 
     def step_packed(self, frames, seq: Sequence, t: int):
-        """Step t of the group ``seq``: apply ``frames.forward`` to its
-        (k, N) packed row (whose h slices, in full mode, step t - 1 wrote),
-        gate and update, all written into ``seq``. ``frames`` is the gate
-        map, or, for ``step_backward``, what its ``prepare`` returned,
-        which opened ``seq``."""
-        z = frames.forward(seq.packed[t], t)
+        """Step t of the group ``seq``: fill its (k, N) row with the
+        step's frames (its h slices, in full mode, step t - 1 wrote),
+        apply ``frames.forward`` to it, gate and update, all written into
+        ``seq``. ``frames`` is the gate map, or, for ``step_backward``,
+        what its ``prepare`` returned, which opened ``seq``."""
+        seq.fill(t)
+        z = frames.forward(seq.row, t)
         if self.recurrent is not None:
-            z = z + seq.recurrent.forward(seq.h[t], t).reshape(z.shape)
-        _gate_forward(z, seq.bias, seq.c[t], seq.act[t], seq.c[t + 1],
-                      seq.tanh_c[t], seq.h[t + 1])
+            z = z + seq.recurrent.forward(seq.h, t).reshape(z.shape)
+        _gate_forward(z, self.biases[:, None], seq.c[t], seq.act[t], seq.c[t + 1],
+                      seq.tanh_c[t], seq.h)
 
     def step_backward(self, frames, seq: Sequence, t: int, dh, dc, grads):
         """Accumulate the gradients of step t of the group ``seq``, given
         its (k, H) ``dh`` and ``dc``: biases into ``grads``, the gate map
         into ``frames`` and, in input-only mode, the recurrent matrix into
-        ``seq.recurrent``, which then gives dh_prev. Returns (dh_prev,
-        dc_prev, dx), each with one row per sequence, dx the input
-        cotangent read from the row ``frames.start`` that ``prepare``
-        fixed: None unless it is 0. The gate stage reads ``seq.act[t]``,
-        a row of the frames' own opened by ``begin``, then writes dz over
-        it, so no dz of its own is alive while ``frames.backward`` moves
-        it into place and runs its GEMMs."""
+        ``seq.recurrent``, which then gives dh_prev. The group's row and
+        ``seq.h`` are filled with step t's inputs first, which both maps
+        read. Returns (dh_prev, dc_prev, dx), each with one row per
+        sequence, dx the input cotangent read from the row
+        ``frames.start`` that ``prepare`` fixed: None unless it is 0. The
+        gate stage reads ``seq.act[t]``, a row of the frames' own opened
+        by ``begin``, then writes dz over it, so no dz of its own is alive
+        while ``frames.backward`` moves it into place and runs its
+        GEMMs."""
+        seq.fill(t, backward=True)
         dz, dc_prev = _gate_backward(seq.act[t], seq.c[t], seq.tanh_c[t], dh, dc)
         grads["biases"] += np.add.reduce(dz, 1)
         if self.recurrent is not None:  # before frames.backward moves dz in its row
@@ -359,13 +394,13 @@ def _gate_forward(z, bias, c_prev, act, c, tanh_c, h):
     the sigmoid over all four rows, then tanh over the candidate row,
     written into ``act`` (f, u, c_in, o), then the cell state ``c``,
     ``tanh_c`` and ``h``. ``z`` is gate-major in the gate map's own layout
-    and ``bias`` is (4, k, H), the cell's biases tiled over a group, or a
-    (4, B, H) broadcast view for a block of a split. Reshaping
-    ``z`` to ``bias`` copies it only when that layout is strided; a ufunc
-    reading the strided layout costs more than that copy. ``z`` is read
-    whole into the biased pre-activations before ``act`` is written, so
-    the two may share memory, as in BPTT's rows."""
-    a = z.reshape(bias.shape) + bias
+    and ``bias`` broadcasts to ``act``: the cell's biases as a (4, 1, H)
+    view over a group or a block of a split. Reshaping ``z`` to ``act``'s
+    (4, k, H) copies it only when that layout is strided; a ufunc reading
+    the strided layout costs more than that copy. ``z`` is read whole into
+    the biased pre-activations before ``act`` is written, so the two may
+    share memory, as in BPTT's rows."""
+    a = z.reshape(act.shape) + bias
     sigmoid(a, act)
     np.tanh(a[2], act[2])
     f, u, c_in, o = act
@@ -497,14 +532,13 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
         count = len(part)
         block = np.zeros((count, size))
         hs = block[:, cell.h_start:] if cell.recurrent is None else np.zeros((count, h))
-        bias = np.broadcast_to(cell.biases[:, None], (GATES, count, h))
         act, c, tanh_c = np.empty((GATES, count, h)), np.zeros((count, h)), np.empty((count, h))
         for t in range(xs.shape[1]):
             block[:, : cell.n_x] = part[:, t]
             z = frames.product(block)
             if recurrent is not None:
                 z = z + recurrent.product(hs).reshape(z.shape)
-            _gate_forward(z, bias, c, act, c, tanh_c, hs)
+            _gate_forward(z, cell.biases[:, None], c, act, c, tanh_c, hs)
         logits[first:first + count] = hs @ head.w.T + head.b
     return logits
 
@@ -526,32 +560,33 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
 
     The gate map is prepared once for the batch (for HT, the root-children
     frames of the current factors) and its factor gradients are finished
-    once at the end. The sequences run in lockstep groups of ``GROUP``
-    consecutive ones of equal length, in batch order, so that each forward
-    and backward step serves the whole group; a sequence whose neighbour
-    has another length, or the odd last one, is a group of one. Each group
-    is packed and given its gate-stage blocks once (``Sequence``), and the
-    frames open it with ``begin`` and close it with ``end``, where the HT
-    frames rebuild its T' one step at a time and add its V cotangent in
-    blocks of whole gates. The dense frames keep every group's packed block
-    and dz rows and add the weight gradient in one GEMM per gate in
-    ``finish``; in input-only mode each group's own recurrent map does so
-    once its backward is done. Steps write into the group's blocks and
-    keep no cache of their own. Step t's activations live in the frames'
-    row t, between the gate map's output and the step's dz: the gate stage
-    reads the output into its biased pre-activations before it writes
-    them, and the step's backward reads them before it writes dz over
-    them. A group's blocks are dropped when its backward is done, before
-    ``end``, so the peak memory does not grow with the batch. The head,
-    the loss and the dropout masks run per sequence in batch order, so a
-    sequence's loss and draws do not depend on its group. The frames'
-    input cotangent starts at row 0 with ``return_input_grads``, else at
-    the h slice (full mode) or past the input (input-only: no rows). A
-    ``dropout_rate`` outside [0, 1) is a ValueError; dropout, when
-    enabled, is applied to the final hidden state before the head
-    (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
-    (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
-    example i.
+    once at the end. The sequences run in lockstep groups of at most
+    ``group_size(cell, steps)`` consecutive ones of equal length, in batch
+    order, so that each forward and backward step serves the whole group;
+    a change of length ends a group, and a group may hold one sequence.
+    Each group gets its blocks once (``Sequence``), one (k, N) input row
+    among them, which each step fills from the caller's frames before its
+    forward and again before its backward; the frames open the group over
+    that row with ``begin`` and close it with ``end``. The HT frames add
+    each step's V cotangent in its backward, from T' rebuilt there. The
+    dense frames keep a copy of every row and its dz and add the weight
+    gradient in one GEMM per gate in ``finish``; in input-only mode each
+    group's own recurrent map does so once its backward is done. Steps
+    write into the group's blocks and keep no cache of their own. Step t's
+    activations live in the frames' row t, between the gate map's output
+    and the step's dz: the gate stage reads the output into its biased
+    pre-activations before it writes them, and the step's backward reads
+    them before it writes dz over them. A group's blocks are dropped when
+    its backward is done, before ``end``, so the peak memory does not grow
+    with the batch. The head, the loss and the dropout masks run per
+    sequence in batch order, so a sequence's loss and draws do not depend
+    on its group. The frames' input cotangent starts at row 0 with
+    ``return_input_grads``, else at the h slice (full mode) or past the
+    input (input-only: no rows). A ``dropout_rate`` outside [0, 1) is a
+    ValueError; dropout, when enabled, is applied to the final hidden
+    state before the head (inverted scaling) and needs an ``rng``. Returns
+    (loss, grads) or (loss, grads, input_grads) where input_grads[i][t] is
+    dL/dx_t for example i.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -562,7 +597,6 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     start = (0 if return_input_grads else cell.h_start if cell.recurrent is None
              else cell.gate_map.in_size)
     frames = cell.gate_map.prepare(grads, start)
-    bias = np.repeat(cell.biases[:, None], GROUP, 1)
     total_loss = 0.0
     all_input_grads = []
 
@@ -571,20 +605,20 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         # its blocks and temporaries go with this call's locals
         nonlocal total_loss
         group = [check_frames(batch[first][0], cell.n_x)]
-        for xs, _ in batch[first + 1:first + GROUP]:
+        steps = len(group[0])
+        for xs, _ in batch[first + 1:first + group_size(cell, steps)]:
             xs = check_frames(xs, cell.n_x)
-            if len(xs) != len(group[0]):
+            if len(xs) != steps:
                 break
             group.append(xs)
         k = len(group)
-        seq = Sequence(cell, group, frames=frames, grads=grads, bias=bias[:, :k])
-        group = xs = None  # the checked frames are packed now
-        steps = len(seq.packed)
+        seq = Sequence(cell, group, frames=frames, grads=grads)
+        group = xs = None  # a sequence checked past the group goes now
         for t in range(steps):
             cell.step_packed(frames, seq, t)
         dh = np.empty((k, cell.hidden_size))
         for j, (_, label) in enumerate(batch[first:first + k]):
-            h_used = seq.h[steps][j]
+            h_used = seq.h[j]
             if dropout_rate > 0:
                 mask = (rng.random(h_used.size) >= dropout_rate) / (1.0 - dropout_rate)
                 h_used = h_used * mask

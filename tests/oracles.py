@@ -220,3 +220,62 @@ def per_gate_backward(gates, dh, dc):
     du = dc_total * c_in * u * (1.0 - u)
     dc_in = dc_total * u * (1.0 - c_in ** 2)
     return np.concatenate([df, du, dc_in, do]), dc_total * f
+
+
+def reference_bptt(matrix, n_x, biases, head, batch, dropout_rate=0.0, rng=None,
+                   recurrent=None):
+    """Loss, gradients and input gradients of a dense LSTM minibatch run
+    one sequence and one step at a time, with the per-gate stage above and
+    per-step outer products: the reference that every BPTT path is
+    checked against. ``matrix`` is the (4H x N) gate map over
+    [x | zeros | h], or with a (4H x H) ``recurrent`` matrix for the h
+    terms over [x | zeros]; the gradients are named as ``bptt`` names
+    those of a ``DenseLstmCell`` ("w", "biases", "recurrent", "head.w",
+    "head.b"). Dropout masks are drawn from ``rng`` per sequence in batch
+    order, as ``bptt`` draws them."""
+    hidden = biases.shape[1]
+    gate_biases = dict(zip("fuco", biases))
+    grads = {"w": np.zeros_like(matrix), "biases": np.zeros_like(biases),
+             "head.w": np.zeros_like(head.w), "head.b": np.zeros_like(head.b)}
+    if recurrent is not None:
+        grads["recurrent"] = np.zeros_like(recurrent)
+    total, input_grads = 0.0, []
+    for xs, label in batch:
+        h, c, tape = np.zeros(hidden), np.zeros(hidden), []
+        for x in xs:
+            packed = np.zeros(matrix.shape[1])
+            packed[:n_x] = x
+            if recurrent is None:
+                packed[-hidden:] = h
+                z = matrix @ packed
+            else:
+                z = matrix @ packed + recurrent @ h
+            tape.append((packed, h))
+            h, c, gates = per_gate_forward(z, gate_biases, c)
+            tape[-1] += (gates,)
+        mask = np.ones(hidden)
+        if dropout_rate > 0:
+            mask = (rng.random(hidden) >= dropout_rate) / (1.0 - dropout_rate)
+        logits = head.w @ (h * mask) + head.b
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        total -= np.log(p[label])
+        p[label] -= 1.0
+        grads["head.w"] += np.outer(p, h * mask)
+        grads["head.b"] += p
+        dh, dc, dxs = (head.w.T @ p) * mask, np.zeros(hidden), []
+        for packed, h_prev, gates in reversed(tape):
+            dz, dc = per_gate_backward(gates, dh, dc)
+            grads["biases"] += dz.reshape(biases.shape)
+            grads["w"] += np.outer(dz, packed)
+            d_packed = matrix.T @ dz
+            if recurrent is None:
+                dh = d_packed[-hidden:]
+            else:
+                grads["recurrent"] += np.outer(dz, h_prev)
+                dh = recurrent.T @ dz
+            dxs.append(d_packed[:n_x])
+        input_grads.append(dxs[::-1])
+    b = len(batch)
+    return (total / b, {name: g / b for name, g in grads.items()},
+            [[dx / b for dx in dxs] for dxs in input_grads])

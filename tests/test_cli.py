@@ -344,6 +344,32 @@ class TestParams:
             f"compression_ratio = {ratio}",
         ]
 
+    @pytest.mark.parametrize("name, recurrent, weights, ratio", [
+        # 17,408 / 2,336 = 7.45
+        ("synthetic-input-only", "1,024", "2,336", "7"),
+        # 33,554,432 / 16,785,632 = 1.999: the dense recurrent matrix is
+        # half the dense cell's weights
+        ("hmdb51-cnn", "16,777,216", "16,785,632", "2"),
+    ])
+    def test_input_only_counts_the_recurrent_matrix(self, capsys, tmp_path, name,
+                                                    recurrent, weights, ratio):
+        # an input-only cell holds a dense 4H x H recurrent matrix beside its
+        # HT factors, so the ratio is taken over both; the lines of the same
+        # geometry in full mode keep their place and values
+        text = (CONFIGS / f"{name}.ini").read_text()
+        if "mode = input-only" not in text:
+            text = text.replace("[model]\n", "[model]\nmode = input-only\n")
+        full_text = text.replace("mode = input-only", "mode = full")
+        _, full, _ = run_cli(capsys, "params", "--config", write_config(tmp_path, full_text))
+        code, out, _ = run_cli(capsys, "params", "--config", write_config(tmp_path, text))
+        assert code == 0
+        model, ht, dense_weights, dense_total, _ = full.splitlines()
+        assert out.splitlines() == [
+            model, ht, "mode = input-only", f"recurrent_params = {recurrent}",
+            f"weight_params = {weights}", dense_weights, dense_total,
+            f"compression_ratio = {ratio}",
+        ]
+
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
 def test_shipped_config_smoke(capsys, path):

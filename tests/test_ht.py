@@ -282,11 +282,11 @@ class TestRootFrames:
         x = rng.normal(size=w.in_size)
         sink = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, sink)
-        y = run_sequence(frames, x[np.newaxis])[0].copy()  # backward overwrites the view
+        y = run_sequence(frames, x[np.newaxis])[0][0].copy()  # backward overwrites the view
         assert np.max(np.abs(y.reshape(-1) - forward(x))) <= 1e-10
 
         u = rng.normal(size=w.out_size)
-        assert adjoint_error(lambda v: run_sequence(frames, v[np.newaxis])[0],
+        assert adjoint_error(lambda v: run_sequence(frames, v[np.newaxis])[0][0],
                              lambda dy: frames.backward(0, dy), x, u) <= 1e-12
         frames.end()
 
@@ -312,8 +312,9 @@ class TestRootFrames:
         us = [rng.normal(size=w.out_size) for _ in range(2)]
         both = [np.zeros_like(f) for f in w.factors]
         frames = RootFrames(w, both)
-        run_sequence(frames, xs)
+        _, row = run_sequence(frames, xs)
         for k, u in enumerate(us):
+            row[0] = xs[k]
             frames.backward(k, u)
         frames.end()
         frames.finish()
@@ -326,12 +327,12 @@ class TestRootFrames:
             assert abs(np.vdot(both[i], direction) - want) <= 1e-12 * abs(want)
 
     def test_sequence_dv_is_sum_of_products(self):
-        # the V cotangent of a sequence, added when it ends, against the
-        # per-product sum of T'_k.T @ dy_k; the second sequence is longer,
-        # so the blocks are reallocated between the two. With m_L = 6 and
-        # m_R = 2 the whole product (8 rows) is smaller than a T' block
-        # (3 or 5 times 6 rows) and runs as one GEMM; SPLIT_GEOMETRY has
-        # m_L = 2 and m_R = 8, so it runs one gate's 8 rows at a time.
+        # the V cotangent of a sequence, added product by product in
+        # backward from the rebuilt T', against the per-product sum of
+        # T'_k.T @ dy_k; the second sequence is longer, so the blocks are
+        # reallocated between the two. It is added one gate's m_R rows at
+        # a time: 2 rows at m_L = 6 and m_R = 2, and 8 at SPLIT_GEOMETRY,
+        # m_L = 2 and m_R = 8.
         for m, n, leaf, internal in (((2, 3, 2), (3, 2, 4), 2, 3), SPLIT_GEOMETRY):
             w = init_ht_weight(m, n, leaf, internal, 4, seed=6)
             frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
@@ -341,9 +342,10 @@ class TestRootFrames:
 
             def sequence(steps):
                 xs = rng.normal(size=(steps, w.in_size))
-                run_sequence(frames, xs)
+                _, row = run_sequence(frames, xs)
                 for k in range(steps - 1, -1, -1):
                     dy = rng.normal(size=w.out_size)
+                    row[0] = xs[k]
                     frames.backward(k, dy)
                     t = (frames.u @ xs[k].reshape(nl, nr)).reshape(ml, rl * nr)
                     want[...] += t.T @ dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, -1)
@@ -358,33 +360,31 @@ class TestRootFrames:
             frames.finish()
             assert rel() <= 1e-12
 
-    def test_end_of_sequence_allocates_one_gate_block(self):
+    def test_backward_dv_allocates_one_gate_block(self):
         # At SPLIT_GEOMETRY, g m_R = 32 rows of V cotangent against a
-        # rebuilt T' of one row's m_L = 2 rows, so the sequence's product is
-        # added one gate's m_R = 8 rows at a time: the only array made is one
-        # (m_R, r_L n_R) = (8, 136) block, 8,704 bytes, against 34,816 for
-        # the whole product; T' is rebuilt into the forward's T scratch.
-        # The slack of 2,048 bytes covers the views and the loop's Python
-        # objects, and stays below a second gate block.
+        # rebuilt T' of one row's m_L = 2 rows, so a product's dV is added
+        # one gate's m_R = 8 rows at a time: the largest array a backward
+        # makes is one (m_R, r_L n_R) = (8, 136) block, 8,704 bytes, against
+        # 34,816 for the whole product; T' is rebuilt into the forward's T
+        # scratch, and the (m_L r_L, n_L) dU product, 2,048 bytes, is made
+        # once that block is gone. With start at the input length there are
+        # no dh rows. The slack of 2,048 bytes covers the views and the
+        # loop's Python objects, and stays below a second gate block.
         m, n, leaf, internal = SPLIT_GEOMETRY
         w = init_ht_weight(m, n, leaf, internal, 4, seed=8)
         frames = RootFrames(w, [np.zeros_like(f) for f in w.factors], w.in_size)
         g, rl, ml, mr, nl, nr = frames.shape
         rng = np.random.default_rng(19)
-
-        def sequence():  # the same length, so no new blocks
-            run_sequence(frames, rng.normal(size=(3, w.in_size)))
-            for k in range(2, -1, -1):
-                frames.backward(k, rng.normal(size=w.out_size))
-
-        sequence()
-        frames.end()  # warm: the first end of a sequence runs outside the measurement
-        sequence()
+        xs = rng.normal(size=(3, w.in_size))
+        _, row = run_sequence(frames, xs)
+        frames.backward(2, rng.normal(size=w.out_size))  # warm, outside the measurement
+        row[0] = xs[1]
+        dy = rng.normal(size=w.out_size)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            frames.end()
+            frames.backward(1, dy)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -397,19 +397,20 @@ class TestRootFrames:
         # dU, V (r_L n_R, g m_R) and its transposed cotangent dvt, the
         # (k, m_L r_L, n_R) T scratch of one row of the open group and its
         # (steps, k m_L, g m_R) dy block, and no other array of its own: no
-        # T' block (end rebuilds T'), and finish rebuilds FR from the
-        # factors. Every other array it holds is a view of those or of the
-        # open group's block.
+        # T' block (backward rebuilds T'), no input block (the group's row
+        # is read in place) and finish rebuilds FR from the factors. Every
+        # other array it holds is a view of those or of the open group's
+        # row.
         m, n, leaf, internal = REFERENCE_GEOMETRIES["hmdb51-cnn"]
         w = init_ht_weight(m, n, leaf, internal, 4, seed=9)
         frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
-        block = np.zeros((6, 2, w.in_size))
-        frames.begin(block)
+        row = np.zeros((2, w.in_size))
+        frames.begin(row, 6)
         g, rl, ml, mr, nl, nr = frames.shape
         arrays = [a for a in vars(frames).values() if isinstance(a, np.ndarray)]
         owners = {id(o): o for o in (a if a.base is None else a.base for a in arrays)}
-        assert id(block) in owners
-        held = sum(o.nbytes for o in owners.values() if o is not block)
+        assert id(row) in owners
+        held = sum(o.nbytes for o in owners.values() if o is not row)
         u, v = ml * rl * nl, rl * nr * g * mr
         assert held == 8 * (2 * u + 2 * v + 2 * ml * rl * nr + 6 * 2 * ml * g * mr)
 
@@ -440,11 +441,17 @@ class TestRootFrames:
 
 
 def run_sequence(frames, xs):
-    """Open a group of one sequence over the (steps, N) ``xs`` and run its
-    products; returns their outputs, each a (g, 1, m_L, m_R) view."""
-    block = xs[:, np.newaxis]
-    frames.begin(block)
-    return [frames.forward(x, k) for k, x in enumerate(block)]
+    """Open a group of one sequence of the (steps, N) ``xs`` over a (1, N)
+    row and run its products, each with its input in the row; returns
+    their outputs, each a (g, 1, m_L, m_R) view, and the row, which must
+    hold row k's input again before ``frames.backward(k, dy)``."""
+    row = np.empty((1, xs.shape[1]))
+    frames.begin(row, len(xs))
+    outputs = []
+    for k, x in enumerate(xs):
+        row[0] = x
+        outputs.append(frames.forward(row, k))
+    return outputs, row
 
 
 class TestPlan:

@@ -3,18 +3,23 @@ backpropagation through time."""
 
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fdht.lstm
+from fdht.config import load_config
 from fdht.ht import HTWeight, RootFrames, htl_forward, init_ht_weight, reconstruct_dense
 from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell,
                        FdhtLstmCell, Head, LstmState, Sequence, _gate_backward,
-                       _gate_forward, bptt, forward_sequence, make_cell, make_head,
+                       _gate_forward, bptt, forward_sequence, group_size, make_cell, make_head,
                        sigmoid, softmax_cross_entropy, zero_grads)
 from oracles import (fd_param_dict, make_dense_cell, max_rel_error,
                      per_gate_backward, per_gate_forward)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_cell(mode="full", seed=9, **kw):
@@ -248,9 +253,8 @@ class TestDenseGateMap:
         frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)}, start)
         rng = np.random.default_rng(18)
         packed, dy = rng.normal(size=(1, w.in_size)), rng.normal(size=(4, w.out_size // 4))
-        block = packed[:, np.newaxis]  # one row of a group of one
-        frames.begin(block)
-        frames.forward(block[0], 0)
+        frames.begin(packed, 1)  # the row of a one-step group of one
+        frames.forward(packed, 0)
         got = frames.backward(0, dy)
         frames.end()
         frames.finish()
@@ -269,11 +273,14 @@ class TestDenseGateMap:
         want = np.zeros_like(matrix)
         for steps, k in ((3, 2), (5, 1), (5, 2)):
             xs = rng.normal(size=(steps, k, 9))
-            frames.begin(xs)
+            row = np.empty((k, 9))
+            frames.begin(row, steps)
             for t, x in enumerate(xs):
-                frames.forward(x, t)
+                row[...] = x
+                frames.forward(row, t)
             for t in range(steps - 1, -1, -1):
                 dz = rng.normal(size=(4, k, 4))
+                row[...] = xs[t]
                 frames.backward(t, dz)
                 for j in range(k):
                     want += np.outer(dz[:, j], xs[t, j])
@@ -283,7 +290,7 @@ class TestDenseGateMap:
 
     def test_minibatch_gradient_is_one_gemm(self, monkeypatch):
         # The dense map prepared for BPTT adds the weight gradient once, in
-        # finish, from every sequence's packed rows and dz rows: grads["w"]
+        # finish, from its copies of every sequence's rows and dz rows: grads["w"]
         # is still zero when finish starts, and the minibatch's peak holds the
         # gradient, at most one gate's (H, N) product beside it, the kept
         # rows twice (the blocks and finish's concatenation of them) and a
@@ -317,8 +324,8 @@ class TestDenseGateMap:
         assert peak <= matrix + matrix // 4 + rows + 64 * 1024
 
 
-# (sequence, message) pairs for n_x = 4: each is rejected where a sequence
-# is packed, with the message the per-step path gives
+# (sequence, message) pairs for n_x = 4: each is rejected where bptt
+# checks a sequence, with the message the per-step path gives
 BAD_SEQUENCES = {
     "wrong-length": ([np.ones(5)] * 2, "input has length 5, expected 4"),
     "ragged": ([np.ones(4), np.ones(5)], "input has length 5, expected 4"),
@@ -475,8 +482,8 @@ class TestBptt:
     @pytest.mark.parametrize("mode", ["full", "input-only"])
     def test_peak_memory_flat_in_batch_size(self, mode):
         # step caches are dropped as backward uses them and the frames'
-        # group blocks are reused, so eight times the sequences (eight
-        # groups against one) may not raise the peak by more than a few
+        # group blocks are reused, so the whole batch (four groups) may not
+        # raise the peak over that of one full group by more than a few
         # small objects
         cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
         head = make_head(8, cell.hidden_size, seed=2)
@@ -493,7 +500,9 @@ class TestBptt:
             finally:
                 tracemalloc.stop()
 
-        assert peak(batch) <= peak(batch[:2]) + 1024
+        k = group_size(cell, 6)
+        assert k == 4
+        assert peak(batch) <= peak(batch[:k]) + 1024
 
     def test_input_only_recurrent_gradient_is_one_gemm_per_group(self, monkeypatch):
         # Each group of two sequences opens a DenseGateMap over its h rows,
@@ -522,7 +531,7 @@ class TestBptt:
         try:
             base = tracemalloc.get_traced_memory()[0]
             frames = cell.gate_map.prepare(grads, n)
-            frames.begin(np.zeros((steps, 2, n)))
+            frames.begin(np.zeros((2, n)), steps)
             frame_bytes = tracemalloc.get_traced_memory()[0] - base
             del frames
             base = tracemalloc.get_traced_memory()[0]
@@ -532,7 +541,8 @@ class TestBptt:
         finally:
             tracemalloc.stop()
         grad_bytes = sum(g.nbytes for g in grads.values())
-        group = 2 * 8 * (steps * n + (3 * steps + 2) * h)  # packed, c, tanh_c and h
+        # a packed block's worth (more than the group's one row), c, tanh_c and h
+        group = 2 * 8 * (steps * n + (3 * steps + 2) * h)
         rows = 2 * 2 * 8 * steps * (4 * h + h)
         gate = 8 * h * h
         assert 8 * 4 * h * h == 131_072 and frame_bytes > 0
@@ -649,10 +659,11 @@ class TestBptt:
         assert calls == {"step_cached": 3, "step_packed": 3}
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
-    @pytest.mark.parametrize("lengths", [(6, 6, 4, 6, 6, 5), (6, 6, 6)])
+    @pytest.mark.parametrize("lengths", [(6, 6, 4, 6, 6, 5), (6, 6, 6), (6,) * 7 + (5,)])
     def test_groups_equal_one_sequence_batches(self, mode, lengths):
-        # bptt runs consecutive equal-length sequences in lockstep pairs (a
-        # change of length or the odd last one runs alone); the mean over
+        # bptt runs consecutive equal-length sequences in lockstep groups
+        # of up to group_size (4 here; the last lengths make HT groups of
+        # 4, 3 and 1), and a change of length ends a group; the mean over
         # one-sequence batches, drawing their dropout masks from one
         # generator in batch order, is the same loss, gradients and input
         # gradients at the synthetic geometry
@@ -681,10 +692,24 @@ class TestBptt:
                 for got, one in zip(dx[0], singles):
                     assert rel(np.array(got), np.array(one[2][0]) / b) <= 1e-12
 
-    def test_each_frames_forward_serves_a_pair(self, monkeypatch):
-        # a 16-sequence, 6-step minibatch runs as 8 lockstep pairs: 48
-        # products of the prepared frames, each over two packed rows; a
-        # sequence at a time would make 96
+    def test_group_size_per_shipped_config(self):
+        # the rule's group size for each config's own sequences: more than
+        # two only where steps are call-bound, at the small geometries
+        want = {"gradcheck-small": 35, "hmdb51-cnn": 2, "rank-sweep": 2, "synthetic": 4,
+                "synthetic-input-only": 4, "ucf11-cnn": 2, "ucf11-direct": 2,
+                "youtube-direct": 2}
+        got = {}
+        for path in sorted(CONFIGS.glob("*.ini")):
+            cfg = load_config(path)
+            m = cfg.model
+            cell = make_cell(m.n_x, m.n_shape, m.m_shape, m.leaf_rank, m.internal_rank, m.mode)
+            got[path.stem] = group_size(cell, cfg.task.frames)
+        assert got == want
+
+    def test_each_frames_forward_serves_a_group(self, monkeypatch):
+        # a 16-sequence, 6-step minibatch runs as 4 lockstep groups of 4:
+        # 24 products of the prepared frames, each over a row of four inputs;
+        # a sequence at a time would make 96
         cell = make_cell(256, (16, 17), (4, 4), 8, 8, seed=1)
         head = make_head(8, cell.hidden_size, seed=2)
         rng = np.random.default_rng(30)
@@ -697,7 +722,7 @@ class TestBptt:
 
         monkeypatch.setattr(RootFrames, "forward", spy)
         bptt(cell, head, batch)
-        assert rows == [2] * 48
+        assert rows == [4] * 24
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_np_dot_calls_do_not_grow_with_steps(self, mode, monkeypatch):

@@ -66,20 +66,25 @@ def test_plan_cache_figures_match_the_cache():
 
 def test_minibatch_inventory_figures_match_the_frames():
     # "The frames hold N MiB: V N MiB, `dvt` N MiB, a group's dy rows N MiB
-    # (...), the T scratch N MiB, U N MiB, dU N MiB." against the arrays of
-    # training frames at `hmdb51-cnn` with a group of two six-step
-    # sequences open
+    # (...), the T scratch N MiB, U N MiB, dU N MiB. They read the group's
+    # input row, N MiB, in place." against the arrays of training frames at
+    # `hmdb51-cnn` with a group of two six-step sequences open, as bptt
+    # opens one over its row
     text = " ".join(README.read_text().split())
-    total, listed = re.search(r"The frames hold ([\d.]+) MiB: (.*?)\. One sequence", text).groups()
+    total, listed, row_mib = re.search(
+        r"The frames hold ([\d.]+) MiB: (.*?)\. They read the group's input row, "
+        r"([\d.]+) MiB, in place\.", text).groups()
     figures = dict(re.fullmatch(r"(.+) ([\d.]+) MiB", part).groups()
                    for part in re.sub(r" \([^)]*\)", "", listed).split(", "))
     model = load_config(README.parent / "configs" / "hmdb51-cnn.ini").model
     w = init_ht_weight(model.m_shape, model.n_shape, model.leaf_rank,
                        model.internal_rank, GATES, model.seed)
     frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
-    frames.begin(np.zeros((6, 2, w.in_size)))
+    row = np.zeros((2, w.in_size))
+    frames.begin(row, 6)
     arrays = {"V": frames.v, "`dvt`": frames.dvt, "a group's dy rows": frames.dy_block,
               "the T scratch": frames.ts, "U": frames.u, "dU": frames.du}
     assert {name: float(f) for name, f in figures.items()} == {
         name: a.nbytes / 2**20 for name, a in arrays.items()}
     assert float(total) == sum(a.nbytes for a in arrays.values()) / 2**20
+    assert np.shares_memory(frames.x, row) and float(row_mib) == row.nbytes / 2**20

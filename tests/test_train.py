@@ -404,9 +404,11 @@ class TestMinibatchMemory:
     # counts, so "sequence" holds no activation block: a block of its own
     # (steps * 4 * H) would exceed the bound at hmdb51-cnn. The slack for
     # Python objects stays under one synthetic sequence's blocks. The bound
-    # is that of one sequence at a time with its T' block: bptt runs
-    # lockstep pairs and keeps no T' block, whose bytes pay for the second
-    # sequence's blocks.
+    # is that of one sequence at a time with its T' block and its packed
+    # inputs: bptt runs lockstep groups (4 sequences at synthetic, 2 at
+    # hmdb51-cnn), keeps no T' block and holds one input row per group,
+    # refilled every step, and those bytes pay for the other sequences'
+    # blocks.
     @pytest.mark.parametrize("geometry", ["synthetic", "hmdb51-cnn"])
     def test_peak_holds_one_sequence(self, geometry):
         n_x, n, m, leaf, internal, count = {

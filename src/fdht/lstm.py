@@ -21,22 +21,23 @@ baseline:
   prepared for BPTT, with a gradient buffer, it runs its weight-gradient
   GEMMs once per minibatch.
 
+- ``InputOnlyGateMap`` runs input-only mode on the row [x | zeros | h]
+  of length N + H: the cell's map reads the first N columns and a
+  ``DenseGateMap`` over the (4H x H) recurrent matrix the last H, so in
+  both modes h is the row's last H columns, on one step path.
+
 Each gate map returns its pre-activations gate-major in its own layout,
 with no copy of its own; the gate stage reshapes them to its (4, k, H)
 block.
 ``forward_split`` runs an evaluation split in blocks of sequences, each
 as one (b, N) block per time step.
-
-In input-only mode the gate map sees [x | zeros] and a dense (4H x H)
-recurrent matrix owned by the cell supplies the hidden-to-hidden terms;
-in BPTT a ``DenseGateMap`` over each group's h block computes its
-gradient, in GEMMs once per group.
 The cell's bias is one (4, H) array ``biases``, rows f, u, c, o, held as
 one block named ``biases`` in ``params()`` and in every gradient dict.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,7 @@ SPLIT_BLOCK_BYTES = 2 << 20  # forward_split's block budget: a synthetic split i
 # memory at that of pairs), and only raise the peak where a step's GEMMs
 # set its time (2 at hmdb51-cnn and ucf11-direct).
 GROUP_BYTES = 48 << 10
+HEAD_BLOCK_BYTES = 64 << 10  # bptt's head.w gradient block: a synthetic head is one block
 
 
 def group_size(cell, steps: int) -> int:
@@ -156,9 +158,9 @@ class DenseGateMap:
     ``backward`` keeps, in one (steps, k, N) and one (steps, k, 4H) block
     per group of k sequences, a copy of the group's input row and the dz
     it gets for each step, so ``finish`` adds the weight gradient in one
-    GEMM per gate. ``prepare`` makes one per minibatch (the dense cell),
-    ``Sequence`` one per group over its h block (the input-only recurrent
-    matrix)."""
+    GEMM per gate. ``prepare`` makes one per minibatch for the dense
+    cell; ``InputOnlyGateMap.prepare`` one for the recurrent matrix,
+    which it finishes at the end of every group."""
 
     row_scratch = 0  # no per-sequence scratch beside the rows it keeps
 
@@ -221,9 +223,56 @@ class DenseGateMap:
         rows at a time, so no (4H x N) product sits beside ``grad``."""
         dz = np.concatenate([b.reshape(-1, len(self.grad)) for b in self.dz_blocks])
         x = np.concatenate([b.reshape(-1, self.in_size) for b in self.x_blocks])
-        self.x_blocks = self.dz_blocks = None
+        self.x_blocks, self.dz_blocks = [], []
         for r in range(0, len(self.grad), self.hidden_size):
             self.grad[r:r + self.hidden_size] += dz[:, r:r + self.hidden_size].T @ x
+
+
+class InputOnlyGateMap:
+    """Input-only mode's gate map over the row [x | zeros | h] of length
+    N + H: the sum of ``inner``, the cell's map, on the first N columns
+    (whose h columns stay zero) and ``recurrent``, a ``DenseGateMap`` over
+    the (4H x H) recurrent matrix, on the last H. Prepared, its ``end``
+    adds each group's recurrent gradient, so it keeps one group's rows."""
+
+    def __init__(self, inner, recurrent):
+        self.inner, self.recurrent, self.n = inner, recurrent, inner.in_size
+        self.in_size, self.row_scratch = self.n + recurrent.in_size, inner.row_scratch
+
+    def params(self) -> dict[str, np.ndarray]:
+        return self.inner.params()
+
+    def forward(self, packed, t):
+        z = self.inner.forward(packed[:, :self.n], t)
+        return z + self.recurrent.forward(packed[:, self.n:], t).reshape(z.shape)
+
+    def product(self, x):
+        z = self.inner.product(x[:, :self.n])
+        return z + self.recurrent.product(x[:, self.n:]).reshape(z.shape)
+
+    def prepare(self, grads=None, start=0):
+        """Both maps prepared, for the input cotangent from row ``start`` (0 or N) on."""
+        frames = copy.copy(self)
+        frames.inner, frames.start = self.inner.prepare(grads, start), start
+        if grads is not None:
+            frames.recurrent = DenseGateMap(self.recurrent.weight, grads["recurrent"])
+        return frames
+
+    def begin(self, row, steps):
+        self.recurrent.begin(row[:, self.n:], steps)
+        return self.inner.begin(row[:, :self.n], steps)
+
+    def backward(self, t, dz):
+        dh = self.recurrent.backward(t, dz)  # before the inner map moves dz in its row
+        return np.concatenate((self.inner.backward(t, dz), dh), axis=1)
+
+    def end(self):
+        self.inner.end()
+        self.recurrent.end()
+        self.recurrent.finish()
+
+    def finish(self):
+        self.inner.finish()
 
 
 class Sequence:
@@ -237,38 +286,27 @@ class Sequence:
     the group's activations f, u, c_in, o into ``act[t]``, one contiguous
     (4, k, H) block, its cell states into ``c[t + 1]`` (``c[0]`` is the
     initial one), tanh of those into ``tanh_c[t]`` and its hidden states
-    into ``h``, the (k, H) block the next step reads: in full mode the
-    row's h slice, where the gate map reads it, in input-only mode a block
-    of its own, which ``recurrent``, a ``DenseGateMap`` over the recurrent
-    matrix, reads. Before step t's backward, ``fill(t, backward=True)``
+    into ``h``, the row's last H columns, where the next step's gate map
+    reads them. Before step t's backward, ``fill(t, backward=True)``
     also writes h_t back into ``h``: o_{t-1} tanh(c_{t-1}) from
     ``act[t - 1]`` and ``tanh_c[t - 1]``, the forward's own product, so the
     same bits, or the initial state at t = 0. With ``frames``, prepared
     for BPTT, they open the group over the row (``begin``) and ``act`` is
     the block of rows that ``begin`` returns: row t holds the gate map's
     output, then the activations, then, once the step's backward has read
-    them, its dz. Else ``act`` is a block of its own. With ``grads``
-    (BPTT) the recurrent map is opened over ``h`` with
-    ``grads["recurrent"]``. ``state`` sets the initial ``h`` and
-    ``c[0]``, zero without it."""
+    them, its dz. Else ``act`` is a block of its own. ``state`` sets the
+    initial ``h`` and ``c[0]``, zero without it."""
 
-    def __init__(self, cell, xs, state=None, frames=None, grads=None):
+    def __init__(self, cell, xs, state=None, frames=None):
         self.xs = [check_frames(x, cell.n_x) for x in xs]
         k, steps, h = len(xs), len(self.xs[0]), cell.hidden_size
         self.row = np.zeros((k, cell.gate_map.in_size))
         self.x_rows = self.row[:, : cell.n_x]
+        self.h = self.row[:, -h:]
         self.act = (np.empty((steps, GATES, k, h)) if frames is None
                     else frames.begin(self.row, steps))
         self.c = np.zeros((steps + 1, k, h))
         self.tanh_c = np.empty((steps, k, h))
-        if cell.recurrent is None:
-            self.h = self.row[:, cell.h_start:]
-        else:
-            self.h = np.zeros((k, h))
-            self.recurrent = DenseGateMap(cell.recurrent,
-                                          None if grads is None else grads["recurrent"])
-            if grads is not None:
-                self.recurrent.begin(self.h, steps)
         self.h0 = 0.0
         if state is not None:
             self.h[...] = self.h0 = state.h
@@ -291,9 +329,9 @@ class FdhtLstmCell:
 
     Without ``recurrent`` (mode "full") the gate map consumes
     [x | zeros(pad_len) | h]. With a dense (4H x H) ``recurrent`` matrix
-    (mode "input-only") the gate map consumes only [x | zeros], and that
-    matrix supplies the hidden-to-hidden terms, one H x H block per gate,
-    and in BPTT each ``Sequence``'s ``recurrent`` map computes its gradient.
+    (mode "input-only") the map consumes only [x | zeros], and that matrix
+    supplies the hidden-to-hidden terms, one H x H block per gate: the
+    cell's ``gate_map`` is then an ``InputOnlyGateMap`` over both.
     """
 
     gate_map_type = HtGateMap
@@ -304,7 +342,6 @@ class FdhtLstmCell:
         self.n_x = int(n_x)
         self.hidden_size = h = self.gate_map.hidden_size
         self.pad_len = pad_length(self.n_x, h, self.gate_map.in_size)
-        self.h_start = self.n_x + self.pad_len
         if biases is None:
             biases = np.zeros((GATES, h))
             biases[0] = 1.0  # forget gate
@@ -312,17 +349,14 @@ class FdhtLstmCell:
         if self.biases.shape != (GATES, h):
             raise ValueError(f"biases must have shape {(GATES, h)}, "
                              f"got {self.biases.shape}")
-        self.recurrent = recurrent
+        self.recurrent, self.mode = recurrent, "full"
         if recurrent is not None:
             self.recurrent = np.asarray(recurrent, dtype=np.float64)
             if self.recurrent.shape != (GATES * h, h):
                 raise ValueError(f"recurrent matrix must be {(GATES * h, h)}, "
                                  f"got {self.recurrent.shape}")
-
-    @property
-    def mode(self) -> str:
-        """``"input-only"`` exactly when the cell has a recurrent matrix."""
-        return "full" if self.recurrent is None else "input-only"
+            self.gate_map = InputOnlyGateMap(self.gate_map, DenseGateMap(self.recurrent))
+            self.mode = "input-only"
 
     def init_state(self) -> LstmState:
         return LstmState(np.zeros(self.hidden_size), np.zeros(self.hidden_size))
@@ -346,25 +380,21 @@ class FdhtLstmCell:
 
     def step_packed(self, frames, seq: Sequence, t: int):
         """Step t of the group ``seq``: fill its (k, N) row with the
-        step's frames (its h slices, in full mode, step t - 1 wrote),
-        apply ``frames.forward`` to it, gate and update, all written into
+        step's frames (its h slices step t - 1 wrote), apply
+        ``frames.forward`` to it, gate and update, all written into
         ``seq``. ``frames`` is the gate map, or, for ``step_backward``,
         what its ``prepare`` returned, which opened ``seq``."""
         seq.fill(t)
-        z = frames.forward(seq.row, t)
-        if self.recurrent is not None:
-            z = z + seq.recurrent.forward(seq.h, t).reshape(z.shape)
-        _gate_forward(z, self.biases[:, None], seq.c[t], seq.act[t], seq.c[t + 1],
-                      seq.tanh_c[t], seq.h)
+        _gate_forward(frames.forward(seq.row, t), self.biases[:, None], seq.c[t],
+                      seq.act[t], seq.c[t + 1], seq.tanh_c[t], seq.h)
 
     def step_backward(self, frames, seq: Sequence, t: int, dh, dc, grads):
         """Accumulate the gradients of step t of the group ``seq``, given
         its (k, H) ``dh`` and ``dc``: biases into ``grads``, the gate map
-        into ``frames`` and, in input-only mode, the recurrent matrix into
-        ``seq.recurrent``, which then gives dh_prev. The group's row and
-        ``seq.h`` are filled with step t's inputs first, which both maps
-        read. Returns (dh_prev, dc_prev, dx), each with one row per
-        sequence, dx the input cotangent read from the row
+        into ``frames``. The group's row is filled with step t's inputs
+        first, which the map reads. Returns (dh_prev, dc_prev, dx), each
+        with one row per sequence: dh_prev the last H columns of the
+        map's input cotangent, dx its first n_x, read from the row
         ``frames.start`` that ``prepare`` fixed: None unless it is 0. The
         gate stage reads ``seq.act[t]``, a row of the frames' own opened
         by ``begin``, then writes dz over it, so no dz of its own is alive
@@ -373,13 +403,9 @@ class FdhtLstmCell:
         seq.fill(t, backward=True)
         dz, dc_prev = _gate_backward(seq.act[t], seq.c[t], seq.tanh_c[t], dh, dc)
         grads["biases"] += np.add.reduce(dz, 1)
-        if self.recurrent is not None:  # before frames.backward moves dz in its row
-            dh_prev = seq.recurrent.backward(t, dz)
         d_packed = frames.backward(t, dz)
-        if self.recurrent is None:
-            dh_prev = d_packed[:, self.h_start - frames.start:]
         dx = None if frames.start else d_packed[:, : self.n_x]
-        return dh_prev, dc_prev, dx
+        return d_packed[:, -self.hidden_size:], dc_prev, dx
 
 
 class DenseLstmCell(FdhtLstmCell):
@@ -516,13 +542,12 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
     or in input-only mode the recurrent matrix's bytes if that is larger.
     Each block runs as one (b, N) block per time step through the gate
     map's frames, prepared once (``product``, no backward bookkeeping),
-    the gate stage on (4, b, H) and the head on (b, H); in full mode the
-    hidden state stays in the block's h slice, in input-only mode the
-    recurrent map's ``product`` reads it. Returns (B, classes) logits."""
+    the gate stage on (4, b, H) and the head on (b, H); the hidden state
+    stays in the block's last H columns, where the next product reads
+    it. Returns (B, classes) logits."""
     xs = check_frames(xs, cell.n_x, ndim=3)
     size, h = cell.gate_map.in_size, cell.hidden_size
     frames = cell.gate_map.prepare()
-    recurrent = None if cell.recurrent is None else DenseGateMap(cell.recurrent)
     # an input-only step reads the whole recurrent matrix once per block
     budget = max(SPLIT_BLOCK_BYTES, 0 if cell.recurrent is None else cell.recurrent.nbytes)
     rows = max(1, budget // (8 * (size + GATES * h)))
@@ -531,14 +556,11 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
         part = xs[first:first + rows]
         count = len(part)
         block = np.zeros((count, size))
-        hs = block[:, cell.h_start:] if cell.recurrent is None else np.zeros((count, h))
+        hs = block[:, -h:]
         act, c, tanh_c = np.empty((GATES, count, h)), np.zeros((count, h)), np.empty((count, h))
         for t in range(xs.shape[1]):
             block[:, : cell.n_x] = part[:, t]
-            z = frames.product(block)
-            if recurrent is not None:
-                z = z + recurrent.product(hs).reshape(z.shape)
-            _gate_forward(z, cell.biases[:, None], c, act, c, tanh_c, hs)
+            _gate_forward(frames.product(block), cell.biases[:, None], c, act, c, tanh_c, hs)
         logits[first:first + count] = hs @ head.w.T + head.b
     return logits
 
@@ -570,9 +592,9 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     that row with ``begin`` and close it with ``end``. The HT frames add
     each step's V cotangent in its backward, from T' rebuilt there. The
     dense frames keep a copy of every row and its dz and add the weight
-    gradient in one GEMM per gate in ``finish``; in input-only mode each
-    group's own recurrent map does so once its backward is done. Steps
-    write into the group's blocks and keep no cache of their own. Step t's
+    gradient in one GEMM per gate in ``finish``; input-only mode's
+    recurrent map does so in ``end``, once per group. Steps write into
+    the group's blocks and keep no cache of their own. Step t's
     activations live in the frames' row t, between the gate map's output
     and the step's dz: the gate stage reads the output into its biased
     pre-activations before it writes them, and the step's backward reads
@@ -580,13 +602,14 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     its backward is done, before ``end``, so the peak memory does not grow
     with the batch. The head, the loss and the dropout masks run per
     sequence in batch order, so a sequence's loss and draws do not depend
-    on its group. The frames' input cotangent starts at row 0 with
-    ``return_input_grads``, else at the h slice (full mode) or past the
-    input (input-only: no rows). A ``dropout_rate`` outside [0, 1) is a
-    ValueError; dropout, when enabled, is applied to the final hidden
-    state before the head (inverted scaling) and needs an ``rng``. Returns
-    (loss, grads) or (loss, grads, input_grads) where input_grads[i][t] is
-    dL/dx_t for example i.
+    on its group; the head's weight gradient is added in blocks of rows
+    of at most ``HEAD_BLOCK_BYTES``. The frames' input cotangent starts at
+    row 0 with ``return_input_grads``, else at the h slice, the row's last
+    H columns. A ``dropout_rate`` outside [0, 1) is a ValueError; dropout,
+    when enabled, is applied to the final hidden state before the head
+    (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
+    (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
+    example i.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -594,9 +617,9 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     if dropout_rate > 0 and rng is None:
         raise ValueError("dropout needs an rng")
     grads = zero_grads(cell, head)
-    start = (0 if return_input_grads else cell.h_start if cell.recurrent is None
-             else cell.gate_map.in_size)
+    start = 0 if return_input_grads else cell.gate_map.in_size - cell.hidden_size
     frames = cell.gate_map.prepare(grads, start)
+    rows = max(1, HEAD_BLOCK_BYTES // (8 * cell.hidden_size))  # of head.w, per product
     total_loss = 0.0
     all_input_grads = []
 
@@ -612,7 +635,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
                 break
             group.append(xs)
         k = len(group)
-        seq = Sequence(cell, group, frames=frames, grads=grads)
+        seq = Sequence(cell, group, frames=frames)
         group = xs = None  # a sequence checked past the group goes now
         for t in range(steps):
             cell.step_packed(frames, seq, t)
@@ -625,7 +648,8 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
             logits = head.w.dot(h_used) + head.b
             loss, dlogits = softmax_cross_entropy(logits, label)
             total_loss += loss
-            grads["head.w"] += np.multiply.outer(dlogits, h_used)
+            for r in range(0, len(dlogits), rows):
+                grads["head.w"][r:r + rows] += np.multiply.outer(dlogits[r:r + rows], h_used)
             grads["head.b"] += dlogits
             dlogits.dot(head.w, out=dh[j])
             if dropout_rate > 0:
@@ -637,8 +661,6 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
             if return_input_grads:
                 for j in range(k):
                     input_grads[j][t] = dx[j]
-        if cell.recurrent is not None:
-            seq.recurrent.finish()
         del seq
         frames.end()  # with the group's blocks gone, before the next allocates its own
         if return_input_grads:

@@ -504,6 +504,32 @@ class TestBptt:
         assert k == 4
         assert peak(batch) <= peak(batch[:k]) + 1024
 
+    def test_head_gradient_adds_in_blocks(self):
+        # bptt adds each sequence's head.w gradient in blocks of rows of at
+        # most HEAD_BLOCK_BYTES: with 2,048 classes a whole (classes x H)
+        # outer product, 1 MiB, would sit beside the gradient; the loss and
+        # its softmax make a few class-length vectors
+        cell = make_cell(8, (8, 9), (8, 8), 2, 2, seed=1)
+        rng = np.random.default_rng(6)
+        batch = [(rng.normal(size=(3, 8)), i) for i in range(4)]
+
+        def peak(classes):
+            head = make_head(classes, cell.hidden_size, seed=2)
+            bptt(cell, head, batch)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bptt(cell, head, batch)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        classes = 2048
+        head_grads = 8 * classes * (cell.hidden_size + 1)
+        assert 8 * classes * cell.hidden_size == 2 ** 20
+        vectors = 16 * 8 * classes
+        assert peak(classes) - peak(4) <= head_grads + fdht.lstm.HEAD_BLOCK_BYTES + vectors
+
     def test_input_only_recurrent_gradient_is_one_gemm_per_group(self, monkeypatch):
         # Each group of two sequences opens a DenseGateMap over its h rows,
         # whose finish adds the recurrent gradient one gate's (H, H) product
@@ -777,8 +803,8 @@ class TestBptt:
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_default_bptt_asks_only_for_h_rows(self, mode, monkeypatch):
         # each bptt prepares the gate map once: without input gradients its
-        # backward starts at the h slice (full mode, dense too) or past the
-        # input (input-only), with them at row 0
+        # backward starts at the h slice, the row's last H columns, in
+        # every mode, with them at row 0
         cell = make_dense_cell(4, 4, seed=3) if mode == "dense" else small_cell(mode, seed=3)
         head = make_head(3, cell.hidden_size, seed=0)
         rng = np.random.default_rng(23)
@@ -793,8 +819,7 @@ class TestBptt:
 
         monkeypatch.setattr(map_type, "prepare", spy)
         bptt(cell, head, batch)
-        want = cell.gate_map.in_size if mode == "input-only" else cell.n_x + cell.pad_len
-        assert starts == [want]
+        assert starts == [cell.gate_map.in_size - cell.hidden_size]
         starts.clear()
         bptt(cell, head, batch, return_input_grads=True)
         assert starts == [0]
@@ -812,17 +837,15 @@ class TestBptt:
         xs, dh = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4))
 
         def accumulate(grads):
-            # as bptt runs a group of two sequences: in input-only mode it
-            # opens the recurrent map over grads["recurrent"] and finishes it
+            # as bptt runs a group of two sequences: in input-only mode the
+            # frames' end adds the recurrent gradient
             frames = cell.gate_map.prepare(grads)
-            seq = Sequence(cell, list(xs), frames=frames, grads=grads)
+            seq = Sequence(cell, list(xs), frames=frames)
             for t in range(3):
                 cell.step_packed(frames, seq, t)
             g_h, g_c = dh, np.zeros((2, 4))
             for t in reversed(range(3)):
                 g_h, g_c, _ = cell.step_backward(frames, seq, t, g_h, g_c, grads)
-            if mode == "input-only":
-                seq.recurrent.finish()
             frames.end()
             frames.finish()
             return grads

@@ -63,7 +63,7 @@ def test_bptt_and_forward_match_the_references(case):
     w = cell.weight
     matrix = reconstruct_dense(w)
     if cell.recurrent is not None:
-        matrix[:, cell.h_start:] = cell.recurrent
+        matrix[:, cell.n_x + cell.pad_len:] = cell.recurrent
     dense = DenseLstmCell(matrix, cell.n_x, biases=cell.biases)
     batch = [(rng.normal(size=(steps, cell.n_x)), i % 3)
              for i, steps in enumerate(case["lengths"])]

@@ -12,8 +12,8 @@ from fdht.config import load_config
 from fdht.ht import RootFrames
 from fdht.lstm import bptt, forward_sequence, forward_split, make_cell, make_head
 from fdht.train import (AdamState, Dataset, SyntheticTask, TrainConfig, TrainingError,
-                        adam_step, evaluate, generate_task, generate_test_split,
-                        history_csv, train)
+                        adam_step, epoch_line, evaluate, generate_task,
+                        generate_test_split, history_csv, train)
 from oracles import make_dense_cell, nearest_template_accuracy
 
 
@@ -251,6 +251,18 @@ class TestTrainLoop:
             train(cell, head, tr, te, cfg)
         assert str(exc.value) == (f"epoch 0 minibatch {minibatch}: "
                                   "non-finite gradient in parameter block 'ht.0'")
+
+    def test_input_only_block_order(self):
+        # an input-only cell names its blocks ht.*, biases, then recurrent,
+        # and each epoch's stderr line keeps that order, the head's last
+        cell, head, tr, te, cfg = self.small_setup(epochs=1)
+        cell = make_cell(12, (4, 4), (2, 2), 2, 2, mode="input-only", seed=1)
+        blocks = ["ht.0", "ht.1", "ht.2", "biases", "recurrent"]
+        assert list(cell.params()) == blocks
+        (rec,) = train(cell, head, tr, te, cfg)
+        keys = [field.split("=", 1)[0] for field in epoch_line(rec).split(" ")]
+        assert keys == ["epoch", "wall_s", "loss",
+                        *(f"grad_norm.{b}" for b in [*blocks, "head.w", "head.b"])]
 
     def test_history_csv_shape(self):
         cell, head, tr, te, cfg = self.small_setup(epochs=2)

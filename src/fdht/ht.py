@@ -258,14 +258,17 @@ class RootFrames:
     reads the factors again, so keep them unchanged until ``finish`` and
     build new frames after every update.
     Frames built without a ``sink`` hold no gradient buffers and serve
-    only ``product``. ``backward`` returns the input cotangent from row
-    ``start`` on, for which the rows of U.T are prepared once.
+    only ``product(x)``, which multiplies the block of inputs it is given.
+    Frames built with one serve BPTT: ``forward(t)`` multiplies the row of
+    the group that ``begin`` opened and writes Y into row t of the block
+    that ``begin`` returned. ``backward`` returns the input cotangent from
+    row ``start`` on, for which the rows of U.T are prepared once.
 
     Products come in groups of k sequences that run in lockstep, each
     opened by ``begin(row, steps)`` over the group's (k, N) input row and
-    closed by ``end()``. The row is read in place by every ``forward(x,
-    t)`` and ``backward(t, dy)``, so the caller fills it with row t's
-    inputs before each. A row's T for the whole group goes into one
+    closed by ``end()``. The row is read in place by every ``forward(t)``
+    and ``backward(t, dy)``, so the caller fills it with row t's inputs
+    before each. A row's T for the whole group goes into one
     (k, m_L r_L, n_R) scratch through one ``np.matmul``, and its Y, one
     GEMM with M = k m_L, into slot t of a (steps, k m_L, g m_R) dy block,
     which ``backward`` then overwrites with dy. No T' is kept: ``backward``
@@ -315,10 +318,10 @@ class RootFrames:
     def begin(self, row, steps):
         """Open a group of k sequences of ``steps`` products over the
         (k, N) ``row``, which is read in place: fill it with row t's
-        inputs before ``forward(x, t)`` and again before ``backward(t,
-        dy)``. Returns the dy block's memory as (steps, g, k, m_L m_R)
-        rows, one per product, to store into: row t holds Y (laid out as
-        dy, not as this view) from ``forward(x, t)`` on, is the caller's
+        inputs before ``forward(t)`` and again before ``backward(t, dy)``.
+        Returns the dy block's memory as (steps, g, k, m_L m_R) rows, one
+        per product, to store into: row t holds Y (laid out as dy, not as
+        this view) from ``forward(t)`` on, is the caller's
         once it has read Y, and is overwritten by ``backward(t, dy)``."""
         g, rl, ml, mr, nl, nr = self.shape
         k = len(row)
@@ -334,11 +337,11 @@ class RootFrames:
         self.xt = self.x.transpose(0, 2, 1)
         return self.dy_block.reshape(steps, g, k, ml * mr)
 
-    def forward(self, x, t):
-        """``W @ x`` for the (k, N) row t of the open group as a
-        (g, k, m_L, m_R) view, which the row's ``backward`` overwrites.
-        ``x`` is the group's row, read through the views ``begin``
-        prepared."""
+    def forward(self, t):
+        """``W @ x`` for the open group's (k, N) row, read through the
+        views ``begin`` prepared, written into row t of the dy block and
+        returned as a (g, k, m_L, m_R) view of it, which the row's
+        ``backward`` overwrites."""
         np.matmul(self.u, self.x, out=self.ts)
         self.tt.dot(self.v, out=self.dy_block[t])
         return self.dys[t]

@@ -3,34 +3,40 @@
 One cell class owns the LSTM: it concatenates the input vector, zero
 padding and previous hidden state to the map's input length, applies a
 *gate map* once per time step, and splits the 4H pre-activations
-gate-major in the order f, u, c, o. A group of equal-length sequences,
-which step in lockstep, gets its blocks once (``Sequence``): one (k, N)
-input row, which each step fills from the sequences' frames before its
-forward and its backward, and the gate stage's activations, cell states
-and tanh(c), which the steps write in place and the backward reads. The
-gate map is the only part that differs between the paper's cell and its
-baseline:
+gate-major in the order f, u, c, o. The gate map is the only part that
+differs between the paper's cell and its baseline:
 
 - ``HtGateMap`` (``FdhtLstmCell``) stores the stacked input-to-hidden and
   hidden-to-hidden matrices of all four gates in HT form with root rank
-  ``GATES``, so the leading output mode selects the gate. A single step
-  runs the contraction plan; BPTT prepares the root-children frames once
-  per minibatch (``fdht.ht.RootFrames``) and runs two GEMMs per step of
-  a group.
+  ``GATES``, so the leading output mode selects the gate. Unprepared it
+  runs the contraction plan; prepared, once per minibatch or split, it
+  is the root-children frames (``fdht.ht.RootFrames``), two GEMMs per
+  product.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
   prepared for BPTT, with a gradient buffer, it runs its weight-gradient
   GEMMs once per minibatch.
-
 - ``InputOnlyGateMap`` runs input-only mode on the row [x | zeros | h]
   of length N + H: the cell's map reads the first N columns and a
   ``DenseGateMap`` over the (4H x H) recurrent matrix the last H, so in
   both modes h is the row's last H columns, on one step path.
 
-Each gate map returns its pre-activations gate-major in its own layout,
-with no copy of its own; the gate stage reshapes them to its (4, k, H)
-block.
-``forward_split`` runs an evaluation split in blocks of sequences, each
-as one (b, N) block per time step.
+Each method has one meaning. ``product(x)`` multiplies the block of
+inputs it is given; it is all an unprepared map does, and what frames
+prepared without gradient buffers serve. Frames prepared for BPTT open
+a group of k equal-length sequences, which step in lockstep, over its
+(k, N) input row (``begin``), and ``forward(t)`` multiplies that row
+into row t of the block ``begin`` returned. Each gate map returns its
+pre-activations gate-major in its own layout, with no copy of its own;
+the gate stage reshapes them to its (4, k, H) block.
+
+Inference has one recurrence loop, ``_run_block``: ``cell.step`` runs it
+on a block of one sequence and one step through the unprepared map,
+``forward_split`` on blocks of an evaluation split through frames
+prepared once. BPTT gets each group's blocks once (``Sequence``): the
+input row, which each step fills from the sequences' frames before its
+forward and its backward, and the gate stage's cell states and tanh(c),
+which the steps write in place and the backward reads.
+
 The cell's bias is one (4, H) array ``biases``, rows f, u, c, o, held as
 one block named ``biases`` in ``params()`` and in every gradient dict.
 """
@@ -119,10 +125,10 @@ def softmax_cross_entropy(logits, label: int):
 
 
 class HtGateMap:
-    """Gate map stored in HT form. One vector at a time (``forward``) it
-    runs the contraction plan; ``prepare`` builds the root-children frames
-    once, for training or for a split's ``product``, and every product is
-    two GEMMs."""
+    """Gate map stored in HT form. Its own ``product`` runs the
+    contraction plan on one packed row; ``prepare`` builds the
+    root-children frames once, for training or for a split's ``product``,
+    and every product of theirs is two GEMMs."""
 
     def __init__(self, weight: HTWeight):
         if weight.root_rank != GATES:
@@ -138,11 +144,10 @@ class HtGateMap:
     def params(self) -> dict[str, np.ndarray]:
         return {f"ht.{i}": f for i, f in enumerate(self.weight.factors)}
 
-    def forward(self, packed, t):
-        """``W @ packed`` as (g, m_1..m_d), for one (1, N) row; ``t``, a
-        row of an open group, matters only to prepared frames."""
-        return output_from_tape(self.weight, run_plan(self.weight,
-                                                      packed.reshape(self.weight.n_shape)))
+    def product(self, x):
+        """``W @ x`` as (g, m_1..m_d) for a (1, N) block ``x``: one run of
+        the contraction plan."""
+        return output_from_tape(self.weight, run_plan(self.weight, x.reshape(self.weight.n_shape)))
 
     def prepare(self, grads=None, start=0) -> RootFrames:
         """Frames of the current factors, whose ``finish`` adds the factor
@@ -155,12 +160,14 @@ class HtGateMap:
 class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix, which serves ``product``.
     With a gradient buffer ``grad`` and a ``start`` it also serves BPTT:
-    ``backward`` keeps, in one (steps, k, N) and one (steps, k, 4H) block
-    per group of k sequences, a copy of the group's input row and the dz
-    it gets for each step, so ``finish`` adds the weight gradient in one
-    GEMM per gate. ``prepare`` makes one per minibatch for the dense
-    cell; ``InputOnlyGateMap.prepare`` one for the recurrent matrix,
-    which it finishes at the end of every group."""
+    ``forward(t)`` writes the product of the group's input row into row
+    t of the group's (steps, k, 4H) dz block, and ``backward`` keeps, in
+    one (steps, k, N) block per group of k sequences, a copy of the row
+    and, in that dz block, the dz it gets for each step, so ``finish``
+    adds the weight gradient in one GEMM per gate. ``prepare`` makes one
+    per minibatch for the dense cell; ``InputOnlyGateMap.prepare`` one
+    for the recurrent matrix, which it finishes at the end of every
+    group."""
 
     row_scratch = 0  # no per-sequence scratch beside the rows it keeps
 
@@ -177,10 +184,11 @@ class DenseGateMap:
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.weight}
 
-    def forward(self, packed, t):
-        """``W @ x`` for each of the (k, N) rows ``packed`` as a (g, k, H)
-        view; ``t`` as for ``HtGateMap.forward``."""
-        return packed.dot(self.weight.T).reshape(len(packed), GATES, -1).transpose(1, 0, 2)
+    def forward(self, t):
+        """``W @ x`` for the (k, N) row that ``begin`` took, written into
+        row t of the block that ``begin`` returned, as a (g, k, H) view."""
+        y = self.row.dot(self.weight.T, out=self.dz_blocks[-1][t])
+        return y.reshape(len(y), GATES, -1).transpose(1, 0, 2)
 
     def product(self, x):
         """``W @ x`` for a (B, N) block of inputs as a (g, B, H) view."""
@@ -194,9 +202,11 @@ class DenseGateMap:
 
     def begin(self, row, steps):
         """Open a group of ``steps`` products over the (k, N) input
-        ``row``, which ``backward(t, dz)`` copies, so it must hold row t's
-        inputs then. Returns the group's dz block as (steps, g, k, H) rows:
-        row t is the caller's until ``backward(t, dz)`` writes dz into it."""
+        ``row``, which ``forward(t)`` reads and ``backward(t, dz)`` copies,
+        so it must hold row t's inputs before each. Returns the group's dz
+        block as (steps, g, k, H) rows: row t holds the product from
+        ``forward(t)`` on, is the caller's once it has read it, and gets
+        dz from ``backward(t, dz)``."""
         k, n = row.shape
         self.row = row
         self.x_blocks.append(np.empty((steps, k, n)))
@@ -232,8 +242,10 @@ class InputOnlyGateMap:
     """Input-only mode's gate map over the row [x | zeros | h] of length
     N + H: the sum of ``inner``, the cell's map, on the first N columns
     (whose h columns stay zero) and ``recurrent``, a ``DenseGateMap`` over
-    the (4H x H) recurrent matrix, on the last H. Prepared, its ``end``
-    adds each group's recurrent gradient, so it keeps one group's rows."""
+    the (4H x H) recurrent matrix, on the last H. ``product`` returns the
+    sum of both maps' products; prepared, ``forward(t)`` adds the
+    recurrent product into the inner map's row t, and ``end`` adds each
+    group's recurrent gradient, so it keeps one group's rows."""
 
     def __init__(self, inner, recurrent):
         self.inner, self.recurrent, self.n = inner, recurrent, inner.in_size
@@ -242,9 +254,9 @@ class InputOnlyGateMap:
     def params(self) -> dict[str, np.ndarray]:
         return self.inner.params()
 
-    def forward(self, packed, t):
-        z = self.inner.forward(packed[:, :self.n], t)
-        return z + self.recurrent.forward(packed[:, self.n:], t).reshape(z.shape)
+    def forward(self, t):
+        z = self.inner.forward(t)
+        return np.add(z, self.recurrent.forward(t).reshape(z.shape), z)
 
     def product(self, x):
         z = self.inner.product(x[:, :self.n])
@@ -276,52 +288,44 @@ class InputOnlyGateMap:
 
 
 class Sequence:
-    """The blocks of a group of k equal-length sequences, allocated once
-    and written in place by its steps; each step serves all k. ``row`` is
-    the group's (k, N) packed input row: the frames of each of the k
-    sequences ``xs``, then zeros over the pad and the h slice. The frames
-    are read in place (``check_frames`` rejects a sequence that is not
-    (steps, n_x)): ``fill(t)`` writes step t's into the row's x slices
-    before the step's forward and again before its backward. Step t writes
-    the group's activations f, u, c_in, o into ``act[t]``, one contiguous
-    (4, k, H) block, its cell states into ``c[t + 1]`` (``c[0]`` is the
-    initial one), tanh of those into ``tanh_c[t]`` and its hidden states
-    into ``h``, the row's last H columns, where the next step's gate map
-    reads them. Before step t's backward, ``fill(t, backward=True)``
-    also writes h_t back into ``h``: o_{t-1} tanh(c_{t-1}) from
-    ``act[t - 1]`` and ``tanh_c[t - 1]``, the forward's own product, so the
-    same bits, or the initial state at t = 0. With ``frames``, prepared
-    for BPTT, they open the group over the row (``begin``) and ``act`` is
-    the block of rows that ``begin`` returns: row t holds the gate map's
-    output, then the activations, then, once the step's backward has read
-    them, its dz. Else ``act`` is a block of its own. ``state`` sets the
-    initial ``h`` and ``c[0]``, zero without it."""
+    """The blocks of a BPTT group of k equal-length sequences, allocated
+    once and written in place by its steps; each step serves all k.
+    ``row`` is the group's (k, N) packed input row: the frames of each of
+    the k sequences ``xs``, then zeros over the pad and the h slice. The
+    frames are read in place (``check_frames`` rejects a sequence that is
+    not (steps, n_x)): ``fill(t)`` writes step t's into the row's x slices
+    before the step's forward and again before its backward. ``frames``,
+    prepared for BPTT, open the group over the row (``begin``), and
+    ``act`` is the block of rows that ``begin`` returns: row t holds the
+    gate map's output, then the step's activations f, u, c_in, o as one
+    contiguous (4, k, H) block, then, once the step's backward has read
+    them, its dz. Step t writes its cell states into ``c[t + 1]``
+    (``c[0]`` is the zero initial state), tanh of those into ``tanh_c[t]``
+    and its hidden states into ``h``, the row's last H columns, where the
+    next step's gate map reads them. Before step t's backward,
+    ``fill(t, backward=True)`` also writes h_t back into ``h``: o_{t-1}
+    tanh(c_{t-1}) from ``act[t - 1]`` and ``tanh_c[t - 1]``, the forward's
+    own product, so the same bits, or zero at t = 0."""
 
-    def __init__(self, cell, xs, state=None, frames=None):
+    def __init__(self, cell, xs, frames):
         self.xs = [check_frames(x, cell.n_x) for x in xs]
         k, steps, h = len(xs), len(self.xs[0]), cell.hidden_size
         self.row = np.zeros((k, cell.gate_map.in_size))
         self.x_rows = self.row[:, : cell.n_x]
         self.h = self.row[:, -h:]
-        self.act = (np.empty((steps, GATES, k, h)) if frames is None
-                    else frames.begin(self.row, steps))
+        self.act = frames.begin(self.row, steps)
         self.c = np.zeros((steps + 1, k, h))
         self.tanh_c = np.empty((steps, k, h))
-        self.h0 = 0.0
-        if state is not None:
-            self.h[...] = self.h0 = state.h
-            self.c[0] = state.c
 
     def fill(self, t, backward=False):
         """Write step t's frames into the row's x slices and, with
         ``backward``, h_t into ``h``."""
         for j, x in enumerate(self.xs):
             self.x_rows[j] = x[t]
-        if backward:
-            if t:
-                np.multiply(self.act[t - 1][3], self.tanh_c[t - 1], self.h)
-            else:
-                self.h[...] = self.h0
+        if backward and t:
+            np.multiply(self.act[t - 1][3], self.tanh_c[t - 1], self.h)
+        elif backward:
+            self.h[...] = 0.0
 
 
 class FdhtLstmCell:
@@ -372,20 +376,25 @@ class FdhtLstmCell:
         return self.step_cached(x, state)
 
     def step_cached(self, x, state: LstmState) -> LstmState:
-        """One recurrence step through the gate map's own forward (the
-        plan for HT), run on a one-step ``Sequence``."""
-        seq = Sequence(self, [np.asarray(x, dtype=np.float64)[np.newaxis]], state)
-        self.step_packed(self.gate_map, seq, 0)
-        return LstmState(seq.h[0].copy(), seq.c[1][0])  # not a view that holds the row
+        """One recurrence step through the unprepared gate map's
+        ``product`` (the plan for HT): ``_run_block`` over a block of one
+        sequence and one step. ``check_frames`` checks ``x`` as a frame,
+        read in place, and the state's h and c must each be (H,)."""
+        xs = check_frames(np.asarray(x, dtype=np.float64)[None, None], self.n_x, ndim=3)
+        for name, value in (("h", state.h), ("c", state.c)):
+            if np.shape(value) != (self.hidden_size,):
+                raise ValueError(f"state {name} has shape {np.shape(value)}, "
+                                 f"expected ({self.hidden_size},)")
+        h, c = _run_block(self.gate_map, self, xs, state.h, state.c)
+        return LstmState(h[0].copy(), c[0])  # not a view that holds the block
 
     def step_packed(self, frames, seq: Sequence, t: int):
-        """Step t of the group ``seq``: fill its (k, N) row with the
-        step's frames (its h slices step t - 1 wrote), apply
-        ``frames.forward`` to it, gate and update, all written into
-        ``seq``. ``frames`` is the gate map, or, for ``step_backward``,
-        what its ``prepare`` returned, which opened ``seq``."""
+        """Step t of the BPTT group ``seq``, which the prepared ``frames``
+        opened: fill its (k, N) row with the step's frames (its h slices
+        step t - 1 wrote), ``frames.forward(t)`` of that row, gate and
+        update, all written into ``seq``."""
         seq.fill(t)
-        _gate_forward(frames.forward(seq.row, t), self.biases[:, None], seq.c[t],
+        _gate_forward(frames.forward(t), self.biases[:, None], seq.c[t],
                       seq.act[t], seq.c[t + 1], seq.tanh_c[t], seq.h)
 
     def step_backward(self, frames, seq: Sequence, t: int, dh, dc, grads):
@@ -433,6 +442,26 @@ def _gate_forward(z, bias, c_prev, act, c, tanh_c, h):
     np.multiply(f, c_prev, c)
     c += u * c_in
     np.multiply(o, np.tanh(c, tanh_c), h)
+
+
+def _run_block(frames, cell, xs, h, c):
+    """Run the cell over the (b, steps, n_x) frames ``xs`` from the hidden
+    and cell states ``h`` and ``c``, each (b, H) or broadcast to it, in
+    one (b, N) packed block: each step writes its frames into the block,
+    multiplies it by ``frames.product`` and runs the gate stage on
+    (4, b, H), which writes the new cell states over its own copy of
+    ``c`` and the new hidden states into the block's last H columns,
+    where the next product reads them. Returns the final (b, H) hidden
+    states, that view of the block, and cell states."""
+    block = np.zeros((len(xs), cell.gate_map.in_size))
+    hs = block[:, -cell.hidden_size:]
+    hs[...] = h
+    c = np.array(np.broadcast_to(c, hs.shape), dtype=np.float64)
+    act, tanh_c = np.empty((GATES, *hs.shape)), np.empty(hs.shape)
+    for t in range(xs.shape[1]):
+        block[:, : cell.n_x] = xs[:, t]
+        _gate_forward(frames.product(block), cell.biases[:, None], c, act, c, tanh_c, hs)
+    return hs, c
 
 
 def _gate_backward(act, c_prev, tanh_c, dh, dc):
@@ -540,11 +569,9 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
     (B, steps, n_x) ``xs``, in blocks of the most sequences whose packed
     inputs and gate outputs, 8 (N + 4H) bytes each, fit ``SPLIT_BLOCK_BYTES``,
     or in input-only mode the recurrent matrix's bytes if that is larger.
-    Each block runs as one (b, N) block per time step through the gate
-    map's frames, prepared once (``product``, no backward bookkeeping),
-    the gate stage on (4, b, H) and the head on (b, H); the hidden state
-    stays in the block's last H columns, where the next product reads
-    it. Returns (B, classes) logits."""
+    Each block runs through ``_run_block`` from the zero state, with the
+    gate map's frames prepared once (``product``, no backward
+    bookkeeping), then the head on (b, H). Returns (B, classes) logits."""
     xs = check_frames(xs, cell.n_x, ndim=3)
     size, h = cell.gate_map.in_size, cell.hidden_size
     frames = cell.gate_map.prepare()
@@ -553,15 +580,8 @@ def forward_split(cell, head: Head, xs) -> np.ndarray:
     rows = max(1, budget // (8 * (size + GATES * h)))
     logits = np.empty((len(xs), head.b.size))
     for first in range(0, len(xs), rows):
-        part = xs[first:first + rows]
-        count = len(part)
-        block = np.zeros((count, size))
-        hs = block[:, -h:]
-        act, c, tanh_c = np.empty((GATES, count, h)), np.zeros((count, h)), np.empty((count, h))
-        for t in range(xs.shape[1]):
-            block[:, : cell.n_x] = part[:, t]
-            _gate_forward(frames.product(block), cell.biases[:, None], c, act, c, tanh_c, hs)
-        logits[first:first + count] = hs @ head.w.T + head.b
+        hs, _ = _run_block(frames, cell, xs[first:first + rows], 0.0, 0.0)
+        logits[first:first + rows] = hs @ head.w.T + head.b
     return logits
 
 

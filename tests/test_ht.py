@@ -450,7 +450,7 @@ def run_sequence(frames, xs):
     outputs = []
     for k, x in enumerate(xs):
         row[0] = x
-        outputs.append(frames.forward(row, k))
+        outputs.append(frames.forward(k))
     return outputs, row
 
 

@@ -58,3 +58,22 @@ def test_public_names_are_referenced(path):
             if referrer != path or not first <= n.lineno <= last:
                 referenced.add(name)
     assert {name: defined[name][0] for name in defined if name not in referenced} == {}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parameters_are_read(path):
+    # every parameter of a function or method, self and cls aside, is read
+    # in its body (or in a function nested in it)
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"{name}:{node.lineno} {p}" for p in params if p not in read]
+    assert unread == []

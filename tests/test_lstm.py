@@ -11,8 +11,8 @@ import pytest
 import fdht.lstm
 from fdht.config import load_config
 from fdht.ht import HTWeight, RootFrames, htl_forward, init_ht_weight, reconstruct_dense
-from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell,
-                       FdhtLstmCell, Head, LstmState, Sequence, _gate_backward,
+from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell, FdhtLstmCell, Head,
+                       HtGateMap, InputOnlyGateMap, LstmState, Sequence, _gate_backward,
                        _gate_forward, bptt, forward_sequence, group_size, make_cell, make_head,
                        sigmoid, softmax_cross_entropy, zero_grads)
 from oracles import (fd_param_dict, make_dense_cell, max_rel_error,
@@ -141,11 +141,14 @@ class TestStep:
                 assert np.max(np.abs(sf.c - sd.c)) <= 1e-9
 
     def test_gate_ranges(self):
+        # the activations of a group that frames prepared for BPTT opened,
+        # read after its forward steps, before any backward overwrites them
         rng = np.random.default_rng(16)
         cell = small_cell(seed=8)
-        seq = Sequence(cell, [rng.normal(size=(5, 4))])
+        frames = cell.gate_map.prepare({k: np.zeros_like(v) for k, v in cell.params().items()})
+        seq = Sequence(cell, [rng.normal(size=(5, 4))], frames)
         for t in range(5):
-            cell.step_packed(cell.gate_map, seq, t)
+            cell.step_packed(frames, seq, t)
         for act, tanh_c in zip(seq.act, seq.tanh_c):
             f, u, c_in, o = act
             for gate in (f, u, o):
@@ -156,6 +159,18 @@ class TestStep:
         for cell in (small_cell(), make_dense_cell(4, 4, seed=0)):
             with pytest.raises(ValueError, match="expected 4"):
                 cell.step(np.ones(5), cell.init_state())
+
+    @pytest.mark.parametrize("field", ["h", "c"])
+    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 4)])
+    def test_state_shape_checked(self, field, shape):
+        # an h or c that is not (H,) is a one-line ValueError naming the
+        # field, neither a broadcast nor numpy's bare broadcast error
+        for cell in (small_cell(), make_dense_cell(4, 4, seed=0)):
+            state = cell.init_state()
+            setattr(state, field, np.full(shape, 0.5))
+            message = f"state {field} has shape {shape}, expected (4,)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cell.step(np.ones(4), state)
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_packing_layout(self, mode):
@@ -243,50 +258,94 @@ class TestPaddingNeutrality:
         assert np.max(np.abs(y - y_big)) <= 1e-12
 
 
+MAP_KINDS = ("dense", "input-only-ht", "input-only-dense")
+
+
+def input_only_map(inner, rng):
+    """``inner`` with a random (4H, H) recurrent matrix R, as an
+    ``InputOnlyGateMap`` on the row [x | h], the gradient buffers its
+    ``prepare`` reads and its dense oracle [W | R]."""
+    h = inner.hidden_size
+    r = rng.normal(size=(4 * h, h))
+    grads = {name: np.zeros_like(p) for name, p in inner.params().items()}
+    grads["recurrent"] = np.zeros_like(r)
+    w = reconstruct_dense(inner.weight) if isinstance(inner, HtGateMap) else inner.weight
+    return InputOnlyGateMap(inner, DenseGateMap(r)), grads, np.hstack([w, r])
+
+
 class TestDenseGateMap:
-    # the starts of TestRootFrames.test_backward_from_start, on the same
-    # (16, 17) weight as one dense matrix, prepared with that start
-    @pytest.mark.parametrize("start", [0, 3 * 17, 256, 272])
-    def test_backward_from_start(self, start):
+    # The starts of TestRootFrames.test_backward_from_start, on the same
+    # (16, 17) weight as one dense matrix, prepared with that start. The
+    # input-only map over the HT weight or over that matrix takes the same
+    # starts on its row [x | h] against the dense [W | R], whose recurrent
+    # gradient its end adds.
+    @pytest.mark.parametrize("kind, start", [
+        pytest.param(kind, start, id=str(start) if kind == "dense" else f"{start}-{kind}")
+        for kind in MAP_KINDS for start in (0, 3 * 17, 256, 272)])
+    def test_backward_from_start(self, kind, start):
         w = init_ht_weight((4, 4), (16, 17), 8, 8, 4, seed=7)
         matrix = reconstruct_dense(w)
-        frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)}, start)
         rng = np.random.default_rng(18)
-        packed, dy = rng.normal(size=(1, w.in_size)), rng.normal(size=(4, w.out_size // 4))
+        gate_map, grads, oracle = DenseGateMap(matrix), {"w": np.zeros_like(matrix)}, matrix
+        if kind != "dense":
+            inner = HtGateMap(w) if kind == "input-only-ht" else gate_map
+            gate_map, grads, oracle = input_only_map(inner, rng)
+        frames = gate_map.prepare(grads, start)
+        packed, dy = rng.normal(size=(1, oracle.shape[1])), rng.normal(size=(4, w.out_size // 4))
         frames.begin(packed, 1)  # the row of a one-step group of one
-        frames.forward(packed, 0)
+        frames.forward(0)
         got = frames.backward(0, dy)
         frames.end()
-        frames.finish()
-        want = (matrix.T @ dy.reshape(-1))[start:]
+        want = (oracle.T @ dy.reshape(-1))[start:]
         assert got.shape == (1, want.size)
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(frames.grad, np.outer(dy, packed))
+        if kind != "dense":
+            assert np.array_equal(grads["recurrent"], np.outer(dy, packed[:, w.in_size:]))
+        frames.finish()
+        if kind != "input-only-ht":
+            assert np.array_equal(grads["w"], np.outer(dy, packed[:, :w.in_size]))
 
-    def test_sequence_gradient_is_sum_of_outer_products(self):
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_sequence_gradient_is_sum_of_outer_products(self, kind):
         # one GEMM per minibatch against the per-step outer products, over
-        # groups of different lengths and sizes
+        # groups of different lengths and sizes; each forward and each
+        # cotangent against the dense oracle, and for the input-only map
+        # the recurrent gradient after each group's end
         rng = np.random.default_rng(24)
         matrix = rng.normal(size=(16, 9))
-        frames = DenseGateMap(matrix).prepare({"w": np.zeros_like(matrix)})
-        want = np.zeros_like(matrix)
+        gate_map, grads, oracle = DenseGateMap(matrix), {"w": np.zeros_like(matrix)}, matrix
+        if kind != "dense":
+            inner = (HtGateMap(init_ht_weight((2, 2), (3, 3), 2, 2, 4, seed=4))
+                     if kind == "input-only-ht" else gate_map)
+            gate_map, grads, oracle = input_only_map(inner, rng)
+        frames = gate_map.prepare(grads)
+        n = oracle.shape[1]
+        want = np.zeros_like(oracle)
         for steps, k in ((3, 2), (5, 1), (5, 2)):
-            xs = rng.normal(size=(steps, k, 9))
-            row = np.empty((k, 9))
+            xs = rng.normal(size=(steps, k, n))
+            row = np.empty((k, n))
             frames.begin(row, steps)
             for t, x in enumerate(xs):
                 row[...] = x
-                frames.forward(row, t)
+                y = frames.forward(t).reshape(4, k, 4)
+                assert np.max(np.abs(y - (x @ oracle.T).reshape(k, 4, 4).transpose(1, 0, 2))
+                              ) <= 1e-12 * np.max(np.abs(y))
             for t in range(steps - 1, -1, -1):
                 dz = rng.normal(size=(4, k, 4))
                 row[...] = xs[t]
-                frames.backward(t, dz)
+                dx = frames.backward(t, dz)
                 for j in range(k):
                     want += np.outer(dz[:, j], xs[t, j])
+                    d = oracle.T @ dz[:, j].reshape(-1)
+                    assert np.max(np.abs(dx[j] - d)) <= 1e-12 * np.max(np.abs(d))
             frames.end()
+            if kind != "dense":
+                got = grads["recurrent"]
+                assert np.max(np.abs(got - want[:, 9:])) <= 1e-12 * np.max(np.abs(want[:, 9:]))
         frames.finish()
-        assert np.max(np.abs(frames.grad - want)) <= 1e-12 * np.max(np.abs(want))
+        if kind != "input-only-ht":
+            assert np.max(np.abs(grads["w"] - want[:, :9])) <= 1e-12 * np.max(np.abs(want))
 
     def test_minibatch_gradient_is_one_gemm(self, monkeypatch):
         # The dense map prepared for BPTT adds the weight gradient once, in
@@ -661,28 +720,32 @@ class TestBptt:
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_one_step_call_per_step(self, mode, monkeypatch):
         # bptt steps through step_packed and step_backward once per step of
-        # each group (the two sequences of length 2 are one group), and
-        # forward_sequence through step_cached once per frame, so a span
-        # around one of them (perfbench's lstm.step_backward) times the
-        # real per-step work
+        # each group (the two sequences of length 2 are one group, so there
+        # are three Sequences), and forward_sequence through step_cached
+        # and, for HT, run_plan once per frame, with no Sequence, so a span
+        # around one of them (perfbench's lstm.step_backward, lstm.step or
+        # ht.run_plan) times the real per-step work
         cell = make_dense_cell(4, 4, seed=3) if mode == "dense" else small_cell(mode, seed=3)
         head = make_head(3, cell.hidden_size, seed=0)
         rng = np.random.default_rng(26)
         lengths = (2, 2, 3, 1)
         batch = [(rng.normal(size=(steps, 4)), steps % 3) for steps in lengths]
         calls = {}
-        for name in ("step_packed", "step_backward", "step_cached"):
-            def spy(self, *args, _name=name, _method=getattr(FdhtLstmCell, name), **kwargs):
+        for owner, name in ((FdhtLstmCell, "step_packed"), (FdhtLstmCell, "step_backward"),
+                            (FdhtLstmCell, "step_cached"), (Sequence, "__init__"),
+                            (fdht.lstm, "run_plan")):
+            def spy(*args, _name=name, _method=getattr(owner, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _method(self, *args, **kwargs)
-            monkeypatch.setattr(FdhtLstmCell, name, spy)
+                return _method(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
         for input_grads in (False, True):
             calls.clear()
             bptt(cell, head, batch, return_input_grads=input_grads)
-            assert calls == {"step_packed": 6, "step_backward": 6}
+            assert calls == {"step_packed": 6, "step_backward": 6, "__init__": 3}
         calls.clear()
         forward_sequence(cell, head, batch[2][0])
-        assert calls == {"step_cached": 3, "step_packed": 3}
+        assert calls == ({"step_cached": 3} if mode == "dense"
+                         else {"step_cached": 3, "run_plan": 3})
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     @pytest.mark.parametrize("lengths", [(6, 6, 4, 6, 6, 5), (6, 6, 6), (6,) * 7 + (5,)])
@@ -742,9 +805,9 @@ class TestBptt:
         batch = [(rng.normal(size=(6, 256)) / 16, i % 8) for i in range(16)]
         forward, rows = RootFrames.forward, []
 
-        def spy(self, x, t):
-            rows.append(len(x))
-            return forward(self, x, t)
+        def spy(self, t):
+            rows.append(len(self.x))  # the row of the group begin opened
+            return forward(self, t)
 
         monkeypatch.setattr(RootFrames, "forward", spy)
         bptt(cell, head, batch)

@@ -14,7 +14,7 @@ differs between the paper's cell and its baseline:
   product.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
   prepared for BPTT, with a gradient buffer, it runs its weight-gradient
-  GEMMs once per minibatch.
+  GEMMs at the end of each group, so it keeps one group's rows.
 - ``InputOnlyGateMap`` runs input-only mode on the row [x | zeros | h]
   of length N + H: the cell's map reads the first N columns and a
   ``DenseGateMap`` over the (4H x H) recurrent matrix the last H, so in
@@ -161,13 +161,12 @@ class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix, which serves ``product``.
     With a gradient buffer ``grad`` and a ``start`` it also serves BPTT:
     ``forward(t)`` writes the product of the group's input row into row
-    t of the group's (steps, k, 4H) dz block, and ``backward`` keeps, in
-    one (steps, k, N) block per group of k sequences, a copy of the row
-    and, in that dz block, the dz it gets for each step, so ``finish``
-    adds the weight gradient in one GEMM per gate. ``prepare`` makes one
-    per minibatch for the dense cell; ``InputOnlyGateMap.prepare`` one
-    for the recurrent matrix, which it finishes at the end of every
-    group."""
+    t of the group's (steps, k, 4H) dz block, ``backward`` keeps a copy of
+    the row in the group's (steps, k, N) block and the dz it gets in that
+    dz block, and ``end`` adds the group's weight gradient in one GEMM per
+    gate, so it holds one group's rows. ``prepare`` makes one per
+    minibatch for the dense cell, ``InputOnlyGateMap.prepare`` one for the
+    recurrent matrix."""
 
     row_scratch = 0  # no per-sequence scratch beside the rows it keeps
 
@@ -179,7 +178,6 @@ class DenseGateMap:
         self.in_size = self.weight.shape[1]
         self.hidden_size = self.weight.shape[0] // GATES
         self.grad, self.start = grad, start
-        self.x_blocks, self.dz_blocks = [], []
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.weight}
@@ -187,7 +185,7 @@ class DenseGateMap:
     def forward(self, t):
         """``W @ x`` for the (k, N) row that ``begin`` took, written into
         row t of the block that ``begin`` returned, as a (g, k, H) view."""
-        y = self.row.dot(self.weight.T, out=self.dz_blocks[-1][t])
+        y = self.row.dot(self.weight.T, out=self.dz[t])
         return y.reshape(len(y), GATES, -1).transpose(1, 0, 2)
 
     def product(self, x):
@@ -195,7 +193,7 @@ class DenseGateMap:
         return (x @ self.weight.T).reshape(len(x), GATES, -1).transpose(1, 0, 2)
 
     def prepare(self, grads=None, start=0):
-        """The map over the same weight whose ``finish`` adds the weight
+        """The map over the same weight whose ``end`` adds the weight
         gradient to ``grads["w"]`` and whose ``backward`` returns the input
         cotangent from row ``start`` on; without ``grads``, the map itself."""
         return self if grads is None else DenseGateMap(self.weight, grads["w"], start)
@@ -209,33 +207,32 @@ class DenseGateMap:
         dz from ``backward(t, dz)``."""
         k, n = row.shape
         self.row = row
-        self.x_blocks.append(np.empty((steps, k, n)))
-        self.dz_blocks.append(np.empty((steps, k, self.weight.shape[0])))
-        return self.dz_blocks[-1].reshape(steps, GATES, k, -1)
-
-    def end(self):
-        """Let go of the group's row: ``finish`` adds every group's gradient."""
-        self.row = None
+        self.x = np.empty((steps, k, n))
+        self.dz = np.empty((steps, k, self.weight.shape[0]))
+        return self.dz.reshape(steps, GATES, k, -1)
 
     def backward(self, t, dz):
         """Keep a copy of the group's row and the (g, k, H) ``dz`` of its
         row t, which may be that row's own memory; returns
         ``(dz.T @ W)[:, start:]``, one row per sequence, for the prepared
         ``start``."""
-        self.x_blocks[-1][t] = self.row
-        row = self.dz_blocks[-1][t]
+        self.x[t] = self.row
+        row = self.dz[t]
         k = len(row)
         row.reshape(k, GATES, -1).transpose(1, 0, 2)[...] = dz.reshape(GATES, k, -1)
         return row @ self.weight[:, self.start:]
 
-    def finish(self):
-        """Add ``dz.T @ x`` over every kept row to ``grad``, one gate's H
-        rows at a time, so no (4H x N) product sits beside ``grad``."""
-        dz = np.concatenate([b.reshape(-1, len(self.grad)) for b in self.dz_blocks])
-        x = np.concatenate([b.reshape(-1, self.in_size) for b in self.x_blocks])
-        self.x_blocks, self.dz_blocks = [], []
+    def end(self):
+        """Add ``dz.T @ x`` over the group's kept rows to ``grad``, one
+        gate's H rows at a time, so no (4H x N) product sits beside
+        ``grad``; then let go of the group's blocks."""
+        dz, x = self.dz.reshape(-1, len(self.grad)), self.x.reshape(-1, self.in_size)
         for r in range(0, len(self.grad), self.hidden_size):
             self.grad[r:r + self.hidden_size] += dz[:, r:r + self.hidden_size].T @ x
+        self.row = self.x = self.dz = None
+
+    def finish(self):
+        """Nothing is left to add: ``end`` added each group's gradient."""
 
 
 class InputOnlyGateMap:
@@ -244,8 +241,9 @@ class InputOnlyGateMap:
     (whose h columns stay zero) and ``recurrent``, a ``DenseGateMap`` over
     the (4H x H) recurrent matrix, on the last H. ``product`` returns the
     sum of both maps' products; prepared, ``forward(t)`` adds the
-    recurrent product into the inner map's row t, and ``end`` adds each
-    group's recurrent gradient, so it keeps one group's rows."""
+    recurrent product into the inner map's row t. ``begin`` and ``end``
+    delegate to both maps, so the recurrent map adds each group's
+    gradient at ``end``, as the dense cell's map does."""
 
     def __init__(self, inner, recurrent):
         self.inner, self.recurrent, self.n = inner, recurrent, inner.in_size
@@ -281,35 +279,34 @@ class InputOnlyGateMap:
     def end(self):
         self.inner.end()
         self.recurrent.end()
-        self.recurrent.finish()
 
     def finish(self):
         self.inner.finish()
 
 
 class Sequence:
-    """The blocks of a BPTT group of k equal-length sequences, allocated
-    once and written in place by its steps; each step serves all k.
-    ``row`` is the group's (k, N) packed input row: the frames of each of
-    the k sequences ``xs``, then zeros over the pad and the h slice. The
-    frames are read in place (``check_frames`` rejects a sequence that is
-    not (steps, n_x)): ``fill(t)`` writes step t's into the row's x slices
-    before the step's forward and again before its backward. ``frames``,
-    prepared for BPTT, open the group over the row (``begin``), and
-    ``act`` is the block of rows that ``begin`` returns: row t holds the
-    gate map's output, then the step's activations f, u, c_in, o as one
-    contiguous (4, k, H) block, then, once the step's backward has read
-    them, its dz. Step t writes its cell states into ``c[t + 1]``
-    (``c[0]`` is the zero initial state), tanh of those into ``tanh_c[t]``
-    and its hidden states into ``h``, the row's last H columns, where the
-    next step's gate map reads them. Before step t's backward,
-    ``fill(t, backward=True)`` also writes h_t back into ``h``: o_{t-1}
-    tanh(c_{t-1}) from ``act[t - 1]`` and ``tanh_c[t - 1]``, the forward's
-    own product, so the same bits, or zero at t = 0."""
+    """The blocks of a BPTT group of k equal-length sequences, allocated once
+    and written in place by its steps; each step serves all k. ``row`` is
+    the group's (k, N) packed input row: the frames of each of the k
+    sequences ``xs``, then zeros over the pad and the h slice. The frames
+    are read in place, as the (steps, n_x) arrays that ``bptt`` checked
+    with ``check_frames``: ``fill(t)`` writes step t's into the row's x
+    slices before the step's forward and again before its backward.
+    ``frames``, prepared for BPTT, open the group over the row
+    (``begin``), and ``act`` is the block of rows that ``begin`` returns:
+    row t holds the gate map's output, then the step's activations f, u,
+    c_in, o as one contiguous (4, k, H) block, then, once the step's
+    backward has read them, its dz. Step t writes its cell states into
+    ``c[t + 1]`` (``c[0]`` is the zero initial state), tanh of those into
+    ``tanh_c[t]`` and its hidden states into ``h``, the row's last H
+    columns, where the next step's gate map reads them. Before step t's
+    backward, ``fill(t, backward=True)`` also writes h_t back into ``h``:
+    o_{t-1} tanh(c_{t-1}) from ``act[t - 1]`` and ``tanh_c[t - 1]``, the
+    forward's own product, so the same bits, or zero at t = 0."""
 
     def __init__(self, cell, xs, frames):
-        self.xs = [check_frames(x, cell.n_x) for x in xs]
-        k, steps, h = len(xs), len(self.xs[0]), cell.hidden_size
+        self.xs = xs
+        k, steps, h = len(xs), len(xs[0]), cell.hidden_size
         self.row = np.zeros((k, cell.gate_map.in_size))
         self.x_rows = self.row[:, : cell.n_x]
         self.h = self.row[:, -h:]
@@ -380,7 +377,7 @@ class FdhtLstmCell:
         ``product`` (the plan for HT): ``_run_block`` over a block of one
         sequence and one step. ``check_frames`` checks ``x`` as a frame,
         read in place, and the state's h and c must each be (H,)."""
-        xs = check_frames(np.asarray(x, dtype=np.float64)[None, None], self.n_x, ndim=3)
+        xs = check_frames(np.asarray(x)[None, None], self.n_x, ndim=3)
         for name, value in (("h", state.h), ("c", state.c)):
             if np.shape(value) != (self.hidden_size,):
                 raise ValueError(f"state {name} has shape {np.shape(value)}, "
@@ -611,16 +608,17 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     forward and again before its backward; the frames open the group over
     that row with ``begin`` and close it with ``end``. The HT frames add
     each step's V cotangent in its backward, from T' rebuilt there. The
-    dense frames keep a copy of every row and its dz and add the weight
-    gradient in one GEMM per gate in ``finish``; input-only mode's
-    recurrent map does so in ``end``, once per group. Steps write into
-    the group's blocks and keep no cache of their own. Step t's
+    dense frames, the dense cell's and input-only mode's recurrent map,
+    keep a copy of each of the group's rows and its dz and add the
+    group's weight gradient in one GEMM per gate in ``end``. Steps write
+    into the group's blocks and keep no cache of their own. Step t's
     activations live in the frames' row t, between the gate map's output
     and the step's dz: the gate stage reads the output into its biased
     pre-activations before it writes them, and the step's backward reads
     them before it writes dz over them. A group's blocks are dropped when
-    its backward is done, before ``end``, so the peak memory does not grow
-    with the batch. The head, the loss and the dropout masks run per
+    its backward is done, before ``end``, and the dense frames let go of
+    their own at ``end``, so the peak memory does not grow with the
+    batch. The head, the loss and the dropout masks run per
     sequence in batch order, so a sequence's loss and draws do not depend
     on its group; the head's weight gradient is added in blocks of rows
     of at most ``HEAD_BLOCK_BYTES``. The frames' input cotangent starts at

@@ -156,9 +156,14 @@ class TestStep:
             assert np.all(np.abs(c_in) < 1.0) and np.all(np.abs(tanh_c) < 1.0)
 
     def test_input_size_checked(self):
+        # one line, the message forward_sequence and bptt give for that frame
         for cell in (small_cell(), make_dense_cell(4, 4, seed=0)):
-            with pytest.raises(ValueError, match="expected 4"):
-                cell.step(np.ones(5), cell.init_state())
+            for x, message in ((np.ones(5), "input has length 5, expected 4"),
+                               (np.ones((2, 2)), r"input has shape \(2, 2\), expected \(4,\)"),
+                               (["a", "b", "c", "d"], "frames must hold numbers")):
+                with pytest.raises(ValueError, match=message) as exc:
+                    cell.step(x, cell.init_state())
+                assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("field", ["h", "c"])
     @pytest.mark.parametrize("shape", [(1,), (5,), (2, 4)])
@@ -277,8 +282,8 @@ class TestDenseGateMap:
     # The starts of TestRootFrames.test_backward_from_start, on the same
     # (16, 17) weight as one dense matrix, prepared with that start. The
     # input-only map over the HT weight or over that matrix takes the same
-    # starts on its row [x | h] against the dense [W | R], whose recurrent
-    # gradient its end adds.
+    # starts on its row [x | h] against the dense [W | R]. Each dense
+    # map's end adds its weight gradient, and finish adds nothing more.
     @pytest.mark.parametrize("kind, start", [
         pytest.param(kind, start, id=str(start) if kind == "dense" else f"{start}-{kind}")
         for kind in MAP_KINDS for start in (0, 3 * 17, 256, 272)])
@@ -300,18 +305,18 @@ class TestDenseGateMap:
         assert got.shape == (1, want.size)
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        frames.finish()
         if kind != "dense":
             assert np.array_equal(grads["recurrent"], np.outer(dy, packed[:, w.in_size:]))
-        frames.finish()
         if kind != "input-only-ht":
             assert np.array_equal(grads["w"], np.outer(dy, packed[:, :w.in_size]))
 
     @pytest.mark.parametrize("kind", MAP_KINDS)
     def test_sequence_gradient_is_sum_of_outer_products(self, kind):
-        # one GEMM per minibatch against the per-step outer products, over
-        # groups of different lengths and sizes; each forward and each
-        # cotangent against the dense oracle, and for the input-only map
-        # the recurrent gradient after each group's end
+        # one GEMM per gate per group against the per-step outer products,
+        # over groups of different lengths and sizes; each forward and each
+        # cotangent against the dense oracle, and each dense map's gradient
+        # after each group's end
         rng = np.random.default_rng(24)
         matrix = rng.normal(size=(16, 9))
         gate_map, grads, oracle = DenseGateMap(matrix), {"w": np.zeros_like(matrix)}, matrix
@@ -340,33 +345,32 @@ class TestDenseGateMap:
                     d = oracle.T @ dz[:, j].reshape(-1)
                     assert np.max(np.abs(dx[j] - d)) <= 1e-12 * np.max(np.abs(d))
             frames.end()
-            if kind != "dense":
-                got = grads["recurrent"]
-                assert np.max(np.abs(got - want[:, 9:])) <= 1e-12 * np.max(np.abs(want[:, 9:]))
-        frames.finish()
-        if kind != "input-only-ht":
-            assert np.max(np.abs(grads["w"] - want[:, :9])) <= 1e-12 * np.max(np.abs(want))
+            for name, cols in (("w", slice(None, 9)), ("recurrent", slice(9, None))):
+                if name in grads:
+                    err = np.max(np.abs(grads[name] - want[:, cols]))
+                    assert err <= 1e-12 * np.max(np.abs(want[:, cols])), name
 
-    def test_minibatch_gradient_is_one_gemm(self, monkeypatch):
-        # The dense map prepared for BPTT adds the weight gradient once, in
-        # finish, from its copies of every sequence's rows and dz rows: grads["w"]
-        # is still zero when finish starts, and the minibatch's peak holds the
-        # gradient, at most one gate's (H, N) product beside it, the kept
-        # rows twice (the blocks and finish's concatenation of them) and a
-        # slack for Python objects, well below a (4H, N) product.
+    def test_gradient_is_one_gemm_per_gate_per_group(self, monkeypatch):
+        # The dense map prepared for BPTT adds each group's weight gradient
+        # in end, from its copies of the group's rows and dz rows, one
+        # gate's (H, N) product at a time: grads["w"] is zero when the first
+        # group's end starts and not when the next ones do, and the
+        # minibatch's peak holds the gradient, at most one gate's (H, N)
+        # product beside it, one group's kept rows and a slack for Python
+        # objects, well below a (4H, N) product.
         h, n_x, steps, count = 64, 960, 3, 8
         rng = np.random.default_rng(27)
         cell = DenseLstmCell(rng.normal(size=(4 * h, n_x + h)) / 32, n_x)
         head = make_head(3, h, seed=0)
         batch = [(rng.normal(size=(steps, n_x)), i % 3) for i in range(count)]
-        finish = DenseGateMap.finish
-        at_finish = []
+        end = DenseGateMap.end
+        at_end = []
 
         def spy(self):
-            at_finish.append(not self.grad.any())
-            finish(self)
+            at_end.append(not self.grad.any())
+            end(self)
 
-        monkeypatch.setattr(DenseGateMap, "finish", spy)
+        monkeypatch.setattr(DenseGateMap, "end", spy)
         bptt(cell, head, batch)  # warm caches outside the measurement
         tracemalloc.start()
         try:
@@ -376,9 +380,11 @@ class TestDenseGateMap:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert at_finish == [True, True]
+        k = group_size(cell, steps)
+        assert k == 2
+        assert at_end == ([True] + [False] * (count // k - 1)) * 2  # in each of two bptt
         matrix = 4 * h * (n_x + h) * 8
-        rows = 2 * count * steps * (n_x + h + 4 * h) * 8
+        rows = k * steps * (n_x + h + 4 * h) * 8
         assert matrix == 2_097_152
         assert peak <= matrix + matrix // 4 + rows + 64 * 1024
 
@@ -391,6 +397,7 @@ BAD_SEQUENCES = {
     "1-d": (np.ones(4), r"input has shape \(\), expected \(4,\)"),
     "3-d": (np.ones((2, 2, 2)), r"input has shape \(2, 2\), expected \(4,\)"),
     "empty": ([], "cannot run an empty sequence"),
+    "not-numbers": ([["a", "b", "c", "d"]], "frames must hold numbers"),
 }
 
 
@@ -538,13 +545,17 @@ class TestBptt:
         one_sequence = 4 * cell.gate_map.in_size * 8
         assert peak(batch) - peak(batch[:2]) <= one_sequence
 
-    @pytest.mark.parametrize("mode", ["full", "input-only"])
+    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_peak_memory_flat_in_batch_size(self, mode):
         # step caches are dropped as backward uses them and the frames'
-        # group blocks are reused, so the whole batch (four groups) may not
-        # raise the peak over that of one full group by more than a few
-        # small objects
-        cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
+        # group blocks are let go at each group's end, so the whole batch
+        # (four groups, three of the dense cell) may not raise the peak
+        # over that of one full group by more than a few small objects;
+        # the dense cell runs on the reconstructed matrix of the geometry
+        cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode="full" if mode == "dense" else mode,
+                         seed=1)
+        if mode == "dense":
+            cell = DenseLstmCell(reconstruct_dense(cell.weight), cell.n_x, biases=cell.biases)
         head = make_head(8, cell.hidden_size, seed=2)
         rng = np.random.default_rng(5)
         batch = [([rng.normal(size=256) for _ in range(6)], i % 8)
@@ -560,7 +571,7 @@ class TestBptt:
                 tracemalloc.stop()
 
         k = group_size(cell, 6)
-        assert k == 4
+        assert k == (7 if mode == "dense" else 4)
         assert peak(batch) <= peak(batch[:k]) + 1024
 
     def test_head_gradient_adds_in_blocks(self):
@@ -590,26 +601,26 @@ class TestBptt:
         assert peak(classes) - peak(4) <= head_grads + fdht.lstm.HEAD_BLOCK_BYTES + vectors
 
     def test_input_only_recurrent_gradient_is_one_gemm_per_group(self, monkeypatch):
-        # Each group of two sequences opens a DenseGateMap over its h rows,
-        # whose finish adds the recurrent gradient one gate's (H, H) product
-        # at a time. At H = 64 a (4H, H) array, 128 KiB, is large against
-        # the slack for Python objects, so the peak is bounded by the
-        # gradient dict, the frames, one group's blocks, its dz and h rows
-        # twice (kept, then concatenated by finish) and one (H, H) gate
-        # block: a (4H, H) product per step breaks the bound.
+        # Each group of two sequences opens the recurrent DenseGateMap over
+        # its h rows, whose end adds the recurrent gradient one gate's
+        # (H, H) product at a time. At H = 64 a (4H, H) array, 128 KiB, is
+        # large against the slack for Python objects, so the peak is
+        # bounded by the gradient dict, the frames, one group's blocks,
+        # room for its dz and h rows twice and one (H, H) gate block: a
+        # (4H, H) product per step breaks the bound.
         n_x, steps, count = 8, 6, 8
         cell = make_cell(n_x, (8, 9), (8, 8), 2, 2, mode="input-only", seed=1)
         head = make_head(3, cell.hidden_size, seed=2)
         h, n = cell.hidden_size, cell.gate_map.in_size
         rng = np.random.default_rng(5)
         batch = [(rng.normal(size=(steps, n_x)), i % 3) for i in range(count)]
-        finish, finished = DenseGateMap.finish, []
+        end, ended = DenseGateMap.end, []
 
         def spy(self):
-            finished.append(self.grad.shape)
-            finish(self)
+            ended.append(self.grad.shape)
+            end(self)
 
-        monkeypatch.setattr(DenseGateMap, "finish", spy)
+        monkeypatch.setattr(DenseGateMap, "end", spy)
         grads = zero_grads(cell, head)
         bptt(cell, head, batch)  # warm caches outside the measurement
         tracemalloc.start()
@@ -632,7 +643,7 @@ class TestBptt:
         gate = 8 * h * h
         assert 8 * 4 * h * h == 131_072 and frame_bytes > 0
         assert peak <= grad_bytes + frame_bytes + group + rows + gate + 64 * 1024
-        assert finished == [(4 * h, h)] * count  # count / 2 groups, in each of two bptt
+        assert ended == [(4 * h, h)] * count  # count / 2 groups, in each of two bptt
 
     def test_bad_sequences_rejected(self):
         # one line, the same from bptt's packing as from the per-step path

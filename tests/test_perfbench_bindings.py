@@ -13,8 +13,9 @@ of a module alias (``fconfig = importlib.import_module("fdht.config")``
 and the like) or of a name imported from ``fdht`` is bound, by its
 positional count and keyword names, to the signature of what it resolves
 to. Calls that pass ``*args`` or ``**kwargs`` cannot be counted and are
-skipped, and so are calls on instances (``cell.step(...)``), whose type
-the source does not name.
+skipped. Instances are typed by name: every attribute read on a name
+ending in ``cell`` (``cell.step(...)``, ``loaded_cell.mode``) must exist
+on an HT cell and on the dense cell, and bind when it is called.
 """
 
 import ast
@@ -24,6 +25,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fdht.ht import reconstruct_dense
+from fdht.lstm import DenseLstmCell, make_cell
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -62,6 +66,12 @@ def fdht_bindings(tree):
     return modules, names
 
 
+def countable(call):
+    """Whether ``call`` passes no ``*args`` and no ``**kwargs``."""
+    return not (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords))
+
+
 def fdht_calls():
     """(where, callee, call) for every countable fdht call in perfbench."""
     calls = []
@@ -79,8 +89,7 @@ def fdht_calls():
                 callee = getattr(modules[func.value.id], func.attr)
             else:
                 continue
-            if (any(isinstance(a, ast.Starred) for a in call.args)
-                    or any(k.arg is None for k in call.keywords)):
+            if not countable(call):
                 continue
             calls.append((f"{path.name}:{call.lineno} {ast.unparse(func)}", callee, call))
     return calls
@@ -95,5 +104,40 @@ def test_every_fdht_call_binds_to_its_signature():
         try:
             inspect.signature(callee).bind(*call.args, **{k.arg: None for k in call.keywords})
         except TypeError as exc:
+            bad.append(f"{where}: {exc}")
+    assert not bad, "\n".join(bad)
+
+
+def cell_uses():
+    """(where, attribute, call) for every attribute perfbench reads on a
+    name ending in ``cell``; ``call`` is the ``ast.Call`` when the
+    attribute is called, else None."""
+    uses = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(c.func): c for c in ast.walk(tree) if isinstance(c, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id.endswith("cell")):
+                uses.append((f"{path.name}:{node.lineno} {ast.unparse(node)}",
+                             node.attr, calls.get(id(node))))
+    return uses
+
+
+@pytest.mark.parametrize("kind", ["ht", "dense"])
+def test_every_cell_use_resolves(kind):
+    cell = make_cell(4, (3, 3), (2, 2), 2, 2)
+    if kind == "dense":
+        cell = DenseLstmCell(reconstruct_dense(cell.weight), cell.n_x, biases=cell.biases)
+    uses = cell_uses()
+    assert {attr for _, attr, _ in uses} >= {"step", "init_state", "params", "weight",
+                                               "biases", "hidden_size", "n_x", "mode"}
+    bad = []
+    for where, attr, call in uses:
+        try:
+            value = getattr(cell, attr)
+            if call is not None and countable(call):
+                inspect.signature(value).bind(*call.args, **{k.arg: None for k in call.keywords})
+        except (AttributeError, TypeError) as exc:
             bad.append(f"{where}: {exc}")
     assert not bad, "\n".join(bad)

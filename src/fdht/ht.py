@@ -277,17 +277,18 @@ class RootFrames:
     on OpenBLAS), one gate's m_R rows at a time, then writes dt, again one
     GEMM, over the scratch, adds the dU products one sequence at a time
     and runs the dh rows of the group in one ``np.matmul``. ``begin``
-    prepares the views of the row (X and X^T) and, when the group's
-    length or size differs from the last one's, new blocks with their
-    views (each dy slot, its gate-major view and its per-gate view, which
-    the dV product reads against ``dvt``'s gate blocks). The frames keep
-    no child frame; ``finish`` rebuilds FR from the factors. The row
-    GEMMs of ``forward`` and ``backward`` are bound ``ndarray.dot`` calls:
-    the BLAS call of ``np.dot`` and ``@``, so the same bits, without the
-    dispatch of either; ``dot`` copies an operand that is neither C- nor
-    F-contiguous, so the products over a group's sequences or over
-    strided operands (T, the dh rows and the dV blocks) are
-    ``np.matmul``, which reads them in place.
+    prepares the views of the row (X and X^T) and allocates the group's
+    scratch and dy block with their views (each dy slot, its gate-major
+    view and its per-gate view, which the dV product reads against
+    ``dvt``'s gate blocks); ``end`` lets go of all of them, so no block
+    outlives its group. The frames keep no child frame; ``finish``
+    rebuilds FR from the factors. The row GEMMs of ``forward`` and
+    ``backward`` are bound ``ndarray.dot`` calls: the BLAS call of
+    ``np.dot`` and ``@``, so the same bits, without the dispatch of
+    either; ``dot`` copies an operand that is neither C- nor F-contiguous,
+    so the products over a group's sequences or over strided operands (T,
+    the dh rows and the dV blocks) are ``np.matmul``, which reads them in
+    place.
     """
 
     def __init__(self, w: HTWeight, sink=None, start=0):
@@ -310,8 +311,6 @@ class RootFrames:
         self.du = np.zeros(self.u.shape)
         self.dvt = np.zeros((g * mr, rl * nr))
         self.dvg = self.dvt.reshape(g, mr, rl * nr)  # dvt's gate blocks
-        self.ts = np.empty((0, ml * rl, nr))
-        self.dy_block = np.empty((0, 0, g * mr))
         self.ut = self.u[:, start // nr:].T if start < nl * nr else None
         self.cut = start % nr
 
@@ -319,20 +318,17 @@ class RootFrames:
         """Open a group of k sequences of ``steps`` products over the
         (k, N) ``row``, which is read in place: fill it with row t's
         inputs before ``forward(t)`` and again before ``backward(t, dy)``.
-        Returns the dy block's memory as (steps, g, k, m_L m_R) rows, one
-        per product, to store into: row t holds Y (laid out as dy, not as
-        this view) from ``forward(t)`` on, is the caller's
-        once it has read Y, and is overwritten by ``backward(t, dy)``."""
+        Returns the dy block allocated for the group as (steps, g, k,
+        m_L m_R) rows, one per product, to store into: row t holds Y (laid
+        out as dy, not as this view) from ``forward(t)`` on, is the
+        caller's once it has read Y, and is overwritten by ``backward``."""
         g, rl, ml, mr, nl, nr = self.shape
         k = len(row)
-        if len(self.ts) != k:
-            self.ts = np.empty((k, ml * rl, nr))  # T, then dt, for one row
-            self.tt = self.ts.reshape(k * ml, rl * nr)  # T' = T as (k m_L, r_L n_R)
-        if self.dy_block.shape[:2] != (steps, k * ml):
-            self.dy_block = self.dys = self.dyg = None  # the last group's rows go first
-            self.dy_block = np.empty((steps, k * ml, g * mr))
-            self.dys = self.dy_block.reshape(steps, k, ml, g, mr).transpose(0, 3, 1, 2, 4)
-            self.dyg = self.dy_block.reshape(steps, k * ml, g, mr).transpose(0, 2, 3, 1)
+        self.ts = np.empty((k, ml * rl, nr))  # T, then dt, for one row
+        self.tt = self.ts.reshape(k * ml, rl * nr)  # T' = T as (k m_L, r_L n_R)
+        self.dy_block = np.empty((steps, k * ml, g * mr))
+        self.dys = self.dy_block.reshape(steps, k, ml, g, mr).transpose(0, 3, 1, 2, 4)
+        self.dyg = self.dy_block.reshape(steps, k * ml, g, mr).transpose(0, 2, 3, 1)
         self.x = row.reshape(k, nl, nr)
         self.xt = self.x.transpose(0, 2, 1)
         return self.dy_block.reshape(steps, g, k, ml * mr)
@@ -380,16 +376,15 @@ class RootFrames:
         return np.matmul(self.ut, self.ts).reshape(len(self.ts), -1)[:, self.cut:]
 
     def end(self):
-        """Let go of the open group's row, once every product of the group
-        has run forward and backward."""
-        self.x = self.xt = None
+        """Let go of the open group's row and blocks, once every product
+        of the group has run forward and backward."""
+        self.x = self.xt = self.ts = self.tt = None
+        self.dy_block = self.dys = self.dyg = None
 
     def finish(self):
         """Add the factor cotangents of every ended group to ``sink``.
-        The group blocks, U, V and the U.T rows are freed first, so the
-        frames take no more products; the projection reads only dU,
-        ``dvt`` and the factors."""
-        self.dy_block = self.dys = self.dyg = self.ts = self.tt = None
+        U, V and the U.T rows are freed first, so the frames take no more
+        products; the projection reads only dU, ``dvt`` and the factors."""
         self.u = self.v = self.vt = self.ut = None
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root

@@ -616,10 +616,10 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     and the step's dz: the gate stage reads the output into its biased
     pre-activations before it writes them, and the step's backward reads
     them before it writes dz over them. A group's blocks are dropped when
-    its backward is done, before ``end``, and the dense frames let go of
-    their own at ``end``, so the peak memory does not grow with the
-    batch. The head, the loss and the dropout masks run per
-    sequence in batch order, so a sequence's loss and draws do not depend
+    its backward is done, before ``end``, and the frames let go of the
+    blocks their ``begin`` allocated at ``end``, so the peak memory does
+    not grow with the batch. The head, the loss and the dropout masks run
+    per sequence in batch order, so a sequence's loss and draws do not depend
     on its group; the head's weight gradient is added in blocks of rows
     of at most ``HEAD_BLOCK_BYTES``. The frames' input cotangent starts at
     row 0 with ``return_input_grads``, else at the h slice, the row's last
@@ -627,7 +627,8 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     when enabled, is applied to the final hidden state before the head
     (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
     (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
-    example i.
+    example i, divided by the batch size as each step's backward returns
+    it, so no step's whole input cotangent row is kept.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -635,6 +636,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     if dropout_rate > 0 and rng is None:
         raise ValueError("dropout needs an rng")
     grads = zero_grads(cell, head)
+    b = float(len(batch))
     start = 0 if return_input_grads else cell.gate_map.in_size - cell.hidden_size
     frames = cell.gate_map.prepare(grads, start)
     rows = max(1, HEAD_BLOCK_BYTES // (8 * cell.hidden_size))  # of head.w, per product
@@ -677,8 +679,8 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         for t in range(steps - 1, -1, -1):
             dh, dc, dx = cell.step_backward(frames, seq, t, dh, dc, grads)
             if return_input_grads:
-                for j in range(k):
-                    input_grads[j][t] = dx[j]
+                for j, dx_j in enumerate(dx / b):
+                    input_grads[j][t] = dx_j
         del seq
         frames.end()  # with the group's blocks gone, before the next allocates its own
         if return_input_grads:
@@ -690,10 +692,9 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         first += run_group(first)
     frames.finish()
 
-    b = float(len(batch))
     for name in grads:
         grads[name] /= b
     loss = total_loss / b
     if return_input_grads:
-        return loss, grads, [[g / b for g in seq] for seq in all_input_grads]
+        return loss, grads, all_input_grads
     return loss, grads

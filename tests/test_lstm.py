@@ -3,6 +3,7 @@ backpropagation through time."""
 
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,41 @@ class TestDenseGateMap:
         assert peak <= matrix + matrix // 4 + rows + 64 * 1024
 
 
+class TestGroupBlocks:
+    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
+    def test_blocks_live_for_one_group(self, mode):
+        # Every prepared gate map (the HT frames, the dense map and the
+        # input-only map) allocates the block that begin returns for its
+        # group and lets go of it at end: a caller that keeps the first
+        # group's block past end does not see the next group of the same
+        # shape write into it, and once the caller drops it, nothing holds it.
+        cell = small_cell("full" if mode == "dense" else mode)
+        if mode == "dense":
+            cell = DenseLstmCell(reconstruct_dense(cell.weight), cell.n_x, biases=cell.biases)
+        frames = cell.gate_map.prepare(zero_grads(cell, make_head(3, cell.hidden_size, 0)))
+        rng = np.random.default_rng(31)
+        k, steps, h = 2, 3, cell.hidden_size
+        row = np.empty((k, cell.gate_map.in_size))
+
+        def run_group():
+            act = frames.begin(row, steps)
+            for t in range(steps):
+                row[...] = rng.normal(size=row.shape)
+                frames.forward(t)
+            for t in range(steps - 1, -1, -1):
+                frames.backward(t, rng.normal(size=(4, k, h)))
+            frames.end()
+            return act
+
+        first = run_group()
+        ref = weakref.ref(first.base)
+        second = run_group()
+        assert first.shape == second.shape == (steps, 4, k, h)
+        assert not np.shares_memory(first, second)
+        del first
+        assert ref() is None
+
+
 # (sequence, message) pairs for n_x = 4: each is rejected where bptt
 # checks a sequence, with the message the per-step path gives
 BAD_SEQUENCES = {
@@ -544,6 +580,39 @@ class TestBptt:
 
         one_sequence = 4 * cell.gate_map.in_size * 8
         assert peak(batch) - peak(batch[:2]) <= one_sequence
+
+    @pytest.mark.parametrize("mode", ["full", "input-only"])
+    def test_input_grads_peak_is_what_they_return(self, mode):
+        # bptt divides each step's input cotangent by the batch size as it
+        # collects it, so with input gradients the peak may exceed the
+        # default path's by the returned arrays, one step's (k, N) backward
+        # row of a group and its (k, n_x) quotient, and a Python object per
+        # returned array and list; keeping each dx as a view of its step's
+        # whole backward row until the batch ends holds every such row
+        cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
+        head = make_head(8, cell.hidden_size, seed=2)
+        rng = np.random.default_rng(5)
+        count, steps = 16, 6
+        batch = [(rng.normal(size=(steps, 256)), i % 8) for i in range(count)]
+
+        def peak(return_input_grads):
+            bptt(cell, head, batch, return_input_grads=return_input_grads)  # warm caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = bptt(cell, head, batch, return_input_grads=return_input_grads)
+                return tracemalloc.get_traced_memory()[1] - base, out
+            finally:
+                tracemalloc.stop()
+
+        default, _ = peak(False)
+        with_grads, (_, _, input_grads) = peak(True)
+        returned = sum(g.nbytes for seq in input_grads for g in seq)
+        k, n = group_size(cell, steps), cell.gate_map.in_size
+        assert returned == count * steps * 256 * 8 and k == 4
+        rows = k * (n + 256) * 8
+        objects = 256 * (count * steps + count + 1)
+        assert with_grads - default <= returned + rows + objects
 
     @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
     def test_peak_memory_flat_in_batch_size(self, mode):

@@ -69,7 +69,8 @@ def test_minibatch_inventory_figures_match_the_frames():
     # (...), the T scratch N MiB, U N MiB, dU N MiB. They read the group's
     # input row, N MiB, in place." against the arrays of training frames at
     # `hmdb51-cnn` with a group of two six-step sequences open, as bptt
-    # opens one over its row
+    # opens one over its row; after `end` the frames hold neither of the
+    # group's blocks ("no block or temporary of one group outlives it")
     text = " ".join(README.read_text().split())
     total, listed, row_mib = re.search(
         r"The frames hold ([\d.]+) MiB: (.*?)\. They read the group's input row, "
@@ -88,3 +89,6 @@ def test_minibatch_inventory_figures_match_the_frames():
         name: a.nbytes / 2**20 for name, a in arrays.items()}
     assert float(total) == sum(a.nbytes for a in arrays.values()) / 2**20
     assert np.shares_memory(frames.x, row) and float(row_mib) == row.nbytes / 2**20
+    assert "no block or temporary of one group outlives it" in text
+    frames.end()
+    assert frames.dy_block is None and frames.ts is None

@@ -37,6 +37,9 @@ import numpy as np
 
 # Largest dense matrix, in entries, that reconstruct_dense will build.
 ORACLE_ELEMENT_CAP = 10**8
+# RootFrames.backward's dV budget: the whole product in one GEMM up to this
+# size (17,408 B at synthetic), else one gate's block at a time
+DV_BLOCK_BYTES = 32 << 10
 
 
 class OracleSizeError(RuntimeError):
@@ -252,8 +255,10 @@ class RootFrames:
     with T' the (m_L, r_L n_R) reshape of T and Y the output as
     (m_L, g, m_R). ``forward`` and ``product`` return Y as a gate-major
     view, (g, ..., m_L, m_R), and copy nothing into that order themselves.
-    ``backward`` accumulates the cotangents of U and V; ``finish`` takes
-    them back through the frame build into ``sink``, one array per factor.
+    ``backward`` accumulates the cotangents of U and V; ``finish``
+    allocates one gradient block per factor, takes the cotangents back
+    through the frame build into them and sets them in ``sink``, factor
+    i's under ``names[i]`` (i by default), so no group holds them.
     U and V are built from the factors at construction and ``finish``
     reads the factors again, so keep them unchanged until ``finish`` and
     build new frames after every update.
@@ -274,14 +279,16 @@ class RootFrames:
     which ``backward`` then overwrites with dy. No T' is kept: ``backward``
     rebuilds row t's T into the scratch, adds dy_t.T @ T'_t to ``dvt``,
     the V cotangent held transposed (the faster orientation of that GEMM
-    on OpenBLAS), one gate's m_R rows at a time, then writes dt, again one
-    GEMM, over the scratch, adds the dU products one sequence at a time
-    and runs the dh rows of the group in one ``np.matmul``. ``begin``
-    prepares the views of the row (X and X^T) and allocates the group's
-    scratch and dy block with their views (each dy slot, its gate-major
-    view and its per-gate view, which the dV product reads against
-    ``dvt``'s gate blocks); ``end`` lets go of all of them, so no block
-    outlives its group. The frames keep no child frame; ``finish``
+    on OpenBLAS), in one GEMM where the whole (g m_R, r_L n_R) product
+    fits ``DV_BLOCK_BYTES`` and one gate's m_R rows at a time where it
+    does not, then writes dt, again one GEMM, over the scratch, forms the
+    group's dU products in one ``np.matmul`` and adds them one sequence
+    at a time, and runs the dh rows of the group in one ``np.matmul``.
+    ``begin`` prepares the views of the row (X and X^T) and allocates the
+    group's scratch and dy block with their views (each dy slot, its
+    gate-major view and its column blocks, which the dV products read
+    against ``dvt``'s row blocks); ``end`` lets go of all of them, so no
+    block outlives its group. The frames keep no child frame; ``finish``
     rebuilds FR from the factors. The row GEMMs of ``forward`` and
     ``backward`` are bound ``ndarray.dot`` calls: the BLAS call of
     ``np.dot`` and ``@``, so the same bits, without the dispatch of
@@ -291,9 +298,10 @@ class RootFrames:
     place.
     """
 
-    def __init__(self, w: HTWeight, sink=None, start=0):
+    def __init__(self, w: HTWeight, sink=None, start=0, names=None):
         root = w.tree.root
         self.w, self.sink, self.start = w, sink, start
+        self.names = range(len(w.factors)) if names is None else names
         fl, fr = _node_frame(w, root.left), _node_frame(w, root.right)
         rl, ml, nl = fl.shape
         rr, mr, nr = fr.shape
@@ -310,7 +318,9 @@ class RootFrames:
         self.vt = self.v.T
         self.du = np.zeros(self.u.shape)
         self.dvt = np.zeros((g * mr, rl * nr))
-        self.dvg = self.dvt.reshape(g, mr, rl * nr)  # dvt's gate blocks
+        # dV's row blocks: the whole product if it fits DV_BLOCK_BYTES, else one gate's
+        self.dv_rows = g * mr if self.dvt.nbytes <= DV_BLOCK_BYTES else mr
+        self.dvb = [self.dvt[r:r + self.dv_rows] for r in range(0, g * mr, self.dv_rows)]
         self.ut = self.u[:, start // nr:].T if start < nl * nr else None
         self.cut = start % nr
 
@@ -328,7 +338,8 @@ class RootFrames:
         self.tt = self.ts.reshape(k * ml, rl * nr)  # T' = T as (k m_L, r_L n_R)
         self.dy_block = np.empty((steps, k * ml, g * mr))
         self.dys = self.dy_block.reshape(steps, k, ml, g, mr).transpose(0, 3, 1, 2, 4)
-        self.dyg = self.dy_block.reshape(steps, k * ml, g, mr).transpose(0, 2, 3, 1)
+        self.dyb = [self.dy_block[:, :, r:r + self.dv_rows].transpose(0, 2, 1)
+                    for r in range(0, g * mr, self.dv_rows)]
         self.x = row.reshape(k, nl, nr)
         self.xt = self.x.transpose(0, 2, 1)
         return self.dy_block.reshape(steps, g, k, ml * mr)
@@ -358,19 +369,19 @@ class RootFrames:
         ``(W.T @ dy)[start:]`` for the frames' ``start``, one row per
         sequence. In order: dy into the row's dy slot, T rebuilt into the
         scratch (the forward's ``np.matmul`` again, so the same bits),
-        dy.T @ T' added to ``dvt`` one gate's m_R rows at a time, so no
-        temporary is larger than one gate's block, dt written over the
-        scratch, then dU and the dh rows. Only the n_L-rows of X from
+        dy.T @ T' added to ``dvt`` in row blocks of at most
+        ``DV_BLOCK_BYTES`` or of one gate, dt written over the scratch,
+        then dU and the dh rows. Only the n_L-rows of X from
         ``start // n_R`` on are computed, and none when ``start`` is the
         input length."""
         slot = self.dys[t]
         slot[...] = dy.reshape(slot.shape)
         np.matmul(self.u, self.x, out=self.ts)
-        for dvt, dyt in zip(self.dvg, self.dyg[t]):
-            dvt += dyt @ self.tt
+        for dvt, dyt in zip(self.dvb, self.dyb):
+            dvt += dyt[t] @ self.tt
         self.dy_block[t].dot(self.vt, out=self.tt)
-        for dt, xt in zip(self.ts, self.xt):
-            self.du += dt.dot(xt)
+        for du in np.matmul(self.ts, self.xt):
+            self.du += du
         if self.ut is None:
             return np.empty((len(self.ts), 0))
         return np.matmul(self.ut, self.ts).reshape(len(self.ts), -1)[:, self.cut:]
@@ -379,27 +390,30 @@ class RootFrames:
         """Let go of the open group's row and blocks, once every product
         of the group has run forward and backward."""
         self.x = self.xt = self.ts = self.tt = None
-        self.dy_block = self.dys = self.dyg = None
+        self.dy_block = self.dys = self.dyb = None
 
     def finish(self):
-        """Add the factor cotangents of every ended group to ``sink``.
-        U, V and the U.T rows are freed first, so the frames take no more
-        products; the projection reads only dU, ``dvt`` and the factors."""
+        """Set the factor gradients of every ended group in ``sink``, in
+        blocks allocated here. U, V and the U.T rows are freed first, so
+        the frames take no more products; the projection reads only dU,
+        ``dvt`` and the factors."""
         self.u = self.v = self.vt = self.ut = None
         g, rl, ml, mr, nl, nr = self.shape
         root = self.w.tree.root
+        grads = [np.zeros(f.shape) for f in self.w.factors]
         fr = _node_frame(self.w, root.right)  # (b, iR, jR)
         rr = fr.shape[0]
         # np.tensordot's operands and np.dot, as in __init__
         dv = self.dvt.T.reshape(rl, nr, g, mr)  # (a, jR, g, iR)
         d_root = np.dot(dv.transpose(0, 2, 3, 1).reshape(rl * g, mr * nr),
                         fr.transpose(1, 2, 0).reshape(mr * nr, rr))
-        self.sink[0] += d_root.reshape(rl, g, rr).transpose(1, 0, 2)
+        grads[0] += d_root.reshape(rl, g, rr).transpose(1, 0, 2)
         d_fr = np.dot(self.w.factors[0].transpose(2, 0, 1).reshape(rr, g * rl),
                       dv.transpose(2, 0, 1, 3).reshape(g * rl, nr * mr))
-        _frame_vjp(self.w, root.left, self.du.reshape(ml, rl, nl).transpose(1, 0, 2),
-                   self.sink)
-        _frame_vjp(self.w, root.right, d_fr.reshape(rr, nr, mr).transpose(0, 2, 1), self.sink)
+        _frame_vjp(self.w, root.left, self.du.reshape(ml, rl, nl).transpose(1, 0, 2), grads)
+        _frame_vjp(self.w, root.right, d_fr.reshape(rr, nr, mr).transpose(0, 2, 1), grads)
+        for name, grad in zip(self.names, grads):
+            self.sink[name] = grad
 
 
 # ---------------------------------------------------------------------------

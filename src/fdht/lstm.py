@@ -112,16 +112,25 @@ def sigmoid(z, out=None):
     return np.divide(np.exp(s, s), d, s)
 
 
-def softmax_cross_entropy(logits, label: int):
-    """Mean-ready loss and dL/dlogits for one example."""
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range for {logits.size} classes")
-    shifted = logits - np.maximum.reduce(logits)
-    log_z = np.log(np.add.reduce(np.exp(shifted)))
-    loss = log_z - shifted[label]
-    dlogits = np.exp(shifted - log_z)
-    dlogits[label] -= 1.0
-    return float(loss), dlogits
+def softmax_cross_entropy(logits, label):
+    """Mean-ready loss and dL/dlogits for one example, or, for a (k,
+    classes) block of logits and k labels, the k losses and the (k,
+    classes) dlogits, each row the bits of a call on that row alone. A
+    label out of range is a ValueError, that of the first such row."""
+    one = np.ndim(logits) == 1
+    logits, labels = np.atleast_2d(logits), np.atleast_1d(label)
+    classes = logits.shape[1]
+    for label in labels:
+        if not 0 <= label < classes:
+            raise ValueError(f"label {label} out of range for {classes} classes")
+    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
+    rows = np.arange(len(labels))
+    loss = log_z[:, 0] - shifted[rows, labels]
+    dlogits = np.subtract(shifted, log_z, shifted)
+    np.exp(dlogits, dlogits)
+    dlogits[rows, labels] -= 1.0
+    return (float(loss[0]), dlogits[0]) if one else (loss, dlogits)
 
 
 class HtGateMap:
@@ -150,11 +159,11 @@ class HtGateMap:
         return output_from_tape(self.weight, run_plan(self.weight, x.reshape(self.weight.n_shape)))
 
     def prepare(self, grads=None, start=0) -> RootFrames:
-        """Frames of the current factors, whose ``finish`` adds the factor
-        gradients to ``grads`` and whose ``backward`` returns the input
-        cotangent from row ``start`` on; without ``grads``, for ``product``."""
-        sink = None if grads is None else [grads[name] for name in self.params()]
-        return RootFrames(self.weight, sink, start)
+        """Frames of the current factors, whose ``finish`` allocates the
+        factor gradients and sets them in ``grads`` under their names, and
+        whose ``backward`` returns the input cotangent from row ``start``
+        on; without ``grads``, for ``product``."""
+        return RootFrames(self.weight, grads, start, list(self.params()))
 
 
 class DenseGateMap:
@@ -587,9 +596,40 @@ def model_params(cell, head: Head) -> dict[str, np.ndarray]:
     return {**cell.params(), "head.w": head.w, "head.b": head.b}
 
 
-def zero_grads(cell, head: Head) -> dict[str, np.ndarray]:
-    """Zero gradients named and ordered as ``model_params``."""
-    return {k: np.zeros(v.shape) for k, v in model_params(cell, head).items()}
+def zero_grads(cell, head: Head) -> dict[str, np.ndarray | None]:
+    """Gradients named and ordered as ``model_params``: zeros for every
+    block that steps and prepared maps add into, and None for the HT
+    factors, whose frames allocate and set them at ``finish``
+    (``RootFrames``), so no BPTT group holds them."""
+    late = cell.gate_map.params() if isinstance(cell.weight, HTWeight) else ()
+    return {k: None if k in late else np.zeros(v.shape)
+            for k, v in model_params(cell, head).items()}
+
+
+def _head_pass(head: Head, h, labels, dropout_rate, rng, grads):
+    """Dropout, logits, loss and dh of a BPTT group, once on its (k, H)
+    final hidden states ``h``: one (k, H) draw of dropout masks, the same
+    numbers as k draws of H, and the head's products as stacked GEMVs,
+    so each row has the bits of its sequence run alone. Adds the head's
+    gradients to ``grads`` sequence by sequence, in batch order,
+    ``head.w``'s in blocks of rows of at most ``HEAD_BLOCK_BYTES``.
+    Returns the k losses and the (k, H) dh; its other temporaries go on
+    return, before the group's backward runs."""
+    if dropout_rate > 0:
+        mask = (rng.random(h.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        h = h * mask
+    logits = np.matmul(head.w, h[:, :, None])[:, :, 0]
+    logits += head.b
+    losses, dlogits = softmax_cross_entropy(logits, labels)
+    rows = max(1, HEAD_BLOCK_BYTES // (8 * h.shape[1]))  # of head.w, per product
+    for d, h_used in zip(dlogits, h):
+        for r in range(0, len(d), rows):
+            grads["head.w"][r:r + rows] += np.multiply.outer(d[r:r + rows], h_used)
+        grads["head.b"] += d
+    dh = np.matmul(dlogits[:, None, :], head.w)[:, 0]
+    if dropout_rate > 0:
+        dh *= mask
+    return losses, dh
 
 
 def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
@@ -599,7 +639,8 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
 
     The gate map is prepared once for the batch (for HT, the root-children
     frames of the current factors) and its factor gradients are finished
-    once at the end. The sequences run in lockstep groups of at most
+    once at the end, where the HT frames allocate them (``zero_grads``), so
+    no group holds them. The sequences run in lockstep groups of at most
     ``group_size(cell, steps)`` consecutive ones of equal length, in batch
     order, so that each forward and backward step serves the whole group;
     a change of length ends a group, and a group may hold one sequence.
@@ -619,16 +660,18 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     its backward is done, before ``end``, and the frames let go of the
     blocks their ``begin`` allocated at ``end``, so the peak memory does
     not grow with the batch. The head, the loss and the dropout masks run
-    per sequence in batch order, so a sequence's loss and draws do not depend
-    on its group; the head's weight gradient is added in blocks of rows
-    of at most ``HEAD_BLOCK_BYTES``. The frames' input cotangent starts at
-    row 0 with ``return_input_grads``, else at the h slice, the row's last
-    H columns. A ``dropout_rate`` outside [0, 1) is a ValueError; dropout,
-    when enabled, is applied to the final hidden state before the head
-    (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
-    (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
-    example i, divided by the batch size as each step's backward returns
-    it, so no step's whole input cotangent row is kept.
+    once per group on its (k, H) final hidden states (``_head_pass``),
+    each row with the bits and draws of its sequence run alone in batch
+    order, so a sequence's loss and draws do not depend on its group; the
+    head's gradients are added sequence by sequence, the weight's in
+    blocks of rows of at most ``HEAD_BLOCK_BYTES``. The frames' input
+    cotangent starts at row 0 with ``return_input_grads``, else at the h
+    slice, the row's last H columns. A ``dropout_rate`` outside [0, 1) is
+    a ValueError; dropout, when enabled, is applied to the final hidden
+    state before the head (inverted scaling) and needs an ``rng``. Returns
+    (loss, grads) or (loss, grads, input_grads) where input_grads[i][t] is
+    dL/dx_t for example i, divided by the batch size as each step's
+    backward returns it, so no step's whole input cotangent row is kept.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -639,7 +682,6 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     b = float(len(batch))
     start = 0 if return_input_grads else cell.gate_map.in_size - cell.hidden_size
     frames = cell.gate_map.prepare(grads, start)
-    rows = max(1, HEAD_BLOCK_BYTES // (8 * cell.hidden_size))  # of head.w, per product
     total_loss = 0.0
     all_input_grads = []
 
@@ -659,23 +701,14 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
         group = xs = None  # a sequence checked past the group goes now
         for t in range(steps):
             cell.step_packed(frames, seq, t)
-        dh = np.empty((k, cell.hidden_size))
-        for j, (_, label) in enumerate(batch[first:first + k]):
-            h_used = seq.h[j]
-            if dropout_rate > 0:
-                mask = (rng.random(h_used.size) >= dropout_rate) / (1.0 - dropout_rate)
-                h_used = h_used * mask
-            logits = head.w.dot(h_used) + head.b
-            loss, dlogits = softmax_cross_entropy(logits, label)
+        losses, dh = _head_pass(head, seq.h, [label for _, label in batch[first:first + k]],
+                                dropout_rate, rng, grads)
+        for loss in losses.tolist():
             total_loss += loss
-            for r in range(0, len(dlogits), rows):
-                grads["head.w"][r:r + rows] += np.multiply.outer(dlogits[r:r + rows], h_used)
-            grads["head.b"] += dlogits
-            dlogits.dot(head.w, out=dh[j])
-            if dropout_rate > 0:
-                dh[j] *= mask
         dc = np.zeros(dh.shape)
-        input_grads = [[None] * steps for _ in range(k)]
+        if return_input_grads:
+            input_grads = [[None] * steps for _ in range(k)]
+            all_input_grads.extend(input_grads)
         for t in range(steps - 1, -1, -1):
             dh, dc, dx = cell.step_backward(frames, seq, t, dh, dc, grads)
             if return_input_grads:
@@ -683,8 +716,6 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
                     input_grads[j][t] = dx_j
         del seq
         frames.end()  # with the group's blocks gone, before the next allocates its own
-        if return_input_grads:
-            all_input_grads.extend(input_grads)
         return k
 
     first = 0

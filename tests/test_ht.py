@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdht.grad import backward_from_tape, htl_backward
-from fdht.ht import (HTWeight, OracleSizeError, RootFrames, build_dim_tree,
+from fdht.ht import (DV_BLOCK_BYTES, HTWeight, OracleSizeError, RootFrames, build_dim_tree,
                      build_plan, factor_shapes, htl_forward, init_ht_weight,
                      param_count_config, reconstruct_dense, run_plan)
 from fdht.train import AdamState, TrainConfig, adam_step
@@ -330,9 +330,10 @@ class TestRootFrames:
         # the V cotangent of a sequence, added product by product in
         # backward from the rebuilt T', against the per-product sum of
         # T'_k.T @ dy_k; the second sequence is longer, so the blocks are
-        # reallocated between the two. It is added one gate's m_R rows at
-        # a time: 2 rows at m_L = 6 and m_R = 2, and 8 at SPLIT_GEOMETRY,
-        # m_L = 2 and m_R = 8.
+        # reallocated between the two. It is added in one GEMM where the
+        # whole product fits DV_BLOCK_BYTES, 8 rows at m_L = 6 and m_R = 2,
+        # and one gate's m_R rows at a time where it does not, 8 of 32 at
+        # SPLIT_GEOMETRY, m_L = 2 and m_R = 8.
         for m, n, leaf, internal in (((2, 3, 2), (3, 2, 4), 2, 3), SPLIT_GEOMETRY):
             w = init_ht_weight(m, n, leaf, internal, 4, seed=6)
             frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
@@ -391,6 +392,36 @@ class TestRootFrames:
         gate_block = mr * rl * nr * 8
         assert gate_block == 8704
         assert peak <= gate_block + 2048
+
+    def test_backward_dv_is_one_product_at_synthetic(self):
+        # At the synthetic geometry the whole dV product, g m_R = 16 rows
+        # of r_L n_R = 136, is 17,408 bytes, within DV_BLOCK_BYTES, so a
+        # backward adds it in one GEMM over the four gates, and that
+        # product is the largest array it makes: a gate's block would be
+        # 4,352 bytes and the (m_L r_L, n_L) dU product of a one-sequence
+        # group is 4,096. With start at the input length there are no dh
+        # rows; the slack is that of test_backward_dv_allocates_one_gate_block.
+        w = init_ht_weight((4, 4), (16, 17), 8, 8, 4, seed=8)
+        frames = RootFrames(w, [np.zeros_like(f) for f in w.factors], w.in_size)
+        g, rl, ml, mr, nl, nr = frames.shape
+        assert [block.shape for block in frames.dvb] == [(g * mr, rl * nr)]
+        rng = np.random.default_rng(34)
+        xs = rng.normal(size=(3, w.in_size))
+        _, row = run_sequence(frames, xs)
+        frames.backward(2, rng.normal(size=w.out_size))  # warm, outside the measurement
+        row[0] = xs[1]
+        dy = rng.normal(size=w.out_size)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            frames.backward(1, dy)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        whole = 8 * g * mr * rl * nr
+        assert whole == 17408 <= DV_BLOCK_BYTES
+        assert whole <= peak <= whole + 2048
 
     def test_prepared_frames_hold_no_child_frame(self):
         # A prepared RootFrames holds U (m_L r_L, n_L) and its cotangent

@@ -15,7 +15,7 @@ from fdht.ht import HTWeight, RootFrames, htl_forward, init_ht_weight, reconstru
 from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell, FdhtLstmCell, Head,
                        HtGateMap, InputOnlyGateMap, LstmState, Sequence, _gate_backward,
                        _gate_forward, bptt, forward_sequence, group_size, make_cell, make_head,
-                       sigmoid, softmax_cross_entropy, zero_grads)
+                       model_params, sigmoid, softmax_cross_entropy, zero_grads)
 from oracles import (fd_param_dict, make_dense_cell, max_rel_error,
                      per_gate_backward, per_gate_forward)
 
@@ -472,6 +472,29 @@ class TestSequenceAndHead:
         with pytest.raises(ValueError, match="label"):
             softmax_cross_entropy(np.zeros(3), 3)
 
+    def test_cross_entropy_rows_equal_one_row_calls(self):
+        # bptt runs the loss once per group over a (k, classes) block: each
+        # row's loss and dlogits have the bits of a call on that row alone,
+        # at a size that sums in one pass and at one that sums pairwise,
+        # and a label out of range in any row is the one-row call's error
+        rng = np.random.default_rng(32)
+        for classes in (11, 2048):
+            logits = rng.normal(size=(5, classes)) * 4
+            labels = rng.integers(classes, size=5)
+            losses, dlogits = softmax_cross_entropy(logits, labels)
+            assert losses.shape == (5,) and dlogits.shape == logits.shape
+            for row, label, loss, d in zip(logits, labels, losses, dlogits):
+                one_loss, one_d = softmax_cross_entropy(row, int(label))
+                assert loss == one_loss and np.array_equal(d, one_d)
+            for j, bad in ((0, -1), (2, classes), (4, classes + 3)):
+                wrong = labels.copy()
+                wrong[j] = bad
+                with pytest.raises(ValueError) as rows_error:
+                    softmax_cross_entropy(logits, wrong)
+                with pytest.raises(ValueError) as one_error:
+                    softmax_cross_entropy(logits[j], bad)
+                assert str(rows_error.value) == str(one_error.value)
+
 
 def batch_loss(cell, head, batch):
     return float(np.mean([
@@ -705,7 +728,7 @@ class TestBptt:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        grad_bytes = sum(g.nbytes for g in grads.values())
+        grad_bytes = sum(p.nbytes for p in model_params(cell, head).values())
         # a packed block's worth (more than the group's one row), c, tanh_c and h
         group = 2 * 8 * (steps * n + (3 * steps + 2) * h)
         rows = 2 * 2 * 8 * steps * (4 * h + h)
@@ -835,7 +858,7 @@ class TestBptt:
         # 4, 3 and 1), and a change of length ends a group; the mean over
         # one-sequence batches, drawing their dropout masks from one
         # generator in batch order, is the same loss, gradients and input
-        # gradients at the synthetic geometry
+        # gradients at the synthetic geometry; the loss bit for bit
         cell = make_cell(256, (16, 17), (4, 4), 8, 8,
                          mode="full" if mode == "dense" else mode, seed=1)
         if mode == "dense":
@@ -854,7 +877,7 @@ class TestBptt:
             draws = np.random.default_rng(4)
             singles = [bptt(cell, head, [example], dropout_rate=0.25, rng=draws,
                             return_input_grads=input_grads) for example in batch]
-            assert rel(loss, sum(one[0] for one in singles) / b) <= 1e-12
+            assert loss == sum(one[0] for one in singles) / b
             for name, g in grads.items():
                 assert rel(g, sum(one[1][name] for one in singles) / b) <= 1e-12, name
             if input_grads:
@@ -1004,6 +1027,31 @@ class TestBptt:
         for name in want:
             assert np.array_equal(got[name], want[name]), name
 
+    @pytest.mark.parametrize("mode", ["full", "input-only"])
+    def test_factor_gradients_allocated_at_finish(self, mode, monkeypatch):
+        # bptt's HT frames allocate the factor gradients in finish, once
+        # the last group's blocks are gone, so no group holds them: at each
+        # of the four groups' end no factor has a gradient block yet. After
+        # bptt each has one of its factor's shape, and the dict keeps
+        # model_params' names and order
+        cell = make_cell(256, (16, 17), (4, 4), 8, 8, mode=mode, seed=1)
+        head = make_head(8, cell.hidden_size, seed=2)
+        rng = np.random.default_rng(33)
+        batch = [(rng.normal(size=(6, 256)) / 16, i % 8) for i in range(16)]
+        factors = cell.gate_map.params()
+        end, held = RootFrames.end, []
+
+        def spy(self):
+            held.append([self.sink[name] is None for name in factors])
+            end(self)
+
+        monkeypatch.setattr(RootFrames, "end", spy)
+        _, grads = bptt(cell, head, batch)
+        assert held == [[True] * len(factors)] * 4
+        assert list(grads) == list(model_params(cell, head))
+        for name, factor in factors.items():
+            assert grads[name].shape == factor.shape and np.any(grads[name] != 0.0), name
+
     def test_zero_grads_covers_all_params(self):
         cell = small_cell(mode="input-only")
         head = make_head(3, cell.hidden_size, seed=0)
@@ -1011,3 +1059,14 @@ class TestBptt:
         expected = set(cell.params()) | {"head.w", "head.b"}
         assert set(grads) == expected
         assert "recurrent" in grads
+        # the HT factors' gradients are left to the frames' finish; every
+        # block that steps and the dense maps add into is a zero block, the
+        # dense cell's weight among them
+        dense = DenseLstmCell(reconstruct_dense(cell.weight), cell.n_x, biases=cell.biases)
+        for c in (cell, dense):
+            params, grads = model_params(c, head), zero_grads(c, head)
+            for name, p in params.items():
+                if c is cell and name in cell.gate_map.params():
+                    assert grads[name] is None, name
+                else:
+                    assert grads[name].shape == p.shape and not grads[name].any(), name

@@ -13,8 +13,7 @@ differs between the paper's cell and its baseline:
   is the root-children frames (``fdht.ht.RootFrames``), two GEMMs per
   product.
 - ``DenseGateMap`` (``DenseLstmCell``) is one explicit (4H x N) matrix;
-  prepared for BPTT, with a gradient buffer, it runs its weight-gradient
-  GEMMs at the end of each group, so it keeps one group's rows.
+  prepared for BPTT, it adds its gradient at the end of each group.
 - ``InputOnlyGateMap`` runs input-only mode on the row [x | zeros | h]
   of length N + H: the cell's map reads the first N columns and a
   ``DenseGateMap`` over the (4H x H) recurrent matrix the last H, so in
@@ -27,7 +26,9 @@ a group of k equal-length sequences, which step in lockstep, over its
 (k, N) input row (``begin``), and ``forward(t)`` multiplies that row
 into row t of the block ``begin`` returned. Each gate map returns its
 pre-activations gate-major in its own layout, with no copy of its own;
-the gate stage reshapes them to its (4, k, H) block.
+the gate stage reshapes them to its (4, k, H) block. Every map prepared
+for BPTT allocates its own gradient blocks and sets them in the sink
+under its ``params()`` names at ``finish``, and sets nothing before.
 
 Inference has one recurrence loop, ``_run_block``: ``cell.step`` runs it
 on a block of one sequence and one step through the unprepared map,
@@ -116,12 +117,14 @@ def softmax_cross_entropy(logits, label):
     """Mean-ready loss and dL/dlogits for one example, or, for a (k,
     classes) block of logits and k labels, the k losses and the (k,
     classes) dlogits, each row the bits of a call on that row alone. A
-    label out of range is a ValueError, that of the first such row."""
+    label that is not an integer (a bool, a float or a str among them) or
+    is out of range is a ValueError, that of the first such row."""
     one = np.ndim(logits) == 1
     logits, labels = np.atleast_2d(logits), np.atleast_1d(label)
     classes = logits.shape[1]
-    for label in labels:
-        if not 0 <= label < classes:
+    for label in [label] if one else label:
+        integer = isinstance(label, (int, np.integer)) and not isinstance(label, bool)
+        if not (integer and 0 <= label < classes):
             raise ValueError(f"label {label} out of range for {classes} classes")
     shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
     log_z = np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
@@ -168,28 +171,29 @@ class HtGateMap:
 
 class DenseGateMap:
     """Gate map as one explicit (4H x N) matrix, which serves ``product``.
-    With a gradient buffer ``grad`` and a ``start`` it also serves BPTT:
-    ``forward(t)`` writes the product of the group's input row into row
-    t of the group's (steps, k, 4H) dz block, ``backward`` keeps a copy of
-    the row in the group's (steps, k, N) block and the dz it gets in that
-    dz block, and ``end`` adds the group's weight gradient in one GEMM per
-    gate, so it holds one group's rows. ``prepare`` makes one per
-    minibatch for the dense cell, ``InputOnlyGateMap.prepare`` one for the
-    recurrent matrix."""
+    Prepared with a sink ``grads`` it also serves BPTT: ``forward(t)``
+    writes the product of the group's input row into row t of the group's
+    (steps, k, 4H) dz block, ``backward`` keeps a copy of the row in the
+    group's (steps, k, N) block and the dz it gets in that dz block, and
+    ``end`` adds the group's weight gradient in one GEMM per gate into the
+    zero block ``prepare`` allocated, so it holds one group's rows;
+    ``finish`` sets that block in the sink under ``name``, its ``params()``
+    name: "w" for the dense cell, "recurrent" for input-only mode."""
 
     row_scratch = 0  # no per-sequence scratch beside the rows it keeps
 
-    def __init__(self, w, grad=None, start=0):
+    def __init__(self, w, name="w", sink=None, start=0):
         self.weight = np.asarray(w, dtype=np.float64)
         if self.weight.shape[0] % GATES:
             raise ValueError(
                 f"weight rows must be a multiple of {GATES}, got {self.weight.shape[0]}")
         self.in_size = self.weight.shape[1]
         self.hidden_size = self.weight.shape[0] // GATES
-        self.grad, self.start = grad, start
+        self.name, self.sink, self.start = name, sink, start
+        self.grad = None if sink is None else np.zeros(self.weight.shape)
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"w": self.weight}
+        return {self.name: self.weight}
 
     def forward(self, t):
         """``W @ x`` for the (k, N) row that ``begin`` took, written into
@@ -202,10 +206,10 @@ class DenseGateMap:
         return (x @ self.weight.T).reshape(len(x), GATES, -1).transpose(1, 0, 2)
 
     def prepare(self, grads=None, start=0):
-        """The map over the same weight whose ``end`` adds the weight
-        gradient to ``grads["w"]`` and whose ``backward`` returns the input
+        """The map over the same weight, with a zero gradient block that
+        ``finish`` sets in ``grads``, whose ``backward`` returns the input
         cotangent from row ``start`` on; without ``grads``, the map itself."""
-        return self if grads is None else DenseGateMap(self.weight, grads["w"], start)
+        return self if grads is None else DenseGateMap(self.weight, self.name, grads, start)
 
     def begin(self, row, steps):
         """Open a group of ``steps`` products over the (k, N) input
@@ -241,7 +245,8 @@ class DenseGateMap:
         self.row = self.x = self.dz = None
 
     def finish(self):
-        """Nothing is left to add: ``end`` added each group's gradient."""
+        """Set the gradient that every group's ``end`` added in the sink."""
+        self.sink[self.name] = self.grad
 
 
 class InputOnlyGateMap:
@@ -250,16 +255,16 @@ class InputOnlyGateMap:
     (whose h columns stay zero) and ``recurrent``, a ``DenseGateMap`` over
     the (4H x H) recurrent matrix, on the last H. ``product`` returns the
     sum of both maps' products; prepared, ``forward(t)`` adds the
-    recurrent product into the inner map's row t. ``begin`` and ``end``
-    delegate to both maps, so the recurrent map adds each group's
-    gradient at ``end``, as the dense cell's map does."""
+    recurrent product into the inner map's row t. ``begin``, ``end`` and
+    ``finish`` delegate to both maps, so each sets its own gradients, the
+    recurrent one under "recurrent", at ``finish``."""
 
     def __init__(self, inner, recurrent):
         self.inner, self.recurrent, self.n = inner, recurrent, inner.in_size
         self.in_size, self.row_scratch = self.n + recurrent.in_size, inner.row_scratch
 
     def params(self) -> dict[str, np.ndarray]:
-        return self.inner.params()
+        return {**self.inner.params(), **self.recurrent.params()}
 
     def forward(self, t):
         z = self.inner.forward(t)
@@ -273,8 +278,7 @@ class InputOnlyGateMap:
         """Both maps prepared, for the input cotangent from row ``start`` (0 or N) on."""
         frames = copy.copy(self)
         frames.inner, frames.start = self.inner.prepare(grads, start), start
-        if grads is not None:
-            frames.recurrent = DenseGateMap(self.recurrent.weight, grads["recurrent"])
+        frames.recurrent = self.recurrent.prepare(grads)
         return frames
 
     def begin(self, row, steps):
@@ -291,6 +295,7 @@ class InputOnlyGateMap:
 
     def finish(self):
         self.inner.finish()
+        self.recurrent.finish()
 
 
 class Sequence:
@@ -357,16 +362,15 @@ class FdhtLstmCell:
             biases[0] = 1.0  # forget gate
         self.biases = np.array(biases, dtype=np.float64)
         if self.biases.shape != (GATES, h):
-            raise ValueError(f"biases must have shape {(GATES, h)}, "
-                             f"got {self.biases.shape}")
+            raise ValueError(f"biases must have shape {(GATES, h)}, got {self.biases.shape}")
         self.recurrent, self.mode = recurrent, "full"
         if recurrent is not None:
             self.recurrent = np.asarray(recurrent, dtype=np.float64)
             if self.recurrent.shape != (GATES * h, h):
                 raise ValueError(f"recurrent matrix must be {(GATES * h, h)}, "
                                  f"got {self.recurrent.shape}")
-            self.gate_map = InputOnlyGateMap(self.gate_map, DenseGateMap(self.recurrent))
-            self.mode = "input-only"
+            recurrent = DenseGateMap(self.recurrent, "recurrent")
+            self.gate_map, self.mode = InputOnlyGateMap(self.gate_map, recurrent), "input-only"
 
     def init_state(self) -> LstmState:
         return LstmState(np.zeros(self.hidden_size), np.zeros(self.hidden_size))
@@ -375,7 +379,7 @@ class FdhtLstmCell:
         p = self.gate_map.params()
         p["biases"] = self.biases
         if self.recurrent is not None:
-            p["recurrent"] = self.recurrent
+            p["recurrent"] = p.pop("recurrent")  # after the biases, as the CSVs list them
         return p
 
     def step(self, x, state: LstmState) -> LstmState:
@@ -501,13 +505,14 @@ def check_frames(xs, n_x: int, ndim: int = 2) -> np.ndarray:
     split of equal-length sequences (3), each frame a vector of ``n_x``
     numbers. Anything else is a one-line ValueError, that of the first
     sequence or frame at fault: an empty sequence, or a frame that is not
-    a vector (a 1-D or 3-D sequence) or has the wrong length."""
+    a vector (a 0-D, 1-D or 3-D sequence) or has the wrong length."""
     try:
         a = np.asarray(xs, dtype=np.float64)
     except (TypeError, ValueError):  # ragged, or not numbers
         a = None
     if a is not None and a.ndim == ndim and a.shape[-1] == n_x and a.size:
         return a
+    xs = [xs] if a is not None and a.ndim == 0 else xs  # a number: one frame of shape ()
     if len(xs) == 0:
         raise ValueError("cannot run an empty " + ("sequence" if ndim == 2 else "split"))
     for x in xs:
@@ -597,11 +602,10 @@ def model_params(cell, head: Head) -> dict[str, np.ndarray]:
 
 
 def zero_grads(cell, head: Head) -> dict[str, np.ndarray | None]:
-    """Gradients named and ordered as ``model_params``: zeros for every
-    block that steps and prepared maps add into, and None for the HT
-    factors, whose frames allocate and set them at ``finish``
-    (``RootFrames``), so no BPTT group holds them."""
-    late = cell.gate_map.params() if isinstance(cell.weight, HTWeight) else ()
+    """Gradients named and ordered as ``model_params``: zeros for the
+    blocks the steps add into, the biases' and the head's, and None for
+    the gate map's, which its prepared frames set at ``finish``."""
+    late = cell.gate_map.params()
     return {k: None if k in late else np.zeros(v.shape)
             for k, v in model_params(cell, head).items()}
 
@@ -638,40 +642,37 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     and its gradients with respect to every cell, bias and head parameter.
 
     The gate map is prepared once for the batch (for HT, the root-children
-    frames of the current factors) and its factor gradients are finished
-    once at the end, where the HT frames allocate them (``zero_grads``), so
-    no group holds them. The sequences run in lockstep groups of at most
+    frames of the current factors) and finished once at the end, where the
+    prepared map sets its gradients in the dict (``zero_grads`` leaves
+    them None). The sequences run in lockstep groups of at most
     ``group_size(cell, steps)`` consecutive ones of equal length, in batch
     order, so that each forward and backward step serves the whole group;
     a change of length ends a group, and a group may hold one sequence.
     Each group gets its blocks once (``Sequence``), one (k, N) input row
     among them, which each step fills from the caller's frames before its
     forward and again before its backward; the frames open the group over
-    that row with ``begin`` and close it with ``end``. The HT frames add
-    each step's V cotangent in its backward, from T' rebuilt there. The
-    dense frames, the dense cell's and input-only mode's recurrent map,
-    keep a copy of each of the group's rows and its dz and add the
-    group's weight gradient in one GEMM per gate in ``end``. Steps write
-    into the group's blocks and keep no cache of their own. Step t's
-    activations live in the frames' row t, between the gate map's output
-    and the step's dz: the gate stage reads the output into its biased
-    pre-activations before it writes them, and the step's backward reads
-    them before it writes dz over them. A group's blocks are dropped when
-    its backward is done, before ``end``, and the frames let go of the
-    blocks their ``begin`` allocated at ``end``, so the peak memory does
-    not grow with the batch. The head, the loss and the dropout masks run
-    once per group on its (k, H) final hidden states (``_head_pass``),
-    each row with the bits and draws of its sequence run alone in batch
-    order, so a sequence's loss and draws do not depend on its group; the
-    head's gradients are added sequence by sequence, the weight's in
-    blocks of rows of at most ``HEAD_BLOCK_BYTES``. The frames' input
-    cotangent starts at row 0 with ``return_input_grads``, else at the h
-    slice, the row's last H columns. A ``dropout_rate`` outside [0, 1) is
-    a ValueError; dropout, when enabled, is applied to the final hidden
-    state before the head (inverted scaling) and needs an ``rng``. Returns
-    (loss, grads) or (loss, grads, input_grads) where input_grads[i][t] is
-    dL/dx_t for example i, divided by the batch size as each step's
-    backward returns it, so no step's whole input cotangent row is kept.
+    that row with ``begin`` and close it with ``end``, where the dense
+    maps add the group's weight gradient. Steps write into the group's
+    blocks and keep no cache of their own. Step t's activations live in
+    the frames' row t, between the gate map's output and the step's dz:
+    the gate stage reads the output into its biased pre-activations before
+    it writes them, and the step's backward reads them before it writes dz
+    over them. A group's blocks are dropped when its backward is done,
+    before ``end``, and the frames let go of the blocks their ``begin``
+    allocated at ``end``, so the peak memory does not grow with the batch.
+    The head, the loss and the dropout masks run once per group on its
+    (k, H) final hidden states (``_head_pass``), each row with the bits and
+    draws of its sequence run alone in batch order, so a sequence's loss
+    and draws do not depend on its group; the head's gradients are added
+    sequence by sequence, the weight's in blocks of rows of at most
+    ``HEAD_BLOCK_BYTES``. The frames' input cotangent starts at row 0 with
+    ``return_input_grads``, else at the h slice, the row's last H columns.
+    A ``dropout_rate`` outside [0, 1) is a ValueError; dropout, when
+    enabled, is applied to the final hidden state before the head
+    (inverted scaling) and needs an ``rng``. Returns (loss, grads) or
+    (loss, grads, input_grads) where input_grads[i][t] is dL/dx_t for
+    example i, divided by the batch size as each step's backward returns
+    it, so no step's whole input cotangent row is kept.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -682,8 +683,7 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     b = float(len(batch))
     start = 0 if return_input_grads else cell.gate_map.in_size - cell.hidden_size
     frames = cell.gate_map.prepare(grads, start)
-    total_loss = 0.0
-    all_input_grads = []
+    total_loss, all_input_grads = 0.0, []
 
     def run_group(first):
         # runs the group that starts at batch[first] and returns its size;
@@ -726,6 +726,4 @@ def bptt(cell, head: Head, batch, dropout_rate: float = 0.0, rng=None,
     for name in grads:
         grads[name] /= b
     loss = total_loss / b
-    if return_input_grads:
-        return loss, grads, all_input_grads
-    return loss, grads
+    return (loss, grads, all_input_grads) if return_input_grads else (loss, grads)

@@ -304,63 +304,6 @@ class TestRootFrames:
         for arr, grad in zip([*w.factors, x], [*sink, dx]):
             assert directional_derivative_error(loss, arr, grad, rng) <= 1e-4
 
-    def test_accumulates_over_products(self):
-        # two products accumulate the gradients of a sum of two losses
-        w = init_ht_weight((2, 3, 2), (3, 2, 4), 2, 3, 4, seed=5)
-        rng = np.random.default_rng(13)
-        xs = rng.normal(size=(2, w.in_size))
-        us = [rng.normal(size=w.out_size) for _ in range(2)]
-        both = [np.zeros_like(f) for f in w.factors]
-        frames = RootFrames(w, both)
-        _, row = run_sequence(frames, xs)
-        for k, u in enumerate(us):
-            row[0] = xs[k]
-            frames.backward(k, u)
-        frames.end()
-        frames.finish()
-        for i in range(len(w.factors)):
-            direction = rng.normal(size=w.factors[i].shape)
-            factors = list(w.factors)
-            factors[i] = direction
-            wv = reconstruct_dense(HTWeight(w.tree, w.m_shape, w.n_shape, factors))
-            want = sum(u @ wv @ x for x, u in zip(xs, us))
-            assert abs(np.vdot(both[i], direction) - want) <= 1e-12 * abs(want)
-
-    def test_sequence_dv_is_sum_of_products(self):
-        # the V cotangent of a sequence, added product by product in
-        # backward from the rebuilt T', against the per-product sum of
-        # T'_k.T @ dy_k; the second sequence is longer, so the blocks are
-        # reallocated between the two. It is added in one GEMM where the
-        # whole product fits DV_BLOCK_BYTES, 8 rows at m_L = 6 and m_R = 2,
-        # and one gate's m_R rows at a time where it does not, 8 of 32 at
-        # SPLIT_GEOMETRY, m_L = 2 and m_R = 8.
-        for m, n, leaf, internal in (((2, 3, 2), (3, 2, 4), 2, 3), SPLIT_GEOMETRY):
-            w = init_ht_weight(m, n, leaf, internal, 4, seed=6)
-            frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
-            g, rl, ml, mr, nl, nr = frames.shape
-            rng = np.random.default_rng(14)
-            want = np.zeros_like(frames.dvt.T)
-
-            def sequence(steps):
-                xs = rng.normal(size=(steps, w.in_size))
-                _, row = run_sequence(frames, xs)
-                for k in range(steps - 1, -1, -1):
-                    dy = rng.normal(size=w.out_size)
-                    row[0] = xs[k]
-                    frames.backward(k, dy)
-                    t = (frames.u @ xs[k].reshape(nl, nr)).reshape(ml, rl * nr)
-                    want[...] += t.T @ dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, -1)
-                frames.end()
-
-            def rel():
-                return np.max(np.abs(frames.dvt.T - want)) / np.max(np.abs(want))
-
-            sequence(3)
-            assert rel() <= 1e-12
-            sequence(5)
-            frames.finish()
-            assert rel() <= 1e-12
-
     def test_backward_dv_allocates_one_gate_block(self):
         # At SPLIT_GEOMETRY, g m_R = 32 rows of V cotangent against a
         # rebuilt T' of one row's m_L = 2 rows, so a product's dV is added
@@ -445,13 +388,12 @@ class TestRootFrames:
         u, v = ml * rl * nl, rl * nr * g * mr
         assert held == 8 * (2 * u + 2 * v + 2 * ml * rl * nr + 6 * 2 * ml * g * mr)
 
-    # at (16, 17): 0, a row boundary, 256 = 15 * 17 + 1 (the synthetic
-    # cell's n_x + pad, mid-row) and the input length
+    # the starts of tests/test_gate_maps.py::test_input_cotangent_from_start
     @pytest.mark.parametrize("start", [0, 3 * 17, 256, 272])
     def test_backward_from_start(self, start):
-        # rows start.. of W.T dy from frames built with that start, whose
-        # backward multiplies by a view of U's columns from start // n_R
-        # on, held as the rows of U.T, and by no part of U past the input
+        # frames built with a start multiply the backward by a view of U's
+        # columns from start // n_R on, held as the rows of U.T, and by no
+        # part of U past the input
         w = init_ht_weight((4, 4), (16, 17), 8, 8, 4, seed=7)
         frames = RootFrames(w, [np.zeros_like(f) for f in w.factors], start)
         nl, nr = frames.shape[4:]
@@ -461,14 +403,6 @@ class TestRootFrames:
             assert np.array_equal(frames.ut.T, frames.u[:, start // nr:])
         else:
             assert frames.ut is None
-        rng = np.random.default_rng(18)
-        dy = rng.normal(size=w.out_size)
-        run_sequence(frames, rng.normal(size=(1, w.in_size)))
-        got = frames.backward(0, dy)
-        want = (reconstruct_dense(w).T @ dy)[start:]
-        assert got.shape == (1, want.size)
-        if want.size:
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def run_sequence(frames, xs):

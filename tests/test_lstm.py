@@ -3,7 +3,6 @@ backpropagation through time."""
 
 import re
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +12,9 @@ import fdht.lstm
 from fdht.config import load_config
 from fdht.ht import HTWeight, RootFrames, htl_forward, init_ht_weight, reconstruct_dense
 from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell, FdhtLstmCell, Head,
-                       HtGateMap, InputOnlyGateMap, LstmState, Sequence, _gate_backward,
-                       _gate_forward, bptt, forward_sequence, group_size, make_cell, make_head,
-                       model_params, sigmoid, softmax_cross_entropy, zero_grads)
+                       LstmState, Sequence, _gate_backward, _gate_forward, bptt,
+                       forward_sequence, group_size, make_cell, make_head, model_params,
+                       sigmoid, softmax_cross_entropy, zero_grads)
 from oracles import (fd_param_dict, make_dense_cell, max_rel_error,
                      per_gate_backward, per_gate_forward)
 
@@ -264,101 +263,16 @@ class TestPaddingNeutrality:
         assert np.max(np.abs(y - y_big)) <= 1e-12
 
 
-MAP_KINDS = ("dense", "input-only-ht", "input-only-dense")
-
-
-def input_only_map(inner, rng):
-    """``inner`` with a random (4H, H) recurrent matrix R, as an
-    ``InputOnlyGateMap`` on the row [x | h], the gradient buffers its
-    ``prepare`` reads and its dense oracle [W | R]."""
-    h = inner.hidden_size
-    r = rng.normal(size=(4 * h, h))
-    grads = {name: np.zeros_like(p) for name, p in inner.params().items()}
-    grads["recurrent"] = np.zeros_like(r)
-    w = reconstruct_dense(inner.weight) if isinstance(inner, HtGateMap) else inner.weight
-    return InputOnlyGateMap(inner, DenseGateMap(r)), grads, np.hstack([w, r])
-
-
 class TestDenseGateMap:
-    # The starts of TestRootFrames.test_backward_from_start, on the same
-    # (16, 17) weight as one dense matrix, prepared with that start. The
-    # input-only map over the HT weight or over that matrix takes the same
-    # starts on its row [x | h] against the dense [W | R]. Each dense
-    # map's end adds its weight gradient, and finish adds nothing more.
-    @pytest.mark.parametrize("kind, start", [
-        pytest.param(kind, start, id=str(start) if kind == "dense" else f"{start}-{kind}")
-        for kind in MAP_KINDS for start in (0, 3 * 17, 256, 272)])
-    def test_backward_from_start(self, kind, start):
-        w = init_ht_weight((4, 4), (16, 17), 8, 8, 4, seed=7)
-        matrix = reconstruct_dense(w)
-        rng = np.random.default_rng(18)
-        gate_map, grads, oracle = DenseGateMap(matrix), {"w": np.zeros_like(matrix)}, matrix
-        if kind != "dense":
-            inner = HtGateMap(w) if kind == "input-only-ht" else gate_map
-            gate_map, grads, oracle = input_only_map(inner, rng)
-        frames = gate_map.prepare(grads, start)
-        packed, dy = rng.normal(size=(1, oracle.shape[1])), rng.normal(size=(4, w.out_size // 4))
-        frames.begin(packed, 1)  # the row of a one-step group of one
-        frames.forward(0)
-        got = frames.backward(0, dy)
-        frames.end()
-        want = (oracle.T @ dy.reshape(-1))[start:]
-        assert got.shape == (1, want.size)
-        if want.size:
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        frames.finish()
-        if kind != "dense":
-            assert np.array_equal(grads["recurrent"], np.outer(dy, packed[:, w.in_size:]))
-        if kind != "input-only-ht":
-            assert np.array_equal(grads["w"], np.outer(dy, packed[:, :w.in_size]))
-
-    @pytest.mark.parametrize("kind", MAP_KINDS)
-    def test_sequence_gradient_is_sum_of_outer_products(self, kind):
-        # one GEMM per gate per group against the per-step outer products,
-        # over groups of different lengths and sizes; each forward and each
-        # cotangent against the dense oracle, and each dense map's gradient
-        # after each group's end
-        rng = np.random.default_rng(24)
-        matrix = rng.normal(size=(16, 9))
-        gate_map, grads, oracle = DenseGateMap(matrix), {"w": np.zeros_like(matrix)}, matrix
-        if kind != "dense":
-            inner = (HtGateMap(init_ht_weight((2, 2), (3, 3), 2, 2, 4, seed=4))
-                     if kind == "input-only-ht" else gate_map)
-            gate_map, grads, oracle = input_only_map(inner, rng)
-        frames = gate_map.prepare(grads)
-        n = oracle.shape[1]
-        want = np.zeros_like(oracle)
-        for steps, k in ((3, 2), (5, 1), (5, 2)):
-            xs = rng.normal(size=(steps, k, n))
-            row = np.empty((k, n))
-            frames.begin(row, steps)
-            for t, x in enumerate(xs):
-                row[...] = x
-                y = frames.forward(t).reshape(4, k, 4)
-                assert np.max(np.abs(y - (x @ oracle.T).reshape(k, 4, 4).transpose(1, 0, 2))
-                              ) <= 1e-12 * np.max(np.abs(y))
-            for t in range(steps - 1, -1, -1):
-                dz = rng.normal(size=(4, k, 4))
-                row[...] = xs[t]
-                dx = frames.backward(t, dz)
-                for j in range(k):
-                    want += np.outer(dz[:, j], xs[t, j])
-                    d = oracle.T @ dz[:, j].reshape(-1)
-                    assert np.max(np.abs(dx[j] - d)) <= 1e-12 * np.max(np.abs(d))
-            frames.end()
-            for name, cols in (("w", slice(None, 9)), ("recurrent", slice(9, None))):
-                if name in grads:
-                    err = np.max(np.abs(grads[name] - want[:, cols]))
-                    assert err <= 1e-12 * np.max(np.abs(want[:, cols])), name
-
     def test_gradient_is_one_gemm_per_gate_per_group(self, monkeypatch):
         # The dense map prepared for BPTT adds each group's weight gradient
         # in end, from its copies of the group's rows and dz rows, one
-        # gate's (H, N) product at a time: grads["w"] is zero when the first
-        # group's end starts and not when the next ones do, and the
-        # minibatch's peak holds the gradient, at most one gate's (H, N)
-        # product beside it, one group's kept rows and a slack for Python
-        # objects, well below a (4H, N) product.
+        # gate's (H, N) product at a time, into the block prepare allocated:
+        # zero when the first group's end starts and not when the next
+        # ones do; finish sets it in the dict. The minibatch's peak holds
+        # the gradient, at most one gate's (H, N) product beside it, one
+        # group's kept rows and a slack for Python objects, well below a
+        # (4H, N) product.
         h, n_x, steps, count = 64, 960, 3, 8
         rng = np.random.default_rng(27)
         cell = DenseLstmCell(rng.normal(size=(4 * h, n_x + h)) / 32, n_x)
@@ -390,41 +304,6 @@ class TestDenseGateMap:
         assert peak <= matrix + matrix // 4 + rows + 64 * 1024
 
 
-class TestGroupBlocks:
-    @pytest.mark.parametrize("mode", ["full", "input-only", "dense"])
-    def test_blocks_live_for_one_group(self, mode):
-        # Every prepared gate map (the HT frames, the dense map and the
-        # input-only map) allocates the block that begin returns for its
-        # group and lets go of it at end: a caller that keeps the first
-        # group's block past end does not see the next group of the same
-        # shape write into it, and once the caller drops it, nothing holds it.
-        cell = small_cell("full" if mode == "dense" else mode)
-        if mode == "dense":
-            cell = DenseLstmCell(reconstruct_dense(cell.weight), cell.n_x, biases=cell.biases)
-        frames = cell.gate_map.prepare(zero_grads(cell, make_head(3, cell.hidden_size, 0)))
-        rng = np.random.default_rng(31)
-        k, steps, h = 2, 3, cell.hidden_size
-        row = np.empty((k, cell.gate_map.in_size))
-
-        def run_group():
-            act = frames.begin(row, steps)
-            for t in range(steps):
-                row[...] = rng.normal(size=row.shape)
-                frames.forward(t)
-            for t in range(steps - 1, -1, -1):
-                frames.backward(t, rng.normal(size=(4, k, h)))
-            frames.end()
-            return act
-
-        first = run_group()
-        ref = weakref.ref(first.base)
-        second = run_group()
-        assert first.shape == second.shape == (steps, 4, k, h)
-        assert not np.shares_memory(first, second)
-        del first
-        assert ref() is None
-
-
 # (sequence, message) pairs for n_x = 4: each is rejected where bptt
 # checks a sequence, with the message the per-step path gives
 BAD_SEQUENCES = {
@@ -434,6 +313,7 @@ BAD_SEQUENCES = {
     "3-d": (np.ones((2, 2, 2)), r"input has shape \(2, 2\), expected \(4,\)"),
     "empty": ([], "cannot run an empty sequence"),
     "not-numbers": ([["a", "b", "c", "d"]], "frames must hold numbers"),
+    "0-d": (5.0, r"input has shape \(\), expected \(4,\)"),
 }
 
 
@@ -469,8 +349,18 @@ class TestSequenceAndHead:
         assert abs(loss - np.log(7)) <= 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="label"):
-            softmax_cross_entropy(np.zeros(3), 3)
+        # and a label that is not an integer, in the one-row call, as the
+        # second row of a k-row call and through bptt, each with the
+        # out-of-range message
+        for bad in (3, -1, 1.5, "1", True):
+            with pytest.raises(ValueError, match=f"^label {bad} out of range for 3 classes$"):
+                softmax_cross_entropy(np.zeros(3), bad)
+            with pytest.raises(ValueError, match=f"^label {bad} out of range"):
+                softmax_cross_entropy(np.zeros((2, 3)), [0, bad])
+        cell = small_cell()
+        for bad in (1.5, "1"):
+            with pytest.raises(ValueError, match=f"^label {bad} out of range"):
+                bptt(cell, make_head(3, cell.hidden_size, seed=0), [(np.ones((2, 4)), bad)])
 
     def test_cross_entropy_rows_equal_one_row_calls(self):
         # bptt runs the loss once per group over a (k, classes) block: each
@@ -720,7 +610,10 @@ class TestBptt:
             base = tracemalloc.get_traced_memory()[0]
             frames = cell.gate_map.prepare(grads, n)
             frames.begin(np.zeros((2, n)), steps)
-            frame_bytes = tracemalloc.get_traced_memory()[0] - base
+            # less the recurrent gradient that prepare allocates, which
+            # grad_bytes counts
+            frame_bytes = (tracemalloc.get_traced_memory()[0] - base
+                           - frames.recurrent.grad.nbytes)
             del frames
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -1059,14 +952,15 @@ class TestBptt:
         expected = set(cell.params()) | {"head.w", "head.b"}
         assert set(grads) == expected
         assert "recurrent" in grads
-        # the HT factors' gradients are left to the frames' finish; every
-        # block that steps and the dense maps add into is a zero block, the
-        # dense cell's weight among them
+        # every gate map's gradients (the HT factors', the dense cell's
+        # weight and the recurrent matrix) are left to its frames' finish;
+        # the blocks the steps add into, the biases' and the head's, are
+        # zero blocks
         dense = DenseLstmCell(reconstruct_dense(cell.weight), cell.n_x, biases=cell.biases)
         for c in (cell, dense):
             params, grads = model_params(c, head), zero_grads(c, head)
             for name, p in params.items():
-                if c is cell and name in cell.gate_map.params():
-                    assert grads[name] is None, name
-                else:
+                if name in ("biases", "head.w", "head.b"):
                     assert grads[name].shape == p.shape and not grads[name].any(), name
+                else:
+                    assert grads[name] is None, name

@@ -396,13 +396,15 @@ class TestEvaluateSplit:
         (np.ones((3, 0, 4)), "cannot run an empty sequence"),
         (np.ones((0, 2, 4)), "cannot run an empty split"),
         ([np.ones((2, 4)), np.ones((3, 4))], "same number of frames"),
+        (5.0, r"input has shape \(\), expected \(4,\)"),
     ], ids=["wrong-length", "ragged-frames", "1-d", "3-d", "empty-sequence",
-            "empty-split", "ragged-split"])
+            "empty-split", "ragged-split", "0-d"])
     def test_bad_split_rejected(self, xs, message):
         cell = make_cell(4, (3, 3), (2, 2), 2, 2, seed=9)
         head = make_head(3, cell.hidden_size, seed=0)
+        labels = np.zeros(0 if np.isscalar(xs) else len(xs), dtype=np.int64)
         with pytest.raises(ValueError, match=message) as exc:
-            evaluate(cell, head, Dataset(xs, np.zeros(len(xs), dtype=np.int64)))
+            evaluate(cell, head, Dataset(xs, labels))
         assert "\n" not in str(exc.value)
 
 

@@ -304,6 +304,41 @@ class TestRootFrames:
         for arr, grad in zip([*w.factors, x], [*sink, dx]):
             assert directional_derivative_error(loss, arr, grad, rng) <= 1e-4
 
+    def test_sequence_dv_is_sum_of_products(self):
+        # the V cotangent of a sequence, added product by product in
+        # backward from the rebuilt T', against the per-product sum of
+        # T'_k.T @ dy_k; the second sequence is longer, so the blocks are
+        # reallocated between the two. It is added in one GEMM where the
+        # whole product fits DV_BLOCK_BYTES, 8 rows at m_L = 6 and m_R = 2,
+        # and one gate's m_R rows at a time where it does not, 8 of 32 at
+        # SPLIT_GEOMETRY, m_L = 2 and m_R = 8.
+        for m, n, leaf, internal in (((2, 3, 2), (3, 2, 4), 2, 3), SPLIT_GEOMETRY):
+            w = init_ht_weight(m, n, leaf, internal, 4, seed=6)
+            frames = RootFrames(w, [np.zeros_like(f) for f in w.factors])
+            g, rl, ml, mr, nl, nr = frames.shape
+            rng = np.random.default_rng(14)
+            want = np.zeros_like(frames.dvt.T)
+
+            def sequence(steps):
+                xs = rng.normal(size=(steps, w.in_size))
+                _, row = run_sequence(frames, xs)
+                for k in range(steps - 1, -1, -1):
+                    dy = rng.normal(size=w.out_size)
+                    row[0] = xs[k]
+                    frames.backward(k, dy)
+                    t = (frames.u @ xs[k].reshape(nl, nr)).reshape(ml, rl * nr)
+                    want[...] += t.T @ dy.reshape(g, ml, mr).transpose(1, 0, 2).reshape(ml, -1)
+                frames.end()
+
+            def rel():
+                return np.max(np.abs(frames.dvt.T - want)) / np.max(np.abs(want))
+
+            sequence(3)
+            assert rel() <= 1e-12
+            sequence(5)
+            frames.finish()
+            assert rel() <= 1e-12
+
     def test_backward_dv_allocates_one_gate_block(self):
         # At SPLIT_GEOMETRY, g m_R = 32 rows of V cotangent against a
         # rebuilt T' of one row's m_L = 2 rows, so a product's dV is added

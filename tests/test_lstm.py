@@ -12,9 +12,9 @@ import fdht.lstm
 from fdht.config import load_config
 from fdht.ht import HTWeight, RootFrames, htl_forward, init_ht_weight, reconstruct_dense
 from fdht.lstm import (GATE_ORDER, DenseGateMap, DenseLstmCell, FdhtLstmCell, Head,
-                       LstmState, Sequence, _gate_backward, _gate_forward, bptt,
-                       forward_sequence, group_size, make_cell, make_head, model_params,
-                       sigmoid, softmax_cross_entropy, zero_grads)
+                       HtGateMap, InputOnlyGateMap, LstmState, Sequence, _gate_backward,
+                       _gate_forward, bptt, forward_sequence, group_size, make_cell, make_head,
+                       model_params, sigmoid, softmax_cross_entropy, zero_grads)
 from oracles import (fd_param_dict, make_dense_cell, max_rel_error,
                      per_gate_backward, per_gate_forward)
 
@@ -263,7 +263,66 @@ class TestPaddingNeutrality:
         assert np.max(np.abs(y - y_big)) <= 1e-12
 
 
+MAP_KINDS = ("dense", "input-only-ht", "input-only-dense")
+
+
+def input_only_map(inner, rng):
+    """``inner`` with a random (4H, H) recurrent matrix R, as an
+    ``InputOnlyGateMap`` on the row [x | h], and its dense oracle [W | R]."""
+    h = inner.hidden_size
+    r = rng.normal(size=(4 * h, h))
+    w = reconstruct_dense(inner.weight) if isinstance(inner, HtGateMap) else inner.weight
+    return InputOnlyGateMap(inner, DenseGateMap(r, "recurrent")), np.hstack([w, r])
+
+
 class TestDenseGateMap:
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_sequence_gradient_is_sum_of_outer_products(self, kind):
+        # one GEMM per gate per group against the per-step outer products,
+        # over groups of different lengths and sizes; each forward and each
+        # cotangent against the dense oracle, each dense map's gradient
+        # block after each group's end, and that block in the sink, which
+        # stays empty until finish
+        rng = np.random.default_rng(24)
+        matrix = rng.normal(size=(16, 9))
+        gate_map, oracle = DenseGateMap(matrix), matrix
+        if kind != "dense":
+            inner = (HtGateMap(init_ht_weight((2, 2), (3, 3), 2, 2, 4, seed=4))
+                     if kind == "input-only-ht" else gate_map)
+            gate_map, oracle = input_only_map(inner, rng)
+        sink = {}
+        frames = gate_map.prepare(sink)
+        maps = [frames] if kind == "dense" else [frames.inner, frames.recurrent]
+        dense_maps = [m for m in maps if isinstance(m, DenseGateMap)]
+        cols = {"w": slice(None, 9), "recurrent": slice(9, None)}
+        n = oracle.shape[1]
+        want = np.zeros_like(oracle)
+        for steps, k in ((3, 2), (5, 1), (5, 2)):
+            xs = rng.normal(size=(steps, k, n))
+            row = np.empty((k, n))
+            frames.begin(row, steps)
+            for t, x in enumerate(xs):
+                row[...] = x
+                y = frames.forward(t).reshape(4, k, 4)
+                assert np.max(np.abs(y - (x @ oracle.T).reshape(k, 4, 4).transpose(1, 0, 2))
+                              ) <= 1e-12 * np.max(np.abs(y))
+            for t in range(steps - 1, -1, -1):
+                dz = rng.normal(size=(4, k, 4))
+                row[...] = xs[t]
+                dx = frames.backward(t, dz)
+                for j in range(k):
+                    want += np.outer(dz[:, j], xs[t, j])
+                    d = oracle.T @ dz[:, j].reshape(-1)
+                    assert np.max(np.abs(dx[j] - d)) <= 1e-12 * np.max(np.abs(d))
+            frames.end()
+            assert sink == {}
+            for m in dense_maps:
+                err = np.max(np.abs(m.grad - want[:, cols[m.name]]))
+                assert err <= 1e-12 * np.max(np.abs(want[:, cols[m.name]])), m.name
+        frames.finish()
+        for m in dense_maps:
+            assert sink[m.name] is m.grad, m.name
+
     def test_gradient_is_one_gemm_per_gate_per_group(self, monkeypatch):
         # The dense map prepared for BPTT adds each group's weight gradient
         # in end, from its copies of the group's rows and dz rows, one
